@@ -255,3 +255,38 @@ func TestTechNodeOrderingForDelay(t *testing.T) {
 		t.Errorf("28nm adder must beat 65nm on all axes")
 	}
 }
+
+func TestWireMethodsLeaveReceiverUnchanged(t *testing.T) {
+	// The Wire methods take a pointer receiver; Repeated evaluates a
+	// shorter segment of the same bus and must not do it by rewriting the
+	// receiver, or every later call on the wire would see the segment.
+	cycle := 1e12 / 700e6
+	wires := []Wire{
+		{Node: n28, Layer: tech.WireLocal, LengthMM: 0.05, DriverRes: 300, LoadFF: 4},
+		{Node: n28, Layer: tech.WireIntermediate, LengthMM: 3, Bits: 512},
+		{Node: n28, Layer: tech.WireGlobal, LengthMM: 12, DriverRes: 50, LoadFF: 20, Bits: 64},
+	}
+	for _, w := range wires {
+		orig := w
+		eval := w.Eval()
+		rep, ins := w.Repeated()
+		pipe, stages := w.Pipelined(cycle)
+		for i := 0; i < 2; i++ {
+			if w != orig {
+				t.Fatalf("%gmm wire changed by its own methods: %+v, want %+v", orig.LengthMM, w, orig)
+			}
+			if got := w.Eval(); got != eval {
+				t.Errorf("%gmm Eval not repeatable: %+v then %+v", orig.LengthMM, eval, got)
+			}
+			if got, gotIns := w.Repeated(); got != rep || gotIns != ins {
+				t.Errorf("%gmm Repeated not repeatable: %+v then %+v", orig.LengthMM, rep, got)
+			}
+			if got, gotStages := w.Pipelined(cycle); got != pipe || gotStages != stages {
+				t.Errorf("%gmm Pipelined not repeatable: %+v then %+v", orig.LengthMM, pipe, got)
+			}
+		}
+		if got := w.ElmoreDelayPS(); got != eval.DelayPS {
+			t.Errorf("%gmm ElmoreDelayPS %g, Eval delay %g", orig.LengthMM, got, eval.DelayPS)
+		}
+	}
+}

@@ -120,7 +120,7 @@ func (x Crossbar) Eval() pat.Result {
 	dyn := (wireCap*x.Node.Vdd*x.Node.Vdd/1000)*0.5 +
 		float64(bits)*4*x.Node.GateEnergyFJ/1000
 	leak := crosspoints * 2 * x.Node.GateLeakNW / 1000
-	trav, _ := (Wire{
+	trav, _ := (&Wire{
 		Node: x.Node, Layer: tech.WireIntermediate,
 		LengthMM: (w + h) / 1000, Bits: 1,
 	}).Repeated()

@@ -15,7 +15,8 @@ import (
 
 // Wire describes a point-to-point interconnect segment abstracted as the
 // pi-RC model of Fig. 2(d): a driver output resistance, the distributed wire
-// RC, and a lumped load capacitance.
+// RC, and a lumped load capacitance. The methods take a pointer so a call
+// does not copy the embedded Node; none of them modifies the wire.
 type Wire struct {
 	Node     tech.Node
 	Layer    tech.WireLayer
@@ -33,27 +34,31 @@ type Wire struct {
 // ElmoreDelayPS returns the Elmore delay of the (unrepeated) wire in ps:
 //
 //	t = R_drv*(C_w + C_L) + R_w*(C_w/2 + C_L)
-func (w Wire) ElmoreDelayPS() float64 {
-	rw := w.Node.WireResOhmPerMM[w.Layer] * w.LengthMM
-	cw := w.Node.WireCapFFPerMM[w.Layer] * w.LengthMM * 1e-15
+func (w *Wire) ElmoreDelayPS() float64 { return w.elmorePS(w.LengthMM, w.DriverRes) }
+
+// elmorePS is ElmoreDelayPS for this wire at the given length and driver.
+func (w *Wire) elmorePS(lengthMM, driverRes float64) float64 {
+	rw := w.Node.WireResOhmPerMM[w.Layer] * lengthMM
+	cw := w.Node.WireCapFFPerMM[w.Layer] * lengthMM * 1e-15
 	cl := w.LoadFF * 1e-15
-	rd := w.DriverRes
+	rd := driverRes
 	if rd <= 0 {
 		rd = w.Node.InvRonOhm() / 8 // default 8x driver
 	}
 	return (rd*(cw+cl) + rw*(cw/2+cl)) * 1e12
 }
 
-// wireEnergyPJPerBit is the switching energy of one wire at activity 1.
-func (w Wire) wireEnergyPJPerBit() float64 {
-	cw := w.Node.WireCapFFPerMM[w.Layer] * w.LengthMM
+// wireEnergyPJPerBit is the switching energy of one wire of the given
+// length at activity 1.
+func (w *Wire) wireEnergyPJPerBit(lengthMM float64) float64 {
+	cw := w.Node.WireCapFFPerMM[w.Layer] * lengthMM
 	return (cw + w.LoadFF) * w.Node.Vdd * w.Node.Vdd / 1000 // fF*V^2 -> pJ
 }
 
 // wirePitchUM returns the routing pitch per wire in um for the layer,
 // approximated from the node name (pitch ~ 4F local, 8F intermediate,
 // 16F global, plus spacing).
-func (w Wire) wirePitchUM() float64 {
+func (w *Wire) wirePitchUM() float64 {
 	f := float64(w.Node.Nm) / 1000 // feature size in um
 	switch w.Layer {
 	case tech.WireLocal:
@@ -68,7 +73,7 @@ func (w Wire) wirePitchUM() float64 {
 // TrackAreaUM2 returns the raw routing-track footprint of the bus. Wires on
 // upper metal layers route over logic, so callers that account for silicon
 // area separately (e.g. NoC links) can subtract most of this footprint.
-func (w Wire) TrackAreaUM2() float64 {
+func (w *Wire) TrackAreaUM2() float64 {
 	bits := float64(maxI(w.Bits, 1))
 	return w.wirePitchUM() * w.LengthMM * 1000 * bits
 }
@@ -76,16 +81,20 @@ func (w Wire) TrackAreaUM2() float64 {
 // Eval returns the power/area/timing of the unrepeated wire bus. Energy is
 // per bus transfer (all bits switching counted at activity 1; callers apply
 // activity factors).
-func (w Wire) Eval() pat.Result {
+func (w *Wire) Eval() pat.Result { return w.evalAt(w.LengthMM, w.DriverRes) }
+
+// evalAt is Eval for this bus at the given length and driver. Repeated
+// evaluates one segment through it, so the receiver is never changed.
+func (w *Wire) evalAt(lengthMM, driverRes float64) pat.Result {
 	bits := w.Bits
 	if bits <= 0 {
 		bits = 1
 	}
 	return pat.Result{
-		AreaUM2: w.wirePitchUM() * w.LengthMM * 1000 * float64(bits),
-		DynPJ:   w.wireEnergyPJPerBit() * float64(bits),
+		AreaUM2: w.wirePitchUM() * lengthMM * 1000 * float64(bits),
+		DynPJ:   w.wireEnergyPJPerBit(lengthMM) * float64(bits),
 		LeakUW:  0,
-		DelayPS: w.ElmoreDelayPS(),
+		DelayPS: w.elmorePS(lengthMM, driverRes),
 	}
 }
 
@@ -93,8 +102,7 @@ func (w Wire) Eval() pat.Result {
 // Repeaters linearize delay with length at the cost of driver area/energy.
 // The returned result includes repeater overheads; the bool reports whether
 // repeaters were actually inserted (short wires need none).
-func (w Wire) Repeated() (pat.Result, bool) {
-	res := w.Eval()
+func (w *Wire) Repeated() (pat.Result, bool) {
 	// Critical segment length where unrepeated quadratic delay exceeds the
 	// repeated linear delay (classic sqrt(2*Rdrv*Cin/(Rw*Cw)) form).
 	rw := w.Node.WireResOhmPerMM[w.Layer]
@@ -103,13 +111,12 @@ func (w Wire) Repeated() (pat.Result, bool) {
 	c0 := w.Node.InvCinFF() * 1e-15
 	lcrit := math.Sqrt(2 * r0 * c0 / (rw * cw)) // in mm
 	if w.LengthMM <= lcrit {
-		return res, false
+		return w.Eval(), false
 	}
 	nseg := math.Ceil(w.LengthMM / lcrit)
-	seg := w
-	seg.LengthMM = w.LengthMM / nseg
-	seg.DriverRes = 0
-	segRes := seg.Eval()
+	// One segment: the same bus over 1/nseg of the length, driven by a
+	// default-sized repeater.
+	segRes := w.evalAt(w.LengthMM/nseg, 0)
 	bits := float64(maxI(w.Bits, 1))
 	// Repeater: ~24x inverter per segment per bit.
 	repArea := 24 * w.Node.GateAreaUM2()
@@ -129,7 +136,7 @@ func (w Wire) Repeated() (pat.Result, bool) {
 // cycle (§II-A CDB: "when the length is large, wires are pipelined to meet
 // the throughput requirement"). It returns the result (with DFF overheads)
 // and the number of pipeline stages (0 = combinational within one cycle).
-func (w Wire) Pipelined(cyclePS float64) (pat.Result, int) {
+func (w *Wire) Pipelined(cyclePS float64) (pat.Result, int) {
 	res, _ := w.Repeated()
 	if cyclePS <= 0 || res.DelayPS <= cyclePS {
 		return res, 0

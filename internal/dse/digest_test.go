@@ -1,0 +1,64 @@
+package dse
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"hash"
+	"io"
+	"sort"
+	"strconv"
+	"testing"
+)
+
+// Pinned output digests. Any change to the chip model (tech, circuit,
+// memarray, components, chip) that moves a figure byte changes one of
+// these, so a model change has to update them on purpose; a refactor or
+// speed-up must leave them alone.
+const (
+	// fig10Digest hashes the three Fig. 10 regimes' RuntimeRowsCSV over
+	// the second-round frontier; it is the same value perfbench prints as
+	// its "fig10 digest".
+	fig10Digest = "d2bb7b659956110a"
+	// tableIDigest hashes every Table I candidate's PeakTOPS, AreaMM2 and
+	// TDPW at full precision.
+	tableIDigest = "c9367fd9c43a8576"
+)
+
+// shortSum is the first 16 hex digits of h's sum, perfbench's digest form.
+func shortSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] }
+
+func TestTableIDigest(t *testing.T) {
+	h := sha256.New()
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, c := range sweep {
+		fmt.Fprintf(h, "%s %s %s %s\n", c.Point, g(c.PeakTOPS), g(c.AreaMM2), g(c.TDPW))
+	}
+	if got := shortSum(h); got != tableIDigest {
+		t.Errorf("Table I candidate digest %s, want %s (%d candidates)", got, tableIDigest, len(sweep))
+	}
+}
+
+func TestFig10Digest(t *testing.T) {
+	cs := TableI()
+	cands := Frontier(sweep, cs.TOPSCap)
+	sort.Slice(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if a.PeakTOPS != b.PeakTOPS {
+			return a.PeakTOPS > b.PeakTOPS
+		}
+		return a.Point.X > b.Point.X
+	})
+	out, err := Fig10(SecondRound(cands, cs.TOPSCap), DefaultModels())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, regime := range Fig10Regimes {
+		io.WriteString(h, regime+"\n")
+		io.WriteString(h, RuntimeRowsCSV(out[regime]))
+	}
+	if got := shortSum(h); got != fig10Digest {
+		t.Errorf("Fig. 10 digest %s, want %s", got, fig10Digest)
+	}
+}

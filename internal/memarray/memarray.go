@@ -24,9 +24,8 @@ import (
 )
 
 // Observability: memarray.builds counts Build calls, memarray.evals the
-// candidate organizations the internal optimizer scored — the dominant
-// cost of chip construction, and the first thing to batch or cache when
-// sweeps get slow.
+// bank/port organizations the internal optimizer scored (each one searches
+// its subarray grid) — the dominant cost of chip construction.
 var (
 	mBuilds = obs.NewCounter("memarray.builds")
 	mEvals  = obs.NewCounter("memarray.evals")
@@ -79,7 +78,12 @@ type Org struct {
 type Array struct {
 	Cfg Config
 	Org Org
+	orgPAT
+}
 
+// orgPAT is the power, area and timing of one candidate organization. The
+// optimizer scores candidates as values; only the winner becomes an Array.
+type orgPAT struct {
 	areaUM2  float64
 	readPJ   float64 // per BlockBytes read
 	writePJ  float64
@@ -88,6 +92,10 @@ type Array struct {
 	cyclePS  float64 // minimum bank cycle time
 }
 
+// cost is the optimizer's objective: the area-energy product (CACTI's
+// classic objective), energy averaged over a read+write pair.
+func (p *orgPAT) cost() float64 { return p.areaUM2 * (p.readPJ + p.writePJ) }
+
 // conflictMargin over-provisions bank*port bandwidth to absorb bank
 // conflicts in the banked scratchpads (software-managed layouts keep
 // conflicts low, so the margin is modest).
@@ -95,6 +103,15 @@ const conflictMargin = 1.0
 
 // maxBanks bounds the optimizer search.
 const maxBanks = 4096
+
+// Search spaces: bank counts (powers of two) and per-bank read/write port
+// counts tried where the Config leaves them 0, and the subarray heights and
+// widths tried for every bank/port organization.
+var (
+	searchBanks = powersOfTwo(1, maxBanks)
+	searchPorts = []int{1, 2, 3, 4}
+	subDims     = [...]int{16, 32, 64, 128, 256, 512, 1024}
+)
 
 // Build evaluates (and where requested, optimizes) the array organization.
 func Build(cfg Config) (*Array, error) {
@@ -118,21 +135,24 @@ func Build(cfg Config) (*Array, error) {
 		return nil, guard.Invalid("memarray: %v", err)
 	}
 
-	bankChoices := powersOfTwo(1, maxBanks)
+	bankChoices := searchBanks
 	if cfg.Banks > 0 {
 		bankChoices = []int{cfg.Banks}
 	}
-	readChoices := []int{1, 2, 3, 4}
+	readChoices := searchPorts
 	if cfg.ReadPorts > 0 {
 		readChoices = []int{cfg.ReadPorts}
 	}
-	writeChoices := []int{1, 2, 3, 4}
+	writeChoices := searchPorts
 	if cfg.WritePorts > 0 {
 		writeChoices = []int{cfg.WritePorts}
 	}
 
-	var best *Array
+	o := newOptimizer(&cfg)
+	var best orgPAT
+	var bestOrg Org
 	var bestCost float64
+	found := false
 	for _, banks := range bankChoices {
 		if int64(banks)*int64(cfg.BlockBytes)*8 > cfg.CapacityBytes*8 {
 			// Banks smaller than one block make no sense.
@@ -140,33 +160,31 @@ func Build(cfg Config) (*Array, error) {
 		}
 		for _, rp := range readChoices {
 			for _, wp := range writeChoices {
-				if !meetsThroughput(cfg, banks, rp, wp) {
+				if !meetsThroughput(&cfg, banks, rp, wp) {
 					continue
 				}
-				a, err := evaluate(cfg, banks, rp, wp)
-				if err != nil {
+				p, org, ok := o.evaluate(banks, rp, wp)
+				if !ok {
 					continue
 				}
-				if cfg.TargetLatencyPS > 0 && a.accessPS > cfg.TargetLatencyPS {
+				if cfg.TargetLatencyPS > 0 && p.accessPS > cfg.TargetLatencyPS {
 					continue
 				}
-				// Cost: area-energy product (CACTI's classic objective),
-				// energy averaged over a read+write pair.
-				cost := a.areaUM2 * (a.readPJ + a.writePJ)
-				if best == nil || cost < bestCost {
-					best, bestCost = a, cost
+				cost := p.cost()
+				if !found || cost < bestCost {
+					best, bestOrg, bestCost, found = p, org, cost, true
 				}
 			}
 		}
 	}
-	if best == nil {
+	if !found {
 		return nil, guard.Infeasible("memarray: no feasible organization for %dB (block %dB, need %.1fR+%.1fW B/cyc, latency<=%.0fps)",
 			cfg.CapacityBytes, cfg.BlockBytes, cfg.ReadBytesPerCycle, cfg.WriteBytesPerCycle, cfg.TargetLatencyPS)
 	}
-	return best, nil
+	return &Array{Cfg: cfg, Org: bestOrg, orgPAT: best}, nil
 }
 
-func meetsThroughput(cfg Config, banks, rp, wp int) bool {
+func meetsThroughput(cfg *Config, banks, rp, wp int) bool {
 	cap := float64(banks * cfg.BlockBytes)
 	need := (cfg.ReadBytesPerCycle) * conflictMargin
 	if float64(rp)*cap < need {
@@ -199,105 +217,158 @@ func portAreaFactor(cell tech.MemCell, totalPorts int) float64 {
 	return (1 + 0.45*extra) * (1 + 0.25*extra)
 }
 
-// evaluate computes the PAT of one candidate organization.
-func evaluate(cfg Config, banks, rp, wp int) (*Array, error) {
-	mEvals.Inc()
-	n := cfg.Node
-	totalBits := float64(cfg.CapacityBytes) * 8
-	bankBits := totalBits / float64(banks)
-	blockBits := float64(cfg.BlockBytes) * 8
-	ports := rp + wp
+// optimizer holds what one Build's search reuses across every candidate
+// organization: node-derived constants, the row decoder of each subarray
+// height, and the wires whose node and layer never change.
+type optimizer struct {
+	cfg *Config
+	n   *tech.Node
 
-	cellArea := n.CellAreaUM2(cfg.Cell) * portAreaFactor(cfg.Cell, ports)
-	cellW, cellH := n.CellDimsUM(cfg.Cell)
-	pf := math.Sqrt(portAreaFactor(cfg.Cell, ports))
-	cellW *= pf
-	cellH *= pf
+	totalBits, blockBits float64
+	cellAreaUM2          float64 // one-port cell
+	cellW, cellH         float64 // one-port cell, um
+	cellLeakUW           float64 // all cells
+	invRonOhm            float64
+	gateAreaUM2          float64
+	latchAreaUM2         float64 // output latch for one block
 
-	// Subarray search: square-ish subarrays between 64x64 and 1024x1024.
-	type subCand struct {
-		rows, cols int
-		res        *Array
-		cost       float64
+	dec [len(subDims)]pat.Result // indexed like subDims
+
+	// wl is the subarray wordline; bus the block-wide data bus, used for
+	// both the intra-bank H-tree and the bank-to-port route. Candidates set
+	// only their lengths (and the wordline load).
+	wl, bus circuit.Wire
+}
+
+func newOptimizer(cfg *Config) optimizer {
+	n := &cfg.Node
+	o := optimizer{
+		cfg:         cfg,
+		n:           n,
+		totalBits:   float64(cfg.CapacityBytes) * 8,
+		blockBits:   float64(cfg.BlockBytes) * 8,
+		cellAreaUM2: n.CellAreaUM2(cfg.Cell),
+		invRonOhm:   n.InvRonOhm(),
+		gateAreaUM2: n.GateAreaUM2(),
 	}
-	var best *subCand
-	for _, rows := range []int{16, 32, 64, 128, 256, 512, 1024} {
-		for _, cols := range []int{16, 32, 64, 128, 256, 512, 1024} {
+	o.cellW, o.cellH = n.CellDimsUM(cfg.Cell)
+	o.cellLeakUW = o.totalBits * n.CellLeakNW(cfg.Cell) / 1000
+	// One output latch per block bit, however many subarrays supply the
+	// block: the latch area does not depend on activeSubs.
+	o.latchAreaUM2 = o.blockBits * circuit.DFF{Node: *n}.Eval().AreaUM2
+	for i, rows := range subDims {
+		o.dec[i] = circuit.Decoder{Node: *n, Outputs: rows}.Eval()
+	}
+	o.wl = circuit.Wire{Node: *n, Layer: tech.WireLocal, DriverRes: o.invRonOhm / 16}
+	o.bus = circuit.Wire{Node: *n, Layer: tech.WireIntermediate, Bits: int(o.blockBits)}
+	return o
+}
+
+// evaluate scores one bank/port organization: it searches the subarray grid
+// and returns the cheapest subarray shape whose bank cycle keeps up with
+// the clock. ok is false when no shape fits.
+func (o *optimizer) evaluate(banks, rp, wp int) (best orgPAT, org Org, ok bool) {
+	mEvals.Inc()
+	bankBits := o.totalBits / float64(banks)
+	ports := rp + wp
+	bp := bankPorts{banks: banks, rp: rp, wp: wp}
+
+	bp.cellArea = o.cellAreaUM2 * portAreaFactor(o.cfg.Cell, ports)
+	pf := math.Sqrt(portAreaFactor(o.cfg.Cell, ports))
+	bp.cellW = o.cellW * pf
+	bp.cellH = o.cellH * pf
+
+	bankCtlGates := 800 + 60*math.Log2(bankBits)
+	bp.ctlArea, bp.ctlDynPJ, bp.ctlLeakUW = o.n.LogicBlock(bankCtlGates, 0.3)
+
+	// Subarray search: rows and columns each from 16 to 1024. A column-mux
+	// ratio of 1 is the only one worth scoring. A larger ratio narrows each
+	// subarray's slice of the block, so it can only raise activeSubs; area,
+	// the bank cycle and feasibility do not depend on it, and read/write
+	// energy grow with activeSubs. So when ratio 1 does not fit no larger
+	// ratio does, and when it fits it is the argmin (ties keep the first).
+	var bestCost float64
+	for ri, rows := range subDims {
+		for _, cols := range subDims {
 			subBits := float64(rows * cols)
 			if subBits > bankBits {
-				continue
+				break
 			}
 			subsPerBank := math.Ceil(bankBits / subBits)
-			// Active subarrays per access: enough columns to supply the
-			// block, with the column-mux ratio searched alongside.
-			for _, colMux := range []int{1, 2, 4, 8} {
-				bitsPerSub := float64(cols / colMux)
-				if bitsPerSub < 1 {
-					continue
-				}
-				activeSubs := math.Ceil(blockBits / bitsPerSub)
-				if activeSubs > subsPerBank {
-					continue
-				}
-
-				a := evalOrg(cfg, banks, rp, wp, rows, cols, int(subsPerBank),
-					int(activeSubs), cellArea, cellW, cellH)
-				if a.cyclePS > cfg.CyclePS*2.05 {
-					// Bank cycle can be up to 2 cycles with pipelining; slower
-					// organizations can't sustain the per-bank throughput.
-					continue
-				}
-				cost := a.areaUM2 * (a.readPJ + a.writePJ)
-				if best == nil || cost < best.cost {
-					best = &subCand{rows: rows, cols: cols, res: a, cost: cost}
+			activeSubs := math.Ceil(o.blockBits / float64(cols))
+			if activeSubs > subsPerBank {
+				continue
+			}
+			p, fits := o.evalOrg(&bp, ri, cols, int(subsPerBank), int(activeSubs))
+			if !fits {
+				continue
+			}
+			cost := p.cost()
+			if !ok || cost < bestCost {
+				best, bestCost, ok = p, cost, true
+				org = Org{
+					Banks: banks, ReadPorts: rp, WritePorts: wp,
+					SubarrayRows: rows, SubarrayCols: cols, SubarraysPerBank: int(subsPerBank),
 				}
 			}
 		}
 	}
-	if best == nil {
-		return nil, guard.Infeasible("memarray: no subarray organization fits")
-	}
-	return best.res, nil
+	return best, org, ok
 }
 
-func evalOrg(cfg Config, banks, rp, wp, rows, cols, subsPerBank, activeSubs int,
-	cellArea, cellW, cellH float64) *Array {
+// bankPorts is what evalOrg needs of the bank/port organization being
+// scored: its counts, its cell widened for the ports, and its bank
+// controller.
+type bankPorts struct {
+	banks, rp, wp                int
+	cellArea, cellW, cellH       float64 // um^2, um, um
+	ctlArea, ctlDynPJ, ctlLeakUW float64
+}
 
-	n := cfg.Node
-	blockBits := float64(cfg.BlockBytes) * 8
-	bankBits := float64(cfg.CapacityBytes) * 8 / float64(banks)
+// evalOrg computes the PAT of one subarray shape (rows subDims[ri], cols)
+// in the given bank/port organization. The bool is false when the bank
+// cycle is too slow for the clock.
+func (o *optimizer) evalOrg(bp *bankPorts, ri, cols, subsPerBank, activeSubs int) (orgPAT, bool) {
+	n := o.n
+	rows := subDims[ri]
+	banks, rp, wp := bp.banks, bp.rp, bp.wp
+	cellArea, cellW, cellH := bp.cellArea, bp.cellW, bp.cellH
 
 	// ---- Subarray level -------------------------------------------------
-	subCellsArea := float64(rows*cols) * cellArea
-	dec := circuit.Decoder{Node: n, Outputs: rows}.Eval()
-	wlWire := circuit.Wire{
-		Node: n, Layer: tech.WireLocal,
-		LengthMM:  float64(cols) * cellW / 1000,
-		DriverRes: n.InvRonOhm() / 16,
-		LoadFF:    float64(cols) * 0.18, // gate cap of pass transistors
-	}
+	dec := &o.dec[ri]
+	wlWire := &o.wl
+	wlWire.LengthMM = float64(cols) * cellW / 1000
+	wlWire.LoadFF = float64(cols) * 0.18 // gate cap of pass transistors
 	wlDelay := wlWire.ElmoreDelayPS()
-	wlEnergy := wlWire.Eval().DynPJ
 
 	// Bitline: discharge through the cell; the cell is a weak driver
 	// (~25x unit inverter resistance); sensing uses a reduced swing.
 	blLen := float64(rows) * cellH / 1000
 	blCap := n.WireCapFFPerMM[tech.WireLocal]*blLen + float64(rows)*0.10
-	cellRes := n.InvRonOhm() * 25
+	cellRes := o.invRonOhm * 25
 	blDelay := cellRes * blCap * 1e-15 * 1e12 * 0.35 // reduced swing sensing
+
+	senseDelay := 3 * n.FO4PS
+	subAccessPS := dec.DelayPS + wlDelay + blDelay + senseDelay
+	cyclePS := subAccessPS * 1.1 // bank busy time; H-trees are pipelined
+	if cyclePS > o.cfg.CyclePS*2.05 {
+		// Bank cycle can be up to 2 cycles with pipelining; slower
+		// organizations can't sustain the per-bank throughput.
+		return orgPAT{}, false
+	}
+
+	wlEnergy := wlWire.Eval().DynPJ
 	const senseSwing = 0.25
 	blEnergyPerCol := blCap * n.Vdd * n.Vdd * senseSwing / 1000 // pJ
 
 	// Peripheral gates per subarray: sense amps + precharge + write
 	// drivers per column, wordline drivers per row.
+	subCellsArea := float64(rows*cols) * cellArea
 	perColGates := 14.0 * float64(rp+wp)
 	perRowGates := 4.0 * float64(rp+wp)
 	periphGates := float64(cols)*perColGates + float64(rows)*perRowGates
-	periphArea := periphGates * n.GateAreaUM2()
+	periphArea := periphGates * o.gateAreaUM2
 	subArea := (subCellsArea + periphArea + dec.AreaUM2) * 1.18 // routing channels
-
-	senseDelay := 3 * n.FO4PS
-	subAccessPS := dec.DelayPS + wlDelay + blDelay + senseDelay
 
 	// ---- Bank level ------------------------------------------------------
 	bankArea := subArea * float64(subsPerBank)
@@ -307,23 +378,15 @@ func evalOrg(cfg Config, banks, rp, wp, rows, cols, subsPerBank, activeSubs int,
 	// Each read and write port owns its own data path.
 	const shield = 1.4
 	portPaths := float64(rp + wp)
-	htree := circuit.Wire{
-		Node: n, Layer: tech.WireIntermediate,
-		LengthMM: bankSideMM * 0.5,
-		Bits:     int(blockBits),
-	}
-	htreeRes, _ := htree.Repeated()
+	o.bus.LengthMM = bankSideMM * 0.5
+	htreeRes, _ := o.bus.Repeated()
 	htreeArea := htreeRes.AreaUM2 * shield * portPaths
 	htreeEnergy := htreeRes.DynPJ // per access on one port
 	htreeDelay := htreeRes.DelayPS
 	htreeLeak := htreeRes.LeakUW * portPaths
 
-	bankCtlGates := 800 + 60*math.Log2(bankBits)
-	bankCtlArea, bankCtlDyn, bankCtlLeak := n.LogicBlock(bankCtlGates, 0.3)
-
-	bankTotalArea := (bankArea+htreeArea+bankCtlArea)*1.08 + // bank assembly
-		float64(activeSubs)*blockBits/float64(activeSubs)*
-			circuit.DFF{Node: n}.Eval().AreaUM2 // output latch per block bit
+	bankTotalArea := (bankArea+htreeArea+bp.ctlArea)*1.08 + // bank assembly
+		o.latchAreaUM2
 
 	// ---- Array level -----------------------------------------------------
 	cellsOnly := bankTotalArea * float64(banks)
@@ -331,12 +394,8 @@ func evalOrg(cfg Config, banks, rp, wp, rows, cols, subsPerBank, activeSubs int,
 	// Bank-to-port routing across the array: the block bus travels on
 	// average a third of the array side, regardless of which bank serves
 	// the access (banks tile in 2D around the port spine).
-	edge := circuit.Wire{
-		Node: n, Layer: tech.WireIntermediate,
-		LengthMM: arraySideMM * 0.35,
-		Bits:     int(blockBits),
-	}
-	edgeRes, _ := edge.Repeated()
+	o.bus.LengthMM = arraySideMM * 0.35
+	edgeRes, _ := o.bus.Repeated()
 	edgeArea := edgeRes.AreaUM2 * shield * portPaths
 	totalArea := cellsOnly + edgeArea
 
@@ -344,35 +403,26 @@ func evalOrg(cfg Config, banks, rp, wp, rows, cols, subsPerBank, activeSubs int,
 	active := float64(activeSubs)
 	readPJ := dec.DynPJ*active + wlEnergy*active +
 		blEnergyPerCol*float64(cols)*active +
-		htreeEnergy + edgeRes.DynPJ + bankCtlDyn
+		htreeEnergy + edgeRes.DynPJ + bp.ctlDynPJ
 	// Writes drive full-swing bitlines but skip the sense path.
 	writePJ := dec.DynPJ*active + wlEnergy*active +
 		blEnergyPerCol*float64(cols)*active*(1.0/senseSwing)*0.5 +
-		htreeEnergy + edgeRes.DynPJ + bankCtlDyn
+		htreeEnergy + edgeRes.DynPJ + bp.ctlDynPJ
 
 	// ---- Leakage ---------------------------------------------------------
-	totalBits := float64(cfg.CapacityBytes) * 8
-	leakUW := totalBits*n.CellLeakNW(cfg.Cell)/1000 +
+	leakUW := o.cellLeakUW +
 		periphGates*float64(subsPerBank*banks)*n.GateLeakNW/1000 +
-		bankCtlLeak*float64(banks) +
+		bp.ctlLeakUW*float64(banks) +
 		(htreeLeak+edgeRes.LeakUW)*float64(banks)
 
-	accessPS := subAccessPS + htreeDelay + edgeRes.DelayPS
-	cyclePS := subAccessPS * 1.1 // bank busy time; H-trees are pipelined
-
-	return &Array{
-		Cfg: cfg,
-		Org: Org{
-			Banks: banks, ReadPorts: rp, WritePorts: wp,
-			SubarrayRows: rows, SubarrayCols: cols, SubarraysPerBank: subsPerBank,
-		},
+	return orgPAT{
 		areaUM2:  totalArea,
 		readPJ:   readPJ,
 		writePJ:  writePJ,
 		leakUW:   leakUW,
-		accessPS: accessPS,
+		accessPS: subAccessPS + htreeDelay + edgeRes.DelayPS,
 		cyclePS:  cyclePS,
-	}
+	}, true
 }
 
 // AreaUM2 returns total layout area in um^2.

@@ -247,3 +247,31 @@ func TestStringIncludesOrg(t *testing.T) {
 		t.Errorf("empty String()")
 	}
 }
+
+// searched8MiB is an 8 MiB SRAM whose banks and ports the optimizer picks:
+// the full bank x port x subarray search.
+func searched8MiB() Config { return cfg28(8<<20, 64) }
+
+func TestBuildAllocations(t *testing.T) {
+	// The search scores candidate organizations as values; only the
+	// winning Array is allocated.
+	cfg := searched8MiB()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Build(cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 8 {
+		t.Errorf("Build allocates %.0f objects per call, want <= 8", allocs)
+	}
+}
+
+func BenchmarkBuild(b *testing.B) {
+	cfg := searched8MiB()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Build(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
