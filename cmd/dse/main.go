@@ -106,6 +106,9 @@ func (hf hardenFlags) dispatcher() (func(context.Context, dse.Shard, func(dse.Sh
 			workers = append(workers, w)
 		}
 	}
+	if len(workers) == 0 {
+		return nil, guard.Invalid("fleet: no workers configured")
+	}
 	coord, err := fleet.New(fleet.Config{
 		Workers:     workers,
 		ShardSize:   hf.fleetShard,

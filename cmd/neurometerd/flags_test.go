@@ -25,6 +25,7 @@ func TestValidateFleetFlags(t *testing.T) {
 		wantErr   bool
 	}{
 		{"no-fleet-no-join", "", "", "", 0, 0, 0, false},
+		{"empty-fleet-list", " , ", "", "", ok, fleet.DefaultHedgeAfter, fleet.DefaultMaxAttempts, true},
 		{"coordinator-defaults", "w1:8080", "", "", ok, fleet.DefaultHedgeAfter, fleet.DefaultMaxAttempts, false},
 		{"worker-join", "", "http://c:8080", "http://me:8080", ok, fleet.DefaultHedgeAfter, fleet.DefaultMaxAttempts, false},
 		{"join-and-fleet", "w1:8080", "http://c:8080", "http://me:8080", ok, fleet.DefaultHedgeAfter, 4, true},

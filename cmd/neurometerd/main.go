@@ -217,7 +217,9 @@ func serveDebug(addr string) {
 }
 
 // validateFleetFlags is the startup gate for the fleet topology flags; every
-// violation is an invalid-config error (exit code 2).
+// violation is an invalid-config error (exit code 2). A -fleet list must
+// name at least one worker: the coordinator itself accepts an empty table
+// (workers may join at runtime), but an empty flag value is a typo.
 func validateFleetFlags(fleetList, join, advertise string, lease, hedge time.Duration, attempts int) error {
 	if join != "" && fleetList != "" {
 		return guard.Invalid("-join and -fleet are mutually exclusive: a process is a worker that registers with a coordinator, or the coordinator itself")
@@ -225,10 +227,13 @@ func validateFleetFlags(fleetList, join, advertise string, lease, hedge time.Dur
 	if join != "" && advertise == "" {
 		return guard.Invalid("-join requires -advertise: the coordinator needs a URL to dispatch to")
 	}
-	if fleetList != "" {
-		return fleet.ValidateFlags(lease, hedge, attempts)
+	if fleetList == "" {
+		return nil
 	}
-	return nil
+	if len(splitWorkers(fleetList)) == 0 {
+		return guard.Invalid("-fleet: no workers configured")
+	}
+	return fleet.ValidateFlags(lease, hedge, attempts)
 }
 
 // splitWorkers parses the -fleet flag's comma-separated URL list.

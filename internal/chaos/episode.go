@@ -371,7 +371,6 @@ func (h *harness) start() error {
 	}
 	cfg := fleet.Config{
 		Workers:          urls,
-		Dynamic:          true,
 		ShardSize:        2,
 		LeaseTTL:         episodeLease,
 		HedgeAfter:       -1,

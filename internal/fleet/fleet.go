@@ -13,25 +13,25 @@
 //   - Retry: transient failures (guard.Retryable — unavailability and
 //     timeouts) retry on another worker under exponential backoff with full
 //     jitter (guard.Backoff, fleet.retries_total), up to MaxAttempts.
-//   - Breaker: consecutive worker-attributable failures open a per-worker
-//     circuit breaker; an open worker receives nothing until a cooldown,
-//     then a single half-open probe decides (breaker.go).
+//   - Breaker: BreakerThreshold consecutive worker-attributable failures
+//     make a worker suspect; it receives nothing until BreakerCooldown has
+//     passed, then a single probe shard decides (membership.go).
 //   - Hedge: if a shard's first attempt has not resolved after HedgeAfter,
 //     a second attempt launches on a different worker; the first result
 //     wins and the loser is canceled (fleet.hedges_total).
-//   - Degradation: a shard that exhausts its attempts — or finds every
-//     breaker open — is simply not reported; RuntimeStudyHardened evaluates
-//     those candidates in-process. Losing the whole fleet slows a study
-//     down, it never fails or changes it.
+//   - Degradation: a shard that exhausts its attempts — or finds no
+//     dispatchable worker — is simply not reported; RuntimeStudyHardened
+//     evaluates those candidates in-process. Losing the whole fleet slows a
+//     study down, it never fails or changes it.
 //
 // Membership (membership.go, probe.go): the worker set is a dynamic table,
-// not a fixed slice. Config.Workers seeds it; workers join and leave at
-// runtime through Membership.Register / Membership.Drain (the serve
-// /v1/worker/register and /v1/worker/drain endpoints), and a heartbeat
-// loop probes every member's /readyz, aging unresponsive workers through
-// live → suspect → evicted and readmitting recovered ones. Dispatch only
-// ever consumes a snapshot of the table, so the fleet heals itself while a
-// study is running.
+// not a fixed slice, with one health state per worker. Config.Workers
+// seeds it; workers join and leave at runtime through Membership.Register
+// / Membership.Drain (the serve /v1/worker/register and /v1/worker/drain
+// endpoints). Shard outcomes and a heartbeat loop that probes every
+// member's /readyz both feed the state, aging unresponsive workers through
+// live → suspect → evicted and readmitting recovered ones, so the fleet
+// heals itself while a study is running.
 //
 // Determinism: workers run the same deterministic simulator on the same
 // exactly-serialized configs, the coordinator merges outcomes by candidate
@@ -53,7 +53,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"neurometer/internal/dse"
@@ -86,17 +85,13 @@ const (
 	maxResponseBytes = 64 << 20
 )
 
-// Config parameterizes a Coordinator. The zero value of every knob except
-// Workers resolves to a sensible default.
+// Config parameterizes a Coordinator. The zero value of every knob resolves
+// to a sensible default.
 type Config struct {
 	// Workers are the base URLs of neurometerd worker processes, e.g.
-	// "http://10.0.0.7:8080". They seed the membership table; at least one
-	// is required unless Dynamic is set (workers may then join at runtime
-	// via Membership.Register).
+	// "http://10.0.0.7:8080". They seed the membership table, which may
+	// start empty: workers also join at runtime via Membership.Register.
 	Workers []string
-	// Dynamic allows an empty Workers seed: the coordinator starts with no
-	// members and relies on runtime registration to populate the table.
-	Dynamic bool
 	// ShardSize is the number of candidates per shard. Smaller shards
 	// spread better and lose less work per worker death; larger shards
 	// amortize HTTP overhead.
@@ -113,14 +108,14 @@ type Config struct {
 	MaxAttempts int
 	// Backoff paces retries (full jitter; see guard.Backoff).
 	Backoff guard.Backoff
-	// BreakerThreshold consecutive failures open a worker's breaker;
-	// BreakerCooldown later it gets a half-open probe.
+	// BreakerThreshold consecutive retryable failures make a live worker
+	// suspect; BreakerCooldown later it gets one probe shard.
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
 	// Heartbeat enables the membership probe loop: every Heartbeat the
 	// coordinator GETs each member's /readyz under a Heartbeat-long
 	// deadline. 0 (the zero value) disables probing — membership then
-	// changes only through registration, drain, and breaker trips.
+	// changes only through registration, drain, and shard outcomes.
 	Heartbeat time.Duration
 	// SuspectAfter marks a member suspect after this long without a
 	// successful probe or eval (0 = DefaultSuspectAfter); EvictAfter
@@ -160,7 +155,6 @@ type Coordinator struct {
 	cfg    Config
 	m      *Membership
 	client *http.Client
-	rr     atomic.Int64 // round-robin cursor
 
 	closeOnce   sync.Once
 	probeCancel context.CancelFunc
@@ -171,9 +165,6 @@ type Coordinator struct {
 // builds a Coordinator. With Heartbeat > 0 the membership probe loop starts
 // immediately; call Close to stop it.
 func New(cfg Config) (*Coordinator, error) {
-	if len(cfg.Workers) == 0 && !cfg.Dynamic {
-		return nil, guard.Invalid("fleet: no workers configured")
-	}
 	if cfg.ShardSize <= 0 {
 		cfg.ShardSize = DefaultShardSize
 	}
@@ -202,12 +193,13 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, guard.Invalid("fleet: EvictAfter (%v) must exceed SuspectAfter (%v)",
 			cfg.EvictAfter, cfg.SuspectAfter)
 	}
-	c := &Coordinator{cfg: cfg, client: cfg.Client, m: newMembership(cfg.SuspectAfter, cfg.EvictAfter)}
+	m, err := newMembership(cfg, time.Now())
+	if err != nil {
+		return nil, err
+	}
+	c := &Coordinator{cfg: cfg, client: cfg.Client, m: m}
 	if c.client == nil {
 		c.client = &http.Client{}
-	}
-	if err := c.m.seed(cfg.Workers, time.Now()); err != nil {
-		return nil, err
 	}
 	if cfg.Heartbeat > 0 {
 		pctx, cancel := context.WithCancel(context.Background())
@@ -245,7 +237,7 @@ func metricName(url string) string {
 }
 
 // Workers returns every known member's normalized base URL (any state),
-// sorted.
+// in join order — the order round-robin dispatch uses.
 func (c *Coordinator) Workers() []string { return c.m.urls() }
 
 // Membership exposes the coordinator's worker table — the serve layer
@@ -358,12 +350,12 @@ func (c *Coordinator) runShard(ctx context.Context, sub dse.Shard, report func(d
 // attempt runs one (possibly hedged) shard attempt. It returns the result,
 // or the worker to avoid next time and the classified error.
 func (c *Coordinator) attempt(ctx context.Context, sub dse.Shard, avoid *member) (*dse.ShardResult, *member, error) {
-	primary := c.pick(avoid, nil)
+	primary, probe := c.m.pick(avoid, nil, time.Now())
 	if primary == nil {
-		// No dispatchable member admits a shard right now: every breaker
-		// open, or the whole table is draining/evicted. Retryable — a
-		// cooldown may elapse, a probe may readmit, a worker may join.
-		return nil, avoid, guard.Unavailable("fleet: no workers available (breakers open or members drained/evicted)")
+		// No member admits a shard right now: none is live, no suspect's
+		// probe is due, or the whole table is draining/evicted. Retryable
+		// — a cooldown may elapse, a probe may readmit, a worker may join.
+		return nil, avoid, guard.Unavailable("fleet: no workers available (members suspect, drained or evicted)")
 	}
 
 	actx, cancel := context.WithCancel(ctx)
@@ -375,13 +367,20 @@ func (c *Coordinator) attempt(ctx context.Context, sub dse.Shard, avoid *member)
 		worker *member
 	}
 	ch := make(chan result, 2)
-	launch := func(w *member) {
+	// Each attempt reports its own outcome to the member's health before
+	// the result is read, so a loser that is never read still answers.
+	// Only worker-attributable transient failures seen before the attempt
+	// is decided count against the worker — a shard the worker rejected
+	// as malformed, or a loser canceled by first-result-wins, says nothing
+	// about its health.
+	launch := func(w *member, probe bool) {
 		go func() {
 			res, err := c.evalOn(actx, w, sub)
+			c.m.traffic(ctx, w, probe, err, guard.Retryable(err) && actx.Err() == nil, time.Now())
 			ch <- result{res, err, w}
 		}()
 	}
-	launch(primary)
+	launch(primary, probe)
 	inflight := 1
 
 	var hedgeC <-chan time.Time
@@ -398,21 +397,7 @@ func (c *Coordinator) attempt(ctx context.Context, sub dse.Shard, avoid *member)
 		case r := <-ch:
 			inflight--
 			if r.err == nil {
-				r.worker.breaker.success()
-				c.m.markSuccess(ctx, r.worker, time.Now())
 				return r.res, r.worker, nil
-			}
-			// A loser canceled by first-result-wins would have returned
-			// through the success arm already; here every error is real.
-			// Only worker-attributable transient failures feed the
-			// breaker — a shard the worker rejected as malformed says
-			// nothing about the worker's health. A breaker trip feeds the
-			// membership layer's suspicion in turn.
-			if guard.Retryable(r.err) && guard.CtxErr(ctx) == nil {
-				if r.worker.breaker.failure(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown, time.Now()) {
-					obs.Event(ctx, "fleet.breaker.open", obs.String("worker", r.worker.url))
-					c.m.markSuspect(ctx, r.worker)
-				}
 			}
 			if firstErr == nil {
 				firstErr, firstWorker = r.err, r.worker
@@ -422,13 +407,13 @@ func (c *Coordinator) attempt(ctx context.Context, sub dse.Shard, avoid *member)
 			}
 		case <-hedgeC:
 			hedgeC = nil
-			if w := c.pick(avoid, primary); w != nil {
+			if w, probe := c.m.pick(avoid, primary, time.Now()); w != nil {
 				mHedges.Inc()
 				obs.Event(ctx, "fleet.hedge",
 					obs.String("primary", primary.url), obs.String("hedge", w.url))
 				slog.DebugContext(ctx, "fleet: hedging slow shard",
 					"primary", primary.url, "hedge", w.url)
-				launch(w)
+				launch(w, probe)
 				inflight++
 			}
 		case <-ctx.Done():
@@ -437,58 +422,6 @@ func (c *Coordinator) attempt(ctx context.Context, sub dse.Shard, avoid *member)
 			return nil, firstWorker, guard.CtxErr(ctx)
 		}
 	}
-}
-
-// pick selects the next dispatchable member in round-robin order whose
-// breaker admits a shard, working from a membership snapshot: the primary
-// rotation first (excluding avoid and not), then with the avoid exclusion
-// relaxed (a retry may reuse the failed worker if it is the only one left),
-// then the remaining suspect members as a last resort. The `not` member is
-// never returned (a hedge must run on a different worker than its primary);
-// draining and evicted members are never dispatchable.
-func (c *Coordinator) pick(avoid, not *member) *member {
-	now := time.Now()
-	live, suspect := c.m.dispatchable()
-	// A suspect member whose breaker is due a half-open traffic probe
-	// rejoins the primary rotation: that probe shard is what readmits a
-	// recovered worker when heartbeats are disabled.
-	primary := live
-	var lastResort []*member
-	for _, w := range suspect {
-		if w.breaker.probeReady(now) {
-			primary = append(primary, w)
-		} else {
-			lastResort = append(lastResort, w)
-		}
-	}
-	passes := [...]struct {
-		class     []*member
-		skipAvoid bool
-	}{
-		{primary, true},
-		{primary, false},
-		{lastResort, false},
-	}
-	for _, p := range passes {
-		n := len(p.class)
-		if n == 0 {
-			continue
-		}
-		start := int(c.rr.Add(1)-1) % n
-		if start < 0 {
-			start += n
-		}
-		for i := 0; i < n; i++ {
-			w := p.class[(start+i)%n]
-			if w == not || (p.skipAvoid && w == avoid) {
-				continue
-			}
-			if w.breaker.allow(now) {
-				return w
-			}
-		}
-	}
-	return nil
 }
 
 // evalOn posts the shard to one worker under a fresh lease and decodes the

@@ -3,6 +3,8 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -298,9 +300,9 @@ func TestFleetHedgesStragglers(t *testing.T) {
 	}
 }
 
-// TestFleetBreakerIsolatesAndReadmits: a worker that keeps erroring gets
-// its breaker opened (no more shards), and once it recovers, the half-open
-// probe readmits it.
+// TestFleetBreakerIsolatesAndReadmits: a worker that keeps erroring is
+// made suspect (no more shards), and once it recovers, its probe shard
+// readmits it.
 func TestFleetBreakerIsolatesAndReadmits(t *testing.T) {
 	st := tinyStudy(t)
 	var broken atomic.Bool
@@ -329,25 +331,20 @@ func TestFleetBreakerIsolatesAndReadmits(t *testing.T) {
 	if got != want {
 		t.Fatalf("output with broken worker differs from serial")
 	}
-	flakyBreaker := c.m.lookup(flaky.URL).breaker
-	if flakyBreaker.current() != stOpen {
-		t.Fatalf("erroring worker's breaker = %d, want open (%d)", flakyBreaker.current(), stOpen)
-	}
-	// A breaker trip also feeds membership suspicion.
 	if st := c.m.States()[flaky.URL]; st != StateSuspect {
 		t.Fatalf("erroring worker's membership state = %v, want suspect", st)
 	}
 
-	// Recovery: after the cooldown, the next study's probe should close
-	// the breaker again.
+	// Recovery: after the cooldown, the next study's probe shard should
+	// readmit the worker.
 	broken.Store(false)
 	time.Sleep(2 * cfg.BreakerCooldown)
 	got, _ = runStudy(t, st, dir, "fleet2.ckpt", c.Dispatch)
 	if got != want {
 		t.Fatalf("output after worker recovery differs from serial")
 	}
-	if flakyBreaker.current() != stClosed {
-		t.Fatalf("recovered worker's breaker = %d, want closed (%d)", flakyBreaker.current(), stClosed)
+	if st := c.m.States()[flaky.URL]; st != StateLive {
+		t.Fatalf("recovered worker's membership state = %v, want live", st)
 	}
 }
 
@@ -380,18 +377,99 @@ func TestFleetPermanentRejectionFallsBackWithoutRetry(t *testing.T) {
 	}
 }
 
-// TestNewValidates: a coordinator needs at least one worker, and worker
-// URLs are normalized.
+// TestNewValidates: worker URLs are normalized, an empty one is rejected,
+// and an empty seed is a coordinator waiting for registrations.
 func TestNewValidates(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("New with no workers must fail")
+	if _, err := New(Config{Workers: []string{"w1:8080", " / "}}); !errors.Is(err, guard.ErrInvalidConfig) {
+		t.Fatalf("empty worker URL: err = %v, want invalid-config", err)
 	}
-	c, err := New(Config{Workers: []string{"host1:8080/", "http://host2:9090"}})
+	c, err := New(Config{})
+	if err != nil {
+		t.Fatalf("New with no workers: %v", err)
+	}
+	if ws := c.Workers(); len(ws) != 0 {
+		t.Fatalf("empty seed: workers = %v, want none", ws)
+	}
+	c, err = New(Config{Workers: []string{"host1:8080/", "http://host2:9090"}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := c.Workers()
 	if ws[0] != "http://host1:8080" || ws[1] != "http://host2:9090" {
 		t.Fatalf("worker URLs not normalized: %v", ws)
+	}
+}
+
+// TestFleetProbeSlotReleasedOnRejection pins the probe-slot contract end to
+// end, with heartbeats off (the dse -fleet configuration): a lone worker
+// trips on a 503, answers its probe shard with a permanent 422, and is
+// healthy from then on. The rejected probe must release the slot — the
+// worker keeps getting probe shards until one succeeds and readmits it,
+// instead of being stranded suspect for the life of the process.
+func TestFleetProbeSlotReleasedOnRejection(t *testing.T) {
+	st := tinyStudy(t)
+	var requests atomic.Int64
+	w := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch requests.Add(1) {
+		case 1:
+			writeWorkerErr(w, http.StatusServiceUnavailable, "unavailable", "worker restarting")
+		case 2:
+			writeWorkerErr(w, http.StatusUnprocessableEntity, "invalid-config", "shard rejected")
+		default:
+			workerHandler()(w, r)
+		}
+	}))
+	defer w.Close()
+
+	cfg := fastCfg(w.URL)
+	cfg.ShardSize = 64 // one shard per study: one request per attempt
+	cfg.BreakerThreshold = 1
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	dir := t.TempDir()
+	want, _ := runStudy(t, st, dir, "serial.ckpt", nil)
+	study := func(name string) {
+		t.Helper()
+		time.Sleep(2 * cfg.BreakerCooldown)
+		if got, _ := runStudy(t, st, dir, name, c.Dispatch); got != want {
+			t.Fatalf("%s: output differs from serial", name)
+		}
+	}
+
+	// Trip on the 503, then let probe shards run until the 422 lands.
+	for i := 0; requests.Load() < 2; i++ {
+		if i == 10 {
+			t.Fatalf("worker saw %d requests after %d studies, want the 503 and the 422 probe", requests.Load(), i)
+		}
+		study(fmt.Sprintf("trip%d.ckpt", i))
+	}
+	if st := c.m.States()[w.URL]; st != StateSuspect {
+		t.Fatalf("after the rejected probe: %v, want suspect", st)
+	}
+	before := requests.Load()
+	for i := 0; i < 3; i++ {
+		study(fmt.Sprintf("after%d.ckpt", i))
+	}
+	if n := requests.Load() - before; n == 0 {
+		t.Fatal("rejected probe leaked the probe slot: the worker received 0 requests in three more studies")
+	}
+	if st := c.m.States()[w.URL]; st != StateLive {
+		t.Fatalf("healthy worker = %v after three more studies, want live", st)
+	}
+}
+
+func TestMetricName(t *testing.T) {
+	cases := map[string]string{
+		"http://10.0.0.7:8080":    "10.0.0.7_8080",
+		"https://w1.example.com/": "w1.example.com_",
+		"host:1234":               "host_1234",
+	}
+	for in, want := range cases {
+		if got := metricName(in); got != want {
+			t.Errorf("metricName(%q) = %q, want %q", in, got, want)
+		}
 	}
 }

@@ -12,34 +12,40 @@ import (
 	"neurometer/internal/obs"
 )
 
-// Dynamic fleet membership. The coordinator keeps one table of every worker
-// it has ever heard of — seeded from the static Config.Workers list and
-// extended at runtime by POST /v1/worker/register — and tracks each worker
-// through a small state machine:
+// Fleet membership. The coordinator keeps one table of every worker it has
+// ever heard of — seeded from Config.Workers and extended at runtime by
+// POST /v1/worker/register — and tracks each worker through one health
+// state machine fed by two inputs, shard traffic and heartbeat probes:
 //
-//	live ──(missed probes ≥ SuspectAfter, or breaker trips)──▶ suspect
+//	live ──(BreakerThreshold consecutive retryable shard failures)──▶ suspect
+//	live ──(missed probes ≥ SuspectAfter)──▶ suspect, probe due at once
+//	suspect ──(probe shard fails retryably)──▶ suspect, new cooldown
 //	suspect ──(missed probes ≥ EvictAfter)──▶ evicted
-//	suspect/evicted ──(probe success or re-registration)──▶ live
+//	suspect/evicted ──(shard or probe success, or re-registration)──▶ live
 //	any ──(POST /v1/worker/drain)──▶ draining
 //	draining ──(missed probes ≥ EvictAfter)──▶ evicted
 //	draining ──(re-registration)──▶ live
 //
 // Dispatch gating is the only consumer of the state: live members receive
-// shards first, suspect members only when no live member admits one, and
-// draining or evicted members receive nothing. Draining members finish the
-// shards they already hold (nothing cancels an in-flight lease on a drain),
-// and an evicted member's in-flight leases requeue through the ordinary
-// lease-expiry path. A membership transition therefore only ever changes
-// *who* evaluates a shard, never *what* merges back — the coordinator still
-// merges outcomes by candidate index and still degrades any unresolved
-// remainder to local evaluation — so tables, CSVs, and checkpoints stay
-// byte-identical to a serial run under any join/leave/crash/drain schedule.
+// shards in round-robin order; a suspect member receives exactly one probe
+// shard once its cooldown (BreakerCooldown after a traffic trip, none
+// after a heartbeat one) has passed, and that shard's success readmits it;
+// draining and evicted members receive nothing. Draining members finish
+// the shards they already hold (nothing cancels an in-flight lease on a
+// drain), and an evicted member's in-flight leases requeue through the
+// ordinary lease-expiry path. A membership transition therefore only ever
+// changes *who* evaluates a shard, never *what* merges back — the
+// coordinator still merges outcomes by candidate index and still degrades
+// any unresolved remainder to local evaluation — so tables, CSVs, and
+// checkpoints stay byte-identical to a serial run under any
+// join/leave/crash/drain schedule.
 //
-// Observability: fleet.workers_live / fleet.workers_suspect /
-// fleet.workers_draining / fleet.workers_evicted gauges track the table,
-// and every transition emits a fleet.member_join / fleet.member_suspect /
+// Observability: fleet.worker_state{worker="<url>"} holds each member's
+// State value; fleet.workers_live / fleet.workers_suspect /
+// fleet.workers_draining / fleet.workers_evicted gauges count the table;
+// every transition emits a fleet.member_join / fleet.member_suspect /
 // fleet.member_evict / fleet.member_drain trace event plus a structured
-// log line.
+// log line, and every traffic cooldown a fleet.breaker.open event.
 
 // State is a member's position in the membership state machine.
 type State int
@@ -47,8 +53,9 @@ type State int
 const (
 	// StateLive members receive new shards.
 	StateLive State = iota
-	// StateSuspect members have missed liveness probes (or tripped their
-	// breaker); they receive new shards only when no live member can.
+	// StateSuspect members have missed liveness probes or failed
+	// BreakerThreshold shards in a row; they receive one probe shard at a
+	// time, once their cooldown has passed.
 	StateSuspect
 	// StateDraining members finish the shards they hold but receive no
 	// new dispatch; set by POST /v1/worker/drain (SIGTERM announcement).
@@ -86,16 +93,18 @@ const (
 	DefaultEvictAfter = 30 * time.Second
 )
 
-// member is one worker's membership record. The url is immutable; state,
-// lastOK and the breaker are guarded by the Membership mutex (breaker has
-// its own internal lock — it is shared with the dispatch path).
+// member is one worker's membership record. url, seq and gauge are
+// immutable; every other field is guarded by the Membership mutex.
 type member struct {
-	url     string
-	seq     int // join order; keeps round-robin stable and config-faithful
-	breaker *breaker
+	url   string
+	seq   int        // join order; keeps round-robin stable and config-faithful
+	gauge *obs.Gauge // fleet.worker_state{worker="<url>"}
 
-	state  State
-	lastOK time.Time // last successful probe, eval, or (re-)registration
+	state   State
+	lastOK  time.Time // last successful probe, eval, or (re-)registration
+	fails   int       // consecutive retryable shard failures while live
+	until   time.Time // suspect: when the probe shard is due
+	probing bool      // suspect: the probe shard is in flight
 }
 
 // Membership is the coordinator's worker table. Safe for concurrent use by
@@ -104,7 +113,10 @@ type Membership struct {
 	mu      sync.Mutex
 	members map[string]*member
 	nextSeq int
+	rr      int // round-robin cursor
 
+	threshold    int
+	cooldown     time.Duration
 	suspectAfter time.Duration
 	evictAfter   time.Duration
 
@@ -123,16 +135,34 @@ type MemberCounts struct {
 	Evicted  int `json:"workers_evicted"`
 }
 
-func newMembership(suspectAfter, evictAfter time.Duration) *Membership {
-	return &Membership{
+// newMembership builds the table for a defaulted cfg, seeded with
+// cfg.Workers as live members (no events: the table is being
+// constructed, nothing joined).
+func newMembership(cfg Config, now time.Time) (*Membership, error) {
+	m := &Membership{
 		members:      map[string]*member{},
-		suspectAfter: suspectAfter,
-		evictAfter:   evictAfter,
+		threshold:    cfg.BreakerThreshold,
+		cooldown:     cfg.BreakerCooldown,
+		suspectAfter: cfg.SuspectAfter,
+		evictAfter:   cfg.EvictAfter,
 		gLive:        obs.NewGauge("fleet.workers_live"),
 		gSuspect:     obs.NewGauge("fleet.workers_suspect"),
 		gDraining:    obs.NewGauge("fleet.workers_draining"),
 		gEvicted:     obs.NewGauge("fleet.workers_evicted"),
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.updateGaugesLocked()
+	for _, u := range cfg.Workers {
+		u, err := normalizeURL(u)
+		if err != nil {
+			return nil, err
+		}
+		if m.members[u] == nil {
+			m.addLocked(u, now)
+		}
+	}
+	return m, nil
 }
 
 // memberEvent emits one membership-transition trace event and counts it
@@ -156,37 +186,33 @@ func normalizeURL(url string) (string, error) {
 	return url, nil
 }
 
-// seed adds the static Config.Workers list as live members (no events: the
-// table is being constructed, nothing joined).
-func (m *Membership) seed(urls []string, now time.Time) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, u := range urls {
-		u, err := normalizeURL(u)
-		if err != nil {
-			return err
-		}
-		if _, ok := m.members[u]; ok {
-			continue
-		}
-		m.members[u] = &member{
-			url:     u,
-			seq:     m.nextSeq,
-			breaker: newBreaker(obs.NewGauge(obs.Name("fleet.breaker_state", "worker", metricName(u)))),
-			state:   StateLive,
-			lastOK:  now,
-		}
-		m.nextSeq++
+// addLocked is the one member constructor: a new live member at the end
+// of the join order. Callers hold mu.
+func (m *Membership) addLocked(url string, now time.Time) *member {
+	mb := &member{
+		url:    url,
+		seq:    m.nextSeq,
+		gauge:  obs.NewGauge(obs.Name("fleet.worker_state", "worker", metricName(url))),
+		lastOK: now,
 	}
+	m.members[url] = mb
+	m.nextSeq++
+	m.setLocked(mb, StateLive)
+	return mb
+}
+
+// setLocked moves mb to state s and refreshes every gauge; callers hold mu.
+func (m *Membership) setLocked(mb *member, s State) {
+	mb.state = s
+	mb.gauge.Set(float64(s))
 	m.updateGaugesLocked()
-	return nil
 }
 
 // Register adds a worker to the table as live, or readmits one the table
-// already knows (suspect, draining, or evicted → live, with the breaker
-// reset so the first shard is not blocked by stale failure history).
-// Re-registering a live member is an idempotent heartbeat: lastOK advances,
-// nothing else changes. This is the /v1/worker/register entry point.
+// already knows (suspect, draining, or evicted → live, with its failure
+// history cleared so the first shard starts fresh). Re-registering a live
+// member is an idempotent heartbeat: lastOK advances, nothing else
+// changes. This is the /v1/worker/register entry point.
 func (m *Membership) Register(ctx context.Context, url string, now time.Time) (State, error) {
 	url, err := normalizeURL(url)
 	if err != nil {
@@ -194,29 +220,20 @@ func (m *Membership) Register(ctx context.Context, url string, now time.Time) (S
 	}
 	m.mu.Lock()
 	mb, known := m.members[url]
+	joined := !known || mb.state != StateLive
 	if !known {
-		mb = &member{
-			url:     url,
-			seq:     m.nextSeq,
-			breaker: newBreaker(obs.NewGauge(obs.Name("fleet.breaker_state", "worker", metricName(url)))),
-			state:   StateLive,
-			lastOK:  now,
-		}
-		m.members[url] = mb
-		m.nextSeq++
+		mb = m.addLocked(url, now)
 	}
-	readmitted := known && mb.state != StateLive
 	mb.lastOK = now
-	if readmitted {
-		mb.state = StateLive
+	if joined {
+		mb.fails, mb.probing = 0, false
+		m.setLocked(mb, StateLive)
 	}
-	m.updateGaugesLocked()
 	m.mu.Unlock()
 
-	if !known || readmitted {
-		mb.breaker.success() // fresh start: stale failure history cleared
+	if joined {
 		memberEvent(ctx, "fleet.member_join", obs.String("worker", url))
-		slog.InfoContext(ctx, "fleet: worker joined", "worker", url, "readmitted", readmitted)
+		slog.InfoContext(ctx, "fleet: worker joined", "worker", url, "readmitted", known)
 	}
 	return StateLive, nil
 }
@@ -237,8 +254,7 @@ func (m *Membership) Drain(ctx context.Context, url string) (State, error) {
 		return 0, guard.Invalid("fleet: drain: unknown worker %s", url)
 	}
 	changed := mb.state != StateDraining
-	mb.state = StateDraining
-	m.updateGaugesLocked()
+	m.setLocked(mb, StateDraining)
 	m.mu.Unlock()
 
 	if changed {
@@ -296,6 +312,10 @@ func (m *Membership) urls() []string {
 func (m *Membership) all() []*member {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.allLocked()
+}
+
+func (m *Membership) allLocked() []*member {
 	out := make([]*member, 0, len(m.members))
 	for _, mb := range m.members {
 		out = append(out, mb)
@@ -304,23 +324,44 @@ func (m *Membership) all() []*member {
 	return out
 }
 
-// dispatchable returns the members eligible for new shards, live and
-// suspect, each class in join order for a stable round-robin base.
-// Draining and evicted members are never returned.
-func (m *Membership) dispatchable() (live, suspect []*member) {
+// pick admits the next member for a shard, round-robin over the rotation:
+// the live members, then the suspects whose probe is due, each in join
+// order. The first pass skips avoid (the worker that just failed the
+// shard); the second relaxes that, so a retry may reuse the failed worker
+// if it is the only one left. not is never returned (a hedge runs on a
+// different worker than its primary); draining and evicted members are
+// never dispatchable. Admitting a suspect reserves its probe slot and
+// returns probe = true: the caller owes exactly one traffic call for it.
+func (m *Membership) pick(avoid, not *member, now time.Time) (mb *member, probe bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for _, mb := range m.members {
-		switch mb.state {
-		case StateLive:
-			live = append(live, mb)
-		case StateSuspect:
-			suspect = append(suspect, mb)
+	var rotation, due []*member
+	for _, w := range m.allLocked() {
+		switch {
+		case w.state == StateLive:
+			rotation = append(rotation, w)
+		case w.state == StateSuspect && !w.probing && !now.Before(w.until):
+			due = append(due, w)
 		}
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].seq < live[j].seq })
-	sort.Slice(suspect, func(i, j int) bool { return suspect[i].seq < suspect[j].seq })
-	return live, suspect
+	rotation = append(rotation, due...)
+	n := len(rotation)
+	if n == 0 {
+		return nil, false
+	}
+	for _, skipAvoid := range [...]bool{true, false} {
+		start := m.rr % n
+		m.rr++
+		for i := 0; i < n; i++ {
+			w := rotation[(start+i)%n]
+			if w == not || (skipAvoid && w == avoid) {
+				continue
+			}
+			w.probing = w.state == StateSuspect
+			return w, w.probing
+		}
+	}
+	return nil, false
 }
 
 // lookup returns the member for a (raw or normalized) URL, or nil.
@@ -342,17 +383,18 @@ func (m *Membership) size() int {
 }
 
 // markSuccess records a successful interaction (probe or shard eval) with a
-// member: its liveness clock resets, and a suspect or evicted member is
-// readmitted to live. Draining members stay draining — a drained worker
-// finishing its last shard is not an application to rejoin.
+// member: its liveness clock and failure count reset, its probe slot is
+// released, and a suspect or evicted member is readmitted to live.
+// Draining members stay draining — a drained worker finishing its last
+// shard is not an application to rejoin.
 func (m *Membership) markSuccess(ctx context.Context, mb *member, now time.Time) {
 	m.mu.Lock()
 	mb.lastOK = now
+	mb.fails, mb.probing = 0, false
 	readmitted := mb.state == StateSuspect || mb.state == StateEvicted
 	if readmitted {
-		mb.state = StateLive
+		m.setLocked(mb, StateLive)
 	}
-	m.updateGaugesLocked()
 	m.mu.Unlock()
 
 	if readmitted {
@@ -361,36 +403,63 @@ func (m *Membership) markSuccess(ctx context.Context, mb *member, now time.Time)
 	}
 }
 
-// markSuspect moves a live member to suspect — the breaker-open feed into
-// the membership layer. The liveness clock is NOT reset: eviction timing
-// keys off lastOK, so a worker that keeps failing evals without ever
-// answering a probe still ages toward eviction.
-func (m *Membership) markSuspect(ctx context.Context, mb *member) {
-	m.mu.Lock()
-	changed := mb.state == StateLive
-	if changed {
-		mb.state = StateSuspect
+// traffic is the shard-traffic feed: it applies one shard attempt's
+// outcome to the member that ran it. A success is markSuccess. A
+// retryable failure (retryable: worker-attributable, seen while the
+// attempt was still undecided) counts toward BreakerThreshold on a live
+// member, whose last allowed failure makes it suspect; on a suspect member
+// it starts a new cooldown. Both are a trip: a fleet.breaker.open event.
+// Every outcome releases the probe slot the attempt held (probe), so a
+// canceled hedge loser, a permanent rejection, or a canceled study cannot
+// strand a suspect member without probes. The liveness clock is not
+// reset by a failure: eviction keys off lastOK, so a worker that keeps
+// failing shards without answering a probe still ages toward eviction.
+func (m *Membership) traffic(ctx context.Context, mb *member, probe bool, err error, retryable bool, now time.Time) {
+	if err == nil {
+		m.markSuccess(ctx, mb, now)
+		return
 	}
-	m.updateGaugesLocked()
+	m.mu.Lock()
+	if probe {
+		mb.probing = false
+	}
+	tripped, suspected := false, false
+	if retryable {
+		switch mb.state {
+		case StateLive:
+			mb.fails++
+			tripped = mb.fails >= m.threshold
+			suspected = tripped
+		case StateSuspect:
+			tripped = true
+		}
+	}
+	if tripped {
+		mb.fails, mb.until = 0, now.Add(m.cooldown)
+		m.setLocked(mb, StateSuspect)
+	}
 	m.mu.Unlock()
 
-	if changed {
+	if tripped {
+		obs.Event(ctx, "fleet.breaker.open", obs.String("worker", mb.url))
+	}
+	if suspected {
 		memberEvent(ctx, "fleet.member_suspect", obs.String("worker", mb.url), obs.String("via", "breaker"))
 		slog.WarnContext(ctx, "fleet: worker suspect", "worker", mb.url, "via", "breaker")
 	}
 }
 
-// probeResult applies one liveness probe outcome. Success readmits (and
-// resets the member's breaker, so a recovered worker is dispatchable
-// immediately instead of waiting out a cooldown). Failure ages the member
+// probeResult is the heartbeat feed: it applies one liveness probe
+// outcome. Success is markSuccess, so a recovered worker is dispatchable
+// immediately instead of waiting out a cooldown. Failure ages the member
 // along live → suspect → evicted against the SuspectAfter / EvictAfter
-// deadlines, measured from the last successful interaction; a draining
-// member whose probes stop answering is evicted on the same clock, which is
-// how drained-and-exited processes leave the table's active states.
+// deadlines, measured from the last successful interaction; a member made
+// suspect this way has its probe shard due at once. A draining member
+// whose probes stop answering is evicted on the same clock, which is how
+// drained-and-exited processes leave the table's active states.
 func (m *Membership) probeResult(ctx context.Context, mb *member, ok bool, now time.Time) {
 	if ok {
 		m.markSuccess(ctx, mb, now)
-		mb.breaker.success()
 		return
 	}
 	m.mu.Lock()
@@ -403,11 +472,11 @@ func (m *Membership) probeResult(ctx context.Context, mb *member, ok bool, now t
 		to = StateEvicted
 	case age >= m.suspectAfter && mb.state == StateLive:
 		to = StateSuspect
+		mb.until = time.Time{}
 	}
 	if to >= 0 {
-		mb.state = to
+		m.setLocked(mb, to)
 	}
-	m.updateGaugesLocked()
 	m.mu.Unlock()
 
 	switch to {

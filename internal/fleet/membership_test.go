@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -104,19 +105,19 @@ func TestMembershipTransitions(t *testing.T) {
 }
 
 // TestNewValidatesMembershipKnobs: EvictAfter must exceed SuspectAfter, and
-// an empty worker list needs Dynamic.
+// an empty worker list starts an empty table that registration fills.
 func TestNewValidatesMembershipKnobs(t *testing.T) {
 	_, err := New(Config{Workers: []string{"w1"}, SuspectAfter: 30 * time.Second, EvictAfter: 10 * time.Second})
 	if !errors.Is(err, guard.ErrInvalidConfig) {
 		t.Fatalf("EvictAfter < SuspectAfter: err = %v, want invalid-config", err)
 	}
-	c, err := New(Config{Dynamic: true})
+	c, err := New(Config{})
 	if err != nil {
-		t.Fatalf("Dynamic with no seed workers: %v", err)
+		t.Fatalf("no seed workers: %v", err)
 	}
 	defer c.Close()
 	if n := c.m.size(); n != 0 {
-		t.Fatalf("dynamic coordinator table size = %d, want 0", n)
+		t.Fatalf("unseeded coordinator table size = %d, want 0", n)
 	}
 	if _, err := c.m.Register(context.Background(), "w1:8080", time.Now()); err != nil {
 		t.Fatal(err)
@@ -455,5 +456,236 @@ func TestFleetDrainedLeaseExpiryRequeuesOnce(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("candidate %d reported %d times, want exactly once", idx, n)
 		}
+	}
+}
+
+// healthMember builds a one-member table with the given traffic knobs and
+// returns it with its member, so the traffic feed can be driven on a
+// controlled clock.
+func healthMember(t *testing.T, threshold int, cooldown time.Duration, now time.Time) (*Membership, *member) {
+	t.Helper()
+	m, err := newMembership(Config{
+		Workers:          []string{t.Name()},
+		BreakerThreshold: threshold,
+		BreakerCooldown:  cooldown,
+		SuspectAfter:     DefaultSuspectAfter,
+		EvictAfter:       DefaultEvictAfter,
+	}, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m, m.all()[0]
+}
+
+var errWorkerDown = guard.Unavailable("worker down")
+
+// TestBreakerLifecycle walks the traffic feed: live → (threshold retryable
+// failures) → suspect → (cooldown) → one probe shard → (success) → live.
+func TestBreakerLifecycle(t *testing.T) {
+	ctx := context.Background()
+	now := time.Unix(1000, 0)
+	const threshold = 3
+	const cooldown = 10 * time.Second
+	m, mb := healthMember(t, threshold, cooldown, now)
+	g := obs.NewGauge(obs.Name("fleet.worker_state", "worker", metricName(mb.url)))
+	state := func() State { return m.States()[mb.url] }
+
+	// Live: admitted without a probe, absorbs sub-threshold failures.
+	for i := 0; i < threshold-1; i++ {
+		if w, probe := m.pick(nil, nil, now); w != mb || probe {
+			t.Fatalf("live member must be admitted without a probe (failure %d)", i)
+		}
+		m.traffic(ctx, mb, false, errWorkerDown, true, now)
+	}
+	if state() != StateLive {
+		t.Fatalf("member tripped below threshold: %v", state())
+	}
+
+	// A success resets the consecutive-failure count.
+	m.traffic(ctx, mb, false, nil, false, now)
+	for i := 0; i < threshold-1; i++ {
+		m.traffic(ctx, mb, false, errWorkerDown, true, now)
+	}
+	if state() != StateLive {
+		t.Fatalf("success did not reset the failure count: %v", state())
+	}
+
+	// The threshold-th consecutive failure trips it suspect.
+	m.traffic(ctx, mb, false, errWorkerDown, true, now)
+	if state() != StateSuspect {
+		t.Fatalf("member did not trip at threshold: %v", state())
+	}
+	if g.Value() != float64(StateSuspect) {
+		t.Fatalf("fleet.worker_state = %v, want %d", g.Value(), StateSuspect)
+	}
+
+	// The cooldown blocks admission.
+	if w, _ := m.pick(nil, nil, now.Add(cooldown/2)); w != nil {
+		t.Fatal("suspect member admitted a shard before its cooldown")
+	}
+
+	// Cooldown over: exactly one probe admitted.
+	probeTime := now.Add(cooldown + time.Second)
+	if w, probe := m.pick(nil, nil, probeTime); w != mb || !probe {
+		t.Fatal("suspect member must be admitted as a probe after its cooldown")
+	}
+	if w, _ := m.pick(nil, nil, probeTime); w != nil {
+		t.Fatal("suspect member admitted a second concurrent probe")
+	}
+
+	// Probe success readmits it.
+	m.traffic(ctx, mb, true, nil, false, probeTime)
+	if state() != StateLive {
+		t.Fatalf("probe success did not readmit the member: %v", state())
+	}
+	if g.Value() != float64(StateLive) {
+		t.Fatalf("fleet.worker_state = %v, want %d", g.Value(), StateLive)
+	}
+	if w, probe := m.pick(nil, nil, probeTime); w != mb || probe {
+		t.Fatal("readmitted member must be admitted without a probe")
+	}
+}
+
+// TestBreakerProbeFailureReopens: a probe shard that fails retryably starts
+// a full new cooldown, counted from the failure.
+func TestBreakerProbeFailureReopens(t *testing.T) {
+	ctx := context.Background()
+	now := time.Unix(2000, 0)
+	const cooldown = 10 * time.Second
+	m, mb := healthMember(t, 1, cooldown, now)
+
+	m.traffic(ctx, mb, false, errWorkerDown, true, now)
+	if st := m.States()[mb.url]; st != StateSuspect {
+		t.Fatalf("threshold-1 member must trip on its first failure: %v", st)
+	}
+	probeTime := now.Add(cooldown + time.Second)
+	if w, probe := m.pick(nil, nil, probeTime); w != mb || !probe {
+		t.Fatal("suspect member must be admitted as a probe after its cooldown")
+	}
+	m.traffic(ctx, mb, true, errWorkerDown, true, probeTime)
+	if st := m.States()[mb.url]; st != StateSuspect {
+		t.Fatalf("failed probe: %v, want suspect", st)
+	}
+	if w, _ := m.pick(nil, nil, probeTime.Add(cooldown/2)); w != nil {
+		t.Fatal("failed probe admitted another before a fresh cooldown")
+	}
+	if w, _ := m.pick(nil, nil, probeTime.Add(cooldown+time.Second)); w != mb {
+		t.Fatal("suspect member must probe again after its new cooldown")
+	}
+}
+
+// TestBreakerProbeReleasedOnOutcome: every outcome of a probe shard releases
+// the slot, never leaks it. A canceled hedge loser, a permanent rejection,
+// and a canceled study change nothing else — the next probe is due at
+// once; a retryable failure starts a new cooldown; a success readmits.
+func TestBreakerProbeReleasedOnOutcome(t *testing.T) {
+	ctx := context.Background()
+	now := time.Unix(3000, 0)
+	const cooldown = time.Second
+	m, mb := healthMember(t, 1, cooldown, now)
+	m.traffic(ctx, mb, false, errWorkerDown, true, now)
+
+	probeTime := now.Add(2 * cooldown)
+	for _, err := range []error{
+		guard.ErrCanceled, // hedge loser or canceled study
+		guard.Invalid("shard rejected"),
+		guard.Unavailable("lost the race"), // retryable, but the attempt was already decided
+	} {
+		if w, probe := m.pick(nil, nil, probeTime); w != mb || !probe {
+			t.Fatalf("probe slot leaked before outcome %v", err)
+		}
+		m.traffic(ctx, mb, true, err, false, probeTime)
+		if st := m.States()[mb.url]; st != StateSuspect {
+			t.Fatalf("outcome %v: %v, want suspect", err, st)
+		}
+	}
+	if w, _ := m.pick(nil, nil, probeTime); w != mb {
+		t.Fatal("probe slot leaked: no probe admitted after the released outcomes")
+	}
+	m.traffic(ctx, mb, true, errWorkerDown, true, probeTime) // fails → new cooldown
+	next := probeTime.Add(2 * cooldown)
+	if w, _ := m.pick(nil, nil, next); w != mb {
+		t.Fatal("probe slot leaked: second probe not admitted after cooldown")
+	}
+	m.traffic(ctx, mb, true, nil, false, next)
+	if st := m.States()[mb.url]; st != StateLive {
+		t.Fatalf("state %v, want live", st)
+	}
+}
+
+// TestBreakerHalfOpenSingleProbeConcurrent: when the cooldown elapses and
+// many shards race to dispatch against the same recovering worker, exactly
+// one wins the probe slot — the rest are turned away until the probe
+// reports an outcome. Run under -race this also proves pick's admission is
+// properly synchronized.
+func TestBreakerHalfOpenSingleProbeConcurrent(t *testing.T) {
+	ctx := context.Background()
+	now := time.Unix(4000, 0)
+	const cooldown = time.Second
+	m, mb := healthMember(t, 1, cooldown, now)
+	m.traffic(ctx, mb, false, errWorkerDown, true, now)
+
+	// N goroutines — one per "shard just completed, find me a worker" —
+	// all observe the cooldown as elapsed and call pick at once.
+	const n = 32
+	probeTime := now.Add(2 * cooldown)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	var admitted atomic.Int32
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if w, _ := m.pick(nil, nil, probeTime); w != nil {
+				admitted.Add(1)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if got := admitted.Load(); got != 1 {
+		t.Fatalf("suspect member admitted %d concurrent probes, want exactly 1", got)
+	}
+
+	// The winner's success readmits the member and the stampede is
+	// admitted in full.
+	m.traffic(ctx, mb, true, nil, false, probeTime)
+	admitted.Store(0)
+	for i := 0; i < n; i++ {
+		if w, _ := m.pick(nil, nil, probeTime); w != nil {
+			admitted.Add(1)
+		}
+	}
+	if got := admitted.Load(); got != n {
+		t.Fatalf("live member admitted %d of %d, want all", got, n)
+	}
+}
+
+// TestHeartbeatFeedsProbeSlot: a member made suspect by heartbeat has its
+// probe shard due at once, takes one at a time, and a successful heartbeat
+// readmits it, clearing its failure count and probe slot.
+func TestHeartbeatFeedsProbeSlot(t *testing.T) {
+	ctx := context.Background()
+	now := time.Unix(5000, 0)
+	m, mb := healthMember(t, 2, time.Hour, now)
+	m.traffic(ctx, mb, false, errWorkerDown, true, now) // one failure short of a trip
+
+	missed := now.Add(DefaultSuspectAfter)
+	m.probeResult(ctx, mb, false, missed)
+	if w, probe := m.pick(nil, nil, missed); w != mb || !probe {
+		t.Fatal("heartbeat-suspect member must get its probe shard at once")
+	}
+	if w, _ := m.pick(nil, nil, missed); w != nil {
+		t.Fatal("heartbeat-suspect member admitted a second concurrent probe")
+	}
+
+	m.probeResult(ctx, mb, true, missed)
+	if st := m.States()[mb.url]; st != StateLive {
+		t.Fatalf("after a successful heartbeat: %v, want live", st)
+	}
+	m.traffic(ctx, mb, false, errWorkerDown, true, missed)
+	if st := m.States()[mb.url]; st != StateLive {
+		t.Fatalf("heartbeat success did not clear the failure count: %v", st)
 	}
 }

@@ -13,7 +13,7 @@ import (
 // real fleet.Coordinator (no heartbeats — tests drive membership directly).
 func coordinatorServer(t *testing.T, workers ...string) (*Server, *fleet.Coordinator, string) {
 	t.Helper()
-	coord, err := fleet.New(fleet.Config{Workers: workers, Dynamic: len(workers) == 0})
+	coord, err := fleet.New(fleet.Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
