@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"neurometer/internal/guard"
+	"neurometer/internal/pat"
 	"neurometer/internal/tech"
 	"neurometer/internal/tech/techtest"
 )
@@ -68,6 +69,44 @@ func TestRepeatedWireLinearizes(t *testing.T) {
 	short := Wire{Node: n28, Layer: tech.WireGlobal, LengthMM: 0.05}
 	if _, ins := short.Repeated(); ins {
 		t.Errorf("50um wire should not need repeaters")
+	}
+}
+
+func TestRepeatedMonotoneInLength(t *testing.T) {
+	// The memory-array optimizer scores only the smallest port counts that
+	// meet a throughput target, which is exact because its bus area and
+	// energy never fall as the bus grows. Repeated delay is the exception:
+	// it drops each time the wire gains a segment, which is why a latency
+	// target keeps the full port search.
+	drops := 0
+	for _, nm := range tech.Nodes() {
+		n := techtest.MustByNode(nm)
+		for _, layer := range []tech.WireLayer{tech.WireLocal, tech.WireIntermediate, tech.WireGlobal} {
+			lcrit := math.Sqrt(2 * n.InvRonOhm() * n.InvCinFF() /
+				(n.WireResOhmPerMM[layer] * n.WireCapFFPerMM[layer]))
+			for _, bits := range []int{1, 64, 2048} {
+				w := Wire{Node: n, Layer: layer, Bits: bits}
+				var prev pat.Result
+				prevElmore := 0.0
+				// 30 segment boundaries, 64 lengths between each pair.
+				for i := 1; i <= 30*64; i++ {
+					w.LengthMM = lcrit * float64(i) / 64
+					res, _ := w.Repeated()
+					elmore := w.ElmoreDelayPS()
+					if res.AreaUM2 < prev.AreaUM2 || res.DynPJ < prev.DynPJ || elmore < prevElmore {
+						t.Fatalf("%s %s %d bits: %.6g mm gives area %g dyn %g elmore %g, shorter wire gave %g %g %g",
+							n, layer, bits, w.LengthMM, res.AreaUM2, res.DynPJ, elmore, prev.AreaUM2, prev.DynPJ, prevElmore)
+					}
+					if res.DelayPS < prev.DelayPS {
+						drops++
+					}
+					prev, prevElmore = res, elmore
+				}
+			}
+		}
+	}
+	if drops == 0 {
+		t.Errorf("repeated delay never fell with length; the latency-target search no longer needs every port count")
 	}
 }
 

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"neurometer/internal/chip"
+	"neurometer/internal/obs"
 	"neurometer/internal/perfsim"
 )
 
@@ -19,6 +21,25 @@ func findCand(t *testing.T, p Point) Candidate {
 	}
 	t.Fatalf("point %s not in feasible set", p)
 	return Candidate{}
+}
+
+func TestTableIEnumerationCounts(t *testing.T) {
+	// The construction work of one cold Table I enumeration, the counts
+	// perfbench's sweep-cold reports. The memory-array optimizer's search
+	// space or the candidate pruning moves them.
+	chip.ResetBuildCache()
+	before := obs.Default().Snapshot().Counters
+	Enumerate(TableI())
+	after := obs.Default().Snapshot().Counters
+	for name, want := range map[string]int64{
+		"chip.builds":     60,
+		"memarray.builds": 240,
+		"memarray.evals":  946,
+	} {
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s = %d per enumeration, want %d", name, got, want)
+		}
+	}
 }
 
 func TestEnumerateProducesFeasibleSet(t *testing.T) {

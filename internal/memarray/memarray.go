@@ -9,7 +9,10 @@
 // (such as the number of banks, the number of the read/write ports) via its
 // internal optimizer"): given capacity, block size, a target latency and a
 // target throughput, Build searches bank counts, subarray aspect ratios and
-// port counts and returns the minimum-cost feasible organization.
+// port counts and returns the minimum-cost feasible organization. The search
+// is exact but skips candidates that provably cannot win: column-mux ratios
+// above 1, and, without a latency target, every port pair of a bank count
+// but the smallest one that meets the throughput.
 package memarray
 
 import (
@@ -25,7 +28,8 @@ import (
 
 // Observability: memarray.builds counts Build calls, memarray.evals the
 // bank/port organizations the internal optimizer scored (each one searches
-// its subarray grid) — the dominant cost of chip construction.
+// its subarray grid) — the dominant cost of chip construction. Without a
+// latency target that is at most one port pair per bank count.
 var (
 	mBuilds = obs.NewCounter("memarray.builds")
 	mEvals  = obs.NewCounter("memarray.evals")
@@ -154,15 +158,30 @@ func Build(cfg Config) (*Array, error) {
 	var bestCost float64
 	found := false
 	for _, banks := range bankChoices {
-		if int64(banks)*int64(cfg.BlockBytes)*8 > cfg.CapacityBytes*8 {
-			// Banks smaller than one block make no sense.
-			continue
+		if int64(banks)*int64(cfg.BlockBytes) > cfg.CapacityBytes {
+			// Banks smaller than one block make no sense, and bank
+			// counts ascend, so no later count fits either.
+			break
 		}
+		// Port dominance: without a latency target, only the first port
+		// pair that meets the throughput is scored. meetsThroughput is
+		// separable and monotone, so that pair is the smallest read and the
+		// smallest write count that pass. For a fixed bank count and
+		// subarray shape every area and read/write energy term (cell
+		// size, peripheral gates, wordline and bitline loads, H-tree and
+		// edge bus lengths and port paths) is non-decreasing in the port
+		// counts, and so is the bank cycle: a shape that does not fit with
+		// fewer ports does not fit with more. So no later pair costs less,
+		// and ties keep the first. A latency target needs the full search:
+		// a repeated wire's delay drops each time it gains a segment, so
+		// access latency is not monotone in the port counts.
+		scored := false
 		for _, rp := range readChoices {
 			for _, wp := range writeChoices {
-				if !meetsThroughput(&cfg, banks, rp, wp) {
+				if !meetsThroughput(&cfg, banks, rp, wp) || (scored && cfg.TargetLatencyPS <= 0) {
 					continue
 				}
+				scored = true
 				p, org, ok := o.evaluate(banks, rp, wp)
 				if !ok {
 					continue
@@ -185,13 +204,13 @@ func Build(cfg Config) (*Array, error) {
 }
 
 func meetsThroughput(cfg *Config, banks, rp, wp int) bool {
-	cap := float64(banks * cfg.BlockBytes)
+	perPort := float64(banks * cfg.BlockBytes) // bytes per cycle per port
 	need := (cfg.ReadBytesPerCycle) * conflictMargin
-	if float64(rp)*cap < need {
+	if float64(rp)*perPort < need {
 		return false
 	}
 	needW := (cfg.WriteBytesPerCycle) * conflictMargin
-	return float64(wp)*cap >= needW
+	return float64(wp)*perPort >= needW
 }
 
 func powersOfTwo(lo, hi int) []int {

@@ -1,6 +1,7 @@
 package memarray
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -154,6 +155,65 @@ func TestMorePortsCostArea(t *testing.T) {
 	}
 	if a3.AreaUM2() <= a1.AreaUM2()*1.3 {
 		t.Errorf("3R1W should cost much more than 1R1W: %g vs %g", a3.AreaUM2(), a1.AreaUM2())
+	}
+}
+
+func TestPortDominance(t *testing.T) {
+	// Without a latency target Build scores only the smallest throughput-
+	// feasible port pair of each bank count. Score every pair here and
+	// check that none is cheaper, and that none fits when the smallest
+	// does not.
+	compared := 0
+	for _, nm := range []int{7, 28, 65} {
+		for _, cell := range []tech.MemCell{tech.CellSRAM, tech.CellDFF, tech.CellEDRAM} {
+			for _, capBytes := range []int64{1 << 10, 64 << 10, 4 << 20} {
+				for _, tp := range [][2]float64{{1, 1}, {2, 1}, {4, 2}, {8, 8}} {
+					const block = 64
+					cfg := Config{
+						Node: techtest.MustByNode(nm), Cell: cell,
+						CapacityBytes: capBytes, BlockBytes: block,
+						CyclePS:            cycle700MHz,
+						ReadBytesPerCycle:  tp[0] * block,
+						WriteBytesPerCycle: tp[1] * block,
+					}
+					name := fmt.Sprintf("%dnm %s %dB %gR%gW/cycle", nm, cell, capBytes, cfg.ReadBytesPerCycle, cfg.WriteBytesPerCycle)
+					o := newOptimizer(&cfg)
+					for _, banks := range searchBanks {
+						if int64(banks*block) > capBytes {
+							break
+						}
+						first := true
+						var smallest orgPAT
+						var smallestOK bool
+						for _, rp := range searchPorts {
+							for _, wp := range searchPorts {
+								if !meetsThroughput(&cfg, banks, rp, wp) {
+									continue
+								}
+								p, _, ok := o.evaluate(banks, rp, wp)
+								if first {
+									smallest, smallestOK, first = p, ok, false
+									continue
+								}
+								compared++
+								if !ok {
+									continue
+								}
+								if !smallestOK {
+									t.Errorf("%s: banks=%d %dR%dW fits but the smallest pair does not", name, banks, rp, wp)
+								} else if p.cost() < smallest.cost() {
+									t.Errorf("%s: banks=%d %dR%dW costs %g, less than the smallest pair's %g",
+										name, banks, rp, wp, p.cost(), smallest.cost())
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no bank count had more than one throughput-feasible port pair")
 	}
 }
 
