@@ -1,11 +1,11 @@
-// Command chaos drives deterministic chaos episodes against an
-// in-process coordinator+workers harness and checks the system-level
-// invariants after each one: study output byte-identical to the serial
-// reference (or the relaxed NaN contract), obs gauges drained, no
-// goroutine leaks, monotonic counters, bounded quarantine accounting, and
-// legal membership-state transitions.
+// Command chaos drives deterministic in-process chaos episodes — a small
+// DSE study under injected faults, over a result store damaged between
+// phases — and checks the system-level invariants after each one: study
+// output byte-identical to the serial reference (or the relaxed NaN
+// contract), obs gauges drained, no goroutine leaks, monotonic counters,
+// and bounded quarantine accounting.
 //
-//	chaos -scenario fleet -seed 1 -episodes 3   # seeds 1,2,3
+//	chaos -scenario mixed -seed 1 -episodes 3   # seeds 1,2,3
 //	chaos -scenario mixed -seed 42 -shrink      # minimize any failure
 //	chaos -replay failed-seed42.json            # re-run a saved schedule
 //	chaos -scenario cache -seed 7 -print        # print the schedule, don't run
@@ -34,7 +34,7 @@ import (
 
 func main() {
 	var (
-		scenario = flag.String("scenario", "fleet", fmt.Sprintf("scenario to generate episodes from %v", chaos.ScenarioNames()))
+		scenario = flag.String("scenario", "mixed", fmt.Sprintf("scenario to generate episodes from %v", chaos.ScenarioNames()))
 		seed     = flag.Int64("seed", 1, "first schedule seed; episode i uses seed+i")
 		episodes = flag.Int("episodes", 1, "number of episodes to run")
 		replay   = flag.String("replay", "", "replay a saved schedule JSON instead of generating (ignores -scenario/-seed/-episodes)")

@@ -37,24 +37,11 @@
 //	                scratch hot; output is byte-identical at any n.
 //	-csv prefix     also write -fig 10 rows to prefix.<regime>.csv
 //
-// Distributed studies (see DESIGN.md §11):
-//
-//	-fleet host1:8080,host2:8080   shard the -fig 10 sweep across running
-//	                neurometerd workers, with leases, retries, hedged
-//	                dispatch, and per-worker circuit breakers. Candidates
-//	                the fleet cannot resolve are evaluated locally, and
-//	                output stays byte-identical to a -workers 1 run at any
-//	                fleet size and under any worker failures.
-//	-fleet-shard-size n / -fleet-lease d / -fleet-hedge-after d /
-//	-fleet-max-attempts n   tune the fleet envelope; invalid combinations
-//	                (non-positive lease, hedge ≥ lease, attempts < 1) fail
-//	                fast at startup with exit 2
-//
 // SIGINT interrupts a sweep gracefully: in-flight state is flushed to the
 // checkpoint (when armed) and the process exits with kind=canceled.
 //
-// Exit codes: 0 success; 2 invalid config or infeasible study; 130
-// canceled (SIGINT); 1 any other failure.
+// Exit codes: 0 success; 2 invalid config (an unknown -fig included) or
+// infeasible study; 130 canceled (SIGINT); 1 any other failure.
 package main
 
 import (
@@ -66,11 +53,9 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"time"
 
 	"neurometer/internal/dse"
-	"neurometer/internal/fleet"
 	"neurometer/internal/guard"
 	"neurometer/internal/obs"
 	"neurometer/internal/rstore"
@@ -86,40 +71,6 @@ type hardenFlags struct {
 	block      int
 	csv        string
 	store      string
-
-	fleet         string
-	fleetShard    int
-	fleetLease    time.Duration
-	fleetHedge    time.Duration
-	fleetAttempts int
-}
-
-// dispatcher builds the fleet coordinator's Dispatch hook from the -fleet
-// flags, or nil when -fleet is unset (pure local evaluation).
-func (hf hardenFlags) dispatcher() (func(context.Context, dse.Shard, func(dse.ShardOutcome)), error) {
-	if hf.fleet == "" {
-		return nil, nil
-	}
-	var workers []string
-	for _, w := range strings.Split(hf.fleet, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			workers = append(workers, w)
-		}
-	}
-	if len(workers) == 0 {
-		return nil, guard.Invalid("fleet: no workers configured")
-	}
-	coord, err := fleet.New(fleet.Config{
-		Workers:     workers,
-		ShardSize:   hf.fleetShard,
-		LeaseTTL:    hf.fleetLease,
-		HedgeAfter:  hf.fleetHedge,
-		MaxAttempts: hf.fleetAttempts,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return coord.Dispatch, nil
 }
 
 func main() {
@@ -134,25 +85,12 @@ func main() {
 	flag.IntVar(&hf.block, "block", 0, "candidates claimed per worker at a time in the -fig 10 sweep (0 = default; output is identical at any size)")
 	flag.StringVar(&hf.csv, "csv", "", "also write -fig 10 rows as CSV at <prefix>.<regime>.csv")
 	flag.StringVar(&hf.store, "result-store", "", "persistent per-candidate result store directory for the -fig 10 sweep (verified read-through cache; faults degrade to evaluation)")
-	flag.StringVar(&hf.fleet, "fleet", "", "comma-separated neurometerd worker URLs: distribute the -fig 10 sweep across them")
-	flag.IntVar(&hf.fleetShard, "fleet-shard-size", fleet.DefaultShardSize, "candidates per fleet shard")
-	flag.DurationVar(&hf.fleetLease, "fleet-lease", fleet.DefaultLeaseTTL, "per-shard lease TTL before requeue")
-	flag.DurationVar(&hf.fleetHedge, "fleet-hedge-after", fleet.DefaultHedgeAfter, "hedge a straggling shard on a second worker after this long (negative disables)")
-	flag.IntVar(&hf.fleetAttempts, "fleet-max-attempts", fleet.DefaultMaxAttempts, "max attempts per shard before local fallback")
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	stop, err := obsFlags.Setup()
 	if err != nil {
 		log.Fatal(err)
-	}
-	// Fleet flags fail fast (exit 2) before any model work starts.
-	if hf.fleet != "" {
-		if err := fleet.ValidateFlags(hf.fleetLease, hf.fleetHedge, hf.fleetAttempts); err != nil {
-			guard.PrintErr("dse", err)
-			stop()
-			os.Exit(guard.ExitCode(err))
-		}
 	}
 	// SIGINT cancels the run context; the sweep loops notice it between
 	// candidates (and inside perfsim between layers), flush any armed
@@ -250,11 +188,6 @@ func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
 	case 10:
 		cands := dse.SecondRound(candidates(ctx, cs, full, hf.workers), cs.TOPSCap)
 		h := dse.Hardening{CandidateTimeout: hf.timeout, MaxRetries: hf.retries, Workers: hf.workers, BlockSize: hf.block}
-		dispatch, err := hf.dispatcher()
-		if err != nil {
-			return err
-		}
-		h.Dispatch = dispatch
 		if hf.store != "" {
 			st, err := rstore.OpenDisk(hf.store)
 			if err != nil {
@@ -289,7 +222,7 @@ func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
 			fmt.Println()
 		}
 	default:
-		return fmt.Errorf("unknown figure %d", fig)
+		return guard.Invalid("dse: unknown figure %d (want 7, 8, 9 or 10; 0 = ablations; -1 = edge sweep)", fig)
 	}
 	return nil
 }

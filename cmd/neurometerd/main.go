@@ -16,21 +16,13 @@
 //	POST /v1/perfsim/simulate     one workload × batch on a chip
 //	POST /v1/dse/study            submit (or resume) an async study job
 //	GET  /v1/dse/study/{id}       job status and, when done, the result rows
-//	POST /v1/worker/eval          evaluate one study shard (fleet worker side)
-//
-// Fleet mode: every neurometerd is a capable worker (the /v1/worker/eval
-// endpoint is always mounted). Passing -fleet host1:8080,host2:8080 makes
-// this instance a coordinator too: study jobs shard across the named
-// workers with leases, retries, hedging, and per-worker circuit breakers,
-// and fall back to in-process evaluation for anything the fleet cannot
-// resolve. Results are byte-identical to a single-process run.
 //
 // Result store: -result-store dir arms the persistent content-addressed
-// result cache (internal/rstore) shared by study jobs and the worker
-// endpoint. Entries are verified on every read (checksum, fingerprint,
-// finiteness); corrupt or torn entries are quarantined under
-// dir/quarantine and recomputed, so a damaged store can slow the daemon
-// down but never change a result or take it down.
+// result cache (internal/rstore) that study jobs read through. Entries
+// are verified on every read (checksum, fingerprint, finiteness); corrupt
+// or torn entries are quarantined under dir/quarantine and recomputed, so
+// a damaged store can slow the daemon down but never change a result or
+// take it down.
 //
 // SIGTERM and SIGINT begin a graceful drain: the listener closes, in-flight
 // requests finish, running study jobs are canceled and flush their
@@ -48,12 +40,9 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"neurometer/internal/fleet"
-	"neurometer/internal/guard"
 	"neurometer/internal/obs"
 	"neurometer/internal/rstore"
 	"neurometer/internal/serve"
@@ -72,21 +61,10 @@ func main() {
 	shedWatermark := flag.Float64("shed-watermark", def.ShedWatermark, "shed build/simulate requests while dse.eval_inflight is at or above this (0 disables)")
 	degradedAfter := flag.Int("degraded-after", def.DegradedAfter, "consecutive 5xx responses before /readyz reports degraded (negative disables)")
 	workers := flag.Int("workers", 0, "study evaluation workers (0 = GOMAXPROCS)")
-	workerLimit := flag.Int("worker-limit", def.WorkerLimit, "max concurrent /v1/worker/eval shard evaluations")
 	jobsDir := flag.String("jobs-dir", "", "directory for study-job checkpoints (empty: jobs do not survive restarts)")
-	resultStore := flag.String("result-store", "", "persistent per-candidate result store directory shared by studies and /v1/worker/eval (empty disables; corrupt entries are quarantined and recomputed)")
+	resultStore := flag.String("result-store", "", "persistent per-candidate result store directory that study jobs read through (empty disables; corrupt entries are quarantined and recomputed)")
 	retryJitter := flag.Int("retry-after-jitter", def.RetryAfterJitter, "seconds of uniform jitter added to Retry-After on 429 (negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time for the graceful drain on SIGTERM/SIGINT")
-	fleetWorkers := flag.String("fleet", "", "comma-separated worker URLs; coordinator mode: shard study jobs across them (workers may also join at runtime)")
-	fleetShardSize := flag.Int("fleet-shard-size", fleet.DefaultShardSize, "candidates per fleet shard")
-	fleetLease := flag.Duration("fleet-lease", fleet.DefaultLeaseTTL, "per-shard lease TTL before requeue")
-	fleetHedge := flag.Duration("fleet-hedge-after", fleet.DefaultHedgeAfter, "hedge a straggling shard on a second worker after this long (negative disables)")
-	fleetAttempts := flag.Int("fleet-max-attempts", fleet.DefaultMaxAttempts, "max attempts per shard before local fallback")
-	heartbeat := flag.Duration("heartbeat", fleet.DefaultHeartbeat, "coordinator: membership probe interval; worker: re-registration interval under -join (0 disables probing)")
-	suspectAfter := flag.Duration("suspect-after", fleet.DefaultSuspectAfter, "coordinator: mark a worker suspect after this long without a successful probe")
-	evictAfter := flag.Duration("evict-after", fleet.DefaultEvictAfter, "coordinator: evict a worker after this long without a successful probe (must exceed -suspect-after)")
-	joinURL := flag.String("join", "", "worker mode: coordinator base URL to register with at startup and re-register every -heartbeat (requires -advertise; incompatible with -fleet)")
-	advertise := flag.String("advertise", "", "worker mode: the URL the coordinator should dispatch to for this worker, e.g. http://10.0.0.7:8080")
 	accessLog := flag.String("access-log", "stderr", "structured JSON access log destination: stderr, off, or a file path")
 	slowRequest := flag.Duration("slow-request", def.SlowRequest, "flag access-log lines slow=true at or above this latency (negative disables)")
 	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof debug endpoints (empty disables)")
@@ -100,15 +78,6 @@ func main() {
 	}
 	defer stop()
 
-	// Fleet flags fail fast: a bad lease/hedge/attempts combination or a
-	// contradictory topology (-join with -fleet) is an invalid-config exit 2
-	// at startup, not a misbehaving study at first dispatch.
-	if err := validateFleetFlags(*fleetWorkers, *joinURL, *advertise, *fleetLease, *fleetHedge, *fleetAttempts); err != nil {
-		fmt.Fprintf(os.Stderr, "neurometerd: %v\n", err)
-		stop()
-		os.Exit(guard.ExitCode(err))
-	}
-
 	cfg := serve.Config{
 		BuildLimit:       *buildLimit,
 		SimulateLimit:    *simLimit,
@@ -120,7 +89,6 @@ func main() {
 		ShedWatermark:    *shedWatermark,
 		DegradedAfter:    *degradedAfter,
 		Workers:          *workers,
-		WorkerLimit:      *workerLimit,
 		JobsDir:          *jobsDir,
 		RetryAfterJitter: *retryJitter,
 		SlowRequest:      *slowRequest,
@@ -145,35 +113,6 @@ func main() {
 	cfg.AccessLog = logger
 	if *debugAddr != "" {
 		go serveDebug(*debugAddr)
-	}
-	if *fleetWorkers != "" {
-		coord, err := fleet.New(fleet.Config{
-			Workers:      splitWorkers(*fleetWorkers),
-			ShardSize:    *fleetShardSize,
-			LeaseTTL:     *fleetLease,
-			HedgeAfter:   *fleetHedge,
-			MaxAttempts:  *fleetAttempts,
-			Heartbeat:    *heartbeat,
-			SuspectAfter: *suspectAfter,
-			EvictAfter:   *evictAfter,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "neurometerd: -fleet: %v\n", err)
-			stop()
-			os.Exit(guard.ExitCode(err))
-		}
-		defer coord.Close()
-		cfg.Dispatch = coord.Dispatch
-		cfg.Membership = coord.Membership()
-		slog.Info("neurometerd: coordinator mode", "workers", coord.Workers(),
-			"heartbeat", *heartbeat, "suspect_after", *suspectAfter, "evict_after", *evictAfter)
-	}
-	if *joinURL != "" {
-		cfg.Join = strings.TrimRight(*joinURL, "/")
-		cfg.Advertise = *advertise
-		cfg.JoinInterval = *heartbeat
-		slog.Info("neurometerd: worker mode, joining fleet",
-			"coordinator", cfg.Join, "advertise", cfg.Advertise, "interval", *heartbeat)
 	}
 	if err := run(cfg, *addr, *drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "neurometerd: %v\n", err)
@@ -214,37 +153,6 @@ func serveDebug(addr string) {
 	if err := http.ListenAndServe(addr, mux); err != nil {
 		slog.Warn("neurometerd: debug listener failed", "addr", addr, "err", err)
 	}
-}
-
-// validateFleetFlags is the startup gate for the fleet topology flags; every
-// violation is an invalid-config error (exit code 2). A -fleet list must
-// name at least one worker: the coordinator itself accepts an empty table
-// (workers may join at runtime), but an empty flag value is a typo.
-func validateFleetFlags(fleetList, join, advertise string, lease, hedge time.Duration, attempts int) error {
-	if join != "" && fleetList != "" {
-		return guard.Invalid("-join and -fleet are mutually exclusive: a process is a worker that registers with a coordinator, or the coordinator itself")
-	}
-	if join != "" && advertise == "" {
-		return guard.Invalid("-join requires -advertise: the coordinator needs a URL to dispatch to")
-	}
-	if fleetList == "" {
-		return nil
-	}
-	if len(splitWorkers(fleetList)) == 0 {
-		return guard.Invalid("-fleet: no workers configured")
-	}
-	return fleet.ValidateFlags(lease, hedge, attempts)
-}
-
-// splitWorkers parses the -fleet flag's comma-separated URL list.
-func splitWorkers(s string) []string {
-	var out []string
-	for _, w := range strings.Split(s, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // run serves until SIGTERM/SIGINT, then drains within drainTimeout.

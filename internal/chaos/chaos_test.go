@@ -125,7 +125,7 @@ func TestEpisodesPassAndReplayIdentically(t *testing.T) {
 	defer guard.DisarmAll()
 	r := NewRunner()
 	ctx := context.Background()
-	for _, name := range []string{"fleet", "membership", "cache", "mixed"} {
+	for _, name := range []string{"cache", "mixed"} {
 		sch, err := Generate(name, 1)
 		if err != nil {
 			t.Fatal(err)

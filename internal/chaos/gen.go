@@ -10,11 +10,8 @@ import (
 // chaos engine may arm there *without* breaking the output contract the
 // invariants assert:
 //
-//   - fleet.* and rstore.* sites absorb errors by construction (retry,
-//     fallback-to-local, degrade-to-recompute), so err is fair game;
-//     fleet.shard additionally tolerates panics (the worker's recovery
-//     middleware turns them into retryable 500s) and delays (lease expiry
-//     requeues the shard).
+//   - rstore.* sites absorb errors by construction (a failed read or
+//     write degrades to recomputation), so err is fair game.
 //   - model-layer sites (chip.build, perfsim.*, dse.candidate) sit on the
 //     serial evaluation path: an injected error there makes a candidate
 //     legitimately fail and a row legitimately disappear, which is not an
@@ -29,29 +26,24 @@ var siteEffects = map[string][]string{
 	"perfsim.layer":         {EffectDelay},
 	"perfsim.achieved_tops": {EffectNaN},
 	"dse.candidate":         {EffectDelay},
-	"fleet.shard":           {EffectErr, EffectDelay, EffectPanic},
-	"fleet.heartbeat":       {EffectErr},
-	"fleet.register":        {EffectErr},
 	"rstore.read":           {EffectErr, EffectDelay},
 	"rstore.write":          {EffectErr, EffectDelay},
 	"rstore.scan":           {EffectErr},
 }
 
 // Scenario is a named region of the schedule space: which sites and ops
-// the generator draws from, the harness shape, and anchor events that
-// make every episode of the scenario exercise its namesake machinery even
-// at seeds whose random draws are tame.
+// the generator draws from, whether the episode runs over a result store,
+// and anchor events that make every episode of the scenario exercise its
+// namesake machinery even at seeds whose random draws are tame.
 type Scenario struct {
-	Name      string
-	Workers   int
-	Heartbeat bool
-	Store     bool
+	Name  string
+	Store bool
 	// Sites the generator always arms once (deterministic coverage).
 	Sites []string
 	// ExtraSites the generator may additionally draw from (probabilistic;
 	// this is where output-relaxing effects like NaN live).
 	ExtraSites []string
-	// Ops the generator may draw timed ops from.
+	// Ops the generator may draw ops from.
 	Ops []string
 	// Anchors are fixed events present in every episode of the scenario.
 	Anchors []Event
@@ -60,59 +52,37 @@ type Scenario struct {
 	MinExtra, MaxExtra int
 }
 
+// storeOps are the result-store damage ops.
+var storeOps = []string{OpCorruptEntry, OpTruncateEntry, OpPlantTmp}
+
 // scenarios is the registry, ordered for -scenario listings. Between
 // them the Sites/ExtraSites lists cover the complete guard registry —
 // chaos_test pins that against guard.Sites().
 var scenarios = []Scenario{
 	{
-		Name:    "fleet",
-		Workers: 2,
-		Sites:   []string{"fleet.shard", "dse.candidate", "chip.build", "perfsim.simulate", "perfsim.layer"},
-		ExtraSites: []string{"perfsim.achieved_tops"},
-		Ops:     []string{OpKill, OpSpawn, OpStarve},
-		Anchors: []Event{
-			{Kind: KindOp, Op: OpKill, Worker: 0, AtMS: 300},
-		},
-		MinExtra: 1, MaxExtra: 4,
-	},
-	{
-		Name:      "membership",
-		Workers:   2,
-		Heartbeat: true,
-		Sites:     []string{"fleet.heartbeat", "fleet.register", "fleet.shard"},
-		Ops:       []string{OpKill, OpSpawn, OpDrain},
-		Anchors: []Event{
-			{Kind: KindOp, Op: OpSpawn, AtMS: 200},
-			{Kind: KindOp, Op: OpKill, Worker: 1, AtMS: 500},
-			{Kind: KindOp, Op: OpDrain, Worker: 0, AtMS: 800},
-		},
-		MinExtra: 1, MaxExtra: 4,
-	},
-	{
 		Name:  "cache",
 		Store: true,
 		Sites: []string{"rstore.read", "rstore.write", "rstore.scan"},
-		Ops:   []string{OpCorruptEntry, OpTruncateEntry, OpPlantTmp},
+		Ops:   storeOps,
 		Anchors: []Event{
-			{Kind: KindOp, Op: OpCorruptEntry, Worker: 0, AtMS: 10},
-			{Kind: KindOp, Op: OpPlantTmp, AtMS: 20},
+			{Kind: KindOp, Op: OpCorruptEntry, Entry: 0},
+			{Kind: KindOp, Op: OpPlantTmp},
 		},
 		MinExtra: 1, MaxExtra: 5,
 	},
 	{
-		Name:      "mixed",
-		Workers:   2,
-		Heartbeat: true,
-		Store:     true,
-		Sites:     []string{"fleet.shard", "fleet.heartbeat", "rstore.read", "rstore.write"},
+		// mixed crosses store damage with model-layer faults: delays on
+		// the evaluation path and NaN corruption of a metric.
+		Name:  "mixed",
+		Store: true,
+		Sites: []string{"rstore.read", "rstore.write"},
 		ExtraSites: []string{
 			"chip.build", "perfsim.simulate", "perfsim.layer", "perfsim.achieved_tops",
-			"dse.candidate", "fleet.register", "rstore.scan",
+			"dse.candidate", "rstore.scan",
 		},
-		Ops: []string{OpKill, OpSpawn, OpDrain, OpStarve, OpCorruptEntry, OpTruncateEntry, OpPlantTmp},
+		Ops: storeOps,
 		Anchors: []Event{
-			{Kind: KindOp, Op: OpKill, Worker: 0, AtMS: 400},
-			{Kind: KindOp, Op: OpSpawn, AtMS: 600},
+			{Kind: KindOp, Op: OpTruncateEntry, Entry: 1},
 		},
 		MinExtra: 2, MaxExtra: 6,
 	},
@@ -125,7 +95,7 @@ var scenarios = []Scenario{
 		Sites: []string{"chip.build", "perfsim.layer"},
 		Ops:   []string{OpViolate},
 		Anchors: []Event{
-			{Kind: KindOp, Op: OpViolate, AtMS: 50},
+			{Kind: KindOp, Op: OpViolate},
 		},
 		MinExtra: 2, MaxExtra: 4,
 	},
@@ -162,8 +132,6 @@ func Generate(scenario string, seed int64) (*Schedule, error) {
 		FormatVersion: FormatVersion,
 		Scenario:      sc.Name,
 		Seed:          seed,
-		Workers:       sc.Workers,
-		Heartbeat:     sc.Heartbeat,
 		Store:         sc.Store,
 	}
 
@@ -187,8 +155,8 @@ func Generate(scenario string, seed int64) (*Schedule, error) {
 			s.Events = append(s.Events, genFault(rng, pool[rng.Intn(len(pool))]))
 		}
 	}
-	// Keep op ordering readable in artifacts; execution order is by AtMS
-	// anyway and fault order within a site is irrelevant across sites.
+	// Faults first, ops after, each in draw order: ops apply in schedule
+	// order, and fault order within a site is irrelevant across sites.
 	sort.SliceStable(s.Events, func(i, j int) bool {
 		if s.Events[i].Kind != s.Events[j].Kind {
 			return s.Events[i].Kind == KindFault
@@ -225,20 +193,11 @@ func genFault(rng *rand.Rand, site string) Event {
 	return e
 }
 
-// genOp draws one timed op for the scenario.
+// genOp draws one op for the scenario.
 func genOp(rng *rand.Rand, sc Scenario) Event {
-	e := Event{
-		Kind: KindOp,
-		Op:   sc.Ops[rng.Intn(len(sc.Ops))],
-		AtMS: 50 + rng.Intn(1200),
-	}
-	switch e.Op {
-	case OpKill, OpDrain:
-		if sc.Workers > 0 {
-			e.Worker = rng.Intn(sc.Workers)
-		}
-	case OpCorruptEntry, OpTruncateEntry:
-		e.Worker = rng.Intn(8)
+	e := Event{Kind: KindOp, Op: sc.Ops[rng.Intn(len(sc.Ops))]}
+	if e.Op == OpCorruptEntry || e.Op == OpTruncateEntry {
+		e.Entry = rng.Intn(8)
 	}
 	return e
 }

@@ -6,8 +6,7 @@
 // unit tests assert after every lifecycle, so "what the tests check" and
 // "what chaos checks" cannot drift apart. The package deliberately
 // imports nothing above obs, so every layer's in-package tests can adopt
-// it; the fleet-specific membership-transition check lives in
-// internal/chaos, which may import the world.
+// it.
 package invariants
 
 import (
@@ -34,7 +33,6 @@ func DrainedGauges() []string {
 	return []string{
 		"dse.eval_inflight",
 		"dse.queue_depth",
-		"fleet.shards_inflight",
 		"serve.inflight",
 	}
 }

@@ -1,23 +1,25 @@
 // Package chaos is the deterministic chaos-schedule engine: it generates
 // seeded failure schedules over the complete guard fault-site registry
-// plus fleet-level churn ops, runs each schedule as an episode against an
-// in-process coordinator+workers harness, and checks the system-level
-// invariants the codebase promises (episode.go). A failing seed feeds a
-// greedy shrinker (shrink.go) that minimizes the schedule to the smallest
-// still-failing event set and writes it as a replayable artifact.
+// plus result-store damage ops, runs each schedule as an in-process
+// episode — a small DSE study, optionally over a result store that is
+// populated, damaged and recovered between phases — and checks the
+// system-level invariants the codebase promises (episode.go). A failing
+// seed feeds a greedy shrinker (shrink.go) that minimizes the schedule to
+// the smallest still-failing event set and writes it as a replayable
+// artifact.
 //
 // Determinism is the point. A Schedule is pure data, generated from a
 // seed by a fixed procedure (gen.go), so the same seed always yields the
 // same JSON. Faults target *logical* time — the Nth visit of a fault
-// site, or a seeded per-hit coin flip — never wall-clock arming, so a
-// replayed schedule drives the same recovery paths regardless of machine
-// speed. Ops (kill/spawn/drain/...) do fire on a wall clock, but every
-// invariant the episode checks is closed under op timing: output
-// byte-identity holds at any interleaving by the fleet envelope's
-// construction, and the remaining invariants are checked at quiescence.
-// So "same schedule → same verdict" holds even though goroutine
-// interleavings differ, which is what makes -replay and the shrinker
-// trustworthy.
+// site, or a seeded per-hit coin flip — never wall-clock arming, and ops
+// apply at fixed points between episode phases, so a replayed schedule
+// drives the same recovery paths regardless of machine speed. Goroutine
+// interleavings inside the study's worker pool still differ between
+// runs, but every invariant the episode checks is closed under them:
+// output byte-identity holds at any interleaving because the pool
+// assembles rows by candidate index, and the remaining invariants are
+// checked at quiescence. So "same schedule → same verdict" holds, which
+// is what makes -replay and the shrinker trustworthy.
 package chaos
 
 import (
@@ -25,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"neurometer/internal/guard"
 )
@@ -33,43 +34,29 @@ import (
 // FormatVersion identifies the schedule JSON layout; bump on breaking
 // changes so a stale committed reproduction fails loudly instead of
 // silently replaying the wrong episode.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // Event kinds.
 const (
 	// KindFault arms one guard fault. Fault events are armed before the
-	// episode starts and target logical time (Skip/Count/Prob), so AtMS
-	// is ignored for them.
+	// episode starts and target logical time (Skip/Count/Prob).
 	KindFault = "fault"
-	// KindOp is a harness operation executed AtMS milliseconds into the
-	// episode (kill/spawn/drain/starve/violate) or, for store ops,
-	// between the populate and replay phases (corrupt_entry,
-	// truncate_entry, plant_tmp — AtMS orders them).
+	// KindOp is an episode operation. Ops apply in schedule order at a
+	// fixed point of the episode: store ops between the populate and
+	// replay phases, a violate op before the study of a storeless
+	// episode.
 	KindOp = "op"
 )
 
 // Op names.
 const (
-	// OpKill abruptly closes worker Worker's listener and live
-	// connections — the in-process analog of SIGKILL.
-	OpKill = "kill"
-	// OpSpawn starts a fresh worker and hot-joins it through the
-	// coordinator's /v1/worker/register endpoint.
-	OpSpawn = "spawn"
-	// OpDrain announces drain for worker Worker through
-	// /v1/worker/drain.
-	OpDrain = "drain"
-	// OpStarve is lease starvation: one shard attempt stalls past the
-	// lease TTL, forcing expiry and requeue. Translated at arm time into
-	// a one-shot fleet.shard delay fault longer than the lease.
-	OpStarve = "starve"
 	// OpViolate plants a deliberate invariant violation (an undrained
 	// gauge) — the shrinker's self-test target.
 	OpViolate = "violate"
-	// OpCorruptEntry flips bytes in the Worker-th result-store entry
+	// OpCorruptEntry flips bytes in the Entry-th result-store entry
 	// (sorted order) between episode phases.
 	OpCorruptEntry = "corrupt_entry"
-	// OpTruncateEntry truncates the Worker-th entry to half its size.
+	// OpTruncateEntry truncates the Entry-th entry to half its size.
 	OpTruncateEntry = "truncate_entry"
 	// OpPlantTmp drops an orphaned *.tmp file into the object tree, as a
 	// crash between write and rename would.
@@ -82,9 +69,6 @@ const (
 	EffectErr = "err"
 	// EffectDelay makes the site sleep DelayMS.
 	EffectDelay = "delay"
-	// EffectPanic makes the site panic (only on sites behind a recovery
-	// boundary).
-	EffectPanic = "panic"
 	// EffectNaN corrupts the site's float to NaN. The only effect that
 	// legitimately changes study output (a poisoned candidate is dropped
 	// by the non-finite guards), so it flips the episode to the relaxed
@@ -95,12 +79,11 @@ const (
 // Event is one element of a schedule.
 type Event struct {
 	Kind string `json:"kind"`
-	// AtMS is the op's firing time in episode-milliseconds (KindOp only).
-	AtMS int `json:"at_ms,omitempty"`
-	// Op names the harness operation (KindOp only).
+	// Op names the episode operation (KindOp only).
 	Op string `json:"op,omitempty"`
-	// Worker indexes the op's target worker (or store entry).
-	Worker int `json:"worker,omitempty"`
+	// Entry indexes the store entry a corrupt or truncate op damages
+	// (sorted order, modulo the entry count).
+	Entry int `json:"entry,omitempty"`
 
 	// Site, Effect, Skip, Count, Prob, DelayMS describe a fault
 	// (KindFault only); semantics match guard.PlanFault.
@@ -112,18 +95,13 @@ type Event struct {
 	DelayMS int     `json:"delay_ms,omitempty"`
 }
 
-// Schedule is a seeded, replayable chaos episode: harness shape plus an
+// Schedule is a seeded, replayable chaos episode: episode shape plus an
 // event sequence. It is the unit the generator emits, the runner
 // executes, the shrinker minimizes, and CI commits as a reproduction.
 type Schedule struct {
 	FormatVersion int    `json:"format_version"`
 	Scenario      string `json:"scenario"`
 	Seed          int64  `json:"seed"`
-	// Workers is the initial fleet size; 0 runs the study in-process.
-	Workers int `json:"workers"`
-	// Heartbeat enables the coordinator's membership probe loop and the
-	// membership-transition invariant.
-	Heartbeat bool `json:"heartbeat,omitempty"`
 	// Store runs the two-phase result-store episode: populate, mutate
 	// (store ops), recover, replay.
 	Store  bool    `json:"store,omitempty"`
@@ -132,8 +110,8 @@ type Schedule struct {
 
 // OutputExact reports whether the episode's study output must be
 // byte-identical to the serial reference. Every fault the schedule can
-// carry is output-transparent by construction (fleet/rstore faults are
-// absorbed by retry/degradation; model-layer faults are delay-only) —
+// carry is output-transparent by construction (rstore faults degrade to
+// recomputation; model-layer faults are delay-only) —
 // except NaN corruption, which legitimately removes the poisoned
 // candidate. A schedule carrying a NaN fault is therefore checked against
 // the relaxed contract: every emitted row byte-identical to the matching
@@ -165,13 +143,13 @@ func (s *Schedule) Validate() error {
 				return fmt.Errorf("chaos: event %d: unknown fault site %q", i, e.Site)
 			}
 			switch e.Effect {
-			case EffectErr, EffectDelay, EffectPanic, EffectNaN:
+			case EffectErr, EffectDelay, EffectNaN:
 			default:
 				return fmt.Errorf("chaos: event %d: unknown effect %q", i, e.Effect)
 			}
 		case KindOp:
 			switch e.Op {
-			case OpKill, OpSpawn, OpDrain, OpStarve, OpViolate:
+			case OpViolate:
 			case OpCorruptEntry, OpTruncateEntry, OpPlantTmp:
 				if !s.Store {
 					return fmt.Errorf("chaos: event %d: store op %q in a storeless schedule", i, e.Op)
@@ -228,15 +206,13 @@ func ReadSchedule(path string) (*Schedule, error) {
 	return &s, nil
 }
 
-// opsInOrder returns the schedule's op events sorted by firing time
-// (stable, so equal-time ops keep schedule order).
-func (s *Schedule) opsInOrder() []Event {
+// ops returns the schedule's op events in schedule order.
+func (s *Schedule) ops() []Event {
 	var ops []Event
 	for _, e := range s.Events {
 		if e.Kind == KindOp {
 			ops = append(ops, e)
 		}
 	}
-	sort.SliceStable(ops, func(i, j int) bool { return ops[i].AtMS < ops[j].AtMS })
 	return ops
 }

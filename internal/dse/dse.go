@@ -33,7 +33,6 @@ var (
 	mEvalRetries  = obs.NewCounter("dse.candidate_retries")
 	mEvalPanics   = obs.NewCounter("dse.candidate_panics")
 	mResumed      = obs.NewCounter("dse.candidates_resumed")
-	mRemote       = obs.NewCounter("dse.candidates_remote")
 	mEvalLatency  = obs.NewHistogram("dse.candidate_eval_seconds", nil)
 )
 
@@ -409,26 +408,14 @@ type Hardening struct {
 	// which worker evaluates which candidate — results are collected by
 	// index, so output is byte-identical at any (Workers, BlockSize) pair.
 	BlockSize int
-	// Dispatch, when non-nil, is offered the pending (not checkpointed)
-	// candidates before the local pool runs: it evaluates whatever it can
-	// remotely — fleet.Coordinator.Dispatch shards them across workers —
-	// and reports resolved outcomes through its callback (safe to call
-	// from any goroutine). Candidates it leaves unreported fall through to
-	// local in-process evaluation, so losing every remote worker degrades
-	// the study, never fails it. Because remote evaluation is
-	// deterministic and outcomes merge by candidate index through the same
-	// checkpoint machinery, output stays byte-identical at any fleet size
-	// and any failure schedule.
-	Dispatch func(ctx context.Context, sh Shard, report func(ShardOutcome))
 	// Results, when non-nil, is the persistent content-addressed result
 	// store: pending candidates are looked up (fully verified — envelope
 	// checksum, fingerprint match, finite metrics) before any evaluation
-	// is scheduled, local evaluations run under the store's single-flight
-	// layer and persist their rows, and remote outcomes are written back
-	// best-effort. Store faults of every kind degrade to evaluation, so a
-	// study runs byte-identically with a cold, warm, poisoned, or absent
-	// store. A nil Cache (including rstore.NewCache(nil)) disables all of
-	// this.
+	// is scheduled, and evaluations run under the store's single-flight
+	// layer and persist their rows. Store faults of every kind degrade to
+	// evaluation, so a study runs byte-identically with a cold, warm,
+	// poisoned, or absent store. A nil Cache (including
+	// rstore.NewCache(nil)) disables all of this.
 	Results *rstore.Cache
 }
 
@@ -480,7 +467,7 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 	}
 
 	// Store phase: satisfy the remaining candidates from the persistent
-	// result store before any evaluation — local or remote — is scheduled.
+	// result store before any evaluation is scheduled.
 	// A hit is recorded to the checkpoint exactly like an evaluated
 	// outcome, so an interrupted warm run resumes identically to an
 	// interrupted cold one, and the checkpoint file stays byte-identical
@@ -508,70 +495,6 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 			}
 		}
 		span.SetInt("store_hits", int64(hits))
-		pending = remaining
-	}
-
-	// Remote phase: offer the pending candidates to the dispatcher. Its
-	// report callback lands outcomes exactly where a local evaluation
-	// would — the outs slice and the checkpoint — so the assembly below
-	// cannot tell (and the output bytes do not reflect) where a candidate
-	// ran. Whatever the dispatcher could not resolve stays pending for the
-	// local pool.
-	if h.Dispatch != nil && len(pending) > 0 {
-		var mu sync.Mutex
-		sh := BuildShard(cands, pending, models, spec, opt, h)
-		h.Dispatch(ctx, sh, func(o ShardOutcome) {
-			if o.Index < 0 || o.Index >= len(outs) {
-				slog.WarnContext(ctx, "dse: dispatcher reported out-of-range candidate",
-					"index", o.Index, "candidates", len(outs))
-				return
-			}
-			mu.Lock()
-			defer mu.Unlock()
-			if outs[o.Index].done {
-				return // duplicate report (hedged dispatch): first one won
-			}
-			var err error
-			if o.Row == nil {
-				err = guard.KindError(o.Kind, o.Err)
-			}
-			cand := cands[o.Index]
-			if err != nil {
-				mEvalFailures.Inc()
-				slog.WarnContext(ctx, "dse: candidate failed remotely, skipping",
-					"point", cand.Point.String(), "kind", guard.Kind(err), "err", err)
-				outs[o.Index] = outcome{err: err, done: true}
-			} else {
-				outs[o.Index] = outcome{row: *o.Row, done: true}
-				if h.Results != nil {
-					// Warm the store from fleet traffic too (best-effort).
-					storeRemoteOutcome(h.Results,
-						CandidateFingerprint(cand.Chip.Cfg, names, spec, opt), *o.Row)
-				}
-			}
-			mRemote.Inc()
-			if h.Checkpoint != nil {
-				if err != nil {
-					h.Checkpoint.RecordFailure(cand.Point, err)
-				} else {
-					h.Checkpoint.Record(cand.Point, *o.Row)
-				}
-				if ferr := h.Checkpoint.Flush(); ferr != nil {
-					slog.WarnContext(ctx, "dse: checkpoint flush failed", "err", ferr)
-				}
-			}
-		})
-		remaining := pending[:0]
-		for _, i := range pending {
-			if !outs[i].done {
-				remaining = append(remaining, i)
-			}
-		}
-		if len(remaining) > 0 && guard.CtxErr(ctx) == nil {
-			slog.WarnContext(ctx, "dse: dispatcher left candidates unresolved, evaluating locally",
-				"unresolved", len(remaining), "dispatched", len(pending))
-		}
-		span.SetInt("remote_resolved", int64(len(pending)-len(remaining)))
 		pending = remaining
 	}
 

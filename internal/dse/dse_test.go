@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -38,6 +39,34 @@ func TestTableIEnumerationCounts(t *testing.T) {
 	} {
 		if got := after[name] - before[name]; got != want {
 			t.Errorf("%s = %d per enumeration, want %d", name, got, want)
+		}
+	}
+}
+
+func TestFig10SimulationCounts(t *testing.T) {
+	// The simulation work of one cold Fig. 10 study over the Table I
+	// frontier after the second-round prune, the counts perfbench's
+	// study-warm reports. It is the same at any pool size, so no
+	// candidate is simulated twice or skipped; a pipeline that shares
+	// cells between regimes lowers it.
+	cs := TableI()
+	cands := SecondRound(Frontier(sweep, cs.TOPSCap), cs.TOPSCap)
+	if len(cands) != 47 {
+		t.Fatalf("Fig. 10 candidate set has %d points, want 47", len(cands))
+	}
+	for _, workers := range []int{1, 2} {
+		before := obs.Default().Snapshot().Counters
+		if _, err := Fig10Hardened(context.Background(), cands, DefaultModels(), Hardening{Workers: workers}, ""); err != nil {
+			t.Fatal(err)
+		}
+		after := obs.Default().Snapshot().Counters
+		for name, want := range map[string]int64{
+			"perfsim.simulations":      942,
+			"perfsim.layers_simulated": 188608,
+		} {
+			if got := after[name] - before[name]; got != want {
+				t.Errorf("workers=%d: %s = %d per study, want %d", workers, name, got, want)
+			}
 		}
 	}
 }

@@ -53,22 +53,3 @@ func TestGaugesDrainAfterTimeouts(t *testing.T) {
 	}
 	checkGaugesDrained(t)
 }
-
-func TestGaugesDrainAfterShardFaults(t *testing.T) {
-	defer guard.DisarmAll()
-	cands, spec, opt := studyFixture(t)
-	models := alexnet(t)
-
-	disarm := guard.Arm("perfsim.simulate", guard.Fault{Skip: 1, Count: 1, Panic: true})
-	defer disarm()
-
-	sh := BuildShard(cands, []int{0, 1, 2}, models, spec, opt, Hardening{})
-	outs, err := EvalShard(context.Background(), sh, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(outs) != 3 {
-		t.Fatalf("got %d outcomes, want 3", len(outs))
-	}
-	checkGaugesDrained(t)
-}

@@ -17,10 +17,7 @@ import (
 // The result-store binding: a candidate evaluation is a pure function of
 // (chip config, workload set, batch regime, simulator options), so that
 // tuple — not the study it appeared in — is the content address of its
-// RuntimeRow. Two studies sharing a design point share its stored result;
-// a shard evaluated on a fleet worker lands under the same fingerprint the
-// coordinator would have used, because chip.Config and the shard fields
-// round-trip exactly through JSON.
+// RuntimeRow. Two studies sharing a design point share its stored result.
 //
 // Trust boundary: stored bytes are verified three ways before they can
 // replace an evaluation — the rstore envelope checksum, the embedded
@@ -52,8 +49,8 @@ func CandidateFingerprint(cfg chip.Config, models []string, spec BatchSpec, opt 
 	return fp
 }
 
-// modelNames projects a workload set onto the name list both
-// CandidateFingerprint and the shard protocol use.
+// modelNames projects a workload set onto the name list
+// CandidateFingerprint uses.
 func modelNames(models []*graph.Graph) []string {
 	names := make([]string, len(models))
 	for i, g := range models {
@@ -154,15 +151,4 @@ func evalStoreAware(ctx context.Context, cache *rstore.Cache, fp string, cand Ca
 	}
 	mStoreHits.Inc()
 	return row, nil
-}
-
-// storeRemoteOutcome best-effort persists a row computed by a remote
-// worker, so the coordinator's store warms from fleet traffic too.
-func storeRemoteOutcome(cache *rstore.Cache, fp string, row RuntimeRow) {
-	if cache == nil {
-		return
-	}
-	if b, err := encodeStoredRow(row); err == nil {
-		cache.Add(fp, b)
-	}
 }

@@ -281,74 +281,6 @@ func TestStoreConcurrentStudiesByteIdentity(t *testing.T) {
 	}
 }
 
-func TestStoreWarmsFromRemoteOutcomes(t *testing.T) {
-	ref := studyCSV(t, Hardening{})
-	dir := t.TempDir()
-
-	// A dispatcher that resolves every candidate "remotely" (worker-side
-	// EvalShard with no store). The coordinator's store must warm from the
-	// reported outcomes, so the next run hits without evaluating.
-	dispatch := func(ctx context.Context, sh Shard, report func(ShardOutcome)) {
-		outs, err := EvalShard(ctx, sh, 1, nil)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		for _, o := range outs {
-			report(o)
-		}
-	}
-	got := studyCSV(t, Hardening{Results: openCache(t, dir), Dispatch: dispatch})
-	if got != ref {
-		t.Fatalf("remote-dispatch CSV differs from reference")
-	}
-	if n := len(storeEntryFiles(t, dir)); n != 3 {
-		t.Fatalf("store holds %d entries after remote run, want 3", n)
-	}
-	hitsBefore := storeCounter("rstore.hits")
-	if got := studyCSV(t, Hardening{Results: openCache(t, dir)}); got != ref {
-		t.Fatalf("post-remote warm CSV differs from reference")
-	}
-	if d := storeCounter("rstore.hits") - hitsBefore; d != 3 {
-		t.Fatalf("warm run after remote dispatch hit %d, want 3", d)
-	}
-}
-
-func TestEvalShardConsultsStore(t *testing.T) {
-	cands, spec, opt := studyFixture(t)
-	models := alexnet(t)
-	sh := BuildShard(cands, []int{0, 1, 2}, models, spec, opt, Hardening{})
-
-	want, err := EvalShard(context.Background(), sh, 1, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// First store-backed evaluation populates; the second is served from
-	// disk (hits counter advances by the shard size) with equal outcomes.
-	dir := t.TempDir()
-	first, err := EvalShard(context.Background(), sh, 2, openCache(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hitsBefore := storeCounter("rstore.hits")
-	second, err := EvalShard(context.Background(), sh, 2, openCache(t, dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := storeCounter("rstore.hits") - hitsBefore; d != 3 {
-		t.Fatalf("second shard eval hit %d entries, want 3", d)
-	}
-	for i := range want {
-		a, _ := json.Marshal(want[i])
-		b, _ := json.Marshal(first[i])
-		c, _ := json.Marshal(second[i])
-		if string(a) != string(b) || string(a) != string(c) {
-			t.Fatalf("outcome %d differs across store modes:\n%s\n%s\n%s", i, a, b, c)
-		}
-	}
-}
-
 func TestStoreHitsRecordIntoCheckpoint(t *testing.T) {
 	ref := studyCSV(t, Hardening{})
 	cands, spec, opt := studyFixture(t)

@@ -9,9 +9,8 @@ import (
 // Backoff is the retry-delay policy for transient failures (the Retryable
 // class): exponential growth with full jitter. Full jitter — a uniform
 // draw over [0, cap] rather than cap itself — is what breaks retry
-// synchronization: when a worker dies, every shard it held fails at the
-// same instant, and undithered backoff would march the retries into the
-// surviving workers in lockstep.
+// synchronization: when many callers fail at the same instant,
+// undithered backoff would march their retries in lockstep.
 //
 // The zero value is usable and takes the defaults below. Backoff is
 // stateless; callers pass the attempt number they are about to make.

@@ -54,16 +54,6 @@
 //	dse.candidate          once per candidate in the study pool, after
 //	                       checkpoint replay — the retry/checkpoint test
 //	                       hook.
-//	fleet.shard            once per shard dispatch on the coordinator;
-//	                       drives retry, hedging, and breaker paths.
-//	fleet.heartbeat        once per membership liveness probe on the
-//	                       coordinator; an injected fault is a failed
-//	                       probe, driving the suspect/evict aging paths
-//	                       without killing a worker process.
-//	fleet.register         on the serve register/drain endpoints before
-//	                       the membership table is touched; drives the
-//	                       join/drain failure paths (a worker that cannot
-//	                       announce itself keeps serving shards).
 //	rstore.read            result-store Get, before the disk read.
 //	rstore.write           result-store Put, before the tmp-file write —
 //	                       the ENOSPC/full-disk hook.

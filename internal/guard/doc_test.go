@@ -54,7 +54,7 @@ func TestDocRegistersEveryFaultSite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(sites) < 9 {
+	if len(sites) < 8 {
 		t.Fatalf("found only %d fault sites in the tree — the call-site regex has likely rotted: %v",
 			len(sites), sites)
 	}

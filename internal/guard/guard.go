@@ -51,9 +51,8 @@ var (
 	// model bugs, not transient conditions.
 	ErrCandidatePanic = errors.New("candidate panicked")
 
-	// ErrUnavailable marks a transient infrastructure failure: a remote
-	// worker that refused the connection, shed the request, or died
-	// mid-evaluation. The work itself is fine — somewhere else, or later,
+	// ErrUnavailable marks a transient infrastructure failure, such as
+	// an unreadable result-store entry. The work itself is fine — later,
 	// it will succeed — so it is retryable under the bounded-backoff
 	// policy.
 	ErrUnavailable = errors.New("unavailable")
@@ -189,11 +188,10 @@ func (e *kindError) Error() string        { return e.msg }
 func (e *kindError) Is(target error) bool { return target == e.base }
 
 // KindError reconstructs a failure from its (kind, message) wire form —
-// the shape checkpoints and the fleet protocol serialize — so that
-// Kind(err) returns kind again, errors.Is classification works, and
-// err.Error() is byte-identical to the original message (a failure that
-// crosses a process boundary and is re-recorded must not mutate). Unknown
-// kinds fall back to a plain error.
+// the shape checkpoints serialize — so that Kind(err) returns kind again,
+// errors.Is classification works, and err.Error() is byte-identical to
+// the original message (a failure replayed from a checkpoint and
+// re-recorded must not mutate). Unknown kinds fall back to a plain error.
 func KindError(kind, msg string) error {
 	base := baseForKind(kind)
 	if base == nil {

@@ -102,8 +102,7 @@ func TestKind(t *testing.T) {
 // TestKindErrorRoundTrip checks KindError inverts Kind exactly: the
 // reconstructed error classifies under the same taxonomy member and its
 // message is byte-identical to the original — the property the checkpoint
-// files and the fleet wire protocol rely on to stay deterministic across
-// process boundaries.
+// files rely on to stay deterministic across a resume.
 func TestKindErrorRoundTrip(t *testing.T) {
 	originals := []error{
 		Invalid("bad field"),

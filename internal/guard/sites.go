@@ -14,9 +14,6 @@ var productionSites = []string{
 	"perfsim.layer",
 	"perfsim.achieved_tops",
 	"dse.candidate",
-	"fleet.shard",
-	"fleet.heartbeat",
-	"fleet.register",
 	"rstore.read",
 	"rstore.write",
 	"rstore.scan",

@@ -37,10 +37,9 @@ func TracingEnabled() bool { return active.Load() != nil }
 
 // Tracer collects finished spans. All methods are safe for concurrent use.
 type Tracer struct {
-	now     func() time.Time // injectable clock (tests)
-	epoch   time.Time
-	traceID string        // 32 lowercase hex chars (W3C trace-id)
-	lastID  atomic.Uint64 // span id allocator; 0 means "no span"
+	now    func() time.Time // injectable clock (tests)
+	epoch  time.Time
+	lastID atomic.Uint64 // span id allocator; 0 means "no span"
 
 	mu     sync.Mutex
 	events []spanEvent
@@ -61,24 +60,7 @@ type spanEvent struct {
 }
 
 func newTracer() *Tracer {
-	return &Tracer{
-		now: time.Now, epoch: time.Now(),
-		traceID: newTraceID(),
-		tracks:  map[uint64]bool{},
-	}
-}
-
-// TraceID returns the tracer's W3C trace id (32 lowercase hex chars).
-// All spans recorded by this tracer share it; a worker's request tracer
-// adopts the coordinator's id so log lines correlate across processes.
-func (t *Tracer) TraceID() string { return t.traceID }
-
-// SetTraceID replaces the tracer's trace id. Intended for request tracers
-// joining an incoming traceparent; call it before starting spans.
-func (t *Tracer) SetTraceID(id string) {
-	if id != "" {
-		t.traceID = id
-	}
+	return &Tracer{now: time.Now, epoch: time.Now(), tracks: map[uint64]bool{}}
 }
 
 func (t *Tracer) nextID() uint64 { return t.lastID.Add(1) }

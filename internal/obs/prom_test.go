@@ -16,12 +16,12 @@ func promFixture() Snapshot {
 	return Snapshot{
 		Counters: map[string]int64{
 			"serve.requests_total": 7,
+			Name("serve.route_requests_total", "route", "chip.build"):               4,
 			Name("serve.route_errors_total", "route", "chip.build", "kind", "shed"): 2,
 			Name("serve.route_errors_total", "route", "dse.study", "kind", "shed"):  1,
 		},
 		Gauges: map[string]float64{
 			"runtime.goroutines": 12,
-			Name("fleet.breaker_state", "worker", "10.0.0.7_8080"): 2,
 		},
 		Histograms: map[string]HistogramSnapshot{
 			Name("serve.route_request_seconds", "route", "chip.build"): {
@@ -45,7 +45,7 @@ func TestPrometheusExpositionShape(t *testing.T) {
 		"# TYPE neurometer_serve_requests_total counter",
 		"neurometer_serve_requests_total 7",
 		`neurometer_serve_route_errors_total{route="chip.build",kind="shed"} 2`,
-		`neurometer_fleet_breaker_state{worker="10.0.0.7_8080"} 2`,
+		`neurometer_serve_route_requests_total{route="chip.build"} 4`,
 		"# TYPE neurometer_serve_route_request_seconds histogram",
 		`neurometer_serve_route_request_seconds_bucket{route="chip.build",le="0.1"} 1`,
 		`neurometer_serve_route_request_seconds_bucket{route="chip.build",le="1"} 3`,

@@ -1,44 +1,34 @@
 package obs
 
 import (
-	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"fmt"
 	"strconv"
 	"strings"
 )
 
-// Cross-process tracing. A fleet coordinator tags each worker call with a
-// W3C traceparent-style header; the worker captures its span subtree in a
-// request-scoped tracer (NewRequestTracer + StartRoot), serializes it with
-// WireSpans into the response, and the coordinator grafts the subtree under
-// the dispatching span with Span.Graft. The merged tracer then exports one
-// Chrome trace in which remote work nests under the coordinator spans that
-// caused it. Remote timestamps are relative to the remote subtree's root,
-// so clock skew between machines never shows in the merged timeline — the
-// subtree is simply re-based onto the coordinator-side span that covers the
-// round trip.
+// Request-scoped tracing and trace-context parsing. A request tracer
+// (NewRequestTracer + StartRoot) captures one unit of work's span subtree
+// independently of the process-wide tracer, and WireSpans exports it as
+// structured records. ParseTraceparent reads an incoming W3C traceparent
+// header, whose trace id serve's access log adopts as the request id.
 
 // TraceparentHeader is the HTTP header carrying trace context, per the W3C
 // Trace Context spec ("traceparent: 00-<trace-id>-<parent-id>-<flags>").
 const TraceparentHeader = "Traceparent"
 
-// newTraceID returns 16 random bytes as 32 lowercase hex chars.
-func newTraceID() string {
+// NewTraceID returns 16 random bytes as 32 lowercase hex chars. It is the
+// request-id generator for serve access logs: a request that arrives
+// without correlation headers still gets a unique, trace-shaped id.
+func NewTraceID() string {
 	var b [16]byte
 	if _, err := rand.Read(b[:]); err != nil {
 		// Entropy exhaustion is effectively unreachable; a fixed fallback
-		// keeps tracing functional rather than failing span creation.
+		// keeps request ids flowing rather than failing the request.
 		return "00000000000000000000000000000001"
 	}
 	return hex.EncodeToString(b[:])
 }
-
-// NewTraceID returns a fresh 32-hex-char trace id. It doubles as the
-// request-id generator for serve access logs: a request that arrives
-// without correlation headers still gets a unique, trace-shaped id.
-func NewTraceID() string { return newTraceID() }
 
 // NewRequestTracer returns a detached tracer for capturing one request's
 // span subtree. It is never installed process-wide: the caller roots the
@@ -47,16 +37,6 @@ func NewTraceID() string { return newTraceID() }
 func NewRequestTracer() *Tracer {
 	detachedEver.Store(true)
 	return newTracer()
-}
-
-// Traceparent renders the W3C traceparent value for the span in ctx, or ""
-// when ctx carries no span (tracing disabled — callers skip the header).
-func Traceparent(ctx context.Context) string {
-	sp := FromContext(ctx)
-	if sp == nil {
-		return ""
-	}
-	return fmt.Sprintf("00-%s-%016x-01", sp.t.traceID, sp.id)
 }
 
 // ParseTraceparent splits a traceparent header value into its trace id and
@@ -86,10 +66,9 @@ type WireAttr struct {
 	V any    `json:"v"`
 }
 
-// WireSpan is the serialized form of one recorded span or instant event:
-// the wire format workers use to ship their span subtree back to the
-// coordinator inside an eval response. StartNS is relative to the tracer
-// epoch (for a request tracer, effectively the subtree root's start).
+// WireSpan is the serialized form of one recorded span or instant event.
+// StartNS is relative to the tracer epoch (for a request tracer,
+// effectively the subtree root's start).
 type WireSpan struct {
 	ID      uint64     `json:"id"`
 	Parent  uint64     `json:"parent,omitempty"` // 0 = subtree root
@@ -127,42 +106,4 @@ func (t *Tracer) WireSpans() []WireSpan {
 		out = append(out, ws)
 	}
 	return out
-}
-
-// Graft re-parents a remote span subtree under s: ids are remapped into
-// s's tracer, paths are prefixed with s's ancestry, subtree roots become
-// children of s, and timestamps are re-based so the remote epoch aligns
-// with s's start (remote wall clocks never leak into the merged trace).
-// Call it while s is live — typically right after decoding the response
-// the spans arrived in. Nil-safe: with tracing disabled (nil s) it drops
-// the spans.
-func (s *Span) Graft(spans []WireSpan) {
-	if s == nil || len(spans) == 0 {
-		return
-	}
-	t := s.t
-	base := s.start.Sub(t.epoch).Nanoseconds()
-	idmap := make(map[uint64]uint64, len(spans))
-	for _, ws := range spans {
-		nid := t.nextID()
-		idmap[ws.ID] = nid
-		parent, ok := idmap[ws.Parent]
-		if !ok {
-			parent = s.id
-		}
-		ev := spanEvent{
-			name:    ws.Name,
-			path:    s.path + "/" + ws.Path,
-			id:      nid,
-			parent:  parent,
-			track:   s.track,
-			startNS: base + ws.StartNS,
-			durNS:   ws.DurNS,
-			instant: ws.Instant,
-		}
-		for _, a := range ws.Attrs {
-			ev.attrs = append(ev.attrs, Attr{Key: a.K, Value: a.V})
-		}
-		t.record(ev)
-	}
 }

@@ -1,40 +1,10 @@
 package obs
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
-
-func TestTraceparentRoundTrip(t *testing.T) {
-	rt := NewRequestTracer()
-	ctx, sp := rt.StartRoot(context.Background(), "worker.eval")
-	hdr := Traceparent(ctx)
-	sp.End()
-
-	traceID, parentID, ok := ParseTraceparent(hdr)
-	if !ok {
-		t.Fatalf("ParseTraceparent(%q) rejected its own Traceparent output", hdr)
-	}
-	if traceID != rt.TraceID() {
-		t.Errorf("trace id %q, want %q", traceID, rt.TraceID())
-	}
-	if parentID == 0 {
-		t.Error("parent id must be non-zero")
-	}
-	if !strings.HasPrefix(hdr, "00-") || !strings.HasSuffix(hdr, "-01") {
-		t.Errorf("header %q missing version/flags framing", hdr)
-	}
-}
-
-func TestTraceparentEmptyWithoutSpan(t *testing.T) {
-	if got := Traceparent(context.Background()); got != "" {
-		t.Fatalf("Traceparent without a span = %q, want empty", got)
-	}
-}
 
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	bad := []string{
@@ -53,18 +23,6 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	// Forward compatibility: a future version byte and trailing fields parse.
 	if _, _, ok := ParseTraceparent("cc-" + strings.Repeat("a", 32) + "-00000000000000ff-01-future"); !ok {
 		t.Error("future-version traceparent must parse")
-	}
-}
-
-func TestRequestTracerAdoptsTraceID(t *testing.T) {
-	rt := NewRequestTracer()
-	rt.SetTraceID("abcdefabcdefabcdefabcdefabcdef12")
-	if rt.TraceID() != "abcdefabcdefabcdefabcdefabcdef12" {
-		t.Fatalf("SetTraceID not adopted: %q", rt.TraceID())
-	}
-	rt.SetTraceID("")
-	if rt.TraceID() != "abcdefabcdefabcdefabcdefabcdef12" {
-		t.Fatal("SetTraceID(\"\") must be a no-op")
 	}
 }
 
@@ -104,83 +62,4 @@ func TestRequestTracerCapturesSubtreeWhileGlobalOff(t *testing.T) {
 		t.Errorf("instant event parent=%d instant=%v, want parent=%d instant=true",
 			evWS.Parent, evWS.Instant, childWS.ID)
 	}
-}
-
-// TestGraftMergesRemoteSubtree: a worker subtree serialized with WireSpans
-// grafts under a coordinator span with remapped ids, prefixed paths, and
-// timestamps re-based onto the coordinator span's start — the clock-skew-
-// immune merge contract documented in DESIGN.md §12.
-func TestGraftMergesRemoteSubtree(t *testing.T) {
-	// Worker side: epoch-relative capture with a deterministic clock.
-	wrt := NewRequestTracer()
-	wepoch := time.Unix(5000, 0) // a wildly different wall clock
-	wrt.epoch = wepoch
-	wrt.now = fakeClock(wepoch, 100*time.Microsecond)
-	wctx, wroot := wrt.StartRoot(context.Background(), "worker.eval") // t=0
-	_, cand := Start(wctx, "dse.candidate")                           // t=100µs
-	cand.End()                                                        // t=200µs
-	wroot.End()                                                       // t=300µs
-	wire := wrt.WireSpans()
-
-	// Coordinator side.
-	tr := StartTracing()
-	defer StopTracing()
-	epoch := time.Unix(1000, 0)
-	tr.epoch = epoch
-	tr.now = fakeClock(epoch, time.Millisecond)
-	ctx, disp := Start(context.Background(), "fleet.dispatch") // t=0
-	_, eval := Start(ctx, "fleet.eval")                        // t=1ms
-	eval.Graft(wire)
-	eval.End() // t=2ms
-	disp.End() // t=3ms
-
-	spans := tr.WireSpans()
-	byPath := map[string]WireSpan{}
-	for _, ws := range spans {
-		byPath[ws.Path] = ws
-	}
-	evalWS := byPath["fleet.dispatch/fleet.eval"]
-	rootWS, ok := byPath["fleet.dispatch/fleet.eval/worker.eval"]
-	if !ok {
-		t.Fatalf("grafted root missing; have %v", pathsOf(spans))
-	}
-	candWS, ok := byPath["fleet.dispatch/fleet.eval/worker.eval/dse.candidate"]
-	if !ok {
-		t.Fatalf("grafted child missing; have %v", pathsOf(spans))
-	}
-	if rootWS.Parent != evalWS.ID {
-		t.Errorf("grafted root parent = %d, want fleet.eval id %d", rootWS.Parent, evalWS.ID)
-	}
-	if candWS.Parent != rootWS.ID {
-		t.Errorf("grafted child parent = %d, want grafted root id %d", candWS.Parent, rootWS.ID)
-	}
-	// Re-based times: worker t=0 lands at fleet.eval's start (1ms), and the
-	// worker's own wall clock (epoch 5000s) never leaks in.
-	if rootWS.StartNS != evalWS.StartNS {
-		t.Errorf("grafted root starts at %dns, want fleet.eval start %dns", rootWS.StartNS, evalWS.StartNS)
-	}
-	if candWS.StartNS != evalWS.StartNS+100_000 {
-		t.Errorf("grafted child starts at %dns, want %dns", candWS.StartNS, evalWS.StartNS+100_000)
-	}
-	// The merged tracer still exports valid Chrome-trace JSON.
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		t.Fatal("merged trace is not valid JSON")
-	}
-}
-
-func TestGraftNilSafe(t *testing.T) {
-	var sp *Span
-	sp.Graft([]WireSpan{{ID: 1, Name: "x", Path: "x"}}) // must not panic
-}
-
-func pathsOf(spans []WireSpan) []string {
-	var out []string
-	for _, ws := range spans {
-		out = append(out, ws.Path)
-	}
-	return out
 }

@@ -1,8 +1,7 @@
 // Package rstore is the persistent, content-addressed result store: every
 // NeuroMeter evaluation is a pure function of its candidate fingerprint,
 // so a verified byte-for-byte copy of a previous result can stand in for
-// re-running the models — across studies, across processes, and across
-// fleet workers sharing a disk.
+// re-running the models — across studies and across processes.
 //
 // The contract that makes the cache safe to trust is verified degradation:
 // a store may make an evaluation cheaper, but no store fault — torn write,
@@ -180,34 +179,19 @@ func (c *Cache) Compute(ctx context.Context, fp string, fn func() ([]byte, error
 	f.payload, f.err = fn()
 	// A nil payload with a nil error means "nothing to persist" (the
 	// caller kept its result out-of-band); don't write an empty entry.
+	// A failed write is counted and logged, never returned: the result
+	// already exists — only its durability is at stake.
 	if f.err == nil && f.payload != nil {
-		c.put(fp, f.payload)
+		if err := c.store.Put(fp, f.payload); err != nil {
+			mWriteFailures.Inc()
+			slog.Warn("rstore: result not persisted", "kind", guard.Kind(err), "err", err)
+		}
 	}
 	c.mu.Lock()
 	delete(c.flight, fp)
 	c.mu.Unlock()
 	close(f.done)
 	return f.payload, false, f.err
-}
-
-// Add best-effort persists a payload computed elsewhere (a fleet worker's
-// shard outcome, a remote dispatch result) under fp. Failures are counted
-// and logged, never returned: the result already exists — only its
-// durability is at stake.
-func (c *Cache) Add(fp string, payload []byte) {
-	if c == nil {
-		return
-	}
-	c.put(fp, payload)
-}
-
-// put persists payload under fp, absorbing failures into the
-// write_failures counter.
-func (c *Cache) put(fp string, payload []byte) {
-	if err := c.store.Put(fp, payload); err != nil {
-		mWriteFailures.Inc()
-		slog.Warn("rstore: result not persisted", "kind", guard.Kind(err), "err", err)
-	}
 }
 
 // ReportBad quarantines the stored entry for fp after a caller's own

@@ -406,7 +406,6 @@ func TestNilCacheIsInert(t *testing.T) {
 	if err != nil || shared || string(payload) != "direct" {
 		t.Fatalf("nil cache Compute = %q, %v, %v", payload, shared, err)
 	}
-	c.Add("fp", []byte("x"))
 	c.ReportBad(context.Background(), "fp", errors.New("x"))
 	if err := c.Close(); err != nil {
 		t.Fatal(err)

@@ -394,9 +394,6 @@ func (s *Server) studySubmit(r *http.Request) (int, any, error) {
 		CandidateTimeout: time.Duration(req.CandidateTimeoutMS) * time.Millisecond,
 		MaxRetries:       req.Retries,
 		Workers:          s.cfg.Workers,
-		// In coordinator mode, studies shard across the worker fleet;
-		// whatever the fleet cannot resolve is evaluated in-process.
-		Dispatch: s.cfg.Dispatch,
 		// Study jobs read through the shared result store (nil = disabled).
 		Results: s.cfg.Results,
 	}

@@ -77,7 +77,7 @@ func (w *statusWriter) status() int {
 
 // requestID resolves the request's correlation id: an incoming X-Request-Id
 // wins (so a caller's id threads through), then the trace id of an incoming
-// traceparent (fleet calls correlate with the coordinator's trace), then a
+// traceparent (a traced caller's requests correlate with its trace), then a
 // fresh id. The resolved id is echoed in the X-Request-Id response header
 // and stamped on the access-log line.
 func requestID(r *http.Request) string {

@@ -15,7 +15,6 @@ import (
 	"neurometer/internal/apicfg"
 	"neurometer/internal/chip"
 	"neurometer/internal/dse"
-	"neurometer/internal/fleet"
 	"neurometer/internal/guard"
 	"neurometer/internal/obs"
 	"neurometer/internal/perfsim"
@@ -27,12 +26,10 @@ import (
 // field falls back to the DefaultConfig value.
 type Config struct {
 	// BuildLimit / SimulateLimit bound concurrent executions per endpoint;
-	// StudyLimit bounds concurrently *running* study jobs; WorkerLimit
-	// bounds concurrent fleet shard evaluations (/v1/worker/eval).
+	// StudyLimit bounds concurrently *running* study jobs.
 	BuildLimit    int
 	SimulateLimit int
 	StudyLimit    int
-	WorkerLimit   int
 	// QueueDepth bounds how many admitted requests may wait for a slot per
 	// endpoint; beyond it requests shed immediately.
 	QueueDepth int
@@ -62,31 +59,11 @@ type Config struct {
 	// that would otherwise all retry on the same tick. Negative disables.
 	RetryAfterJitter int
 	// Results, when non-nil, is the persistent content-addressed result
-	// store shared by this process: study jobs read through it
-	// (dse.Hardening.Results) and /v1/worker/eval consults it before
-	// evaluating shard candidates, so a worker that already knows an
-	// answer serves it from disk. nil disables result caching; store
-	// faults degrade to evaluation and never fail a request.
+	// store study jobs read through (dse.Hardening.Results), so a study
+	// whose candidates were already evaluated serves them from disk. nil
+	// disables result caching; store faults degrade to evaluation and
+	// never fail a request.
 	Results *rstore.Cache
-	// Dispatch, when non-nil, is installed as dse.Hardening.Dispatch for
-	// study jobs — typically fleet.Coordinator.Dispatch, making this
-	// process the coordinator of a worker fleet. Candidates the dispatcher
-	// cannot resolve are evaluated in-process.
-	Dispatch func(ctx context.Context, sh dse.Shard, report func(dse.ShardOutcome))
-	// Membership, when non-nil, makes this process a fleet coordinator:
-	// POST /v1/worker/register and /v1/worker/drain feed this table, and
-	// /readyz carries its per-state worker counts. Typically
-	// fleet.Coordinator.Membership() alongside Dispatch.
-	Membership *fleet.Membership
-	// Join, when non-empty, makes this process a fleet worker that
-	// announces itself to the coordinator at this base URL: it registers at
-	// startup, re-registers every JoinInterval (self-healing a suspicion or
-	// eviction), and announces drain on Shutdown before the listener
-	// closes. Requires Advertise — the URL the coordinator should dispatch
-	// to for this worker.
-	Join         string
-	Advertise    string
-	JoinInterval time.Duration
 	// AccessLog, when non-nil, receives one structured line per request on
 	// the model endpoints (request id, route, status, disposition, latency,
 	// slow flag). nil disables access logging.
@@ -102,7 +79,6 @@ func DefaultConfig() Config {
 		BuildLimit:       8,
 		SimulateLimit:    4,
 		StudyLimit:       1,
-		WorkerLimit:      2,
 		RetryAfterJitter: 3,
 		QueueDepth:       16,
 		MaxQueuedJobs:    8,
@@ -126,9 +102,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.StudyLimit == 0 {
 		c.StudyLimit = d.StudyLimit
-	}
-	if c.WorkerLimit == 0 {
-		c.WorkerLimit = d.WorkerLimit
 	}
 	if c.RetryAfterJitter == 0 {
 		c.RetryAfterJitter = d.RetryAfterJitter
@@ -171,7 +144,6 @@ type Server struct {
 
 	limBuild  *limiter
 	limSim    *limiter
-	limWorker *limiter
 	accessLog *slog.Logger
 
 	baseCtx    context.Context
@@ -179,9 +151,6 @@ type Server struct {
 	draining   chan struct{} // closed when Shutdown begins
 	stopOnce   sync.Once
 	stopErr    error
-
-	joinCancel context.CancelFunc // non-nil when the join loop is running
-	joinDone   chan struct{}
 }
 
 // New builds a server from the config (zero fields take defaults).
@@ -195,7 +164,6 @@ func New(cfg Config) *Server {
 		wd:         &watchdog{threshold: int64(cfg.DegradedAfter)},
 		limBuild:   newLimiter("chip.build", cfg.BuildLimit, cfg.QueueDepth, cfg.AdmissionTimeout, cfg.ShedWatermark),
 		limSim:     newLimiter("perfsim.simulate", cfg.SimulateLimit, cfg.QueueDepth, cfg.AdmissionTimeout, cfg.ShedWatermark),
-		limWorker:  newLimiter("fleet.shard", cfg.WorkerLimit, cfg.QueueDepth, cfg.AdmissionTimeout, 0),
 		accessLog:  cfg.AccessLog,
 		baseCtx:    ctx,
 		baseCancel: cancel,
@@ -214,15 +182,6 @@ func New(cfg Config) *Server {
 	s.mux.Handle("POST /v1/perfsim/simulate-batch", s.handle("perfsim.simulate_batch", s.limSim, s.simulateBatchHandler))
 	s.mux.Handle("POST /v1/dse/study", s.handle("dse.study", nil, s.studySubmit))
 	s.mux.Handle("GET /v1/dse/study/{id}", s.handle("dse.study.get", nil, s.studyGet))
-	s.mux.Handle("POST /v1/worker/eval", s.handle("worker.eval", s.limWorker, s.workerEval))
-	s.mux.Handle("POST /v1/worker/register", s.handle("worker.register", s.limWorker, s.workerRegister))
-	s.mux.Handle("POST /v1/worker/drain", s.handle("worker.drain", s.limWorker, s.workerDrain))
-	if cfg.Join != "" && cfg.Advertise != "" {
-		jctx, jcancel := context.WithCancel(context.Background())
-		s.joinCancel = jcancel
-		s.joinDone = make(chan struct{})
-		go s.joinLoop(jctx)
-	}
 	return s
 }
 
@@ -246,15 +205,6 @@ func (s *Server) Serve(l net.Listener) error {
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopOnce.Do(func() {
 		close(s.draining)
-		// Fleet worker: stop the join loop first (a late re-registration
-		// must not undo the drain), then announce drain to the coordinator
-		// while the listener is still open — leased shards finish and
-		// report, new dispatch goes elsewhere.
-		if s.joinCancel != nil {
-			s.joinCancel()
-			<-s.joinDone
-		}
-		s.announceDrain(ctx)
 		httpErr := s.http.Shutdown(ctx) // listener close + connection drain
 		jobsErr := s.jobs.shutdown(ctx) // cancel studies, wait for flushes
 		s.baseCancel()
@@ -294,10 +244,6 @@ type readyzBody struct {
 	Reason              string `json:"reason,omitempty"`
 	ConsecutiveFailures int64  `json:"consecutive_failures"`
 	RunningJobs         int    `json:"running_jobs"`
-	// Fleet is the coordinator's membership summary (coordinator mode
-	// only): per-state worker counts, so load balancers and the CI chaos
-	// jobs can gate on fleet health without scraping metrics.
-	Fleet *fleet.MemberCounts `json:"fleet,omitempty"`
 }
 
 func (s *Server) readyz(w http.ResponseWriter, _ *http.Request) {
@@ -305,10 +251,6 @@ func (s *Server) readyz(w http.ResponseWriter, _ *http.Request) {
 		Ready:               true,
 		ConsecutiveFailures: s.wd.consecutive.Load(),
 		RunningJobs:         s.jobs.running(),
-	}
-	if s.cfg.Membership != nil {
-		c := s.cfg.Membership.Counts()
-		body.Fleet = &c
 	}
 	switch {
 	case s.isDraining():
@@ -563,52 +505,6 @@ func (s *Server) simulateBatchHandler(r *http.Request) (int, any, error) {
 		}
 	}
 	return http.StatusOK, resp, nil
-}
-
-// ---- /v1/worker/eval ------------------------------------------------------
-
-// workerEval is the worker side of the fleet protocol: evaluate one shard
-// of a distributed study and return its outcomes. Candidate failures travel
-// inside the 200 response as (kind, msg) outcomes; only a malformed shard
-// (400) or an interrupted evaluation (the coordinator's lease expired and
-// canceled the request) fails the call, in which case the coordinator
-// requeues the shard elsewhere — re-evaluation is deterministic, so a
-// retried shard cannot change the study's output. guard.Inject("fleet.shard")
-// is the chaos hook the fleet tests and the CI chaos job use to fault
-// workers without killing processes.
-//
-// Tracing: a request carrying a coordinator traceparent gets its own
-// request-scoped tracer — independent of this process's -trace state — and
-// the captured span subtree (worker.eval plus its per-candidate evals)
-// rides back in the response for the coordinator to graft into the study
-// trace.
-func (s *Server) workerEval(r *http.Request) (int, any, error) {
-	var sh dse.Shard
-	if err := decodeBody(r, &sh); err != nil {
-		return 0, nil, err
-	}
-	ctx := r.Context()
-	var rt *obs.Tracer
-	var root *obs.Span
-	if traceID, _, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-		rt = obs.NewRequestTracer()
-		rt.SetTraceID(traceID)
-		ctx, root = rt.StartRoot(ctx, "worker.eval",
-			obs.Int("candidates", int64(len(sh.Cands))))
-	}
-	if err := guard.Inject(ctx, "fleet.shard"); err != nil {
-		return 0, nil, err
-	}
-	outs, err := dse.EvalShard(ctx, sh, s.cfg.Workers, s.cfg.Results)
-	root.End() // nil-safe; must end before export so the subtree is complete
-	if err != nil {
-		return 0, nil, err
-	}
-	res := dse.ShardResult{Outcomes: outs}
-	if rt != nil {
-		res.Spans = rt.WireSpans()
-	}
-	return http.StatusOK, res, nil
 }
 
 // decodeBody reads a bounded JSON request body. Malformed JSON is an

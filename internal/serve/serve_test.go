@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -279,4 +280,88 @@ func TestNoGoroutineLeakAcrossLifecycle(t *testing.T) {
 
 	invariants.RequireNoGoroutineLeak(t, base)
 	invariants.RequireGaugesDrained(t)
+}
+
+// TestBodyTooLarge: a request body past MaxBodyBytes is cut off with 413
+// and kind=too-large, on every POST endpoint.
+func TestBodyTooLarge(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
+	big := `{"preset":"` + strings.Repeat("x", 256) + `"}`
+	for _, ep := range []string{"/v1/chip/build", "/v1/perfsim/simulate", "/v1/perfsim/simulate-batch", "/v1/dse/study"} {
+		status, _, body := doJSON(t, "POST", ts.URL+ep, big)
+		if status != http.StatusRequestEntityTooLarge || body["kind"] != "too-large" {
+			t.Errorf("%s oversized body: %d %v, want 413 kind=too-large", ep, status, body)
+		}
+	}
+	// A body within the bound still works.
+	status, _, body := doJSON(t, "POST", ts.URL+"/v1/chip/build", `{"preset":"tpuv1"}`)
+	if status != 200 {
+		t.Fatalf("small body after 413s: %d %v", status, body)
+	}
+}
+
+// TestContentTypeChecked: a POST that declares a non-JSON Content-Type is
+// rejected with 415; an absent Content-Type is tolerated.
+func TestContentTypeChecked(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+
+	req, err := http.NewRequest("POST", ts.URL+"/v1/chip/build", strings.NewReader("preset=tpuv1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var body map[string]any
+	json.NewDecoder(resp.Body).Decode(&body)
+	if resp.StatusCode != http.StatusUnsupportedMediaType || body["kind"] != "unsupported-media" {
+		t.Fatalf("form post: %d %v, want 415 kind=unsupported-media", resp.StatusCode, body)
+	}
+
+	// JSON with a charset parameter is fine; so is no header at all
+	// (doJSON never sets one and the suite's POSTs all pass).
+	req, _ = http.NewRequest("POST", ts.URL+"/v1/chip/build", strings.NewReader(`{"preset":"tpuv1"}`))
+	req.Header.Set("Content-Type", "application/json; charset=utf-8")
+	resp2, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp2.Body.Close()
+	if resp2.StatusCode != 200 {
+		t.Fatalf("json with charset: %d", resp2.StatusCode)
+	}
+}
+
+// TestRetryAfterJitterBand: the Retry-After hint stays inside
+// [admission, admission+jitter] seconds and actually dithers.
+func TestRetryAfterJitterBand(t *testing.T) {
+	s := New(Config{AdmissionTimeout: 2 * time.Second, RetryAfterJitter: 5})
+	defer s.Shutdown(context.Background())
+	const lo, hi = 2, 2 + 5
+	seen := map[int]bool{}
+	for i := 0; i < 200; i++ {
+		secs, err := strconv.Atoi(s.retryAfter())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if secs < lo || secs > hi {
+			t.Fatalf("Retry-After %d outside [%d, %d]", secs, lo, hi)
+		}
+		seen[secs] = true
+	}
+	if len(seen) < 2 {
+		t.Fatalf("200 draws produced %d distinct Retry-After values, want jitter", len(seen))
+	}
+
+	// Jitter disabled: the historical fixed hint.
+	s2 := New(Config{AdmissionTimeout: 2 * time.Second, RetryAfterJitter: -1})
+	defer s2.Shutdown(context.Background())
+	for i := 0; i < 20; i++ {
+		if got := s2.retryAfter(); got != "2" {
+			t.Fatalf("jitter disabled: Retry-After = %s, want 2", got)
+		}
+	}
 }
