@@ -142,7 +142,7 @@ func BenchmarkFig8AreaTDP(b *testing.B) {
 	cs := dse.TableI()
 	var rows []dse.Fig8Row
 	for i := 0; i < b.N; i++ {
-		cands := dse.Frontier(dse.Enumerate(cs), cs.TOPSCap)
+		cands := dse.Frontier(dse.EnumerateCtx(context.Background(), cs), cs.TOPSCap)
 		rows = dse.Fig8(cands)
 	}
 	var bestTCO dse.Fig8Row
@@ -191,12 +191,12 @@ func BenchmarkFig9BatchSweep(b *testing.B) {
 // efficiency study across the design space at the three batch regimes.
 func BenchmarkFig10RuntimeDSE(b *testing.B) {
 	cs := dse.TableI()
-	cands := dse.SecondRound(dse.Frontier(dse.Enumerate(cs), cs.TOPSCap), cs.TOPSCap)
+	cands := dse.SecondRound(dse.Frontier(dse.EnumerateCtx(context.Background(), cs), cs.TOPSCap), cs.TOPSCap)
 	var out map[string][]dse.RuntimeRow
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		out, err = dse.Fig10(cands, dse.DefaultModels())
+		out, err = dse.Fig10Hardened(context.Background(), cands, dse.DefaultModels(), dse.Hardening{}, "")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -235,7 +235,7 @@ func BenchmarkFig10RuntimeDSE(b *testing.B) {
 // higher) to see the speedup.
 func BenchmarkRuntimeStudyWorkers(b *testing.B) {
 	cs := dse.TableI()
-	cands := dse.SecondRound(dse.Frontier(dse.Enumerate(cs), cs.TOPSCap), cs.TOPSCap)
+	cands := dse.SecondRound(dse.Frontier(dse.EnumerateCtx(context.Background(), cs), cs.TOPSCap), cs.TOPSCap)
 	models := dse.DefaultModels()
 	spec := dse.BatchSpec{Fixed: 8}
 	for _, workers := range []int{1, 4} {

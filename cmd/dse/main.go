@@ -18,15 +18,15 @@
 //
 // Robustness flags (see the README's Failure model section):
 //
-//	-checkpoint p        record -fig 10 sweep progress at p.<regime>.json
-//	-resume              continue an interrupted sweep from -checkpoint
 //	-candidate-timeout d per-candidate evaluation deadline (e.g. 30s)
 //	-retries n           retry timed-out candidates up to n times
 //	-result-store dir    persistent content-addressed result cache for the
 //	                -fig 10 sweep: verified read-through (checksum +
 //	                fingerprint + finiteness), corrupt entries quarantined,
 //	                every store fault degrades to evaluation — output is
-//	                byte-identical with or without the store
+//	                byte-identical with or without the store. Rerunning an
+//	                interrupted sweep with the same store resumes it: the
+//	                finished candidates are store hits
 //
 // Parallelism and export (see DESIGN.md §9):
 //
@@ -37,8 +37,8 @@
 //	                scratch hot; output is byte-identical at any n.
 //	-csv prefix     also write -fig 10 rows to prefix.<regime>.csv
 //
-// SIGINT interrupts a sweep gracefully: in-flight state is flushed to the
-// checkpoint (when armed) and the process exits with kind=canceled.
+// SIGINT interrupts a sweep gracefully: in-flight candidates unwind and the
+// process exits with kind=canceled.
 //
 // Exit codes: 0 success; 2 invalid config (an unknown -fig included) or
 // infeasible study; 130 canceled (SIGINT); 1 any other failure.
@@ -46,7 +46,6 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -63,22 +62,18 @@ import (
 
 // hardenFlags carries the robustness and parallelism flag values into run.
 type hardenFlags struct {
-	checkpoint string
-	resume     bool
-	timeout    time.Duration
-	retries    int
-	workers    int
-	block      int
-	csv        string
-	store      string
+	timeout time.Duration
+	retries int
+	workers int
+	block   int
+	csv     string
+	store   string
 }
 
 func main() {
 	fig := flag.Int("fig", 10, "figure to reproduce: 7, 8, 9 or 10; 0 = ablation studies; -1 = edge-scenario sweep")
 	full := flag.Bool("full", false, "evaluate the full feasible set instead of the frontier")
 	var hf hardenFlags
-	flag.StringVar(&hf.checkpoint, "checkpoint", "", "checkpoint path prefix for the -fig 10 sweep (one file per batch regime)")
-	flag.BoolVar(&hf.resume, "resume", false, "resume from an existing -checkpoint instead of failing on it")
 	flag.DurationVar(&hf.timeout, "candidate-timeout", 0, "per-candidate evaluation deadline (0 = unbounded)")
 	flag.IntVar(&hf.retries, "retries", 0, "retries for retryable (timed-out) candidate failures")
 	flag.IntVar(&hf.workers, "workers", dse.DefaultWorkers, "candidate-evaluation workers (default GOMAXPROCS; 1 = serial; output is identical at any count)")
@@ -93,17 +88,14 @@ func main() {
 		log.Fatal(err)
 	}
 	// SIGINT cancels the run context; the sweep loops notice it between
-	// candidates (and inside perfsim between layers), flush any armed
-	// checkpoint, and unwind with guard.ErrCanceled.
+	// candidates (and inside perfsim between layers) and unwind with
+	// guard.ErrCanceled.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	runErr := run(ctx, *fig, *full, hf)
 	stopSignals()
 	stop() // flush profiles/trace/metrics before any exit
 	if runErr != nil {
 		guard.PrintErr("dse", runErr)
-		if errors.Is(runErr, guard.ErrCanceled) && hf.checkpoint != "" {
-			fmt.Fprintf(os.Stderr, "dse: progress saved; rerun with -resume -checkpoint %s to continue\n", hf.checkpoint)
-		}
 		// 2 = invalid/infeasible, 130 = canceled (SIGINT), 1 = anything else.
 		os.Exit(guard.ExitCode(runErr))
 	}
@@ -113,20 +105,6 @@ func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
 	ctx, root := obs.Start(ctx, "dse.run")
 	root.SetInt("fig", int64(fig))
 	defer root.End()
-
-	if hf.resume && hf.checkpoint == "" {
-		return guard.Invalid("dse: -resume requires -checkpoint")
-	}
-	if hf.checkpoint != "" && !hf.resume {
-		// Refuse to silently merge with a leftover checkpoint: the user
-		// either resumes it explicitly or removes it.
-		for _, regime := range dse.Fig10Regimes {
-			p := hf.checkpoint + "." + regime + ".json"
-			if _, err := os.Stat(p); err == nil {
-				return guard.Invalid("dse: checkpoint %s already exists; pass -resume to continue it or remove it", p)
-			}
-		}
-	}
 
 	cs := dse.TableI()
 	switch fig {
@@ -196,7 +174,7 @@ func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
 			h.Results = rstore.NewCache(st)
 			defer h.Results.Close()
 		}
-		out, err := dse.Fig10Hardened(ctx, cands, dse.DefaultModels(), h, hf.checkpoint)
+		out, err := dse.Fig10Hardened(ctx, cands, dse.DefaultModels(), h, "")
 		if err != nil {
 			return err
 		}

@@ -1,10 +1,9 @@
 // Command neurometerd serves the NeuroMeter models over HTTP with the
 // robustness envelope described in DESIGN.md §10: admission control and
 // load shedding, per-request deadlines, panic containment, a degraded-
-// readiness watchdog, and crash-safe DSE study jobs that resume from their
-// checkpoints after a restart.
+// readiness watchdog, and asynchronous DSE study jobs.
 //
-//	neurometerd -addr :8080 -jobs-dir /var/lib/neurometer/jobs
+//	neurometerd -addr :8080 -result-store /var/lib/neurometer/results
 //
 // Endpoints:
 //
@@ -14,7 +13,7 @@
 //	                              ?format=prom for Prometheus exposition)
 //	POST /v1/chip/build           chip model report for a preset or inline config
 //	POST /v1/perfsim/simulate     one workload × batch on a chip
-//	POST /v1/dse/study            submit (or resume) an async study job
+//	POST /v1/dse/study            submit an async study job
 //	GET  /v1/dse/study/{id}       job status and, when done, the result rows
 //
 // Result store: -result-store dir arms the persistent content-addressed
@@ -22,12 +21,13 @@
 // are verified on every read (checksum, fingerprint, finiteness); corrupt
 // or torn entries are quarantined under dir/quarantine and recomputed, so
 // a damaged store can slow the daemon down but never change a result or
-// take it down.
+// take it down. The store is also what carries a study across a restart:
+// resubmitting a study that a drain interrupted reruns it, serving the
+// candidates that finished as store hits.
 //
 // SIGTERM and SIGINT begin a graceful drain: the listener closes, in-flight
-// requests finish, running study jobs are canceled and flush their
-// checkpoints, and the process exits 0 within -drain-timeout (exit 1 if the
-// drain deadline expires first).
+// requests finish, running study jobs are canceled, and the process exits 0
+// within -drain-timeout (exit 1 if the drain deadline expires first).
 package main
 
 import (
@@ -61,7 +61,6 @@ func main() {
 	shedWatermark := flag.Float64("shed-watermark", def.ShedWatermark, "shed build/simulate requests while dse.eval_inflight is at or above this (0 disables)")
 	degradedAfter := flag.Int("degraded-after", def.DegradedAfter, "consecutive 5xx responses before /readyz reports degraded (negative disables)")
 	workers := flag.Int("workers", 0, "study evaluation workers (0 = GOMAXPROCS)")
-	jobsDir := flag.String("jobs-dir", "", "directory for study-job checkpoints (empty: jobs do not survive restarts)")
 	resultStore := flag.String("result-store", "", "persistent per-candidate result store directory that study jobs read through (empty disables; corrupt entries are quarantined and recomputed)")
 	retryJitter := flag.Int("retry-after-jitter", def.RetryAfterJitter, "seconds of uniform jitter added to Retry-After on 429 (negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time for the graceful drain on SIGTERM/SIGINT")
@@ -89,7 +88,6 @@ func main() {
 		ShedWatermark:    *shedWatermark,
 		DegradedAfter:    *degradedAfter,
 		Workers:          *workers,
-		JobsDir:          *jobsDir,
 		RetryAfterJitter: *retryJitter,
 		SlowRequest:      *slowRequest,
 	}
@@ -157,11 +155,6 @@ func serveDebug(addr string) {
 
 // run serves until SIGTERM/SIGINT, then drains within drainTimeout.
 func run(cfg serve.Config, addr string, drainTimeout time.Duration) error {
-	if cfg.JobsDir != "" {
-		if err := os.MkdirAll(cfg.JobsDir, 0o755); err != nil {
-			return fmt.Errorf("-jobs-dir: %w", err)
-		}
-	}
 	l, err := net.Listen("tcp", addr)
 	if err != nil {
 		return err
@@ -173,7 +166,7 @@ func run(cfg serve.Config, addr string, drainTimeout time.Duration) error {
 
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- s.Serve(l) }()
-	slog.Info("neurometerd: serving", "addr", l.Addr().String(), "jobs_dir", cfg.JobsDir)
+	slog.Info("neurometerd: serving", "addr", l.Addr().String())
 
 	select {
 	case err := <-serveErr:

@@ -27,7 +27,7 @@ func TestSigtermDrainsCleanly(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		done <- run(serve.Config{JobsDir: t.TempDir()}, addr, 10*time.Second)
+		done <- run(serve.Config{}, addr, 10*time.Second)
 	}()
 
 	base := "http://" + addr

@@ -74,7 +74,7 @@ func (r *Runner) Reference(ctx context.Context) (string, error) {
 			r.refErr = err
 			return
 		}
-		rows, err := study.Run(ctx, dse.Hardening{}, "")
+		rows, err := study.Run(ctx, dse.Hardening{})
 		if err != nil {
 			r.refErr = err
 			return
@@ -229,7 +229,7 @@ func (r *Runner) drive(ctx context.Context, sch *Schedule) (string, []string, er
 	if err != nil {
 		return "", nil, err
 	}
-	if _, err := study.Run(ctx, dse.Hardening{Results: rstore.NewCache(ds)}, ""); err != nil && sch.OutputExact() {
+	if _, err := study.Run(ctx, dse.Hardening{Results: rstore.NewCache(ds)}); err != nil && sch.OutputExact() {
 		return "", nil, fmt.Errorf("chaos: store populate run: %w", err)
 	}
 	ds.Close()
@@ -264,7 +264,7 @@ func runStudy(ctx context.Context, sch *Schedule, cache *rstore.Cache) (string, 
 	if err != nil {
 		return "", err
 	}
-	rows, err := study.Run(ctx, dse.Hardening{Workers: 2, BlockSize: 2, Results: cache}, "")
+	rows, err := study.Run(ctx, dse.Hardening{Workers: 2, BlockSize: 2, Results: cache})
 	if err != nil && sch.OutputExact() {
 		return "", fmt.Errorf("chaos: episode study: %w", err)
 	}

@@ -3,17 +3,14 @@ package dse
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"neurometer/internal/guard"
 )
 
 // Block-claiming determinism: the BlockSize knob changes only which worker
-// evaluates which candidate, so every observable artifact — table, CSV,
-// checkpoint bytes — must be byte-identical at any (workers, block)
-// combination. Run under -race these tests also prove block claiming and
+// evaluates which candidate, so every observable artifact — table and
+// CSV — must be byte-identical at any (workers, block) combination. Run under -race these tests also prove block claiming and
 // the shared studySim/scratch pool are race-free.
 
 func TestResolveBlock(t *testing.T) {
@@ -29,45 +26,29 @@ func TestResolveBlock(t *testing.T) {
 func TestRuntimeStudyBlockSizesByteIdentical(t *testing.T) {
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)
-	fp := StudyFingerprint(cands, models, spec, opt)
-	dir := t.TempDir()
 
-	run := func(name string, workers, block int) (table, csv string, ckpt []byte) {
-		path := filepath.Join(dir, name+".ckpt")
-		ck, err := OpenCheckpoint(path, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
+	run := func(workers, block int) (table, csv string) {
 		rows, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-			Hardening{Workers: workers, BlockSize: block, Checkpoint: ck})
+			Hardening{Workers: workers, BlockSize: block})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FormatRuntimeRows(rows), RuntimeRowsCSV(rows), b
+		return FormatRuntimeRows(rows), RuntimeRowsCSV(rows)
 	}
 
-	wantTable, wantCSV, wantCkpt := run("ref", 1, 1)
+	wantTable, wantCSV := run(1, 1)
 	for _, workers := range []int{1, 8} {
 		for _, block := range []int{1, 7, 64} {
 			if workers == 1 && block == 1 {
 				continue // the reference itself
 			}
-			name := "w" + string(rune('0'+workers)) + "b" + string(rune('0'+block%10))
-			table, csv, ckpt := run(name, workers, block)
+			table, csv := run(workers, block)
 			if table != wantTable {
 				t.Errorf("workers=%d block=%d: table differs from serial block-1 reference:\n--- want\n%s\n--- got\n%s",
 					workers, block, wantTable, table)
 			}
 			if csv != wantCSV {
 				t.Errorf("workers=%d block=%d: CSV differs from serial block-1 reference",
-					workers, block)
-			}
-			if string(ckpt) != string(wantCkpt) {
-				t.Errorf("workers=%d block=%d: checkpoint bytes differ from serial block-1 reference",
 					workers, block)
 			}
 		}

@@ -22,8 +22,8 @@ var runtimeRowsCSVHeader = []string{
 
 // RuntimeRowsCSV renders a runtime study's rows as CSV — the interchange
 // format for plotting scripts and the byte-identity witness for the
-// parallel sweep engine (serial, parallel, and resumed runs of the same
-// study must produce the same bytes). Floats use round-trip-exact 'g'
+// parallel sweep engine (serial, parallel, and store-backed runs of the
+// same study must produce the same bytes). Floats use round-trip-exact 'g'
 // formatting; the per-workload batch sizes are joined with ';' in workload
 // order.
 func RuntimeRowsCSV(rows []RuntimeRow) string {

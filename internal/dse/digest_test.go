@@ -1,6 +1,7 @@
 package dse
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -49,7 +50,7 @@ func TestFig10Digest(t *testing.T) {
 		}
 		return a.Point.X > b.Point.X
 	})
-	out, err := Fig10(SecondRound(cands, cs.TOPSCap), DefaultModels())
+	out, err := Fig10Hardened(context.Background(), SecondRound(cands, cs.TOPSCap), DefaultModels(), Hardening{}, "")
 	if err != nil {
 		t.Fatal(err)
 	}

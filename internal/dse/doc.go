@@ -6,11 +6,11 @@
 //
 // # Pipeline
 //
-// The sweep is a pipeline of pure stages. Enumerate (or EnumerateParallel)
-// builds every design point under the constraints and keeps the feasible
-// ones; Frontier and SecondRound narrow the candidate set the way the
-// paper does; RuntimeStudy / RuntimeStudyHardened simulate each surviving
-// candidate over the workload models; Winner ranks the rows by a metric
+// The sweep is a pipeline of pure stages. EnumerateCtx (or
+// EnumerateParallel) builds every design point under the constraints and
+// keeps the feasible ones; Frontier and SecondRound narrow the candidate
+// set the way the paper does; RuntimeStudyHardened simulates each
+// surviving candidate over the workload models; Winner ranks the rows by a metric
 // (ByAchievedTOPS, ByTOPSPerWatt, ...); FormatRuntimeRows and
 // RuntimeRowsCSV render them. cmd/dse drives the whole pipeline per paper
 // figure.
@@ -21,9 +21,8 @@
 // (EnumerateParallel) and the runtime study (Hardening.Workers) fan work
 // across a bounded goroutine pool. The engine is deterministic by
 // construction: results are collected by candidate index, not completion
-// order, and checkpoint files marshal with sorted keys — so the formatted
-// tables, CSV output and checkpoint bytes are identical at every worker
-// count, including a serial run. Workers <= 1 runs inline on the caller's
+// order — so the formatted tables and CSV output are identical at every
+// worker count, including a serial run. Workers <= 1 runs inline on the caller's
 // goroutine (the historical serial path). Workers claim candidates in
 // blocks of Hardening.BlockSize consecutive indices (0 = DefaultBlockSize),
 // which keeps each worker's evaluation scratch and the study's prepared
@@ -46,5 +45,13 @@
 // one row, never the sweep. A hardened study fails outright only when
 // every candidate fails, or when its context is canceled — in which case
 // it returns the rows completed so far alongside the classified context
-// error, after flushing any armed checkpoint so the sweep can resume.
+// error.
+//
+// # Persistence
+//
+// Hardening.Results, the content-addressed result store (internal/rstore),
+// is the one persistence layer for study rows. Every completed candidate's
+// row is stored as it finishes, so an interrupted study resumes by being
+// rerun with the same store: the finished candidates come back as verified
+// hits and only the rest are simulated, with byte-identical output.
 package dse

@@ -32,7 +32,6 @@ var (
 	mEvalFailures = obs.NewCounter("dse.candidate_failures")
 	mEvalRetries  = obs.NewCounter("dse.candidate_retries")
 	mEvalPanics   = obs.NewCounter("dse.candidate_panics")
-	mResumed      = obs.NewCounter("dse.candidates_resumed")
 	mEvalLatency  = obs.NewHistogram("dse.candidate_eval_seconds", nil)
 )
 
@@ -148,16 +147,12 @@ func (cs Constraints) sweepPoints() []Point {
 	return pts
 }
 
-// Enumerate sweeps the (X, N, Tx, Ty) space, builds every candidate, and
-// prunes the ones that exceed the area/power budgets or the peak-TOPS upper
-// bound (§III-A.1: points beyond the budget or with extremely low
+// EnumerateCtx sweeps the (X, N, Tx, Ty) space, builds every candidate,
+// and prunes the ones that exceed the area/power budgets or the peak-TOPS
+// upper bound (§III-A.1: points beyond the budget or with extremely low
 // performance are pruned; core count is swept up to the feasibility edge).
-func Enumerate(cs Constraints) []Candidate {
-	return EnumerateCtx(context.Background(), cs)
-}
-
-// EnumerateCtx is Enumerate with observability and fault tolerance: a span
-// over the sweep, pruning counters, and debug-level progress logging.
+// It runs under a span over the sweep, with pruning counters and
+// debug-level progress logging.
 // chip.Build converts model-stack panics to guard.ErrCandidatePanic, so a
 // single broken design point cannot take down the sweep — it is counted,
 // logged at warn level, and pruned. Cancelling ctx stops the enumeration
@@ -354,29 +349,9 @@ type RuntimeRow struct {
 	Batches []int
 }
 
-// RuntimeStudy simulates every candidate on the workload set under the
-// batch regime and aggregates the four Fig. 10 metrics.
-//
-// A failing candidate does not abort the sweep: its error is wrapped with
-// the design point and model name, counted in the dse.candidate_failures
-// metric, logged, and the candidate is skipped. The joined failure errors
-// are returned only when every candidate failed (no rows survived).
-func RuntimeStudy(cands []Candidate, models []*graph.Graph, spec BatchSpec, opt perfsim.Options) ([]RuntimeRow, error) {
-	return RuntimeStudyCtx(context.Background(), cands, models, spec, opt)
-}
-
-// RuntimeStudyCtx is RuntimeStudy with observability: a span over the
-// study, a child span per candidate (nesting the per-graph simulation
-// spans), an eval-latency histogram, and progress logging. It runs with no
-// per-candidate deadline, no retries, and no checkpoint; use
-// RuntimeStudyHardened to configure those.
-func RuntimeStudyCtx(ctx context.Context, cands []Candidate, models []*graph.Graph, spec BatchSpec, opt perfsim.Options) ([]RuntimeRow, error) {
-	return RuntimeStudyHardened(ctx, cands, models, spec, opt, Hardening{})
-}
-
 // Hardening configures the fault-tolerance envelope of a runtime study.
-// The zero value means: no per-candidate deadline, no retries, no
-// checkpoint — the historical RuntimeStudy behavior.
+// The zero value means: no per-candidate deadline, no retries, one worker
+// and no result store.
 type Hardening struct {
 	// CandidateTimeout bounds each candidate's evaluation across the whole
 	// workload set; 0 = unbounded. An expired deadline fails the candidate
@@ -386,14 +361,6 @@ type Hardening struct {
 	// (guard.Retryable — timeouts). Validation errors, infeasibility,
 	// non-finite results, and panics are deterministic and never retried.
 	MaxRetries int
-	// Checkpoint, when non-nil, makes the study resumable: every
-	// candidate outcome (row or failure) is recorded and flushed as it
-	// completes, and already-recorded candidates replay from the
-	// checkpoint instead of re-simulating. Because the simulator is
-	// deterministic and the checkpoint stores exact float64 values, a
-	// resumed study produces byte-identical output to an uninterrupted
-	// one.
-	Checkpoint *Checkpoint
 	// Workers bounds the evaluation pool: <= 1 (and the zero value) runs
 	// candidates serially on the caller's goroutine — the historical
 	// behavior — and DefaultWorkers resolves to GOMAXPROCS. Results are
@@ -416,31 +383,41 @@ type Hardening struct {
 	// evaluation, so a study runs byte-identically with a cold, warm,
 	// poisoned, or absent store. A nil Cache (including
 	// rstore.NewCache(nil)) disables all of this.
+	//
+	// The store is also how an interrupted study resumes: rerun it with
+	// the same store, and the candidates that completed come back as hits
+	// while only the rest are simulated.
 	Results *rstore.Cache
 }
 
 // outcome is one candidate's resolved result, held in an index-addressed
 // slice until assembly so output order never depends on completion order.
 type outcome struct {
-	row     RuntimeRow
-	err     error
-	done    bool // evaluated or replayed (false = skipped by cancellation)
-	resumed bool // replayed from the checkpoint
+	row  RuntimeRow
+	err  error
+	done bool // resolved (false = skipped by cancellation)
 }
 
-// RuntimeStudyHardened is RuntimeStudyCtx with a configurable robustness
-// envelope and an optional worker pool (Hardening.Workers). Per candidate
-// it recovers panics (guard.ErrCandidatePanic), enforces the deadline,
-// retries retryable failures, and rejects rows with non-finite aggregates;
-// a canceled sweep ctx stops new evaluations, lets in-flight workers
-// unwind, flushes the checkpoint, and returns the rows completed so far
-// along with the classified cause (guard.ErrCanceled / guard.ErrTimeout).
+// RuntimeStudyHardened simulates every candidate on the workload set under
+// the batch regime and aggregates the four Fig. 10 metrics, inside a
+// configurable robustness envelope and an optional worker pool
+// (Hardening.Workers). It runs under a span over the study, a child span
+// per candidate (nesting the per-graph simulation spans), an eval-latency
+// histogram, and progress logging.
+//
+// Per candidate it recovers panics (guard.ErrCandidatePanic), enforces the
+// deadline, retries retryable failures, and rejects rows with non-finite
+// aggregates. A failing candidate does not abort the sweep: its error is
+// counted in dse.candidate_failures, logged, and the candidate is skipped;
+// the joined failures are returned only when every candidate failed. A
+// canceled sweep ctx stops new evaluations, lets in-flight workers unwind,
+// and returns the rows completed so far along with the classified cause
+// (guard.ErrCanceled / guard.ErrTimeout).
 //
 // Determinism: rows and failures are assembled in candidate order whatever
-// the worker count, the checkpoint file serializes its outcome maps with
-// sorted keys, and each candidate's evaluation is single-threaded — so a
-// parallel, a serial, and a resumed run of the same study all emit
-// byte-identical output.
+// the worker count, and each candidate's evaluation is single-threaded —
+// so a parallel, a serial, and a rerun-on-the-same-store run of the same
+// study all emit byte-identical output.
 func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*graph.Graph, spec BatchSpec, opt perfsim.Options, h Hardening) ([]RuntimeRow, error) {
 	ctx, span := obs.Start(ctx, "dse.runtime-study")
 	defer span.End()
@@ -448,54 +425,25 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 	span.SetInt("candidates", int64(len(cands)))
 	span.SetInt("workers", int64(resolveWorkers(h.Workers)))
 
-	// Replay checkpointed outcomes up front (cheap map lookups); only the
-	// remainder enters the pool.
+	// Store phase: satisfy candidates from the persistent result store
+	// before any evaluation is scheduled; only the misses enter the pool.
+	names := modelNames(models)
 	outs := make([]outcome, len(cands))
 	var pending []int
+	hits := 0
 	for i, cand := range cands {
-		if h.Checkpoint != nil {
-			if row, ok := h.Checkpoint.Lookup(cand.Point); ok {
-				outs[i] = outcome{row: row, done: true, resumed: true}
-				continue
-			}
-			if ferr, ok := h.Checkpoint.LookupFailure(cand.Point); ok {
-				outs[i] = outcome{err: ferr, done: true, resumed: true}
+		if h.Results != nil {
+			fp := CandidateFingerprint(cand.Chip.Cfg, names, spec, opt)
+			if row, ok := lookupStoredRow(ctx, h.Results, fp, cand.Point); ok {
+				outs[i] = outcome{row: row, done: true}
+				hits++
 				continue
 			}
 		}
 		pending = append(pending, i)
 	}
-
-	// Store phase: satisfy the remaining candidates from the persistent
-	// result store before any evaluation is scheduled.
-	// A hit is recorded to the checkpoint exactly like an evaluated
-	// outcome, so an interrupted warm run resumes identically to an
-	// interrupted cold one, and the checkpoint file stays byte-identical
-	// either way (it stores the same row values).
-	names := modelNames(models)
-	if h.Results != nil && len(pending) > 0 {
-		hits := 0
-		remaining := pending[:0]
-		for _, i := range pending {
-			cand := cands[i]
-			fp := CandidateFingerprint(cand.Chip.Cfg, names, spec, opt)
-			if row, ok := lookupStoredRow(ctx, h.Results, fp, cand.Point); ok {
-				outs[i] = outcome{row: row, done: true}
-				if h.Checkpoint != nil {
-					h.Checkpoint.Record(cand.Point, row)
-				}
-				hits++
-				continue
-			}
-			remaining = append(remaining, i)
-		}
-		if hits > 0 && h.Checkpoint != nil {
-			if ferr := h.Checkpoint.Flush(); ferr != nil {
-				slog.WarnContext(ctx, "dse: checkpoint flush failed", "err", ferr)
-			}
-		}
+	if h.Results != nil {
 		span.SetInt("store_hits", int64(hits))
-		pending = remaining
 	}
 
 	// One simulation context for the whole study: every workload graph is
@@ -522,7 +470,7 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 		}
 		// A canceled sweep ctx surfaces as the candidate's error too;
 		// treat it as an interruption, not a candidate failure — the
-		// candidate stays un-done and re-evaluates on resume.
+		// candidate stays un-done and evaluates when the study is rerun.
 		if err != nil && guard.CtxErr(ctx) != nil {
 			return
 		}
@@ -535,16 +483,6 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 			slog.WarnContext(cctx, "dse: candidate failed, skipping",
 				"point", cand.Point.String(), "kind", guard.Kind(err), "err", err)
 		}
-		if h.Checkpoint != nil {
-			if err != nil {
-				h.Checkpoint.RecordFailure(cand.Point, err)
-			} else {
-				h.Checkpoint.Record(cand.Point, row)
-			}
-			if ferr := h.Checkpoint.Flush(); ferr != nil {
-				slog.WarnContext(ctx, "dse: checkpoint flush failed", "err", ferr)
-			}
-		}
 	})
 
 	// Assemble in candidate order — identical to the serial walk.
@@ -555,9 +493,6 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 		if !o.done {
 			continue
 		}
-		if o.resumed {
-			mResumed.Inc()
-		}
 		if o.err != nil {
 			failures = append(failures, o.err)
 			continue
@@ -565,11 +500,6 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 		rows = append(rows, o.row)
 	}
 	if poolErr != nil {
-		if h.Checkpoint != nil {
-			if ferr := h.Checkpoint.Flush(); ferr != nil {
-				slog.WarnContext(ctx, "dse: checkpoint flush failed", "err", ferr)
-			}
-		}
 		slog.WarnContext(ctx, "dse: runtime study interrupted",
 			"done", len(rows), "total", len(cands), "err", poolErr)
 		return rows, poolErr

@@ -11,7 +11,7 @@ import (
 )
 
 // sweep is computed once; the full enumeration builds ~100 chips.
-var sweep = Enumerate(TableI())
+var sweep = EnumerateCtx(context.Background(), TableI())
 
 func findCand(t *testing.T, p Point) Candidate {
 	t.Helper()
@@ -30,7 +30,7 @@ func TestTableIEnumerationCounts(t *testing.T) {
 	// space or the candidate pruning moves them.
 	chip.ResetBuildCache()
 	before := obs.Default().Snapshot().Counters
-	Enumerate(TableI())
+	EnumerateCtx(context.Background(), TableI())
 	after := obs.Default().Snapshot().Counters
 	for name, want := range map[string]int64{
 		"chip.builds":     60,
@@ -193,7 +193,7 @@ func TestFig10SmallBatchClaims(t *testing.T) {
 	for _, p := range points {
 		cands = append(cands, findCand(t, p))
 	}
-	rows, err := RuntimeStudy(cands, DefaultModels(), BatchSpec{Fixed: 1}, perfsim.DefaultOptions())
+	rows, err := RuntimeStudyHardened(context.Background(), cands, DefaultModels(), BatchSpec{Fixed: 1}, perfsim.DefaultOptions(), Hardening{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestFig10LargeBatchEnergyFavors32(t *testing.T) {
 	for _, p := range points {
 		cands = append(cands, findCand(t, p))
 	}
-	rows, err := RuntimeStudy(cands, DefaultModels(), BatchSpec{Fixed: 256}, perfsim.DefaultOptions())
+	rows, err := RuntimeStudyHardened(context.Background(), cands, DefaultModels(), BatchSpec{Fixed: 256}, perfsim.DefaultOptions(), Hardening{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,8 +69,8 @@ func ExampleWinner() {
 }
 
 // RuntimeRowsCSV is the plotting interchange format and the byte-identity
-// witness for the parallel sweep engine: serial, parallel and resumed runs
-// of one study emit the same bytes.
+// witness for the parallel sweep engine: serial, parallel and store-backed
+// runs of one study emit the same bytes.
 func ExampleRuntimeRowsCSV() {
 	rows := []dse.RuntimeRow{{
 		Point:        dse.Point{X: 64, N: 2, Tx: 2, Ty: 4},

@@ -7,6 +7,7 @@ import (
 
 	"neurometer/internal/chip"
 	"neurometer/internal/graph"
+	"neurometer/internal/guard"
 	"neurometer/internal/pat"
 	"neurometer/internal/perfsim"
 )
@@ -131,27 +132,22 @@ func Fig9(cs Constraints, models []*graph.Graph, batches []int) ([]Fig9Row, map[
 	return rows, limits, nil
 }
 
-// Fig10 runs the three batch regimes of Fig. 10 over the candidate set:
-// (a) batch 1, (b) 10ms-latency-limited batch, (c) batch 256.
-func Fig10(cands []Candidate, models []*graph.Graph) (map[string][]RuntimeRow, error) {
-	return Fig10Ctx(context.Background(), cands, models)
-}
-
-// Fig10Ctx is Fig10 threading a span context through the three runtime
-// studies (one span each, named after the batch regime).
-func Fig10Ctx(ctx context.Context, cands []Candidate, models []*graph.Graph) (map[string][]RuntimeRow, error) {
-	return Fig10Hardened(ctx, cands, models, Hardening{}, "")
-}
-
 // Fig10Regimes lists the batch regimes of Fig. 10 in execution order.
 var Fig10Regimes = []string{"a-small", "b-medium", "c-large"}
 
-// Fig10Hardened is Fig10Ctx under a hardening envelope. A non-empty
-// checkpointPath stores one checkpoint per batch regime at
-// <checkpointPath>.<regime>.json; regimes run in Fig10Regimes order so an
-// interrupted run resumes deterministically. h.Checkpoint is ignored (each
-// regime gets its own).
+// Fig10Hardened runs the three batch regimes of Fig. 10 over the candidate
+// set under a hardening envelope: (a) batch 1, (b) 10ms-latency-limited
+// batch, (c) batch 256, one runtime study each, in Fig10Regimes order.
+//
+// checkpointPath is kept only for signature compatibility and must be
+// empty: studies no longer checkpoint, so any other value fails with
+// guard.ErrInvalidConfig rather than silently dropping the checkpoint the
+// caller asked for. An interrupted run resumes by rerunning with the same
+// h.Results store.
 func Fig10Hardened(ctx context.Context, cands []Candidate, models []*graph.Graph, h Hardening, checkpointPath string) (map[string][]RuntimeRow, error) {
+	if checkpointPath != "" {
+		return nil, guard.Invalid("dse: fig10: checkpoint %q: study checkpoints were removed; rerun with the same result store to resume", checkpointPath)
+	}
 	specs := map[string]BatchSpec{
 		"a-small":  {Fixed: 1},
 		"b-medium": {LatencyBound: 10e-3},
@@ -160,18 +156,7 @@ func Fig10Hardened(ctx context.Context, cands []Candidate, models []*graph.Graph
 	opt := perfsim.DefaultOptions()
 	out := map[string][]RuntimeRow{}
 	for _, name := range Fig10Regimes {
-		spec := specs[name]
-		hr := h
-		hr.Checkpoint = nil
-		if checkpointPath != "" {
-			ck, err := OpenCheckpoint(checkpointPath+"."+name+".json",
-				StudyFingerprint(cands, models, spec, opt))
-			if err != nil {
-				return nil, err
-			}
-			hr.Checkpoint = ck
-		}
-		rows, err := RuntimeStudyHardened(ctx, cands, models, spec, opt, hr)
+		rows, err := RuntimeStudyHardened(ctx, cands, models, specs[name], opt, h)
 		if err != nil {
 			return nil, fmt.Errorf("fig10 %s: %w", name, err)
 		}

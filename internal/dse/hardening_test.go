@@ -4,13 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"neurometer/internal/graph"
 	"neurometer/internal/guard"
+	"neurometer/internal/obs"
 	"neurometer/internal/perfsim"
 	"neurometer/internal/workloads"
 )
@@ -155,11 +154,14 @@ func TestRuntimeStudyCancellationReturnsPartial(t *testing.T) {
 	}
 }
 
+// The result store is a study's checkpoint: a serial run interrupted while
+// candidate 1 evaluates has persisted candidate 0's row, and rerunning on
+// the same store serves that row and evaluates only candidates 1 and 2,
+// with output byte-identical to an uninterrupted run.
 func TestCheckpointResumeIsByteIdentical(t *testing.T) {
 	defer guard.DisarmAll()
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)
-	fp := StudyFingerprint(cands, models, spec, opt)
 
 	// Reference: one uninterrupted run.
 	want, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt, Hardening{})
@@ -167,17 +169,12 @@ func TestCheckpointResumeIsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Interrupted run: cancel while candidate 1 evaluates, with a
-	// checkpoint armed.
-	path := filepath.Join(t.TempDir(), "study.ckpt")
-	ck, err := OpenCheckpoint(path, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Interrupted run: cancel while candidate 1 evaluates.
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	disarm := guard.Arm("dse.candidate", guard.Fault{Skip: 1, OnHit: cancel})
-	partial, err := RuntimeStudyHardened(ctx, cands, models, spec, opt, Hardening{Checkpoint: ck})
+	partial, err := RuntimeStudyHardened(ctx, cands, models, spec, opt, Hardening{Results: openCache(t, dir)})
 	disarm()
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("interrupted run: %v", err)
@@ -185,70 +182,37 @@ func TestCheckpointResumeIsByteIdentical(t *testing.T) {
 	if len(partial) != 1 {
 		t.Fatalf("interrupted run produced %d rows, want 1", len(partial))
 	}
-	if _, serr := os.Stat(path); serr != nil {
-		t.Fatalf("checkpoint not flushed: %v", serr)
+	if n := len(storeEntryFiles(t, dir)); n != 1 {
+		t.Fatalf("interrupted run persisted %d rows, want 1", n)
 	}
 
-	// Resume from the checkpoint file: candidate 0 replays, 1 and 2 run.
-	ck2, err := OpenCheckpoint(path, fp)
+	// Resume by rerunning on the store: candidate 0 is a hit, 1 and 2 run.
+	hitsBefore := storeCounter("dse.candidates_from_store")
+	got, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt, Hardening{Results: openCache(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck2.Len() != 1 {
-		t.Fatalf("reloaded checkpoint has %d outcomes, want 1", ck2.Len())
+	if d := storeCounter("dse.candidates_from_store") - hitsBefore; d != 1 {
+		t.Fatalf("rerun served %d candidates from the store, want 1", d)
 	}
-	got, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt, Hardening{Checkpoint: ck2})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	if FormatRuntimeRows(got) != FormatRuntimeRows(want) {
 		t.Fatalf("resumed output differs from uninterrupted run:\n--- want\n%s\n--- got\n%s",
 			FormatRuntimeRows(want), FormatRuntimeRows(got))
 	}
 }
 
-func TestCheckpointRejectsForeignFingerprint(t *testing.T) {
-	cands, spec, opt := studyFixture(t)
-	models := alexnet(t)
-	path := filepath.Join(t.TempDir(), "study.ckpt")
-
-	ck, err := OpenCheckpoint(path, StudyFingerprint(cands, models, spec, opt))
-	if err != nil {
-		t.Fatal(err)
+// Fig10Hardened keeps its last argument only for signature compatibility:
+// a non-empty checkpoint path must fail before any simulation, never run a
+// study without the checkpoint its caller asked for.
+func TestFig10HardenedRejectsCheckpointPath(t *testing.T) {
+	cands, _, _ := studyFixture(t)
+	before := obs.Default().Snapshot().Counters["perfsim.simulations"]
+	_, err := Fig10Hardened(context.Background(), cands, alexnet(t), Hardening{}, "fig10")
+	if !errors.Is(err, guard.ErrInvalidConfig) {
+		t.Fatalf("non-empty checkpoint path: got %v, want ErrInvalidConfig", err)
 	}
-	ck.Record(cands[0].Point, RuntimeRow{Point: cands[0].Point})
-	if err := ck.Flush(); err != nil {
-		t.Fatal(err)
-	}
-
-	otherSpec := BatchSpec{Fixed: 128}
-	if _, err := OpenCheckpoint(path, StudyFingerprint(cands, models, otherSpec, opt)); !errors.Is(err, guard.ErrInvalidConfig) {
-		t.Fatalf("foreign checkpoint must fail with ErrInvalidConfig, got %v", err)
-	}
-}
-
-func TestCheckpointReplaysFailures(t *testing.T) {
-	ckPath := filepath.Join(t.TempDir(), "study.ckpt")
-	ck, err := OpenCheckpoint(ckPath, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Point{X: 8, N: 1, Tx: 1, Ty: 1}
-	ck.RecordFailure(p, guard.Infeasible("dse: testing"))
-	if err := ck.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	ck2, err := OpenCheckpoint(ckPath, "fp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ferr, ok := ck2.LookupFailure(p)
-	if !ok {
-		t.Fatal("failure not recorded")
-	}
-	if !errors.Is(ferr, guard.ErrInfeasible) {
-		t.Fatalf("replayed failure %v lost its guard kind", ferr)
+	if d := obs.Default().Snapshot().Counters["perfsim.simulations"] - before; d != 0 {
+		t.Fatalf("rejected call ran %d simulations, want 0", d)
 	}
 }
 
@@ -303,7 +267,7 @@ func TestEnumerateSurvivesInjectedBuildPanic(t *testing.T) {
 	defer guard.DisarmAll()
 	disarm := guard.Arm("chip.build", guard.Fault{Skip: 2, Count: 1, Panic: true})
 	defer disarm()
-	out := Enumerate(TableI())
+	out := EnumerateCtx(context.Background(), TableI())
 	if len(out) < len(sweep)-1 {
 		t.Fatalf("enumeration lost more than the panicking candidate: %d vs %d", len(out), len(sweep))
 	}

@@ -16,9 +16,9 @@ import (
 // a bounded pool of goroutines and collect results by candidate index.
 // Ordering by index (not by completion) is what keeps the engine
 // deterministic: the assembled candidate list, Frontier/SecondRound/Winner
-// inputs, CSV emission, and checkpoint files are byte-identical to a
-// serial run's, regardless of worker count or scheduling. See DESIGN.md §9
-// for the determinism argument.
+// inputs, and CSV emission are byte-identical to a serial run's,
+// regardless of worker count or scheduling. See DESIGN.md §9 for the
+// determinism argument.
 
 // Observability: pool-level gauges in the obs default registry.
 // dse.eval_inflight tracks evaluations currently executing;

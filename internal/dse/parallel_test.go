@@ -3,15 +3,13 @@ package dse
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"neurometer/internal/guard"
 )
 
 // The determinism contract: every observable sweep artifact — candidate
-// lists, formatted tables, CSV, checkpoint files — must be byte-identical
+// lists, formatted tables, CSV — must be byte-identical
 // at any worker count. These tests pin that contract; `go test -race`
 // additionally proves the pool itself is race-free.
 
@@ -51,44 +49,12 @@ func TestRuntimeStudyParallelByteIdentical(t *testing.T) {
 	}
 }
 
-func TestRuntimeStudyParallelCheckpointBytesMatchSerial(t *testing.T) {
-	cands, spec, opt := studyFixture(t)
-	models := alexnet(t)
-	fp := StudyFingerprint(cands, models, spec, opt)
-	dir := t.TempDir()
-
-	run := func(name string, workers int) []byte {
-		path := filepath.Join(dir, name)
-		ck, err := OpenCheckpoint(path, fp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-			Hardening{Checkpoint: ck, Workers: workers}); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-
-	serial := run("serial.ckpt", 1)
-	par := run("parallel.ckpt", 8)
-	if string(serial) != string(par) {
-		t.Fatalf("parallel checkpoint bytes differ from serial:\n--- serial\n%s\n--- parallel\n%s",
-			serial, par)
-	}
-}
-
 func TestParallelCancelResumeMatchesSerial(t *testing.T) {
 	defer guard.DisarmAll()
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)
-	fp := StudyFingerprint(cands, models, spec, opt)
 
-	// Reference: one uninterrupted serial run.
+	// Reference: one uninterrupted serial run without a store.
 	want, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt, Hardening{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -96,29 +62,22 @@ func TestParallelCancelResumeMatchesSerial(t *testing.T) {
 
 	// Interrupted parallel run: the second candidate to start evaluation
 	// cancels the sweep. Which candidates complete first is scheduling
-	// dependent — that is the point — but the checkpoint on disk must stay
-	// valid and the resumed output must still match the serial reference.
-	path := filepath.Join(t.TempDir(), "study.ckpt")
-	ck, err := OpenCheckpoint(path, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// dependent — that is the point — but whatever reached the store must
+	// stay valid and the resumed output must still match the serial
+	// reference.
+	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	disarm := guard.Arm("dse.candidate", guard.Fault{Skip: 1, OnHit: cancel})
-	_, err = RuntimeStudyHardened(ctx, cands, models, spec, opt, Hardening{Checkpoint: ck, Workers: 8})
+	_, err = RuntimeStudyHardened(ctx, cands, models, spec, opt, Hardening{Results: openCache(t, dir), Workers: 8})
 	disarm()
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("interrupted run must classify as canceled, got %v", err)
 	}
 
-	// Resume in parallel from whatever the interrupted run left behind.
-	ck2, err := OpenCheckpoint(path, fp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Resume in parallel on whatever the interrupted run left in the store.
 	got, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-		Hardening{Checkpoint: ck2, Workers: 8})
+		Hardening{Results: openCache(t, dir), Workers: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -281,43 +282,102 @@ func TestStoreConcurrentStudiesByteIdentity(t *testing.T) {
 	}
 }
 
+// TestStoreHitsRecordIntoCheckpoint: rows a rerun serves from the store
+// stay there. A study interrupted twice — once cold, once while resuming
+// — keeps every row either attempt completed, and the third run serves
+// all of them as hits, simulates only the last candidate, and matches the
+// uninterrupted reference byte for byte.
 func TestStoreHitsRecordIntoCheckpoint(t *testing.T) {
+	defer guard.DisarmAll()
 	ref := studyCSV(t, Hardening{})
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)
 	dir := t.TempDir()
-	studyCSV(t, Hardening{Results: openCache(t, dir)}) // warm the store
 
-	// A warm run with a checkpoint must record its store hits, so a
-	// subsequent resume replays them without touching store or simulator.
-	ckptPath := filepath.Join(t.TempDir(), "study.json")
-	fp := StudyFingerprint(cands, models, spec, opt)
-	ck, err := OpenCheckpoint(ckptPath, fp)
-	if err != nil {
-		t.Fatal(err)
+	// Each interrupted run completes exactly one evaluation, then the
+	// second evaluation to start cancels it.
+	for run, wantStored := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		disarm := guard.Arm("dse.candidate", guard.Fault{Skip: 1, OnHit: cancel})
+		_, err := RuntimeStudyHardened(ctx, cands, models, spec, opt,
+			Hardening{Results: openCache(t, dir), Workers: 1})
+		disarm()
+		cancel()
+		if !errors.Is(err, guard.ErrCanceled) {
+			t.Fatalf("interrupted run %d: got %v, want ErrCanceled", run, err)
+		}
+		if n := len(storeEntryFiles(t, dir)); n != wantStored {
+			t.Fatalf("after interrupted run %d the store holds %d rows, want %d", run, n, wantStored)
+		}
 	}
-	rows, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-		Hardening{Results: openCache(t, dir), Checkpoint: ck})
-	if err != nil {
-		t.Fatal(err)
+
+	hitsBefore := storeCounter("dse.candidates_from_store")
+	simsBefore := storeCounter("perfsim.simulations")
+	if got := studyCSV(t, Hardening{Results: openCache(t, dir), Workers: 1}); got != ref {
+		t.Fatalf("resumed CSV differs from reference")
 	}
-	if RuntimeRowsCSV(rows) != ref {
-		t.Fatalf("warm checkpointed CSV differs from reference")
+	if d := storeCounter("dse.candidates_from_store") - hitsBefore; d != 2 {
+		t.Fatalf("final run served %d candidates from the store, want 2", d)
 	}
-	ck2, err := OpenCheckpoint(ckptPath, fp)
-	if err != nil {
-		t.Fatal(err)
+	if d := storeCounter("perfsim.simulations") - simsBefore; d != int64((len(cands)-2)*len(models)) {
+		t.Fatalf("final run ran %d simulations, want %d", d, (len(cands)-2)*len(models))
 	}
-	resumedBefore := storeCounter("dse.candidates_resumed")
-	rows2, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-		Hardening{Checkpoint: ck2}) // no store this time
-	if err != nil {
-		t.Fatal(err)
-	}
-	if RuntimeRowsCSV(rows2) != ref {
-		t.Fatalf("checkpoint-resumed CSV differs from reference")
-	}
-	if d := storeCounter("dse.candidates_resumed") - resumedBefore; d != 3 {
-		t.Fatalf("resume replayed %d candidates, want 3", d)
+}
+
+// TestStoreResumeAfterCancel pins what resuming a study means: rerun it on
+// the same result store. A study canceled partway through has persisted
+// every row it completed; the rerun serves exactly those rows as verified
+// hits, simulates only the rest, and emits CSV byte-identical to an
+// uninterrupted run. Two workers claiming one candidate at a time make the
+// cancel point scheduling dependent, which the test tolerates by counting
+// what was stored rather than assuming it.
+func TestStoreResumeAfterCancel(t *testing.T) {
+	defer guard.DisarmAll()
+	ref := studyCSV(t, Hardening{})
+	cands, spec, opt := studyFixture(t)
+	models := alexnet(t)
+
+	for _, tc := range []struct {
+		name           string
+		workers, block int
+	}{
+		{"workers=1", 1, 0},
+		{"workers=2", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			h := Hardening{Workers: tc.workers, BlockSize: tc.block}
+
+			// The third candidate to start cancels the study.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			disarm := guard.Arm("dse.candidate", guard.Fault{Skip: 2, Count: 1, OnHit: cancel})
+			h.Results = openCache(t, dir)
+			partial, err := RuntimeStudyHardened(ctx, cands, models, spec, opt, h)
+			disarm()
+			if !errors.Is(err, guard.ErrCanceled) {
+				t.Fatalf("interrupted run: got %v, want ErrCanceled", err)
+			}
+			stored := len(storeEntryFiles(t, dir))
+			if stored != len(partial) || stored == 0 || stored >= len(cands) {
+				t.Fatalf("interrupted run stored %d rows and returned %d, want the same count in [1, %d)",
+					stored, len(partial), len(cands))
+			}
+
+			// Rerun on the same store, as a restarted process would.
+			hitsBefore := storeCounter("dse.candidates_from_store")
+			simsBefore := storeCounter("perfsim.simulations")
+			h.Results = openCache(t, dir)
+			if got := studyCSV(t, h); got != ref {
+				t.Fatalf("resumed CSV differs from uninterrupted run:\n got: %s\nwant: %s", got, ref)
+			}
+			if d := storeCounter("dse.candidates_from_store") - hitsBefore; d != int64(stored) {
+				t.Fatalf("rerun served %d candidates from the store, want %d", d, stored)
+			}
+			wantSims := int64((len(cands) - stored) * len(models))
+			if d := storeCounter("perfsim.simulations") - simsBefore; d != wantSims {
+				t.Fatalf("rerun ran %d simulations, want %d (only the unfinished candidates)", d, wantSims)
+			}
+		})
 	}
 }

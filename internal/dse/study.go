@@ -2,7 +2,9 @@ package dse
 
 import (
 	"context"
+	"fmt"
 	"sort"
+	"strings"
 
 	"neurometer/internal/graph"
 	"neurometer/internal/guard"
@@ -15,8 +17,7 @@ import (
 // a StudySpec over the wire, materializes it once into a deterministic
 // candidate list, and gets a stable fingerprint that doubles as an
 // idempotent job identity — two requests describing the same study resolve
-// to the same fingerprint, the same checkpoint file, and byte-identical
-// output.
+// to the same fingerprint and byte-identical output.
 
 // StudySpec describes a runtime study as pure data.
 type StudySpec struct {
@@ -88,28 +89,43 @@ func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
 	}, nil
 }
 
+// StudyFingerprint derives the identity of a runtime study from everything
+// that determines its output: batch spec, options, workloads and the
+// candidate list. Two studies with the same fingerprint are
+// interchangeable. The leading "v1" is part of the identity, so job IDs
+// hashed from it stay stable across builds.
+func StudyFingerprint(cands []Candidate, models []*graph.Graph, spec BatchSpec, opt perfsim.Options) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "v1|spec=%s|opt=%+v|models=", spec, opt)
+	for i, g := range models {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(g.Name)
+	}
+	b.WriteString("|points=")
+	for i, c := range cands {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(c.Point.String())
+	}
+	return b.String()
+}
+
 // Fingerprint identifies the study: everything that determines its output.
-// Equal fingerprints mean interchangeable studies (and shareable
-// checkpoints); the serving layer hashes it into the job ID.
+// Equal fingerprints mean interchangeable studies; the serving layer
+// hashes it into the job ID.
 func (s *Study) Fingerprint() string { return s.fingerprint }
 
 // NumCandidates reports how many design points the study will evaluate.
 func (s *Study) NumCandidates() int { return len(s.cands) }
 
-// Run executes the study under the hardening envelope. A non-empty
-// checkpointPath arms (or resumes) the checkpoint at that path, keyed by
-// the study fingerprint — h.Checkpoint is overwritten in that case. An
-// interrupted run (canceled ctx) returns the rows completed so far with the
-// classified cause; because outcomes land in the checkpoint as they
-// complete, rerunning with the same path resumes instead of recomputing and
-// yields byte-identical rows to an uninterrupted run.
-func (s *Study) Run(ctx context.Context, h Hardening, checkpointPath string) ([]RuntimeRow, error) {
-	if checkpointPath != "" {
-		ck, err := OpenCheckpoint(checkpointPath, s.fingerprint)
-		if err != nil {
-			return nil, err
-		}
-		h.Checkpoint = ck
-	}
+// Run executes the study under the hardening envelope. An interrupted run
+// (canceled ctx) returns the rows completed so far with the classified
+// cause. To resume, rerun the study with the same h.Results store:
+// completed candidates come back as verified store hits, only the rest
+// are simulated, and the output is byte-identical to an uninterrupted run.
+func (s *Study) Run(ctx context.Context, h Hardening) ([]RuntimeRow, error) {
 	return RuntimeStudyHardened(ctx, s.cands, s.models, s.spec.Spec, s.spec.Opt, h)
 }

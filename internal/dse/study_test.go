@@ -3,7 +3,6 @@ package dse
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"testing"
 
 	"neurometer/internal/guard"
@@ -53,18 +52,10 @@ func TestStudyFingerprintStableAndDiscriminating(t *testing.T) {
 	}
 }
 
-func TestStudyRejectsUnknownWorkload(t *testing.T) {
-	spec := tinySpec()
-	spec.Models = []string{"gpt7"}
-	if _, err := NewStudy(context.Background(), spec); !errors.Is(err, guard.ErrInvalidConfig) {
-		t.Fatalf("unknown workload: got %v, want ErrInvalidConfig", err)
-	}
-}
-
-// An interrupted Study.Run flushes its checkpoint; rerunning the same spec
-// against the same path resumes and emits byte-identical CSV to an
-// uninterrupted run — the property the serving layer's crash-safe job
-// lifecycle is built on.
+// An interrupted Study.Run has persisted its completed rows in the result
+// store; a fresh Study over the same spec and store resumes by rerunning
+// and emits byte-identical CSV to an uninterrupted run — the property the
+// serving layer's drain-and-resubmit job lifecycle is built on.
 func TestStudyRunResumeByteIdentical(t *testing.T) {
 	defer guard.DisarmAll()
 	ctx := context.Background()
@@ -73,15 +64,15 @@ func TestStudyRunResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows, err := ref.Run(ctx, Hardening{}, "")
+	wantRows, err := ref.Run(ctx, Hardening{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := RuntimeRowsCSV(wantRows)
 
-	// Interrupt a checkpointed run after the second candidate completes:
-	// the fault's OnHit cancels the study context at a deterministic point.
-	path := filepath.Join(t.TempDir(), "job.ckpt.json")
+	// Interrupt a stored run after the second candidate completes: the
+	// fault's OnHit cancels the study context at a deterministic point.
+	dir := t.TempDir()
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	disarm := guard.Arm("dse.candidate", guard.Fault{Skip: 2, Count: 1, OnHit: func() { cancel() }})
@@ -89,22 +80,34 @@ func TestStudyRunResumeByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Run(cctx, Hardening{}, path); !errors.Is(err, guard.ErrCanceled) {
+	if _, err := s1.Run(cctx, Hardening{Results: openCache(t, dir)}); !errors.Is(err, guard.ErrCanceled) {
 		t.Fatalf("interrupted run: got %v, want ErrCanceled", err)
 	}
 	disarm()
 
-	// A fresh Study (as a restarted server would build) resumes the
-	// checkpoint by fingerprint and completes the remainder.
+	// A fresh Study (as a restarted server would build) reuses the stored
+	// rows and completes the remainder.
 	s2, err := NewStudy(ctx, tinySpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotRows, err := s2.Run(ctx, Hardening{}, path)
+	hitsBefore := storeCounter("dse.candidates_from_store")
+	gotRows, err := s2.Run(ctx, Hardening{Results: openCache(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if d := storeCounter("dse.candidates_from_store") - hitsBefore; d != 2 {
+		t.Fatalf("resumed run served %d candidates from the store, want 2", d)
+	}
 	if got := RuntimeRowsCSV(gotRows); got != want {
 		t.Fatalf("resumed study output differs from uninterrupted run:\n got: %s\nwant: %s", got, want)
+	}
+}
+
+func TestStudyRejectsUnknownWorkload(t *testing.T) {
+	spec := tinySpec()
+	spec.Models = []string{"gpt7"}
+	if _, err := NewStudy(context.Background(), spec); !errors.Is(err, guard.ErrInvalidConfig) {
+		t.Fatalf("unknown workload: got %v, want ErrInvalidConfig", err)
 	}
 }

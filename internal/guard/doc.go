@@ -26,8 +26,8 @@
 //
 // CtxErr classifies a context's state under the taxonomy: nil while live,
 // ErrCanceled after cancellation, ErrTimeout after a deadline. It is the
-// single idiom the sweeps use to decide between "keep going", "stop and
-// checkpoint", and "retry".
+// single idiom the sweeps use to decide between "keep going", "stop",
+// and "retry".
 //
 // # Fault-site registry
 //
@@ -52,8 +52,8 @@
 //	                       catch a corrupted metric before it reaches a
 //	                       frontier or a CSV row.
 //	dse.candidate          once per candidate in the study pool, after
-//	                       checkpoint replay — the retry/checkpoint test
-//	                       hook.
+//	                       the result-store phase — the retry and
+//	                       cancel/rerun test hook.
 //	rstore.read            result-store Get, before the disk read.
 //	rstore.write           result-store Put, before the tmp-file write —
 //	                       the ENOSPC/full-disk hook.

@@ -153,53 +153,6 @@ func Kind(err error) string {
 	return "error"
 }
 
-// baseForKind inverts Kind: the taxonomy sentinel a kind string names, or
-// nil for "error"/unknown kinds.
-func baseForKind(kind string) error {
-	switch kind {
-	case "invalid-config":
-		return ErrInvalidConfig
-	case "infeasible":
-		return ErrInfeasible
-	case "non-finite":
-		return ErrNonFinite
-	case "timeout":
-		return ErrTimeout
-	case "canceled":
-		return ErrCanceled
-	case "panic":
-		return ErrCandidatePanic
-	case "unavailable":
-		return ErrUnavailable
-	case "corrupt":
-		return ErrCorrupt
-	}
-	return nil
-}
-
-// kindError carries a reconstructed failure: the exact original message,
-// classified under the taxonomy via errors.Is.
-type kindError struct {
-	base error
-	msg  string
-}
-
-func (e *kindError) Error() string        { return e.msg }
-func (e *kindError) Is(target error) bool { return target == e.base }
-
-// KindError reconstructs a failure from its (kind, message) wire form —
-// the shape checkpoints serialize — so that Kind(err) returns kind again,
-// errors.Is classification works, and err.Error() is byte-identical to
-// the original message (a failure replayed from a checkpoint and
-// re-recorded must not mutate). Unknown kinds fall back to a plain error.
-func KindError(kind, msg string) error {
-	base := baseForKind(kind)
-	if base == nil {
-		return errors.New(msg)
-	}
-	return &kindError{base: base, msg: msg}
-}
-
 // CheckFinite returns an ErrNonFinite error when v is NaN or ±Inf, nil
 // otherwise. name labels the quantity in the error message.
 func CheckFinite(name string, v float64) error {

@@ -99,35 +99,6 @@ func TestKind(t *testing.T) {
 	}
 }
 
-// TestKindErrorRoundTrip checks KindError inverts Kind exactly: the
-// reconstructed error classifies under the same taxonomy member and its
-// message is byte-identical to the original — the property the checkpoint
-// files rely on to stay deterministic across a resume.
-func TestKindErrorRoundTrip(t *testing.T) {
-	originals := []error{
-		Invalid("bad field"),
-		Infeasible("no mapping"),
-		NonFinite("tops", math.NaN()),
-		Classify(context.DeadlineExceeded),
-		Classify(context.Canceled),
-		Unavailable("worker gone"),
-	}
-	for _, orig := range originals {
-		re := KindError(Kind(orig), orig.Error())
-		if re.Error() != orig.Error() {
-			t.Errorf("KindError mutated the message: %q -> %q", orig.Error(), re.Error())
-		}
-		if Kind(re) != Kind(orig) {
-			t.Errorf("KindError lost the kind: %q -> %q", Kind(orig), Kind(re))
-		}
-	}
-	// Unknown kinds degrade to a plain error with the message intact.
-	re := KindError("martian", "weird failure")
-	if re.Error() != "weird failure" || Kind(re) != "error" {
-		t.Errorf("unknown kind: %v (kind %q)", re, Kind(re))
-	}
-}
-
 func TestCheckFinite(t *testing.T) {
 	if err := CheckFinite("ok", 1.5); err != nil {
 		t.Errorf("finite value: %v", err)

@@ -7,10 +7,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"syscall"
 	"testing"
+	"time"
 
 	"neurometer/internal/guard"
 	"neurometer/internal/obs"
@@ -330,6 +332,7 @@ func TestCacheSingleFlight(t *testing.T) {
 	var calls atomic.Int32
 	release := make(chan struct{})
 	const waiters = 8
+	joinedBefore := counter("rstore.singleflight_deduped")
 	var wg sync.WaitGroup
 	results := make([][]byte, waiters)
 	sharedCount := atomic.Int32{}
@@ -351,10 +354,19 @@ func TestCacheSingleFlight(t *testing.T) {
 			results[i] = payload
 		}(i)
 	}
-	// Wait until the leader is inside fn, then let the flight finish. The
-	// waiters may not all have joined yet, but at least the leader is
-	// committed; joining later is also fine (they hit the flight map).
-	for calls.Load() == 0 {
+	// Hold the flight open until every other caller has joined it. A
+	// caller that arrived after the flight finished would find no flight
+	// and lead a second one, so releasing any earlier would make the
+	// single-compute check below depend on goroutine scheduling.
+	deadline := time.Now().Add(10 * time.Second)
+	for counter("rstore.singleflight_deduped")-joinedBefore < waiters-1 {
+		if time.Now().After(deadline) {
+			close(release)
+			wg.Wait()
+			t.Fatalf("only %d of %d callers joined the flight (compute ran %d times)",
+				counter("rstore.singleflight_deduped")-joinedBefore, waiters-1, calls.Load())
+		}
+		runtime.Gosched()
 	}
 	close(release)
 	wg.Wait()

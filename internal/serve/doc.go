@@ -22,14 +22,14 @@
 //     poisoned request into a 500 and a counter increment — never a dead
 //     process. A watchdog trips /readyz into a degraded 503 after
 //     Config.DegradedAfter consecutive 5xx responses and un-trips on the
-//     next success. DSE jobs persist through dse.Checkpoint: job IDs are
-//     derived from the study fingerprint, so a SIGTERM mid-study drains
-//     in-flight candidates, flushes the checkpoint, and resubmitting the
-//     same study to a restarted server resumes it byte-identically.
+//     next success. DSE job IDs are derived from the study fingerprint,
+//     and study rows persist through the result store (Config.Results):
+//     a SIGTERM mid-study drains in-flight candidates, and resubmitting the
+//     same study to a restarted server sharing the store reruns it
+//     byte-identically, simulating only the candidates not yet stored.
 //
 //   - Graceful shutdown. Shutdown sequences listener close → connection
-//     drain with deadline → job cancellation and checkpoint flush → final
-//     metrics snapshot.
+//     drain with deadline → job cancellation → final metrics snapshot.
 //
 // Error mapping is guard.HTTPStatus: invalid-config 400, infeasible 422,
 // timeout 504, canceled 499, non-finite/panic/other 500. See DESIGN.md §10

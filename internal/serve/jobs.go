@@ -8,8 +8,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -23,9 +21,11 @@ import (
 // constraints, batch regime, options, workloads, and candidate list that
 // determine its output — and the job ID is a hash of that fingerprint.
 // Idempotence falls out: resubmitting the same study returns the same job,
-// whether it is queued, running, finished, or was interrupted by a restart
-// (in which case the new job resumes the checkpoint the old process
-// flushed on its way down, and completes byte-identically).
+// whether it is queued, running or finished. A job interrupted by a drain
+// is not revived in place; the study is resubmitted to the next server,
+// which reruns it. With a shared Config.Results store the rerun serves the
+// candidates that finished as store hits and simulates only the rest, and
+// the output is byte-identical either way.
 
 var (
 	mJobsSubmitted = obs.NewCounter("serve.jobs_submitted")
@@ -40,7 +40,7 @@ const (
 	JobRunning     = "running"
 	JobDone        = "done"
 	JobFailed      = "failed"
-	JobInterrupted = "interrupted" // shutdown drained it; resubmit to resume
+	JobInterrupted = "interrupted" // shutdown drained it; resubmit to the next server
 )
 
 // StudyRequest describes a study job. The zero value means: the paper's
@@ -174,34 +174,10 @@ type jobStore struct {
 }
 
 func newJobStore(s *Server) *jobStore {
-	cleanJobsDir(s.cfg.JobsDir)
 	return &jobStore{
 		s:    s,
 		sem:  make(chan struct{}, s.cfg.StudyLimit),
 		jobs: map[string]*job{},
-	}
-}
-
-// cleanJobsDir is the startup hygiene scan of the jobs directory: a SIGKILL
-// between a checkpoint's tmp write and its rename leaves an orphaned
-// *.ckpt.json.tmp that no future flush will ever reclaim (each job writes
-// its own path). The orphans are harmless to correctness — resume reads
-// only the renamed file — but they accumulate forever and confuse
-// operators listing the directory, so they are removed on boot. Nothing
-// else is touched, and a missing or unreadable directory is a no-op: job
-// persistence degrades, serving does not.
-func cleanJobsDir(dir string) {
-	if dir == "" {
-		return
-	}
-	matches, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
-	if err != nil {
-		return
-	}
-	for _, path := range matches {
-		if err := os.Remove(path); err == nil {
-			slog.Info("serve: removed orphaned checkpoint tmp file", "path", path)
-		}
 	}
 }
 
@@ -236,33 +212,20 @@ func (st *jobStore) get(id string) (*job, bool) {
 	return j, ok
 }
 
-// submit registers (or finds) the job for a study and starts it. The
-// queued-job bound is the job API's admission control: beyond it new
-// studies shed with ErrShed rather than queueing unboundedly.
+// submit registers (or finds) the job for a study and starts it. A
+// draining server sheds every submission, resubmissions of known jobs
+// included. The queued-job bound is the job API's admission control:
+// beyond it new studies shed with ErrShed rather than queueing
+// unboundedly.
 func (st *jobStore) submit(study *dse.Study, hard dse.Hardening) (*job, bool, error) {
+	if st.s.isDraining() {
+		return nil, false, fmt.Errorf("%w: server is draining", ErrShed)
+	}
 	id := jobID(study.Fingerprint())
 	st.mu.Lock()
 	if j, ok := st.jobs[id]; ok {
-		// Idempotent resubmission. A job the drain interrupted is revived
-		// with a fresh run that resumes its checkpoint.
-		j.mu.Lock()
-		interrupted := j.state == JobInterrupted
-		if interrupted {
-			j.state = JobQueued
-			j.err = nil
-			j.done = make(chan struct{})
-			j.study = study
-		}
-		j.mu.Unlock()
 		st.mu.Unlock()
-		if interrupted {
-			st.start(j)
-		}
-		return j, false, nil
-	}
-	if st.s.isDraining() {
-		st.mu.Unlock()
-		return nil, false, fmt.Errorf("%w: server is draining", ErrShed)
+		return j, false, nil // idempotent resubmission
 	}
 	if n := st.queuedLocked(); n >= st.s.cfg.MaxQueuedJobs {
 		st.mu.Unlock()
@@ -311,7 +274,7 @@ func (st *jobStore) start(j *job) {
 		case st.sem <- struct{}{}:
 			defer func() { <-st.sem }()
 		case <-ctx.Done():
-			// Drained while queued: nothing ran, nothing to flush.
+			// Drained while queued: nothing ran.
 			j.setState(JobInterrupted)
 			return
 		}
@@ -319,7 +282,7 @@ func (st *jobStore) start(j *job) {
 		gJobsRunning.Add(1)
 		defer gJobsRunning.Add(-1)
 
-		rows, err := j.study.Run(ctx, j.hard, st.ckptPath(j.id))
+		rows, err := j.study.Run(ctx, j.hard)
 		j.mu.Lock()
 		defer j.mu.Unlock()
 		switch {
@@ -327,10 +290,10 @@ func (st *jobStore) start(j *job) {
 			j.state, j.rows, j.err = JobDone, rows, nil
 			mJobsDone.Inc()
 		case errors.Is(err, guard.ErrCanceled) && st.s.isDraining():
-			// The drain canceled us; the checkpoint flush already ran
-			// inside RuntimeStudyHardened. Resumable.
+			// The drain canceled us. Every finished candidate's row is
+			// already in the result store (when one is configured).
 			j.state, j.err = JobInterrupted, err
-			slog.Info("serve: study job interrupted by drain, checkpoint flushed",
+			slog.Info("serve: study job interrupted by drain",
 				"job", j.id, "rows_done", len(rows))
 		default:
 			j.state, j.err = JobFailed, err
@@ -341,17 +304,8 @@ func (st *jobStore) start(j *job) {
 	}()
 }
 
-// ckptPath places a job's checkpoint under JobsDir ("" disables
-// persistence).
-func (st *jobStore) ckptPath(id string) string {
-	if st.s.cfg.JobsDir == "" {
-		return ""
-	}
-	return filepath.Join(st.s.cfg.JobsDir, id+".ckpt.json")
-}
-
 // shutdown cancels every running job and waits (bounded by ctx) for the
-// goroutines to unwind — which includes their checkpoint flushes.
+// goroutines to unwind.
 func (st *jobStore) shutdown(ctx context.Context) error {
 	st.mu.Lock()
 	for _, j := range st.jobs {

@@ -2,10 +2,9 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -13,12 +12,14 @@ import (
 
 	"neurometer/internal/dse"
 	"neurometer/internal/guard"
+	"neurometer/internal/obs"
+	"neurometer/internal/rstore"
 )
 
 // TestStudyJobLifecycle submits an async study, polls it to completion, and
 // checks idempotent resubmission returns the same job.
 func TestStudyJobLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{JobsDir: t.TempDir()})
+	_, ts := newTestServer(t, Config{})
 
 	status, _, body := doJSON(t, "POST", ts.URL+"/v1/dse/study", tinyStudyBody(""))
 	if status != 202 {
@@ -86,12 +87,22 @@ func TestStudyJobQueueBound(t *testing.T) {
 }
 
 // TestJobDrainRestartResume is the crash-safety acceptance test: a study
-// job is interrupted mid-run by Shutdown (the SIGTERM path), the drain
-// flushes its checkpoint, and a fresh Server sharing the jobs directory
-// resumes the same job id to a byte-identical result.
+// job is interrupted mid-run by Shutdown (the SIGTERM path), and the same
+// study resubmitted to a fresh Server over the same result store directory
+// completes to a byte-identical result. The rows the first server finished
+// come back as store hits; only the rest are simulated.
 func TestJobDrainRestartResume(t *testing.T) {
 	defer guard.DisarmAll()
-	jobsDir := t.TempDir()
+	storeDir := t.TempDir()
+	openStore := func() *rstore.Cache {
+		st, err := rstore.OpenDisk(storeDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := rstore.NewCache(st)
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
 
 	// Reference: the same study run uninterrupted on an isolated server.
 	_, tsRef := newTestServer(t, Config{})
@@ -108,8 +119,8 @@ func TestJobDrainRestartResume(t *testing.T) {
 	// First incarnation: submit async, then drain once the third candidate
 	// is reached. The armed hook parks that candidate until the drain is
 	// underway and its context cancellation has landed, so the pool stops
-	// deterministically with two candidates checkpointed.
-	s1 := New(Config{JobsDir: jobsDir, Workers: 1})
+	// deterministically with two candidates stored.
+	s1 := New(Config{Workers: 1, Results: openStore()})
 	ts1 := httptest.NewServer(s1.Handler())
 	defer ts1.Close()
 	reached := make(chan struct{})
@@ -144,49 +155,74 @@ func TestJobDrainRestartResume(t *testing.T) {
 	} else if st := j.status(); st.State != JobInterrupted {
 		t.Fatalf("job state after drain = %q, want %q", st.State, JobInterrupted)
 	}
-	ckpt := filepath.Join(jobsDir, id+".ckpt.json")
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("drain did not leave a checkpoint: %v", err)
-	}
 
-	// Second incarnation: same jobs dir, same spec. The synchronous
-	// resubmission resumes the checkpoint and must reproduce the reference
-	// output byte for byte.
-	_, ts2 := newTestServer(t, Config{JobsDir: jobsDir, Workers: 1})
+	// Second incarnation: a fresh server over the same store directory,
+	// same spec. The synchronous resubmission reruns the study and must
+	// reproduce the reference output byte for byte, serving the two rows
+	// the first incarnation finished from the store.
+	hitsBefore := obs.Default().Snapshot().Counters["dse.candidates_from_store"]
+	_, ts2 := newTestServer(t, Config{Workers: 1, Results: openStore()})
 	status, _, body = doJSON(t, "POST", ts2.URL+"/v1/dse/study", tinyStudyBody(`"wait":true`))
 	if status != 200 || body["state"] != JobDone {
-		t.Fatalf("resumed run: %d %v", status, body)
+		t.Fatalf("rerun: %d %v", status, body)
 	}
 	if body["id"] != id {
-		t.Fatalf("resumed job id %v, want %s", body["id"], id)
+		t.Fatalf("rerun job id %v, want %s", body["id"], id)
 	}
 	if got, _ := body["csv"].(string); got != wantCSV {
-		t.Fatalf("resumed output differs from uninterrupted run:\n got: %s\nwant: %s", got, wantCSV)
+		t.Fatalf("rerun output differs from uninterrupted run:\n got: %s\nwant: %s", got, wantCSV)
+	}
+	if d := obs.Default().Snapshot().Counters["dse.candidates_from_store"] - hitsBefore; d != 2 {
+		t.Fatalf("rerun served %d candidates from the store, want 2", d)
 	}
 }
 
-// TestSubmitWhileDrainingSheds: once Shutdown begins, new study jobs are
-// turned away instead of being accepted and immediately interrupted.
+// TestSubmitWhileDrainingSheds: once Shutdown begins, study jobs are turned
+// away instead of being accepted and immediately interrupted — and that
+// includes resubmitting a job the drain itself interrupted, which must
+// stay interrupted rather than restart on the canceled base context.
 func TestSubmitWhileDrainingSheds(t *testing.T) {
-	s := New(Config{JobsDir: t.TempDir()})
+	defer guard.DisarmAll()
+	s := New(Config{})
+	newStudy := func(batch int) *dse.Study {
+		t.Helper()
+		spec, err := StudyRequest{Batch: batch, Models: []string{"alexnet"},
+			XChoices: []int{8, 64}, NChoices: []int{2, 4}, MaxTiles: 32}.spec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		study, err := dse.NewStudy(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return study
+	}
+
+	// Park a job on its first candidate (the delay is ctx-aware, so the
+	// drain cuts it short) and drain the server under it.
+	guard.Arm("dse.candidate", guard.Fault{Delay: 30 * time.Second, Count: 1})
+	parked, _, err := s.jobs.submit(newStudy(8), dse.Hardening{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	spec, err := StudyRequest{Batch: 8, Models: []string{"alexnet"},
-		XChoices: []int{8, 64}, NChoices: []int{2, 4}, MaxTiles: 32}.spec()
-	if err != nil {
-		t.Fatal(err)
+	if st := parked.status().State; st != JobInterrupted {
+		t.Fatalf("parked job after drain = %q, want %q", st, JobInterrupted)
 	}
-	study, err := dse.NewStudy(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
+
+	for _, batch := range []int{4, 8} { // a new study, then the interrupted one
+		if _, _, err := s.jobs.submit(newStudy(batch), dse.Hardening{Workers: 1}); !errors.Is(err, ErrShed) {
+			t.Fatalf("batch %d: submit during drain: got %v, want ErrShed", batch, err)
+		} else if !strings.Contains(err.Error(), "draining") {
+			t.Fatalf("batch %d: submit during drain: %v", batch, err)
+		}
 	}
-	if _, _, err := s.jobs.submit(study, dse.Hardening{Workers: 1}); err == nil {
-		t.Fatal("submit during drain succeeded, want shed")
-	} else if !strings.Contains(err.Error(), "draining") {
-		t.Fatalf("submit during drain: %v", err)
+	if st := parked.status().State; st != JobInterrupted {
+		t.Fatalf("resubmitted job = %q, want it still %q", st, JobInterrupted)
 	}
 }
 
@@ -199,7 +235,6 @@ func TestConcurrentSoak(t *testing.T) {
 		SimulateLimit:    2,
 		QueueDepth:       2,
 		AdmissionTimeout: 200 * time.Millisecond,
-		JobsDir:          t.TempDir(),
 	})
 
 	reqs := []struct{ method, path, body string }{
@@ -233,32 +268,5 @@ func TestConcurrentSoak(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestStartupRemovesOrphanedTmpFiles: a crash between a checkpoint's tmp
-// write and its rename leaves a *.tmp dropping in the jobs dir. The next
-// server incarnation's hygiene scan must remove it — and only it: real
-// checkpoint files and unrelated names stay untouched.
-func TestStartupRemovesOrphanedTmpFiles(t *testing.T) {
-	jobsDir := t.TempDir()
-	orphan := filepath.Join(jobsDir, "deadbeef.ckpt.json.tmp")
-	keepCkpt := filepath.Join(jobsDir, "cafef00d.ckpt.json")
-	keepOther := filepath.Join(jobsDir, "notes.txt")
-	for _, p := range []string{orphan, keepCkpt, keepOther} {
-		if err := os.WriteFile(p, []byte("x"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	New(Config{JobsDir: jobsDir})
-
-	if _, err := os.Stat(orphan); !os.IsNotExist(err) {
-		t.Fatalf("orphaned tmp file survived startup: stat err = %v", err)
-	}
-	for _, p := range []string{keepCkpt, keepOther} {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatalf("startup hygiene removed %s: %v", filepath.Base(p), err)
-		}
 	}
 }

@@ -48,9 +48,6 @@ type Config struct {
 	DegradedAfter int
 	// Workers is the dse evaluation pool size for study jobs.
 	Workers int
-	// JobsDir holds study-job checkpoints; empty disables job persistence
-	// (jobs still run, but do not survive a restart).
-	JobsDir string
 	// MaxBodyBytes bounds request bodies; an overflowing body is rejected
 	// with 413 and kind=too-large.
 	MaxBodyBytes int64
@@ -199,14 +196,14 @@ func (s *Server) Serve(l net.Listener) error {
 
 // Shutdown drains the server in the documented order: close the listener,
 // drain in-flight connections within the ctx deadline, cancel running
-// study jobs and wait for their checkpoint flushes, then log the final
+// study jobs and wait for them to unwind, then log the final
 // metrics snapshot. Idempotent (a SIGTERM/SIGINT double-fire drains once);
 // afterwards /readyz reports 503 until the process exits.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopOnce.Do(func() {
 		close(s.draining)
 		httpErr := s.http.Shutdown(ctx) // listener close + connection drain
-		jobsErr := s.jobs.shutdown(ctx) // cancel studies, wait for flushes
+		jobsErr := s.jobs.shutdown(ctx) // cancel studies, wait for them
 		s.baseCancel()
 		snap := obs.Default().Snapshot()
 		slog.Info("serve: final metrics snapshot",
@@ -386,8 +383,8 @@ func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
 // maxBatchConfigs bounds the candidate list of one simulate-batch request.
 // The endpoint exists to amortize workload preparation across candidates,
 // not to smuggle a whole design-space sweep past the study-job machinery —
-// use POST /v1/dse/study for sweeps that need checkpoints and admission as
-// long-running work.
+// use POST /v1/dse/study for sweeps that need the result store and
+// admission as long-running work.
 const maxBatchConfigs = 256
 
 // SimulateBatchRequest evaluates one workload at one batch size across many

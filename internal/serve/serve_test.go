@@ -249,7 +249,7 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 func TestNoGoroutineLeakAcrossLifecycle(t *testing.T) {
 	base := invariants.GoroutineBaseline()
 
-	s := New(Config{JobsDir: t.TempDir()})
+	s := New(Config{})
 	ts := httptest.NewServer(s.Handler())
 	client := &http.Client{}
 
