@@ -51,7 +51,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"sort"
 	"time"
 
 	"neurometer/internal/dse"
@@ -210,12 +209,5 @@ func candidates(ctx context.Context, cs dse.Constraints, full bool, workers int)
 	if !full {
 		cands = dse.Frontier(cands, cs.TOPSCap)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.PeakTOPS != b.PeakTOPS {
-			return a.PeakTOPS > b.PeakTOPS
-		}
-		return a.Point.X > b.Point.X
-	})
 	return cands
 }

@@ -517,20 +517,22 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 // closed forms. Immutable after newStudySim and safe for any number of
 // concurrent workers.
 //
-// A model that fails Prepare keeps a nil entry and falls back to the
-// historical per-candidate SimulateCtx path, which surfaces the same
-// validation error bytes from the same candidate the serial engine would.
+// A model that fails Prepare keeps its error instead, and every candidate
+// fails on that model with it.
 type studySim struct {
-	models   []*graph.Graph
-	prepared []*perfsim.Prepared
+	models     []*graph.Graph
+	prepared   []*perfsim.Prepared
+	prepareErr []error
 }
 
 func newStudySim(models []*graph.Graph) *studySim {
-	s := &studySim{models: models, prepared: make([]*perfsim.Prepared, len(models))}
+	s := &studySim{
+		models:     models,
+		prepared:   make([]*perfsim.Prepared, len(models)),
+		prepareErr: make([]error, len(models)),
+	}
 	for i, g := range models {
-		if p, err := perfsim.Prepare(g); err == nil {
-			s.prepared[i] = p
-		}
+		s.prepared[i], s.prepareErr[i] = perfsim.Prepare(g)
 	}
 	return s
 }
@@ -584,21 +586,13 @@ func evalCandidate(ctx context.Context, cand Candidate, sim *studySim, spec Batc
 	nModels := float64(len(sim.models))
 	utilProd, wEffProd, cEffProd := 1.0, 1.0, 1.0
 	for mi, g := range sim.models {
-		var res *perfsim.Result
-		var serr error
-		batch := spec.Fixed
-		if p := sim.prepared[mi]; p != nil {
+		res, batch, serr := &sc.a, spec.Fixed, sim.prepareErr[mi]
+		if serr == nil {
 			if batch > 0 {
-				if serr = p.SimulateInto(ctx, cand.Chip, batch, opt, &sc.a); serr == nil {
-					res = &sc.a
-				}
+				serr = sim.prepared[mi].SimulateInto(ctx, cand.Chip, batch, opt, res)
 			} else {
-				batch, res, serr = p.LatencyLimitedInto(ctx, cand.Chip, spec.LatencyBound, opt, &sc.a, &sc.b)
+				batch, res, serr = sim.prepared[mi].LatencyLimitedInto(ctx, cand.Chip, spec.LatencyBound, opt, &sc.a, &sc.b)
 			}
-		} else if batch > 0 {
-			res, serr = perfsim.SimulateCtx(ctx, cand.Chip, g, batch, opt)
-		} else {
-			batch, res, serr = perfsim.LatencyLimitedBatchCtx(ctx, cand.Chip, g, spec.LatencyBound, opt)
 		}
 		if serr != nil {
 			return RuntimeRow{}, fmt.Errorf("dse: candidate %s on model %q (%s): %w",

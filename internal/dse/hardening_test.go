@@ -3,7 +3,9 @@ package dse
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -213,6 +215,31 @@ func TestFig10HardenedRejectsCheckpointPath(t *testing.T) {
 	}
 	if d := obs.Default().Snapshot().Counters["perfsim.simulations"] - before; d != 0 {
 		t.Fatalf("rejected call ran %d simulations, want 0", d)
+	}
+}
+
+// A model that fails validation fails every candidate with its own
+// validation error, in both batch regimes, even behind a valid model.
+func TestRuntimeStudyInvalidModelFailsEveryCandidate(t *testing.T) {
+	cands, _, opt := studyFixture(t)
+	broken := &graph.Graph{Name: "broken", Layers: []graph.Layer{
+		{Name: "conv1", Kind: graph.Conv2D, InH: 0, InW: 224, InC: 3, OutC: 64, KH: 3, KW: 3},
+	}}
+	models := append(alexnet(t), broken)
+	for _, spec := range []BatchSpec{{Fixed: 1}, {LatencyBound: 10e-3}} {
+		rows, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt, Hardening{})
+		if len(rows) != 0 || !errors.Is(err, guard.ErrInvalidConfig) {
+			t.Fatalf("%s: got %d rows, err %v; want none and ErrInvalidConfig", spec, len(rows), err)
+		}
+		var per []string
+		for _, c := range cands {
+			per = append(per, fmt.Sprintf(`dse: candidate %s on model "broken" (%s): invalid config: `+
+				`perfsim: graph "broken" layer 0 (conv1): non-positive input dims`, c.Point, spec))
+		}
+		want := fmt.Sprintf("dse: runtime study: all %d candidates failed: %s", len(cands), strings.Join(per, "\n"))
+		if err.Error() != want {
+			t.Fatalf("%s: error\n%s\nwant\n%s", spec, err, want)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package dse
 import (
 	"context"
 	"fmt"
-	"sort"
 	"strings"
 
 	"neurometer/internal/graph"
@@ -46,11 +45,12 @@ type Study struct {
 
 // NewStudy resolves a spec into a runnable study: workloads are looked up
 // by name, the design space is enumerated and reduced exactly as cmd/dse
-// -fig 10 does (frontier unless Full, then second-round pruning, then the
-// peak-TOPS-descending presentation order), and the study fingerprint is
-// derived from the surviving candidate list. Unknown workload names and
-// empty candidate sets fail with guard taxonomy errors so callers can map
-// them to 400/422 directly.
+// -fig 10 does (frontier unless Full, then second-round pruning, keeping
+// the enumeration's order: peak TOPS descending, then X descending, then
+// tiles ascending), and the study fingerprint is derived from the
+// surviving candidate list. Unknown workload names and empty candidate
+// sets fail with guard taxonomy errors so callers can map them to 400/422
+// directly.
 func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
 	models := workloads.All()
 	if len(spec.Models) > 0 {
@@ -71,13 +71,6 @@ func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
 		cands = Frontier(cands, spec.Constraints.TOPSCap)
 	}
 	cands = SecondRound(cands, spec.Constraints.TOPSCap)
-	sort.Slice(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.PeakTOPS != b.PeakTOPS {
-			return a.PeakTOPS > b.PeakTOPS
-		}
-		return a.Point.X > b.Point.X
-	})
 	if len(cands) == 0 {
 		return nil, guard.Infeasible("dse: study: no feasible candidates under the constraints")
 	}

@@ -7,6 +7,7 @@ import (
 
 	"neurometer/internal/guard"
 	"neurometer/internal/perfsim"
+	"neurometer/internal/workloads"
 )
 
 // tinySpec is a fast two-brawniness study on one workload, small enough to
@@ -109,5 +110,22 @@ func TestStudyRejectsUnknownWorkload(t *testing.T) {
 	spec.Models = []string{"gpt7"}
 	if _, err := NewStudy(context.Background(), spec); !errors.Is(err, guard.ErrInvalidConfig) {
 		t.Fatalf("unknown workload: got %v, want ErrInvalidConfig", err)
+	}
+}
+
+// A served study evaluates the candidate list dse -fig 10 does, in the
+// same order: NewStudy reduces the enumeration and keeps its order.
+func TestNewStudyKeepsPipelineOrder(t *testing.T) {
+	ctx := context.Background()
+	cs := TableI()
+	spec := StudySpec{Constraints: cs, Spec: BatchSpec{Fixed: 1}, Opt: perfsim.DefaultOptions()}
+	s, err := NewStudy(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The fingerprint lists every candidate point in order.
+	want := SecondRound(Frontier(EnumerateCtx(ctx, cs), cs.TOPSCap), cs.TOPSCap)
+	if fp := StudyFingerprint(want, workloads.All(), spec.Spec, spec.Opt); s.Fingerprint() != fp {
+		t.Fatalf("NewStudy fingerprint\n%s\nwant the pipeline's\n%s", s.Fingerprint(), fp)
 	}
 }

@@ -310,8 +310,7 @@ func TestLatencyLimitedIntoMatchesCtx(t *testing.T) {
 
 // BenchmarkSimulateBatch measures batch-64 candidate throughput and
 // reports it next to the per-candidate SimulateCtx path; the
-// "speedup-vs-single" metric is the acceptance headline. cmd/bench runs
-// the same pair and persists the numbers to BENCH_*.json.
+// "speedup-vs-single" metric is the acceptance headline.
 func BenchmarkSimulateBatch(b *testing.B) {
 	chips := benchChips(b, 64)
 	g := workloads.ResNet50()
