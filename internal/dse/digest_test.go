@@ -29,6 +29,16 @@ const (
 // shortSum is the first 16 hex digits of h's sum, perfbench's digest form.
 func shortSum(h hash.Hash) string { return hex.EncodeToString(h.Sum(nil))[:16] }
 
+// fig10OutputDigest hashes a Fig. 10 result the way TestFig10Digest does.
+func fig10OutputDigest(out map[string][]RuntimeRow) string {
+	h := sha256.New()
+	for _, regime := range Fig10Regimes {
+		io.WriteString(h, regime+"\n")
+		io.WriteString(h, RuntimeRowsCSV(out[regime]))
+	}
+	return shortSum(h)
+}
+
 func TestTableIDigest(t *testing.T) {
 	h := sha256.New()
 	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

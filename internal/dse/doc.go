@@ -9,8 +9,11 @@
 // The sweep is a pipeline of pure stages. EnumerateCtx (or
 // EnumerateParallel) builds every design point under the constraints and
 // keeps the feasible ones; Frontier and SecondRound narrow the candidate
-// set the way the paper does; RuntimeStudyHardened simulates each
-// surviving candidate over the workload models; Winner ranks the rows by a metric
+// set the way the paper does, keeping one candidate order throughout (peak
+// TOPS descending, then X descending, then tiles ascending);
+// RuntimeStudyHardened simulates each surviving candidate over the
+// workload models under one batch regime, and Fig10Hardened under the
+// three Fig. 10 regimes in one pass; Winner ranks the rows by a metric
 // (ByAchievedTOPS, ByTOPSPerWatt, ...); FormatRuntimeRows and
 // RuntimeRowsCSV render them. cmd/dse drives the whole pipeline per paper
 // figure.
@@ -29,9 +32,14 @@
 // workload tables hot without affecting output bytes. See DESIGN.md §9 and
 // §14.
 //
-// Each study prepares its workload graphs once (perfsim.Prepare) and every
-// candidate evaluation runs into pooled result scratch, so the per-candidate
-// hot path is allocation-free in the steady state; see PERFORMANCE.md.
+// Each study prepares its workload graphs once (perfsim.Prepare), and a
+// pool item is one candidate, which evaluates its row for every batch
+// regime of the study. The rows share a pooled per-candidate memo of
+// successful simulations keyed by (model, power-of-two batch), so each
+// (candidate, model, batch) cell is simulated once: in Fig. 10, regime b's
+// latency ladder reuses regime a's batch 1 (801 simulations instead of 942
+// at Table I). The per-candidate hot path is allocation-free in the steady
+// state; see PERFORMANCE.md.
 //
 // Repeated chip constructions across sweeps and figure drivers hit the
 // chip.BuildCached memo; cache traffic is visible as

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"math/bits"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -222,20 +224,24 @@ func EnumerateParallel(ctx context.Context, cs Constraints, workers int) []Candi
 		slog.WarnContext(ctx, "dse: enumerate interrupted",
 			"tried", tried.Load(), "feasible", len(out), "err", interrupted)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if c := cmpDesc(a.PeakTOPS, b.PeakTOPS); c != 0 {
-			return c < 0
-		}
-		if a.Point.X != b.Point.X {
-			return a.Point.X > b.Point.X
-		}
-		return a.Point.Tiles() < b.Point.Tiles()
-	})
+	sort.Slice(out, func(i, j int) bool { return candidateLess(out[i], out[j]) })
 	span.SetInt("tried", tried.Load())
 	span.SetInt("feasible", int64(len(out)))
 	slog.DebugContext(ctx, "dse: enumerate done", "tried", tried.Load(), "feasible", len(out))
 	return out
+}
+
+// candidateLess reports whether a precedes b in the order of every
+// candidate list dse returns: peak TOPS descending (NaN last), then X
+// descending, then tiles ascending.
+func candidateLess(a, b Candidate) bool {
+	if c := cmpDesc(a.PeakTOPS, b.PeakTOPS); c != 0 {
+		return c < 0
+	}
+	if a.Point.X != b.Point.X {
+		return a.Point.X > b.Point.X
+	}
+	return a.Point.Tiles() < b.Point.Tiles()
 }
 
 // cmpDesc orders a before b (negative) when a is larger, with NaN always
@@ -287,16 +293,7 @@ func Frontier(cands []Candidate, topsCap float64) []Candidate {
 	for _, c := range best {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if c := cmpDesc(a.PeakTOPS, b.PeakTOPS); c != 0 {
-			return c < 0
-		}
-		if a.Point.X != b.Point.X {
-			return a.Point.X > b.Point.X
-		}
-		return a.Point.Tiles() < b.Point.Tiles()
-	})
+	sort.Slice(out, func(i, j int) bool { return candidateLess(out[i], out[j]) })
 	return out
 }
 
@@ -419,28 +416,66 @@ type outcome struct {
 // so a parallel, a serial, and a rerun-on-the-same-store run of the same
 // study all emit byte-identical output.
 func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*graph.Graph, spec BatchSpec, opt perfsim.Options, h Hardening) ([]RuntimeRow, error) {
+	rows, failed, err := runtimeStudy(ctx, cands, models, []BatchSpec{spec}, opt, h)
+	if err == nil {
+		err = failed[0]
+	}
+	return rows[0], err
+}
+
+// runtimeStudy is RuntimeStudyHardened over several batch regimes in one
+// pass: each pool item is one candidate, which evaluates its row for every
+// regime the result store does not already hold. A candidate's rows share
+// one simMemo, so a simulation two regimes need — batch 1 for a fixed
+// batch-1 regime and the bottom of a latency ladder — runs once. Each row
+// keeps the whole per-candidate envelope of RuntimeStudyHardened: its own
+// store entry, span, injection site, deadline and retries, finite check
+// and panic recovery.
+//
+// rows[s] holds specs[s]'s rows in candidate order. An interrupted study
+// returns every regime's completed rows and the classified cause as err.
+// Otherwise failed[s] is non-nil, with the joined failures, when every
+// candidate failed under specs[s], and rows[s] is then nil.
+func runtimeStudy(ctx context.Context, cands []Candidate, models []*graph.Graph, specs []BatchSpec, opt perfsim.Options, h Hardening) (rows [][]RuntimeRow, failed []error, err error) {
 	ctx, span := obs.Start(ctx, "dse.runtime-study")
 	defer span.End()
-	span.SetStr("spec", spec.String())
+	specNames := make([]string, len(specs))
+	for s, spec := range specs {
+		specNames[s] = spec.String()
+	}
+	specName := strings.Join(specNames, " ")
+	span.SetStr("spec", specName)
 	span.SetInt("candidates", int64(len(cands)))
 	span.SetInt("workers", int64(resolveWorkers(h.Workers)))
 
-	// Store phase: satisfy candidates from the persistent result store
-	// before any evaluation is scheduled; only the misses enter the pool.
+	// Store phase: satisfy rows from the persistent result store before
+	// any evaluation is scheduled; only candidates with a missing row
+	// enter the pool.
 	names := modelNames(models)
-	outs := make([]outcome, len(cands))
+	outs := make([][]outcome, len(specs))
+	fps := make([][]string, len(specs))
+	for s := range specs {
+		outs[s] = make([]outcome, len(cands))
+		fps[s] = make([]string, len(cands))
+	}
 	var pending []int
 	hits := 0
 	for i, cand := range cands {
-		if h.Results != nil {
-			fp := CandidateFingerprint(cand.Chip.Cfg, names, spec, opt)
-			if row, ok := lookupStoredRow(ctx, h.Results, fp, cand.Point); ok {
-				outs[i] = outcome{row: row, done: true}
-				hits++
-				continue
+		missing := false
+		for s, spec := range specs {
+			if h.Results != nil {
+				fps[s][i] = CandidateFingerprint(cand.Chip.Cfg, names, spec, opt)
+				if row, ok := lookupStoredRow(ctx, h.Results, fps[s][i], cand.Point); ok {
+					outs[s][i] = outcome{row: row, done: true}
+					hits++
+					continue
+				}
 			}
+			missing = true
 		}
-		pending = append(pending, i)
+		if missing {
+			pending = append(pending, i)
+		}
 	}
 	if h.Results != nil {
 		span.SetInt("store_hits", int64(hits))
@@ -454,61 +489,67 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 	poolErr := runPool(ctx, len(pending), h.Workers, h.BlockSize, func(pi int) {
 		i := pending[pi]
 		cand := cands[i]
-		cctx, cspan := obs.Start(ctx, "dse.candidate")
-		cspan.SetStr("point", cand.Point.String())
-		evalStart := time.Now()
-		var fp string
-		if h.Results != nil {
-			fp = CandidateFingerprint(cand.Chip.Cfg, names, spec, opt)
+		memo := acquireMemo(len(models))
+		defer memoPool.Put(memo)
+		for s, spec := range specs {
+			if outs[s][i].done || guard.CtxErr(ctx) != nil {
+				continue
+			}
+			cctx, cspan := obs.Start(ctx, "dse.candidate")
+			cspan.SetStr("point", cand.Point.String())
+			cspan.SetStr("spec", specNames[s])
+			evalStart := time.Now()
+			row, err := evalStoreAware(cctx, h.Results, fps[s][i], cand, sim, memo, spec, opt, h)
+			mEvalLatency.Observe(time.Since(evalStart).Seconds())
+			cspan.End()
+			// A canceled sweep ctx surfaces as the candidate's error too;
+			// treat it as an interruption, not a candidate failure — the
+			// row stays un-done and evaluates when the study is rerun.
+			if err != nil && guard.CtxErr(ctx) != nil {
+				return
+			}
+			outs[s][i] = outcome{row: row, err: err, done: true}
+			if err != nil {
+				mEvalFailures.Inc()
+				if errors.Is(err, guard.ErrCandidatePanic) {
+					mEvalPanics.Inc()
+				}
+				slog.WarnContext(cctx, "dse: candidate failed, skipping",
+					"point", cand.Point.String(), "spec", specNames[s], "kind", guard.Kind(err), "err", err)
+			}
 		}
-		row, err := evalStoreAware(cctx, h.Results, fp, cand, sim, spec, opt, h)
-		mEvalLatency.Observe(time.Since(evalStart).Seconds())
-		cspan.End()
 		if n := completed.Add(1); n%progressEvery == 0 || n == int64(len(pending)) {
 			slog.DebugContext(ctx, "dse: runtime study progress",
-				"done", n, "total", len(pending), "spec", spec.String())
-		}
-		// A canceled sweep ctx surfaces as the candidate's error too;
-		// treat it as an interruption, not a candidate failure — the
-		// candidate stays un-done and evaluates when the study is rerun.
-		if err != nil && guard.CtxErr(ctx) != nil {
-			return
-		}
-		outs[i] = outcome{row: row, err: err, done: true}
-		if err != nil {
-			mEvalFailures.Inc()
-			if errors.Is(err, guard.ErrCandidatePanic) {
-				mEvalPanics.Inc()
-			}
-			slog.WarnContext(cctx, "dse: candidate failed, skipping",
-				"point", cand.Point.String(), "kind", guard.Kind(err), "err", err)
+				"done", n, "total", len(pending), "spec", specName)
 		}
 	})
 
 	// Assemble in candidate order — identical to the serial walk.
-	var rows []RuntimeRow
-	var failures []error
-	for i := range outs {
-		o := &outs[i]
-		if !o.done {
-			continue
+	rows = make([][]RuntimeRow, len(specs))
+	failed = make([]error, len(specs))
+	for s := range specs {
+		var failures []error
+		for i := range outs[s] {
+			o := &outs[s][i]
+			if !o.done {
+				continue
+			}
+			if o.err != nil {
+				failures = append(failures, o.err)
+				continue
+			}
+			rows[s] = append(rows[s], o.row)
 		}
-		if o.err != nil {
-			failures = append(failures, o.err)
-			continue
+		if len(rows[s]) == 0 && len(failures) > 0 {
+			failed[s] = fmt.Errorf("dse: runtime study: all %d candidates failed: %w",
+				len(cands), errors.Join(failures...))
 		}
-		rows = append(rows, o.row)
 	}
 	if poolErr != nil {
 		slog.WarnContext(ctx, "dse: runtime study interrupted",
-			"done", len(rows), "total", len(cands), "err", poolErr)
-		return rows, poolErr
+			"pending", len(pending), "total", len(cands), "err", poolErr)
 	}
-	if len(rows) == 0 && len(failures) > 0 {
-		return nil, fmt.Errorf("dse: runtime study: all %d candidates failed: %w",
-			len(cands), errors.Join(failures...))
-	}
-	return rows, nil
+	return rows, failed, poolErr
 }
 
 // studySim is the simulation context one study shares across all of its
@@ -537,24 +578,64 @@ func newStudySim(models []*graph.Graph) *studySim {
 	return s
 }
 
-// evalScratch is one evaluation's reusable simulation output. Two Results
-// because the latency-bound regime double-buffers its probe batches
-// (perfsim.LatencyLimitedInto); the fixed-batch regime uses only a.
-type evalScratch struct {
-	a, b perfsim.Result
+// simMemo holds one candidate's successful simulations within a study,
+// keyed by (model, power-of-two batch up to perfsim.LatencyLimitedMaxBatch),
+// so the rows of a multi-regime study that need the same simulation run it
+// once. Keying by model and batch alone is sound because a simulation is a
+// pure function of (chip, prepared graph, batch, options) and the chip and
+// options are fixed for the memo's life. Failed simulations are never
+// memoized. Memos are pooled, so the steady state allocates nothing.
+type simMemo struct {
+	res []perfsim.Result
+	ok  []bool
+	// spare holds a batch outside the memo's keys; a row consumes each
+	// model's result before it simulates the next model.
+	spare perfsim.Result
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
+// memoBatches is the number of power-of-two batches a simMemo keys: 1 up
+// to perfsim.LatencyLimitedMaxBatch.
+var memoBatches = bits.Len(uint(perfsim.LatencyLimitedMaxBatch))
+
+var memoPool = sync.Pool{New: func() any { return new(simMemo) }}
+
+// acquireMemo returns an empty pooled memo sized for nModels models.
+func acquireMemo(nModels int) *simMemo {
+	m := memoPool.Get().(*simMemo)
+	if n := nModels * memoBatches; len(m.res) < n {
+		m.res = make([]perfsim.Result, n)
+		m.ok = make([]bool, n)
+	}
+	clear(m.ok)
+	return m
+}
+
+// simulate returns model mi's simulation of batch on c, running it only if
+// the memo does not hold it yet.
+func (m *simMemo) simulate(ctx context.Context, sim *studySim, mi int, c *chip.Chip, batch int, opt perfsim.Options) (*perfsim.Result, error) {
+	if batch <= 0 || batch > perfsim.LatencyLimitedMaxBatch || batch&(batch-1) != 0 {
+		return &m.spare, sim.prepared[mi].SimulateInto(ctx, c, batch, opt, &m.spare)
+	}
+	k := mi*memoBatches + bits.TrailingZeros(uint(batch))
+	if m.ok[k] {
+		return &m.res[k], nil
+	}
+	if err := sim.prepared[mi].SimulateInto(ctx, c, batch, opt, &m.res[k]); err != nil {
+		return nil, err
+	}
+	m.ok[k] = true
+	return &m.res[k], nil
+}
 
 // evalWithRetry evaluates one candidate under the hardening envelope:
 // deadline per attempt, bounded retry of retryable failures.
-func evalWithRetry(ctx context.Context, cand Candidate, sim *studySim, spec BatchSpec, opt perfsim.Options, h Hardening) (RuntimeRow, error) {
+func evalWithRetry(ctx context.Context, cand Candidate, sim *studySim, memo *simMemo, spec BatchSpec, opt perfsim.Options, h Hardening) (RuntimeRow, error) {
 	for attempt := 0; ; attempt++ {
 		actx, cancel := ctx, context.CancelFunc(func() {})
 		if h.CandidateTimeout > 0 {
 			actx, cancel = context.WithTimeout(ctx, h.CandidateTimeout)
 		}
-		row, err := evalCandidate(actx, cand, sim, spec, opt)
+		row, err := evalCandidate(actx, cand, sim, memo, spec, opt)
 		cancel()
 		if err == nil {
 			return row, nil
@@ -573,25 +654,28 @@ func evalWithRetry(ctx context.Context, cand Candidate, sim *studySim, spec Batc
 // evalCandidate simulates one candidate over the workload set and
 // aggregates its Fig. 10 row. Panics anywhere below are converted to
 // guard.ErrCandidatePanic; the aggregated row is finite-checked before it
-// can reach a frontier or CSV. Simulation output lands in pooled scratch,
-// so the steady state of a sweep allocates only the row's Batches slice.
-func evalCandidate(ctx context.Context, cand Candidate, sim *studySim, spec BatchSpec, opt perfsim.Options) (row RuntimeRow, err error) {
+// can reach a frontier or CSV. Simulations go through the candidate's
+// memo, so the steady state of a sweep allocates only the row's Batches
+// slice.
+func evalCandidate(ctx context.Context, cand Candidate, sim *studySim, memo *simMemo, spec BatchSpec, opt perfsim.Options) (row RuntimeRow, err error) {
 	defer guard.RecoverTo(&err)
 	if ierr := guard.Inject(ctx, "dse.candidate"); ierr != nil {
 		return RuntimeRow{}, fmt.Errorf("dse: candidate %s: %w", cand.Point, ierr)
 	}
-	sc := scratchPool.Get().(*evalScratch)
-	defer scratchPool.Put(sc)
 	row = RuntimeRow{Point: cand.Point, PeakTOPS: cand.PeakTOPS}
 	nModels := float64(len(sim.models))
 	utilProd, wEffProd, cEffProd := 1.0, 1.0, 1.0
 	for mi, g := range sim.models {
-		res, batch, serr := &sc.a, spec.Fixed, sim.prepareErr[mi]
+		probe := func(batch int) (*perfsim.Result, error) {
+			return memo.simulate(ctx, sim, mi, cand.Chip, batch, opt)
+		}
+		var res *perfsim.Result
+		batch, serr := spec.Fixed, sim.prepareErr[mi]
 		if serr == nil {
 			if batch > 0 {
-				serr = sim.prepared[mi].SimulateInto(ctx, cand.Chip, batch, opt, res)
+				res, serr = probe(batch)
 			} else {
-				batch, res, serr = sim.prepared[mi].LatencyLimitedInto(ctx, cand.Chip, spec.LatencyBound, opt, &sc.a, &sc.b)
+				batch, res, serr = perfsim.LatencyLimitedSearch(spec.LatencyBound, probe)
 			}
 		}
 		if serr != nil {

@@ -46,27 +46,36 @@ func TestTableIEnumerationCounts(t *testing.T) {
 func TestFig10SimulationCounts(t *testing.T) {
 	// The simulation work of one cold Fig. 10 study over the Table I
 	// frontier after the second-round prune, the counts perfbench's
-	// study-warm reports. It is the same at any pool size, so no
-	// candidate is simulated twice or skipped; a pipeline that shares
-	// cells between regimes lowers it.
+	// study-warm reports. Each (candidate, model, batch) cell is simulated
+	// once: regime b's latency ladder reuses regime a's batch 1, and no
+	// ladder at Table I reaches regime c's batch 256. The counts and the
+	// output are the same at any pool size, so no cell is simulated twice
+	// or skipped.
 	cs := TableI()
 	cands := SecondRound(Frontier(sweep, cs.TOPSCap), cs.TOPSCap)
 	if len(cands) != 47 {
 		t.Fatalf("Fig. 10 candidate set has %d points, want 47", len(cands))
 	}
-	for _, workers := range []int{1, 2} {
+	for _, h := range []Hardening{
+		{Workers: 1}, {Workers: 1, BlockSize: 1},
+		{Workers: 2}, {Workers: 2, BlockSize: 1},
+	} {
 		before := obs.Default().Snapshot().Counters
-		if _, err := Fig10Hardened(context.Background(), cands, DefaultModels(), Hardening{Workers: workers}, ""); err != nil {
+		out, err := Fig10Hardened(context.Background(), cands, DefaultModels(), h, "")
+		if err != nil {
 			t.Fatal(err)
 		}
 		after := obs.Default().Snapshot().Counters
 		for name, want := range map[string]int64{
-			"perfsim.simulations":      942,
-			"perfsim.layers_simulated": 188608,
+			"perfsim.simulations":      801,
+			"perfsim.layers_simulated": 154533,
 		} {
 			if got := after[name] - before[name]; got != want {
-				t.Errorf("workers=%d: %s = %d per study, want %d", workers, name, got, want)
+				t.Errorf("workers=%d block=%d: %s = %d per study, want %d", h.Workers, h.BlockSize, name, got, want)
 			}
+		}
+		if got := fig10OutputDigest(out); got != fig10Digest {
+			t.Errorf("workers=%d block=%d: Fig. 10 digest %s, want %s", h.Workers, h.BlockSize, got, fig10Digest)
 		}
 	}
 }

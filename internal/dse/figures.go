@@ -137,7 +137,15 @@ var Fig10Regimes = []string{"a-small", "b-medium", "c-large"}
 
 // Fig10Hardened runs the three batch regimes of Fig. 10 over the candidate
 // set under a hardening envelope: (a) batch 1, (b) 10ms-latency-limited
-// batch, (c) batch 256, one runtime study each, in Fig10Regimes order.
+// batch, (c) batch 256, keyed by the Fig10Regimes names. It is one runtime
+// study over all three regimes: each candidate's three rows are evaluated
+// together and share their simulations, so regime b's latency ladder
+// reuses regime a's batch-1 simulation (and regime c's batch 256 when the
+// ladder reaches it). Rows, store entries and output bytes are those of
+// three separate RuntimeStudyHardened calls. The first regime, in
+// Fig10Regimes order, whose candidates all failed fails the run as
+// "fig10 <regime>: …"; an interrupted run returns a nil map and the
+// classified cause as "fig10: …".
 //
 // checkpointPath is kept only for signature compatibility and must be
 // empty: studies no longer checkpoint, so any other value fails with
@@ -148,19 +156,17 @@ func Fig10Hardened(ctx context.Context, cands []Candidate, models []*graph.Graph
 	if checkpointPath != "" {
 		return nil, guard.Invalid("dse: fig10: checkpoint %q: study checkpoints were removed; rerun with the same result store to resume", checkpointPath)
 	}
-	specs := map[string]BatchSpec{
-		"a-small":  {Fixed: 1},
-		"b-medium": {LatencyBound: 10e-3},
-		"c-large":  {Fixed: 256},
+	specs := []BatchSpec{{Fixed: 1}, {LatencyBound: 10e-3}, {Fixed: 256}}
+	rows, failed, err := runtimeStudy(ctx, cands, models, specs, perfsim.DefaultOptions(), h)
+	if err != nil {
+		return nil, fmt.Errorf("fig10: %w", err)
 	}
-	opt := perfsim.DefaultOptions()
 	out := map[string][]RuntimeRow{}
-	for _, name := range Fig10Regimes {
-		rows, err := RuntimeStudyHardened(ctx, cands, models, specs[name], opt, h)
-		if err != nil {
-			return nil, fmt.Errorf("fig10 %s: %w", name, err)
+	for s, name := range Fig10Regimes {
+		if failed[s] != nil {
+			return nil, fmt.Errorf("fig10 %s: %w", name, failed[s])
 		}
-		out[name] = rows
+		out[name] = rows[s]
 	}
 	return out, nil
 }

@@ -299,3 +299,65 @@ func TestEnumerateSurvivesInjectedBuildPanic(t *testing.T) {
 		t.Fatalf("enumeration lost more than the panicking candidate: %d vs %d", len(out), len(sweep))
 	}
 }
+
+// Only successful simulations are shared between a candidate's rows. A
+// latency bound no batch meets stops the ladder at batch 1, so the second
+// regime reads exactly the simulation the first one ran: it shares it when
+// it succeeded, and runs it afresh when it failed.
+func TestRuntimeStudySharesOnlySuccessfulSimulations(t *testing.T) {
+	defer guard.DisarmAll()
+	cands, _, opt := studyFixture(t)
+	models := alexnet(t)
+	specs := []BatchSpec{{Fixed: 1}, {LatencyBound: 1e-9}}
+	sims := func() int64 { return obs.Default().Snapshot().Counters["perfsim.simulations"] }
+
+	before := sims()
+	want, failed, err := runtimeStudy(context.Background(), cands, models, specs, opt, Hardening{})
+	if err != nil || failed[0] != nil || failed[1] != nil {
+		t.Fatal(err, failed)
+	}
+	// Per candidate: batch 1 once for both regimes, then the ladder's
+	// over-bound batch-2 probe.
+	if d := sims() - before; d != int64(2*len(cands)) {
+		t.Fatalf("perfsim.simulations = %d, want %d", d, 2*len(cands))
+	}
+
+	// The first candidate's batch-1 simulation fails in the first regime.
+	disarm := guard.Arm("perfsim.simulate", guard.Fault{Count: 1, Err: errors.New("injected")})
+	got, failed, err := runtimeStudy(context.Background(), cands, models, specs, opt, Hardening{})
+	disarm()
+	if err != nil || failed[0] != nil || failed[1] != nil {
+		t.Fatal(err, failed)
+	}
+	if RuntimeRowsCSV(got[0]) != RuntimeRowsCSV(want[0][1:]) {
+		t.Errorf("first regime: want every row but the failed candidate's")
+	}
+	if RuntimeRowsCSV(got[1]) != RuntimeRowsCSV(want[1]) {
+		t.Errorf("second regime differs after the first regime's simulation failed")
+	}
+}
+
+// Fig10Hardened's error contract: a regime whose candidates all fail fails
+// the run under its regime name, and an interrupted run returns no map and
+// the classified cause.
+func TestFig10HardenedErrors(t *testing.T) {
+	defer guard.DisarmAll()
+	cands, _, _ := studyFixture(t)
+	broken := &graph.Graph{Name: "broken", Layers: []graph.Layer{
+		{Name: "conv1", Kind: graph.Conv2D, InH: 0, InW: 224, InC: 3, OutC: 64, KH: 3, KW: 3},
+	}}
+	out, err := Fig10Hardened(context.Background(), cands, []*graph.Graph{broken}, Hardening{}, "")
+	if out != nil || !errors.Is(err, guard.ErrInvalidConfig) ||
+		!strings.HasPrefix(err.Error(), "fig10 a-small: dse: runtime study: all 3 candidates failed: ") {
+		t.Errorf("all candidates failing: got map %v, err %v", out, err)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	disarm := guard.Arm("dse.candidate", guard.Fault{Skip: 4, OnHit: cancel})
+	out, err = Fig10Hardened(ctx, cands, alexnet(t), Hardening{}, "")
+	disarm()
+	if out != nil || !errors.Is(err, guard.ErrCanceled) || err.Error() != "fig10: canceled: context canceled" {
+		t.Errorf("canceled: got map %v, err %v", out, err)
+	}
+}

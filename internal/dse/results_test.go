@@ -13,6 +13,7 @@ import (
 
 	"neurometer/internal/guard"
 	"neurometer/internal/obs"
+	"neurometer/internal/perfsim"
 	"neurometer/internal/rstore"
 )
 
@@ -379,5 +380,42 @@ func TestStoreResumeAfterCancel(t *testing.T) {
 				t.Fatalf("rerun ran %d simulations, want %d (only the unfinished candidates)", d, wantSims)
 			}
 		})
+	}
+}
+
+// A store holding one Fig. 10 regime serves it, and the one-pass study
+// simulates only the other two: regime b's rows come back as 47 hits, and
+// regimes a and c cost one simulation per (candidate, model) each. The
+// output is byte-identical to a run with no store.
+func TestFig10PartialStore(t *testing.T) {
+	cs := TableI()
+	cands := SecondRound(Frontier(sweep, cs.TOPSCap), cs.TOPSCap)
+	models := DefaultModels()
+	want, err := Fig10Hardened(context.Background(), cands, models, Hardening{}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if _, err := RuntimeStudyHardened(context.Background(), cands, models, BatchSpec{LatencyBound: 10e-3},
+		perfsim.DefaultOptions(), Hardening{Results: openCache(t, dir)}); err != nil {
+		t.Fatal(err)
+	}
+
+	hitsBefore, simsBefore := storeCounter("dse.candidates_from_store"), storeCounter("perfsim.simulations")
+	got, err := Fig10Hardened(context.Background(), cands, models, Hardening{Results: openCache(t, dir)}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := storeCounter("dse.candidates_from_store") - hitsBefore; d != 47 {
+		t.Errorf("dse.candidates_from_store = %d, want 47 (regime b)", d)
+	}
+	if d := storeCounter("perfsim.simulations") - simsBefore; d != 282 {
+		t.Errorf("perfsim.simulations = %d, want 282 (regimes a and c)", d)
+	}
+	for _, regime := range Fig10Regimes {
+		if RuntimeRowsCSV(got[regime]) != RuntimeRowsCSV(want[regime]) {
+			t.Errorf("%s: output with a partial store differs from the no-store run", regime)
+		}
 	}
 }

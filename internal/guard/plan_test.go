@@ -18,9 +18,9 @@ func TestArmPlanMultiSiteExactHitCounts(t *testing.T) {
 	disarm := ArmPlan(Plan{
 		Seed: 1,
 		Faults: []PlanFault{
-			{Site: "test.a", Fault: Fault{Err: errBoom}},                   // every hit
+			{Site: "test.a", Fault: Fault{Err: errBoom}},                     // every hit
 			{Site: "test.b", Fault: Fault{Skip: 10, Count: 5, Err: errBoom}}, // hits 11..15
-			{Site: "test.c", Fault: Fault{Skip: 99, Err: errBoom}},         // hits 100..
+			{Site: "test.c", Fault: Fault{Skip: 99, Err: errBoom}},           // hits 100..
 		},
 	})
 	defer disarm()

@@ -141,26 +141,3 @@ func (p *Prepared) SimulateInto(ctx context.Context, c *chip.Chip, batch int, op
 	}
 	return simulateInto(ctx, c, p, batch, opt, res, false)
 }
-
-// LatencyLimitedInto is the prepared, scratch-reusing analogue of
-// LatencyLimitedBatchCtx: it finds the largest power-of-two batch whose
-// latency stays within the bound, double-buffering between the two
-// caller-owned Results a and b. It returns the chosen batch size and
-// whichever of a/b holds its simulation; the other Result holds the
-// first-over-bound probe and should be treated as garbage.
-func (p *Prepared) LatencyLimitedInto(ctx context.Context, c *chip.Chip, latencyBound float64, opt Options, a, b *Result) (int, *Result, error) {
-	if err := p.SimulateInto(ctx, c, 1, opt, a); err != nil {
-		return 0, nil, err
-	}
-	best, bestRes, spare := 1, a, b
-	for bs := 2; bs <= 512; bs *= 2 {
-		if err := p.SimulateInto(ctx, c, bs, opt, spare); err != nil {
-			return 0, nil, err
-		}
-		if spare.LatencySec > latencyBound {
-			break
-		}
-		best, bestRes, spare = bs, spare, bestRes
-	}
-	return best, bestRes, nil
-}

@@ -281,17 +281,20 @@ func TestSimulateBatchCtxCancel(t *testing.T) {
 	}
 }
 
-// TestLatencyLimitedIntoMatchesCtx pins the prepared latency search against
-// the historical per-call path.
-func TestLatencyLimitedIntoMatchesCtx(t *testing.T) {
+// TestLatencyLimitedSearchMatchesCtx pins the latency search probed through
+// prepared simulations into caller-owned Results against
+// LatencyLimitedBatchCtx's per-call path, bit for bit.
+func TestLatencyLimitedSearchMatchesCtx(t *testing.T) {
 	c := dcPoint(t, 64, 2, 2, 4)
 	for _, g := range workloads.All() {
 		p, err := Prepare(g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var a, b Result
-		gotB, gotR, err := p.LatencyLimitedInto(context.Background(), c, 0.010, DefaultOptions(), &a, &b)
+		gotB, gotR, err := LatencyLimitedSearch(0.010, func(batch int) (*Result, error) {
+			r := new(Result)
+			return r, p.SimulateInto(context.Background(), c, batch, DefaultOptions(), r)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}

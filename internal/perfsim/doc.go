@@ -26,14 +26,16 @@
 // The design-space engine asks one question many times: "this workload,
 // this batch size, these N candidate chips". Prepare validates a graph once
 // and precomputes every chip-independent per-layer quantity; SimulateBatch
-// (and the lower-level Prepared methods SimulateInto / LatencyLimitedInto)
-// then run the same closed forms over each candidate into pooled result
-// scratch, so the steady state allocates nothing per candidate. Headline
-// metrics are bit-identical to per-candidate SimulateCtx calls; per-layer
-// LayerStat detail is a single-candidate feature — use SimulateCtx when
-// Layers matter. BatchResults come from a sync.Pool: Release them when done
-// and copy out anything that must outlive the batch. See PERFORMANCE.md for
-// the measured profile and the benchmark trajectory.
+// (and the lower-level (*Prepared).SimulateInto) then run the same closed
+// forms over each candidate into pooled result scratch, so the steady state
+// allocates nothing per candidate. Headline metrics are bit-identical to
+// per-candidate SimulateCtx calls; per-layer LayerStat detail is a
+// single-candidate feature — use SimulateCtx when Layers matter.
+// BatchResults come from a sync.Pool: Release them when done and copy out
+// anything that must outlive the batch. LatencyLimitedSearch runs the
+// latency-limited batch search over any simulation probe, such as
+// SimulateInto into caller-owned Results. See PERFORMANCE.md for the
+// measured profile and the benchmark trajectory.
 //
 // # Error contract
 //

@@ -538,21 +538,41 @@ func LatencyLimitedBatch(c *chip.Chip, g *graph.Graph, latencyBound float64, opt
 // LatencyLimitedBatchCtx is LatencyLimitedBatch threading a span context
 // through the underlying simulations.
 func LatencyLimitedBatchCtx(ctx context.Context, c *chip.Chip, g *graph.Graph, latencyBound float64, opt Options) (int, *Result, error) {
-	best, bestRes, err := 1, (*Result)(nil), error(nil)
-	r, err := SimulateCtx(ctx, c, g, 1, opt)
+	return LatencyLimitedSearch(latencyBound, func(batch int) (*Result, error) {
+		return SimulateCtx(ctx, c, g, batch, opt)
+	})
+}
+
+// LatencyLimitedMaxBatch is the largest batch the latency-limited search
+// probes.
+const LatencyLimitedMaxBatch = 512
+
+// LatencyLimitedSearch is the search behind LatencyLimitedBatch with the
+// simulation left to the caller: probe(batch) returns the simulation of
+// one batch size. It probes batch 1, then doubles up to
+// LatencyLimitedMaxBatch, stopping at the first batch whose latency
+// exceeds the bound, and returns the last batch within it together with
+// that batch's Result (batch 1 even if it misses the bound). A probe error
+// ends the search with that error.
+//
+// The search holds on to the best Result while it probes the next batch,
+// so probe must not reuse one Result for two batch sizes. A caller may
+// answer probes from a memo of simulations it already holds.
+func LatencyLimitedSearch(latencyBound float64, probe func(batch int) (*Result, error)) (int, *Result, error) {
+	best, err := probe(1)
 	if err != nil {
 		return 0, nil, err
 	}
-	bestRes = r
-	for b := 2; b <= 512; b *= 2 {
-		r, err := SimulateCtx(ctx, c, g, b, opt)
+	batch := 1
+	for b := 2; b <= LatencyLimitedMaxBatch; b *= 2 {
+		r, err := probe(b)
 		if err != nil {
 			return 0, nil, err
 		}
 		if r.LatencySec > latencyBound {
 			break
 		}
-		best, bestRes = b, r
+		batch, best = b, r
 	}
-	return best, bestRes, err
+	return batch, best, nil
 }
