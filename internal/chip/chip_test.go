@@ -273,6 +273,49 @@ func TestEfficiencySummary(t *testing.T) {
 	}
 }
 
+// TestEfficiencyMatchesRuntimePower pins Efficiency's power to the total
+// of RuntimePower's breakdown, bit for bit, on chips with every reported
+// peripheral kind (several ports of one kind included) and with an LPDDR
+// port, which the runtime breakdown does not report; and checks that
+// Efficiency allocates nothing.
+func TestEfficiencyMatchesRuntimePower(t *testing.T) {
+	many := dcPoint(64, 2, 2, 4)
+	many.OffChip = []OffChipPort{
+		{Kind: periph.DDRPort, GBps: 30, Count: 2}, {Kind: periph.HBMPort, GBps: 700},
+		{Kind: periph.PCIePort, GBps: 16}, {Kind: periph.ICILink, GBps: 60, Count: 4},
+		{Kind: periph.DMAEngine, GBps: 100}, {Kind: periph.LPDDRPort, GBps: 25},
+	}
+	a := Activity{
+		TUMACsPerSec: 3e13, VUOpsPerSec: 1e11, SUInstrPerSec: 1e9,
+		MemReadBytesPerSec: 2e11, MemWriteBytesPerSec: 1e11, NoCBytesPerSec: 5e10,
+		OffChipBytesPerSec: 1e11, HostBytesPerSec: 1e9, ICIBytesPerSec: 2e10,
+		ClockGateIdleFrac: 0.5,
+	}
+	for _, cfg := range []Config{dcPoint(64, 2, 2, 4), dcPoint(8, 4, 8, 16), many} {
+		c, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, bd := c.RuntimePower(a)
+		e := c.Efficiency(6e13, a)
+		if math.Float64bits(e.PowerW) != math.Float64bits(w) {
+			t.Errorf("Efficiency power %v, RuntimePower %v", e.PowerW, w)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { c.Efficiency(6e13, a) }); allocs != 0 {
+			t.Errorf("Efficiency allocates %v times per call", allocs)
+		}
+		if len(cfg.OffChip) > 1 {
+			var names []string
+			for _, ch := range bd.Children {
+				names = append(names, ch.Name)
+			}
+			if got := strings.Join(names, " "); got != "tu vu su mem ctrl cdb noc ddr hbm pcie ici dma misc" {
+				t.Errorf("runtime breakdown children: %s", got)
+			}
+		}
+	}
+}
+
 func TestBrawnyVsWimpyShape(t *testing.T) {
 	// A wimpy chip with the same peak TOPS needs far more area: per-core
 	// overhead (SU, ctrl, NoC routers) multiplies (§III-B.1).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"neurometer/internal/pat"
+	"neurometer/internal/periph"
 )
 
 // patBreakdown aliases pat.Breakdown so report.go stays terse.
@@ -49,15 +50,32 @@ type Activity struct {
 // activity, with a per-component breakdown. Unlike TDP, no guardband is
 // applied: this is the average power of the running workload.
 func (c *Chip) RuntimePower(a Activity) (float64, *pat.Breakdown) {
+	bd := pat.NewBreakdown(c.Cfg.Name+"/runtime", 0, 0)
+	c.runtimeTerms(a, func(name string, w float64) {
+		bd.AddChild(pat.NewBreakdown(name, 0, w))
+	})
+	return bd.PowerW, bd
+}
+
+// runtimeIOKinds are the peripheral kinds the runtime power reports,
+// indexed by periph.Kind, in breakdown order.
+var runtimeIOKinds = [...]string{
+	periph.DDRPort: "ddr", periph.HBMPort: "hbm", periph.PCIePort: "pcie",
+	periph.ICILink: "ici", periph.DMAEngine: "dma",
+}
+
+// runtimeTerms passes each component's runtime power (watts, clamped at
+// zero) to term, in breakdown order. RuntimePower builds its breakdown
+// from the terms and Efficiency only sums them, in the same order, so the
+// two totals are bit-identical.
+func (c *Chip) runtimeTerms(a Activity, term func(name string, w float64)) {
 	core := c.Core
 	tiles := float64(c.tiles)
-	bd := pat.NewBreakdown(c.Cfg.Name+"/runtime", 0, 0)
-
 	add := func(name string, w float64) {
 		if w < 0 {
 			w = 0
 		}
-		bd.AddChild(pat.NewBreakdown(name, 0, w))
+		term(name, w)
 	}
 
 	// Idle sequential power: units that are not computing still burn clock
@@ -114,32 +132,37 @@ func (c *Chip) RuntimePower(a Activity) (float64, *pat.Breakdown) {
 	}
 	add("noc", c.NoC.EnergyPerBytePJ()*1e-12*a.NoCBytesPerSec+c.NoC.LeakUW()*1e-6)
 
-	// Peripherals by traffic class.
-	ioW := map[string]float64{}
+	// Peripherals by traffic class: each reported kind's ports summed in
+	// port order, the kinds in runtimeIOKinds order.
+	var ioW [len(runtimeIOKinds)]float64
+	var ioSeen [len(runtimeIOKinds)]bool
 	for _, p := range c.Periph {
+		k := p.Cfg.Kind
+		if k < 0 || int(k) >= len(ioW) {
+			continue
+		}
 		var bps float64
-		switch p.Cfg.Kind.String() {
-		case "hbm", "ddr":
+		switch k {
+		case periph.HBMPort, periph.DDRPort:
 			bps = a.OffChipBytesPerSec
-		case "pcie":
+		case periph.PCIePort:
 			bps = a.HostBytesPerSec
-		case "ici":
+		case periph.ICILink:
 			bps = a.ICIBytesPerSec
 		}
 		util := 0.0
 		if p.Cfg.GBps > 0 {
 			util = bps / (p.Cfg.GBps * 1e9)
 		}
-		ioW[p.Cfg.Kind.String()] += p.PowerW(util)
+		ioW[k] += p.PowerW(util)
+		ioSeen[k] = true
 	}
-	for _, k := range []string{"ddr", "hbm", "pcie", "ici", "dma"} {
-		if w, ok := ioW[k]; ok {
-			add(k, w)
+	for k, name := range runtimeIOKinds {
+		if ioSeen[k] {
+			add(name, ioW[k])
 		}
 	}
 	add("misc", c.misc.DynPJ*1e-12*c.clockHz*0.5+c.misc.LeakUW*1e-6)
-
-	return bd.PowerW, bd
 }
 
 // AchievedTOPS converts an op rate into TOPS.
@@ -158,7 +181,8 @@ type EfficiencySummary struct {
 // Efficiency computes the runtime efficiency metrics for an achieved op
 // rate under the given activity.
 func (c *Chip) Efficiency(opsPerSec float64, a Activity) EfficiencySummary {
-	w, _ := c.RuntimePower(a)
+	w := 0.0
+	c.runtimeTerms(a, func(_ string, tw float64) { w += tw })
 	tops := opsPerSec / 1e12
 	area := c.AreaMM2()
 	return EfficiencySummary{

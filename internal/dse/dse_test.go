@@ -50,7 +50,8 @@ func TestFig10SimulationCounts(t *testing.T) {
 	// once: regime b's latency ladder reuses regime a's batch 1, and no
 	// ladder at Table I reaches regime c's batch 256. The counts and the
 	// output are the same at any pool size, so no cell is simulated twice
-	// or skipped.
+	// or skipped. A simulation evaluates the closed forms once per shape
+	// class of the model, so layer_evals counts classes, not layers.
 	cs := TableI()
 	cands := SecondRound(Frontier(sweep, cs.TOPSCap), cs.TOPSCap)
 	if len(cands) != 47 {
@@ -69,6 +70,7 @@ func TestFig10SimulationCounts(t *testing.T) {
 		for name, want := range map[string]int64{
 			"perfsim.simulations":      801,
 			"perfsim.layers_simulated": 154533,
+			"perfsim.layer_evals":      35910,
 		} {
 			if got := after[name] - before[name]; got != want {
 				t.Errorf("workers=%d block=%d: %s = %d per study, want %d", h.Workers, h.BlockSize, name, got, want)

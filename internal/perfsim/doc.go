@@ -16,10 +16,29 @@
 //
 // Simulate is a pure function of its inputs: it mutates neither the
 // *chip.Chip (immutable after chip.Build) nor the *graph.Graph it is
-// given, and keeps all working state on the stack. Any number of
-// goroutines may therefore simulate against shared chips and graphs
-// concurrently — this is exactly what the dse parallel sweep engine does —
-// and identical inputs always produce bitwise-identical Results.
+// given, and keeps its working state on the stack (per-class scratch of a
+// graph with more than 64 shape classes comes from a sync.Pool, one
+// simulation's at a time). Any number of goroutines may therefore simulate against shared
+// chips, graphs and Prepareds concurrently — this is exactly what the dse
+// parallel sweep engine does — and identical inputs always produce
+// bitwise-identical Results.
+//
+// # Shape classes
+//
+// Networks repeat layer shapes: ResNet-50's 72 layers have 30 distinct
+// shapes, Inception-v3's 120 have 54, NASNet-A-Large's 533 have 54.
+// Prepare groups layers into shape classes, keyed by everything the closed
+// forms read about a layer (its prepared values, name excluded), and a
+// simulation evaluates the closed forms — mapping choice, cycles, traffic,
+// stream MACs, epilogue — once per class, on the class's first layer.
+// It then walks the layers in graph order and adds each layer's class
+// values to the running sums, in the same order a per-layer loop would,
+// so every Result and LayerStat is bit-identical to evaluating each layer
+// (pinned against a per-layer reference simulator by
+// TestClassedMatchesOracle). The deadline check, the perfsim.layer
+// injection site, and in detail mode the LayerStat and perfsim.layer span
+// stay per layer. The counter perfsim.layers_simulated counts layers
+// walked, perfsim.layer_evals class evaluations.
 //
 // # Batch evaluation
 //

@@ -11,9 +11,11 @@ import (
 )
 
 // FuzzPerfsimOptions drives Simulate across arbitrary batch sizes, option
-// combinations, and chip shapes: no input may panic, and every successful
-// simulation must report finite cycles/TOPS/utilization. The chip builds
-// are cached per shape so the fuzzer spends its time in the simulator.
+// combinations, and chip shapes: no input may panic, every successful
+// simulation must report finite cycles/TOPS/utilization, and the
+// shape-class simulation must match the per-layer oracle bit for bit. The
+// chip builds are cached per shape so the fuzzer spends its time in the
+// simulator.
 func FuzzPerfsimOptions(f *testing.F) {
 	f.Add(1, true, true, true, 64, 2)
 	f.Add(8, false, false, false, 8, 4)
@@ -23,6 +25,10 @@ func FuzzPerfsimOptions(f *testing.F) {
 	f.Add(1<<20, false, false, true, 16, 1)
 
 	g, err := workloads.ByName("alexnet")
+	if err != nil {
+		f.Fatal(err)
+	}
+	p, err := Prepare(g)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -49,7 +55,11 @@ func FuzzPerfsimOptions(f *testing.F) {
 		x := []int{8, 16, 32, 64, 128}[abs(xRaw)%5]
 		n := []int{1, 2, 4}[abs(nRaw)%3]
 		opt := Options{SpaceToDepth: s2d, SpaceToBatch: s2b, DoubleBuffer: dbuf}
-		res, err := Simulate(build(x, n), g, batch, opt) // must never panic
+		c := build(x, n)
+		res, err := Simulate(c, g, batch, opt) // must never panic
+		if c != nil && batch > 0 {
+			checkMatchesOracle(t, c, p, batch, opt)
+		}
 		if err != nil {
 			return
 		}

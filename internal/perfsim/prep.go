@@ -15,13 +15,25 @@ import (
 // of a simulation). Prepare hoists that work into a read-only table computed
 // once per workload, which the batch engine amortizes across every candidate
 // sharing the graph.
+//
+// Shape classes: real networks repeat layer shapes (ResNet-50's bottleneck
+// blocks, NASNet-A's stacked cells), and every per-layer closed form is a
+// function of the layer's layerVals alone, never of its name or position.
+// Prepare therefore groups layers whose layerVals are == into one shape
+// class, and a simulation evaluates the closed forms once per class, then
+// walks the layers in graph order accumulating each class's values. The
+// walk adds the same values in the same order as a per-layer evaluation
+// would, so results are bit-identical. The class key is the whole
+// layerVals, which holds no name (LayerStat names come from the graph): a
+// field added to layerVals joins the key without further change. Every
+// layerVals field is an exact float64 image of an integer (or a flag, or a
+// kind), never NaN or -0, so float equality in the key is bit equality.
 
 // layerVals is the chip-independent precomputation for one layer. All
 // quantities are stored as float64 exactly as the simulator's closed forms
 // consume them, so a prepared simulation performs bit-identical arithmetic
 // to the unprepared path.
 type layerVals struct {
-	name     string
 	kind     graph.OpKind
 	isMatrix bool
 	macs     float64 // per-frame MACs
@@ -35,13 +47,20 @@ type layerVals struct {
 }
 
 // Prepared is a validated workload graph with its per-layer closed-form
-// inputs precomputed. It is immutable after Prepare and safe for concurrent
-// use by any number of goroutines — the dse sweep engine shares one
-// Prepared per workload across its whole worker pool.
+// inputs precomputed and its layers grouped into shape classes. It is
+// immutable after Prepare and safe for concurrent use by any number of
+// goroutines — the dse sweep engine shares one Prepared per workload across
+// its whole worker pool.
 type Prepared struct {
 	g      *graph.Graph
 	layers []layerVals
 	params float64 // float64(g.Params()), for the weights-residency test
+
+	// class[i] is layer i's shape class. Classes are numbered in order of
+	// first appearance, and first[k] is the index of class k's first layer,
+	// the representative the simulation evaluates the class on.
+	class []int32
+	first []int32
 }
 
 // Prepare validates g once and precomputes the per-layer quantities every
@@ -63,7 +82,6 @@ func Prepare(g *graph.Graph) (*Prepared, error) {
 	for i := range g.Layers {
 		l := &g.Layers[i]
 		lv := &p.layers[i]
-		lv.name = l.Name
 		lv.kind = l.Kind
 		lv.isMatrix = l.Kind.IsMatrixOp()
 		lv.macs = float64(l.MACs())
@@ -79,8 +97,56 @@ func Prepare(g *graph.Graph) (*Prepared, error) {
 			lv.kk = math.Min(float64(l.InH*l.InW), 64)
 		}
 	}
+	p.classify()
 	return p, nil
 }
 
 // Graph returns the underlying workload graph.
 func (p *Prepared) Graph() *graph.Graph { return p.g }
+
+// classify numbers the shape classes in order of first appearance. It is
+// an open-addressed hash table of class numbers over the layers' shape
+// hashes, sized at least twice the layer count; candidates are compared as
+// whole layerVals, so the hash may leave fields out but the equality never
+// does. SimulateCtx prepares on every call, so this cost matters: a map
+// keyed by layerVals made its ResNet-50 call about 12 µs slower than this
+// table does (BenchmarkSimulateSingle).
+func (p *Prepared) classify() {
+	n := len(p.layers)
+	p.class = make([]int32, n)
+	p.first = make([]int32, 0, n)
+	bits := 1
+	for 1<<bits < 2*n {
+		bits++
+	}
+	table := make([]int32, 1<<bits) // class number + 1; 0 is an empty slot
+	mask := len(table) - 1
+	for i := range p.layers {
+		lv := &p.layers[i]
+		slot := int(shapeHash(lv) >> (64 - bits))
+		for {
+			k := table[slot] - 1
+			if k < 0 {
+				table[slot] = int32(len(p.first)) + 1
+				p.class[i] = int32(len(p.first))
+				p.first = append(p.first, int32(i))
+				break
+			}
+			if p.layers[p.first[k]] == *lv {
+				p.class[i] = k
+				break
+			}
+			slot = (slot + 1) & mask
+		}
+	}
+}
+
+// shapeHash mixes a layer's numeric shape fields, multiplicatively, into
+// the high bits of the result (classify indexes its table by them).
+func shapeHash(lv *layerVals) uint64 {
+	h := uint64(lv.kind) + 1
+	for _, v := range [...]float64{lv.macs, lv.vops, lv.m0, lv.k0, lv.n0, lv.inBytes, lv.outBytes, lv.kk} {
+		h = (h ^ math.Float64bits(v)) * 0x9e3779b97f4a7c15
+	}
+	return h
+}
