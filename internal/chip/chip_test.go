@@ -274,9 +274,8 @@ func TestEfficiencySummary(t *testing.T) {
 }
 
 // TestEfficiencyMatchesRuntimePower pins Efficiency's power to the total
-// of RuntimePower's breakdown, bit for bit, on chips with every reported
-// peripheral kind (several ports of one kind included) and with an LPDDR
-// port, which the runtime breakdown does not report; and checks that
+// of RuntimePower's breakdown, bit for bit, on chips with every
+// peripheral kind (several ports of one kind included), and checks that
 // Efficiency allocates nothing.
 func TestEfficiencyMatchesRuntimePower(t *testing.T) {
 	many := dcPoint(64, 2, 2, 4)
@@ -309,7 +308,7 @@ func TestEfficiencyMatchesRuntimePower(t *testing.T) {
 			for _, ch := range bd.Children {
 				names = append(names, ch.Name)
 			}
-			if got := strings.Join(names, " "); got != "tu vu su mem ctrl cdb noc ddr hbm pcie ici dma misc" {
+			if got := strings.Join(names, " "); got != "tu vu su mem ctrl cdb noc ddr hbm pcie ici dma lpddr misc" {
 				t.Errorf("runtime breakdown children: %s", got)
 			}
 		}

@@ -32,7 +32,7 @@ type Activity struct {
 	// NoCBytesPerSec: bytes injected into the NoC (average-hop routing is
 	// applied internally).
 	NoCBytesPerSec float64
-	// OffChipBytesPerSec: DRAM/HBM traffic.
+	// OffChipBytesPerSec: DRAM traffic (DDR, HBM and LPDDR ports).
 	OffChipBytesPerSec float64
 	// HostBytesPerSec: PCIe traffic.
 	HostBytesPerSec float64
@@ -61,7 +61,7 @@ func (c *Chip) RuntimePower(a Activity) (float64, *pat.Breakdown) {
 // indexed by periph.Kind, in breakdown order.
 var runtimeIOKinds = [...]string{
 	periph.DDRPort: "ddr", periph.HBMPort: "hbm", periph.PCIePort: "pcie",
-	periph.ICILink: "ici", periph.DMAEngine: "dma",
+	periph.ICILink: "ici", periph.DMAEngine: "dma", periph.LPDDRPort: "lpddr",
 }
 
 // runtimeTerms passes each component's runtime power (watts, clamped at
@@ -143,7 +143,7 @@ func (c *Chip) runtimeTerms(a Activity, term func(name string, w float64)) {
 		}
 		var bps float64
 		switch k {
-		case periph.HBMPort, periph.DDRPort:
+		case periph.HBMPort, periph.DDRPort, periph.LPDDRPort:
 			bps = a.OffChipBytesPerSec
 		case periph.PCIePort:
 			bps = a.HostBytesPerSec

@@ -24,6 +24,9 @@ const (
 	// tableIDigest hashes every Table I candidate's PeakTOPS, AreaMM2 and
 	// TDPW at full precision.
 	tableIDigest = "c9367fd9c43a8576"
+	// edgeDigest hashes every EdgeStudy row field at full precision; it
+	// pins the edge chips' LPDDR-bounded runtimes and DRAM power.
+	edgeDigest = "a605b0f12b563b33"
 )
 
 // shortSum is the first 16 hex digits of h's sum, perfbench's digest form.
@@ -71,5 +74,22 @@ func TestFig10Digest(t *testing.T) {
 	}
 	if got := shortSum(h); got != fig10Digest {
 		t.Errorf("Fig. 10 digest %s, want %s", got, fig10Digest)
+	}
+}
+
+func TestEdgeStudyDigest(t *testing.T) {
+	rows, err := EdgeStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, r := range rows {
+		fmt.Fprintln(h, r.Point, g(r.PeakTOPS), g(r.AreaMM2), g(r.TDPW), g(r.LatencyMS), g(r.FPS),
+			g(r.PowerW), g(r.FPSPerWatt), g(r.Utilization),
+			g(r.MobileLatencyMS), g(r.MobileFPS), g(r.MobileFPSPerWatt))
+	}
+	if got := shortSum(h); got != edgeDigest {
+		t.Errorf("edge study digest %s, want %s (%d rows)", got, edgeDigest, len(rows))
 	}
 }

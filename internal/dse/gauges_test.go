@@ -5,15 +5,15 @@ import (
 	"testing"
 	"time"
 
-	"neurometer/internal/chaos/invariants"
 	"neurometer/internal/guard"
+	"neurometer/internal/invariants"
 )
 
 // checkGaugesDrained asserts the pool gauges returned to zero once a sweep
 // finished — the regression contract for the inflight-slot leak: panics and
 // timeouts inside candidate evaluation must not strand dse.eval_inflight or
-// dse.queue_depth above zero. The check itself is the shared invariant the
-// chaos engine runs after every episode.
+// dse.queue_depth above zero. The check itself is the shared invariant
+// TestStoreDamageUnderFaults asserts after every fault row.
 func checkGaugesDrained(t *testing.T) {
 	t.Helper()
 	invariants.RequireGaugesDrained(t, "dse.eval_inflight", "dse.queue_depth")

@@ -7,11 +7,15 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 
+	"neurometer/internal/chip"
 	"neurometer/internal/guard"
+	"neurometer/internal/invariants"
 	"neurometer/internal/obs"
 	"neurometer/internal/perfsim"
 	"neurometer/internal/rstore"
@@ -417,5 +421,196 @@ func TestFig10PartialStore(t *testing.T) {
 		if RuntimeRowsCSV(got[regime]) != RuntimeRowsCSV(want[regime]) {
 			t.Errorf("%s: output with a partial store differs from the no-store run", regime)
 		}
+	}
+}
+
+// faultRow is one row of the store-damage fault table: the faults it arms
+// and whether the replay must stay byte-identical (false: the relaxed NaN
+// contract).
+type faultRow struct {
+	name   string
+	faults map[string]guard.Fault
+	exact  bool
+}
+
+// faultTable is one row per (site, effect) pair that keeps the output
+// exact, one row arming all of them at once, and one NaN row, which may
+// drop rows but must never change or emit a non-finite one.
+func faultTable() []faultRow {
+	ioErr := guard.Unavailable("injected io error")
+	const d = 2 * time.Millisecond
+	type sites = map[string]guard.Fault
+	return []faultRow{
+		{"rstore.read/err", sites{"rstore.read": {Skip: 1, Count: 1, Err: ioErr}}, true},
+		{"rstore.read/delay", sites{"rstore.read": {Count: 1, Delay: d}}, true},
+		{"rstore.write/err", sites{"rstore.write": {Count: 1, Err: ioErr}}, true},
+		{"rstore.write/delay", sites{"rstore.write": {Skip: 1, Count: 1, Delay: d}}, true},
+		// The scan visits entries in storeEntryFiles order, so its third
+		// hit is the one entry damageStore left intact.
+		{"rstore.scan/err", sites{"rstore.scan": {Skip: 2, Count: 1, Err: ioErr}}, true},
+		{"chip.build/delay", sites{"chip.build": {Skip: 1, Count: 1, Delay: d}}, true},
+		{"perfsim.simulate/delay", sites{"perfsim.simulate": {Count: 1, Delay: d}}, true},
+		{"perfsim.layer/delay", sites{"perfsim.layer": {Skip: 3, Count: 1, Delay: d}}, true},
+		{"dse.candidate/delay", sites{"dse.candidate": {Skip: 1, Count: 1, Delay: d}}, true},
+		{"everything", sites{
+			"rstore.read":      {Skip: 1, Count: 1, Delay: d, Err: ioErr},
+			"rstore.write":     {Count: 1, Delay: d, Err: ioErr},
+			"rstore.scan":      {Skip: 2, Count: 1, Err: ioErr},
+			"chip.build":       {Count: 1, Delay: d},
+			"perfsim.simulate": {Skip: 1, Count: 1, Delay: d},
+			"perfsim.layer":    {Skip: 5, Count: 1, Delay: d},
+			"dse.candidate":    {Count: 1, Delay: d},
+		}, true},
+		{"perfsim.achieved_tops/nan", sites{"perfsim.achieved_tops": {Count: 1, NaN: true}}, false},
+	}
+}
+
+// TestFaultTableCoversEverySite fails when a registered production fault
+// site has no row in the fault table, or a row arms a site that is not
+// registered, so every site TestStoreDamageUnderFaults should exercise is.
+func TestFaultTableCoversEverySite(t *testing.T) {
+	covered := map[string]bool{}
+	for _, r := range faultTable() {
+		for site := range r.faults {
+			covered[site] = true
+		}
+	}
+	registered := map[string]bool{}
+	for _, site := range guard.Sites() {
+		registered[site] = true
+		if !covered[site] {
+			t.Errorf("fault site %q has no row in the fault table", site)
+		}
+	}
+	for site := range covered {
+		if !registered[site] {
+			t.Errorf("fault table arms %q, which is not a registered fault site", site)
+		}
+	}
+}
+
+// TestStoreDamageUnderFaults is the result store's durability contract
+// under every production fault site. Each faultTable row populates a
+// store, damages it the three ways crashes and bad disks do (a flipped
+// byte mid-entry, an entry torn to half its length, an orphaned *.tmp),
+// arms its faults, reopens the store (so the recovery scan runs under
+// them), rebuilds the fixture's chips (chip.build is on the replay path,
+// as in a cmd/dse run) and replays the study on a two-worker pool. The
+// output must be byte-identical to the storeless serial reference, every
+// armed fault must fire, and the store and obs registry must pass the
+// shared invariants.
+func TestStoreDamageUnderFaults(t *testing.T) {
+	defer guard.DisarmAll()
+	rows := faultTable()
+
+	ref := studyCSV(t, Hardening{})
+	refLines := map[string]bool{}
+	for _, l := range strings.SplitAfter(ref, "\n") {
+		refLines[l] = true
+	}
+	_, spec, opt := studyFixture(t)
+	maxQuarantined, _ := rstore.QuarantineLimits()
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			defer guard.DisarmAll()
+			dir := t.TempDir()
+			studyCSV(t, Hardening{Results: openCache(t, dir)})
+			files := storeEntryFiles(t, dir)
+			if len(files) != 3 {
+				t.Fatalf("populated store holds %d entries, want 3", len(files))
+			}
+			damageStore(t, dir, files)
+
+			baseline := invariants.GoroutineBaseline()
+			before := obs.Default().Snapshot()
+			for site, f := range r.faults {
+				guard.Arm(site, f)
+			}
+			st, err := rstore.OpenDisk(dir)
+			if err != nil {
+				t.Fatalf("recovery scan over the damaged store failed: %v", err)
+			}
+			if rep := st.Report(); rep.TmpRemoved != 1 || rep.Quarantined < 2 {
+				t.Errorf("scan report = %+v, want the tmp removed and both damaged entries quarantined", rep)
+			}
+			cache := rstore.NewCache(st)
+			cands, _, _ := studyFixture(t)
+			for i := range cands {
+				if cands[i].Chip, err = chip.BuildCached(TableI().Config(cands[i].Point)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			out, err := RuntimeStudyHardened(context.Background(), cands, alexnet(t), spec, opt,
+				Hardening{Workers: 2, BlockSize: 2, Results: cache})
+			cache.Close()
+			guard.DisarmAll()
+			if err != nil {
+				t.Fatalf("replay failed: %v", err)
+			}
+			got := RuntimeRowsCSV(out)
+
+			if r.exact && got != ref {
+				t.Errorf("CSV differs from the storeless serial reference:\n%s\n---\n%s", got, ref)
+			}
+			for _, l := range strings.SplitAfter(got, "\n") {
+				if l != "" && !refLines[l] {
+					t.Errorf("row not byte-identical to any reference row: %q", l)
+				}
+				if strings.Contains(l, "NaN") || strings.Contains(l, "Inf") {
+					t.Errorf("non-finite value reached the CSV: %q", l)
+				}
+			}
+
+			after := obs.Default().Snapshot()
+			fired := after.Counters["guard.faults_injected"] - before.Counters["guard.faults_injected"]
+			if fired != int64(len(r.faults)) {
+				t.Errorf("%d faults fired, want %d (one per armed site)", fired, len(r.faults))
+			}
+			if err := invariants.QuarantineAccounting(dir, maxQuarantined); err != nil {
+				t.Error(err)
+			}
+			if err := invariants.GaugesDrained(after); err != nil {
+				t.Error(err)
+			}
+			if err := invariants.NoGoroutineLeak(baseline, 4, 5*time.Second); err != nil {
+				t.Error(err)
+			}
+			if err := invariants.CountersMonotonic(before, after); err != nil {
+				t.Error(err)
+			}
+			if err := invariants.FiniteGauges(after); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// damageStore applies the three store-damage ops: a byte flipped in the
+// middle of files[0], files[1] truncated to half its length, and an
+// orphaned tmp file planted under objects/.
+func damageStore(t *testing.T, dir string, files []string) {
+	t.Helper()
+	raw, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0xFF
+	if err := os.WriteFile(files[0], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, err := os.Stat(files[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(files[1], info.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+	sub := filepath.Join(dir, "objects", "00")
+	if err := os.MkdirAll(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(sub, strings.Repeat("0", 64)+".res.tmp")
+	if err := os.WriteFile(tmp, []byte("torn write"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -31,15 +31,12 @@
 //
 // # Fault-site registry
 //
-// Arm targets a named site; Inject (or CorruptFloat) fires the armed
-// fault when execution reaches it. ArmPlan arms a whole Plan at once —
-// multiple faults across multiple sites, each targeted by hit count
-// (Skip/Count) or probabilistically by a seeded RNG (PlanFault.Prob) —
-// which is how the chaos engine (internal/chaos) weaves one episode's
-// faults across layers; Stats reports exact per-site hit/fired counts.
-// Sites returns the canonical registry below as a slice (sites.go), so
-// schedule generators can enumerate it. The complete set of production
-// sites, in evaluation order:
+// Arm targets a named site with one fault, fired by hit count
+// (Skip/Count); Inject (or CorruptFloat) fires it when execution reaches
+// the site. Sites returns the canonical registry below as a slice
+// (sites.go), so tests can enumerate it: dse.TestFaultTableCoversEverySite
+// fails when a registered site has no row in the store-damage fault table. The
+// complete set of production sites, in evaluation order:
 //
 //	chip.build             chip.Build, before any modeling — a failing
 //	                       site makes the whole candidate fail fast.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +18,7 @@ import (
 // load per site visit (armed is zero, nothing else executes). Tests arm
 // faults with Arm and drive exactly the Nth visit of a site into a panic,
 // a delay, an error, or a NaN, proving the corresponding recovery path
-// end to end without randomness. Schedule-driven tests (the chaos engine)
-// arm a whole Plan at once: multiple faults across multiple sites, each
-// deterministically targeted by hit count or by a seeded RNG.
+// end to end without randomness.
 
 // Fault describes what happens when an armed site is hit.
 type Fault struct {
@@ -47,53 +44,15 @@ type Fault struct {
 	OnHit func()
 }
 
-// PlanFault is one fault of a Plan: a Fault bound to a site, optionally
-// armed probabilistically.
-type PlanFault struct {
-	// Site names the injection site this fault attaches to.
-	Site string
-	Fault
-	// Prob, when in (0, 1), makes each otherwise-eligible hit fire with
-	// this probability, decided by the plan's seeded RNG. The draw
-	// sequence is serialized with hit accounting, so the number of hits
-	// that fire is a pure function of (Seed, hit count) — probabilistic
-	// arming stays replayable. 0 (and anything >= 1) means deterministic.
-	Prob float64
-}
-
-// Plan is a schedule of faults across many sites, armed as one unit. The
-// chaos engine (internal/chaos) generates Plans from seeded schedules so
-// one episode can weave faults across layers; plain tests can also use it
-// to arm several sites without stacking individual Arm calls.
-type Plan struct {
-	// Seed drives every probabilistic fault in the plan.
-	Seed int64
-	// Faults are armed in order. A site's first fault in the plan
-	// replaces whatever was armed there (Arm semantics); subsequent
-	// faults for the same site stack behind it and are consulted in plan
-	// order on each hit.
-	Faults []PlanFault
-}
-
-// armedFault is a Fault plus its arming mode and firing account.
-type armedFault struct {
-	Fault
-	prob  float64    // (0,1) when probabilistic
-	rng   *rand.Rand // non-nil iff probabilistic
-	fired int        // times this fault actually fired
-}
-
-// siteState is one site's armed faults plus its shared hit counter. Skip
-// is measured against the site's hits (visits), not against any single
-// fault's, so "fire on the Nth visit" means the same thing whether the
-// fault was armed alone or as part of a plan.
+// siteState is one site's armed fault plus its hit and firing counts.
 type siteState struct {
-	hits int
-	list []*armedFault
+	Fault
+	hits  int
+	fired int
 }
 
 var (
-	// armed is the fast-path gate: number of sites with faults armed.
+	// armed is the fast-path gate: number of sites with a fault armed.
 	armed atomic.Int32
 
 	injectMu sync.Mutex
@@ -103,88 +62,21 @@ var (
 	mFaults = obs.NewCounter("guard.faults_injected")
 )
 
-// armLocked installs af at site; callers hold injectMu. replace resets the
-// site (hit counter and fault list) first, preserving Arm's historical
-// replace semantics.
-func armLocked(site string, af *armedFault, replace bool) {
-	if faults == nil {
-		faults = map[string]*siteState{}
-	}
-	st, exists := faults[site]
-	if !exists {
-		armed.Add(1)
-		st = &siteState{}
-		faults[site] = st
-	}
-	if replace {
-		st.hits = 0
-		st.list = st.list[:0]
-	}
-	st.list = append(st.list, af)
-}
-
 // Arm installs a fault at the named site and returns a disarm func.
-// Arming a site replaces any fault (or plan slice) already installed
-// there. Safe for concurrent use with site hits; tests normally defer the
-// disarm.
+// Arming a site replaces any fault already installed there and restarts
+// its hit count. Safe for concurrent use with site hits; tests normally
+// defer the disarm.
 func Arm(site string, f Fault) (disarm func()) {
 	injectMu.Lock()
 	defer injectMu.Unlock()
-	armLocked(site, &armedFault{Fault: f}, true)
+	if faults == nil {
+		faults = map[string]*siteState{}
+	}
+	if _, exists := faults[site]; !exists {
+		armed.Add(1)
+	}
+	faults[site] = &siteState{Fault: f}
 	return func() { Disarm(site) }
-}
-
-// ArmPlan arms every fault of the plan and returns a disarm func covering
-// all of the plan's sites. Probabilistic faults get independent RNG
-// streams derived from Plan.Seed and their position, so adding a fault to
-// a plan never perturbs the draws of the others.
-func ArmPlan(p Plan) (disarm func()) {
-	injectMu.Lock()
-	replaced := map[string]bool{}
-	for i, pf := range p.Faults {
-		af := &armedFault{Fault: pf.Fault}
-		if pf.Prob > 0 && pf.Prob < 1 {
-			af.prob = pf.Prob
-			af.rng = rand.New(rand.NewSource(p.Seed ^ (int64(i)+1)*-0x61C8864680B583EB))
-		}
-		armLocked(pf.Site, af, !replaced[pf.Site])
-		replaced[pf.Site] = true
-	}
-	injectMu.Unlock()
-	sites := make([]string, 0, len(replaced))
-	for site := range replaced {
-		sites = append(sites, site)
-	}
-	return func() {
-		for _, site := range sites {
-			Disarm(site)
-		}
-	}
-}
-
-// SiteStats is one armed site's hit accounting.
-type SiteStats struct {
-	// Hits counts site visits since arming.
-	Hits int
-	// Fired counts visits on which some armed fault actually fired.
-	Fired int
-}
-
-// Stats snapshots the hit accounting of every currently armed site. Hit
-// counting is serialized under the injection lock, so counts are exact
-// even when parallel workers hammer the same site.
-func Stats() map[string]SiteStats {
-	injectMu.Lock()
-	defer injectMu.Unlock()
-	out := make(map[string]SiteStats, len(faults))
-	for site, st := range faults {
-		s := SiteStats{Hits: st.hits}
-		for _, af := range st.list {
-			s.Fired += af.fired
-		}
-		out[site] = s
-	}
-	return out
 }
 
 // Armed reports whether any fault is currently armed at any site. Caching
@@ -193,7 +85,7 @@ func Stats() map[string]SiteStats {
 // hit-count targeting ("fire on the Nth visit") stays deterministic.
 func Armed() bool { return armed.Load() > 0 }
 
-// Disarm removes every fault at the named site, if any.
+// Disarm removes the fault at the named site, if any.
 func Disarm(site string) {
 	injectMu.Lock()
 	defer injectMu.Unlock()
@@ -211,8 +103,9 @@ func DisarmAll() {
 	faults = nil
 }
 
-// take records a hit at site and returns a copy of the first armed fault
-// that fires on this hit, consulting the site's faults in arming order.
+// take records a hit at site and returns a copy of its armed fault when
+// the fault fires on this hit. Hit counting is serialized under the
+// injection lock, so Skip/Count stay exact under parallel workers.
 func take(site string) (Fault, bool) {
 	injectMu.Lock()
 	defer injectMu.Unlock()
@@ -221,20 +114,11 @@ func take(site string) (Fault, bool) {
 		return Fault{}, false
 	}
 	st.hits++
-	for _, af := range st.list {
-		if st.hits <= af.Skip {
-			continue
-		}
-		if af.Count > 0 && af.fired >= af.Count {
-			continue
-		}
-		if af.rng != nil && af.rng.Float64() >= af.prob {
-			continue
-		}
-		af.fired++
-		return af.Fault, true
+	if st.hits <= st.Skip || (st.Count > 0 && st.fired >= st.Count) {
+		return Fault{}, false
 	}
-	return Fault{}, false
+	st.fired++
+	return st.Fault, true
 }
 
 // Inject is a fault-injection site for control flow. With no fault armed

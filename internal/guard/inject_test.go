@@ -118,3 +118,74 @@ func TestInjectConcurrentHits(t *testing.T) {
 		t.Errorf("fault fired %d times across goroutines, want exactly 5", fires)
 	}
 }
+
+// TestArmSitesIndependent arms three sites and hammers them from parallel
+// goroutines: each site keeps its own hit count, so every Skip/Count
+// window fires exactly its intended number of hits.
+func TestArmSitesIndependent(t *testing.T) {
+	t.Cleanup(DisarmAll)
+	errBoom := errors.New("boom")
+	Arm("test.a", Fault{Err: errBoom})                     // every hit
+	Arm("test.b", Fault{Skip: 10, Count: 5, Err: errBoom}) // hits 11..15
+	Arm("test.c", Fault{Skip: 99, Err: errBoom})           // hits 100..
+
+	const workers, perWorker = 8, 25 // 200 hits per site
+	var mu sync.Mutex
+	fired := map[string]int{}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				for _, site := range []string{"test.a", "test.b", "test.c"} {
+					if Inject(context.Background(), site) != nil {
+						mu.Lock()
+						fired[site]++
+						mu.Unlock()
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for site, want := range map[string]int{"test.a": 200, "test.b": 5, "test.c": 101} {
+		if fired[site] != want {
+			t.Errorf("site %s fired %d times, want %d", site, fired[site], want)
+		}
+	}
+}
+
+// TestArmReplaces checks that arming an armed site replaces its fault and
+// restarts its hit count, leaves other sites armed, and that each disarm
+// clears only its own site.
+func TestArmReplaces(t *testing.T) {
+	t.Cleanup(DisarmAll)
+	errFirst, errSecond := errors.New("first"), errors.New("second")
+	disarmOther := Arm("test.other", Fault{Err: errFirst})
+	Arm("test.r", Fault{Skip: 1, Err: errFirst})
+	if err := Inject(nil, "test.r"); err != nil {
+		t.Fatalf("skipped hit fired %v", err)
+	}
+	disarmR := Arm("test.r", Fault{Skip: 1, Err: errSecond})
+	if err := Inject(nil, "test.r"); err != nil {
+		t.Fatalf("re-arming must restart the hit count; first hit fired %v", err)
+	}
+	if err := Inject(nil, "test.r"); !errors.Is(err, errSecond) {
+		t.Fatalf("re-armed site fired %v, want %v", err, errSecond)
+	}
+	if err := Inject(nil, "test.other"); !errors.Is(err, errFirst) {
+		t.Fatalf("untouched site fired %v, want %v", err, errFirst)
+	}
+	disarmR()
+	if err := Inject(nil, "test.r"); err != nil {
+		t.Fatalf("after disarm, site still fires: %v", err)
+	}
+	if !Armed() {
+		t.Fatal("test.other is still armed, Armed() should be true")
+	}
+	disarmOther()
+	if Armed() {
+		t.Fatal("all sites disarmed, Armed() should be false")
+	}
+}

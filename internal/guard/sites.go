@@ -5,9 +5,10 @@ package guard
 // evaluation order. doc.go documents each site's placement and blast
 // radius; doc_test.go cross-checks this list against the tree, so a new
 // injection point must be added here (and documented) to compile a green
-// build. The chaos engine (internal/chaos) draws schedule events from
-// this list, which is what makes its coverage claim — "every production
-// fault site is reachable from a generated schedule" — checkable.
+// build. The store-damage fault table (dse.TestStoreDamageUnderFaults)
+// must have a row for every site in this list, which
+// dse.TestFaultTableCoversEverySite checks; that keeps the claim "every
+// production fault site is exercised" checkable.
 var productionSites = []string{
 	"chip.build",
 	"perfsim.simulate",

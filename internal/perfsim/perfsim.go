@@ -617,7 +617,7 @@ func offChipGBps(c *chip.Chip) float64 {
 	var total float64
 	for _, p := range c.Periph {
 		switch p.Cfg.Kind.String() {
-		case "hbm", "ddr":
+		case "hbm", "ddr", "lpddr":
 			total += p.Cfg.GBps
 		}
 	}

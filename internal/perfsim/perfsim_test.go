@@ -242,6 +242,61 @@ func TestRuntimePowerBelowTDP(t *testing.T) {
 	}
 }
 
+// TestLPDDROffChipBandwidth checks that an LPDDR-only chip (the edge
+// study's shape) is bounded by its DRAM port like a DDR port of the same
+// bandwidth, and that its runtime power reports the port.
+func TestLPDDROffChipBandwidth(t *testing.T) {
+	build := func(kind periph.Kind, gbps float64) *chip.Chip {
+		t.Helper()
+		c, err := chip.Build(chip.Config{
+			Name: "edge", TechNM: 28, ClockHz: 700e6, Tx: 1, Ty: 2,
+			Core: chip.CoreConfig{
+				NumTUs: 2, TURows: 32, TUCols: 32, TUDataType: maclib.Int8, HasSU: true,
+				Mem: []chip.MemSegment{{Name: "spad", CapacityBytes: 1 << 20}},
+			},
+			NoCBisectionGBps: 64,
+			OffChip:          []chip.OffChipPort{{Kind: kind, GBps: gbps}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	sim := func(c *chip.Chip) *Result {
+		t.Helper()
+		r, err := Simulate(c, workloads.MobileNetV1(), 1, DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r
+	}
+	lp := build(periph.LPDDRPort, 4)
+	if got := offChipGBps(lp); got != 4 {
+		t.Errorf("off-chip bandwidth of a 4 GB/s LPDDR chip = %v GB/s", got)
+	}
+	r := sim(lp)
+	if ddr := sim(build(periph.DDRPort, 4)); ddr.Cycles != r.Cycles {
+		t.Errorf("LPDDR chip takes %v cycles, DDR chip of the same bandwidth %v", r.Cycles, ddr.Cycles)
+	}
+	if fast := sim(build(periph.LPDDRPort, 1e6)); !(r.Cycles > fast.Cycles) {
+		t.Errorf("4 GB/s LPDDR chip takes %v cycles, no fewer than a 1 PB/s one (%v): its bandwidth is ignored", r.Cycles, fast.Cycles)
+	}
+	lpddrW := func(a chip.Activity) float64 {
+		_, bd := lp.RuntimePower(a)
+		var names []string
+		for _, ch := range bd.Children {
+			names = append(names, ch.Name)
+		}
+		if !strings.Contains(strings.Join(names, " "), "noc lpddr misc") {
+			t.Fatalf("runtime breakdown children %v have no lpddr entry", names)
+		}
+		return bd.Children[len(bd.Children)-2].PowerW
+	}
+	if busy, idle := lpddrW(r.Activity), lpddrW(chip.Activity{}); !(busy > idle) {
+		t.Errorf("lpddr runtime power %v W under traffic, %v W idle: traffic is not charged", busy, idle)
+	}
+}
+
 func TestLayersCSVAndSummary(t *testing.T) {
 	c := dcPoint(t, 64, 2, 2, 4)
 	r, err := Simulate(c, workloads.ResNet50(), 2, DefaultOptions())

@@ -57,7 +57,7 @@ var (
 
 // QuarantineLimits reports the active quarantine directory caps (max
 // entry count, max total bytes). Invariant checks use it to assert a
-// chaos episode's store stayed within bounds.
+// damaged store's quarantine stayed within bounds.
 func QuarantineLimits() (entries int, bytes int64) {
 	return quarantineMaxEntries, quarantineMaxBytes
 }

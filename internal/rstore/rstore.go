@@ -52,8 +52,8 @@ type Store interface {
 }
 
 // Counters for the -metrics snapshot. hits/misses tell the cache story;
-// corrupt_quarantined and degraded tell the robustness story — CI chaos
-// jobs assert on both.
+// corrupt_quarantined and degraded tell the robustness story — the
+// store byte-identity tests assert on both.
 var (
 	mHits          = obs.NewCounter("rstore.hits")
 	mMisses        = obs.NewCounter("rstore.misses")

@@ -12,8 +12,8 @@ import (
 	"testing"
 	"time"
 
-	"neurometer/internal/chaos/invariants"
 	"neurometer/internal/guard"
+	"neurometer/internal/invariants"
 )
 
 // newTestServer spins up a Server on an httptest listener and guarantees a
