@@ -32,9 +32,6 @@
 //
 //	-workers n      candidate-evaluation pool size (default GOMAXPROCS;
 //	                1 = serial). Output is byte-identical at any n.
-//	-block n        candidates claimed per worker at a time in the -fig 10
-//	                sweep (0 = default 16). Larger blocks keep per-worker
-//	                scratch hot; output is byte-identical at any n.
 //	-csv prefix     also write -fig 10 rows to prefix.<regime>.csv
 //
 // SIGINT interrupts a sweep gracefully: in-flight candidates unwind and the
@@ -64,19 +61,16 @@ type hardenFlags struct {
 	timeout time.Duration
 	retries int
 	workers int
-	block   int
 	csv     string
 	store   string
 }
 
 func main() {
 	fig := flag.Int("fig", 10, "figure to reproduce: 7, 8, 9 or 10; 0 = ablation studies; -1 = edge-scenario sweep")
-	full := flag.Bool("full", false, "evaluate the full feasible set instead of the frontier")
 	var hf hardenFlags
 	flag.DurationVar(&hf.timeout, "candidate-timeout", 0, "per-candidate evaluation deadline (0 = unbounded)")
 	flag.IntVar(&hf.retries, "retries", 0, "retries for retryable (timed-out) candidate failures")
 	flag.IntVar(&hf.workers, "workers", dse.DefaultWorkers, "candidate-evaluation workers (default GOMAXPROCS; 1 = serial; output is identical at any count)")
-	flag.IntVar(&hf.block, "block", 0, "candidates claimed per worker at a time in the -fig 10 sweep (0 = default; output is identical at any size)")
 	flag.StringVar(&hf.csv, "csv", "", "also write -fig 10 rows as CSV at <prefix>.<regime>.csv")
 	flag.StringVar(&hf.store, "result-store", "", "persistent per-candidate result store directory for the -fig 10 sweep (verified read-through cache; faults degrade to evaluation)")
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
@@ -90,7 +84,7 @@ func main() {
 	// candidates (and inside perfsim between layers) and unwind with
 	// guard.ErrCanceled.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
-	runErr := run(ctx, *fig, *full, hf)
+	runErr := run(ctx, *fig, hf)
 	stopSignals()
 	stop() // flush profiles/trace/metrics before any exit
 	if runErr != nil {
@@ -100,7 +94,7 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
+func run(ctx context.Context, fig int, hf hardenFlags) error {
 	ctx, root := obs.Start(ctx, "dse.run")
 	root.SetInt("fig", int64(fig))
 	defer root.End()
@@ -136,8 +130,7 @@ func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
 			fmt.Printf("%-10s %6d %12.1f %12.1f %6.2fx\n", r.Model, r.Batch, r.FPSBefore, r.FPSAfter, r.Gain())
 		}
 	case 8:
-		cands := candidates(ctx, cs, full, hf.workers)
-		rows := dse.Fig8(cands)
+		rows := dse.Fig8(dse.EnumerateParallel(ctx, cs, hf.workers))
 		fmt.Printf("%-14s %9s %9s %8s %9s %12s  breakdown (mm2)\n",
 			"point", "peakTOPS", "area", "TDP", "TOPS/W", "TOPS/TCO")
 		for _, r := range rows {
@@ -163,8 +156,8 @@ func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
 			fmt.Printf("  %-10s %d\n", m, limits[m])
 		}
 	case 10:
-		cands := dse.SecondRound(candidates(ctx, cs, full, hf.workers), cs.TOPSCap)
-		h := dse.Hardening{CandidateTimeout: hf.timeout, MaxRetries: hf.retries, Workers: hf.workers, BlockSize: hf.block}
+		cands := dse.SecondRound(dse.EnumerateParallel(ctx, cs, hf.workers), cs.TOPSCap)
+		h := dse.Hardening{CandidateTimeout: hf.timeout, MaxRetries: hf.retries, Workers: hf.workers}
 		if hf.store != "" {
 			st, err := rstore.OpenDisk(hf.store)
 			if err != nil {
@@ -202,12 +195,4 @@ func run(ctx context.Context, fig int, full bool, hf hardenFlags) error {
 		return guard.Invalid("dse: unknown figure %d (want 7, 8, 9 or 10; 0 = ablations; -1 = edge sweep)", fig)
 	}
 	return nil
-}
-
-func candidates(ctx context.Context, cs dse.Constraints, full bool, workers int) []dse.Candidate {
-	cands := dse.EnumerateParallel(ctx, cs, workers)
-	if !full {
-		cands = dse.Frontier(cands, cs.TOPSCap)
-	}
-	return cands
 }

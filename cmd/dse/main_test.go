@@ -28,7 +28,7 @@ func TestMain(m *testing.M) {
 func TestUnknownFigureIsInvalid(t *testing.T) {
 	before := obs.Default().Snapshot().Counters["chip.builds"]
 	for _, fig := range []int{11, 1, -2} {
-		err := run(context.Background(), fig, false, hardenFlags{})
+		err := run(context.Background(), fig, hardenFlags{})
 		if !errors.Is(err, guard.ErrInvalidConfig) {
 			t.Errorf("-fig %d: err = %v, want invalid-config", fig, err)
 		}

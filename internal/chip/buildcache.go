@@ -15,12 +15,21 @@ import (
 // BuildCached keys finished builds (and deterministic build failures) on a
 // canonical configuration fingerprint. A Chip is immutable after Build, so
 // sharing one instance across concurrent sweep workers is safe.
+//
+// A long-lived process (neurometerd builds whatever configs clients post)
+// would grow the memo without end, so it holds at most buildCacheCap
+// entries and is emptied when a new one would pass that. The cap is far
+// above any one sweep (Table I tries 168 points, 60 of which build).
 var (
 	mCacheHits   = obs.NewCounter("chip.build_cache_hits")
 	mCacheMisses = obs.NewCounter("chip.build_cache_misses")
 
-	buildCache sync.Map // fingerprint string -> *buildCacheEntry
+	buildMu    sync.Mutex
+	buildCache = map[string]*buildCacheEntry{}
 )
+
+// buildCacheCap bounds the number of memoized builds.
+const buildCacheCap = 4096
 
 // buildCacheEntry holds one memoized Build outcome. The sync.Once gives
 // single-flight semantics: concurrent requests for the same fingerprint
@@ -45,7 +54,9 @@ func (c Config) Fingerprint() string {
 // Config.Fingerprint. Both successful chips and build errors are cached —
 // build failures (validation, timing, budget) are deterministic, so
 // re-evaluating them is pure waste. Hits and misses are counted in the
-// chip.build_cache_hits / chip.build_cache_misses metrics.
+// chip.build_cache_hits / chip.build_cache_misses metrics. Emptying a full
+// memo costs only rebuilds: Build is deterministic, so a rebuilt chip is
+// identical to the dropped one.
 //
 // While any guard fault is armed the cache is bypassed entirely (no reads,
 // no writes): injected panics, errors and NaNs must reach their victim on
@@ -54,8 +65,17 @@ func BuildCached(cfg Config) (*Chip, error) {
 	if guard.Armed() {
 		return Build(cfg)
 	}
-	e, loaded := buildCache.LoadOrStore(cfg.Fingerprint(), &buildCacheEntry{})
-	entry := e.(*buildCacheEntry)
+	key := cfg.Fingerprint()
+	buildMu.Lock()
+	entry, loaded := buildCache[key]
+	if !loaded {
+		if len(buildCache) >= buildCacheCap {
+			clear(buildCache)
+		}
+		entry = &buildCacheEntry{}
+		buildCache[key] = entry
+	}
+	buildMu.Unlock()
 	if loaded {
 		mCacheHits.Inc()
 	} else {
@@ -71,8 +91,7 @@ func BuildCached(cfg Config) (*Chip, error) {
 // constants (or measure cold-build cost) call it; production sweeps never
 // need to.
 func ResetBuildCache() {
-	buildCache.Range(func(k, _ any) bool {
-		buildCache.Delete(k)
-		return true
-	})
+	buildMu.Lock()
+	clear(buildCache)
+	buildMu.Unlock()
 }

@@ -1,7 +1,9 @@
 package chip
 
 import (
+	"bytes"
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -112,5 +114,46 @@ func TestBuildCachedBypassedWhileFaultArmed(t *testing.T) {
 	}
 	if c != d {
 		t.Fatal("cache must memoize again after disarm")
+	}
+}
+
+// The memo is bounded: one more distinct config than the cap (each an
+// invalid, cheaply rejected one, as a daemon client might post) leaves at
+// most buildCacheCap entries, and a valid config still builds the same
+// chip as an unmemoized Build.
+func TestBuildCachedBounded(t *testing.T) {
+	ResetBuildCache()
+	defer ResetBuildCache()
+	for i := 0; i <= buildCacheCap; i++ {
+		if _, err := BuildCached(Config{Name: "bad-" + strconv.Itoa(i)}); err == nil {
+			t.Fatal("an empty config must fail to build")
+		}
+	}
+	buildMu.Lock()
+	n := len(buildCache)
+	buildMu.Unlock()
+	if n > buildCacheCap {
+		t.Fatalf("memo holds %d entries after %d distinct builds, want at most %d", n, buildCacheCap+1, buildCacheCap)
+	}
+
+	cfg := dcPoint(32, 2, 2, 2)
+	want, err := Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := BuildCached(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantJSON, err := want.MarshalReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotJSON, err := got.MarshalReport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("memoized build differs from Build:\n%s\n---\n%s", gotJSON, wantJSON)
 	}
 }

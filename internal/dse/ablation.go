@@ -41,194 +41,164 @@ func FormatAblation(title string, rows []AblationRow) string {
 	return sb.String()
 }
 
-// ablationConfig builds the variant config with the budget constraints
-// lifted: an ablation is a what-if, and some variants (e.g. a 256GB/s bus
-// spanning 16 tiles) exist precisely to show how badly they blow a budget.
-func ablationConfig(cs Constraints, p Point) chip.Config {
-	cfg := cs.Config(p)
-	cfg.AreaBudgetMM2 = 0
-	cfg.PowerBudgetW = 0
-	return cfg
+// ablation is one study: a reference design point, and variants that each
+// change one axis of its config. note reports the study's observation on
+// each variant's chip.
+type ablation struct {
+	title    string
+	name     string // config-name prefix of the variants
+	point    Point
+	variants []variant
+	note     func(c *chip.Chip) string
 }
 
-func ablationRow(name, note string, c *chip.Chip) AblationRow {
-	return AblationRow{
-		Variant: name, AreaMM2: c.AreaMM2(), TDPW: c.TDPW(),
-		PeakTOPS: c.PeakTOPS(), TOPSPerW: c.PeakTOPSPerWatt(), Note: note,
-	}
+// variant names one setting of an ablation's axis and applies it.
+type variant struct {
+	name string
+	set  func(cfg *chip.Config)
 }
 
-// AblateNoCTopology compares the four NoC shapes on a 16-core design at the
-// Table-I bisection bandwidth.
-func AblateNoCTopology(cs Constraints) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, tc := range []struct {
-		name string
-		topo chip.NoCTopology
-	}{
-		{"mesh2d", chip.NoCMesh},
-		{"ring", chip.NoCRing},
-		{"bus", chip.NoCBus},
-		{"htree", chip.NoCHTree},
-	} {
-		cfg := ablationConfig(cs, Point{X: 32, N: 4, Tx: 4, Ty: 4})
-		cfg.Name = "noc-" + tc.name
-		cfg.NoCTopology = tc.topo
+// run builds every variant and returns one row each. Budget constraints
+// are lifted: an ablation is a what-if, and some variants (e.g. a 256GB/s
+// bus spanning 16 tiles) exist precisely to show how badly they blow a
+// budget.
+func (a ablation) run(cs Constraints) ([]AblationRow, error) {
+	rows := make([]AblationRow, 0, len(a.variants))
+	for _, v := range a.variants {
+		cfg := cs.Config(a.point)
+		cfg.AreaBudgetMM2 = 0
+		cfg.PowerBudgetW = 0
+		cfg.Name = a.name + "-" + v.name
+		v.set(&cfg)
 		c, err := chip.BuildCached(cfg)
 		if err != nil {
-			return nil, fmt.Errorf("dse: noc ablation %s: %w", tc.name, err)
+			return nil, fmt.Errorf("dse: ablation %s: %w", cfg.Name, err)
 		}
-		noc := c.AreaBreakdown().Find("noc")
-		rows = append(rows, ablationRow(tc.name,
-			fmt.Sprintf("noc=%.1fmm2/%.1fW", noc.AreaMM2, noc.PowerW), c))
+		rows = append(rows, AblationRow{
+			Variant: v.name, AreaMM2: c.AreaMM2(), TDPW: c.TDPW(),
+			PeakTOPS: c.PeakTOPS(), TOPSPerW: c.PeakTOPSPerWatt(), Note: a.note(c),
+		})
 	}
 	return rows, nil
 }
 
-// AblateMemoryCell compares SRAM against eDRAM for the distributed on-chip
-// memory (§II-A: "the cell type of Mem can be selected from DFF, SRAM, and
-// eDRAM").
-func AblateMemoryCell(cs Constraints) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, tc := range []struct {
-		name string
-		cell tech.MemCell
-	}{
-		{"sram", tech.CellSRAM},
-		{"edram", tech.CellEDRAM},
-	} {
-		cfg := ablationConfig(cs, Point{X: 64, N: 2, Tx: 2, Ty: 4})
-		cfg.Name = "mem-" + tc.name
-		cfg.Core.MemCell = tc.cell
-		c, err := chip.BuildCached(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("dse: mem ablation %s: %w", tc.name, err)
-		}
-		mem := c.AreaBreakdown().Find("mem")
-		rows = append(rows, ablationRow(tc.name,
-			fmt.Sprintf("mem=%.1fmm2/%.1fW", mem.AreaMM2, mem.PowerW), c))
-	}
-	return rows, nil
+// ablations lists the studies AllAblations runs, in report order.
+var ablations = []ablation{
+	{
+		// The four NoC shapes on a 16-core design at the Table-I bisection
+		// bandwidth.
+		title: "NoC topology (32x32 TUs, 16 cores)", name: "noc",
+		point: Point{X: 32, N: 4, Tx: 4, Ty: 4},
+		variants: []variant{
+			{"mesh2d", func(cfg *chip.Config) { cfg.NoCTopology = chip.NoCMesh }},
+			{"ring", func(cfg *chip.Config) { cfg.NoCTopology = chip.NoCRing }},
+			{"bus", func(cfg *chip.Config) { cfg.NoCTopology = chip.NoCBus }},
+			{"htree", func(cfg *chip.Config) { cfg.NoCTopology = chip.NoCHTree }},
+		},
+		note: func(c *chip.Chip) string {
+			noc := c.AreaBreakdown().Find("noc")
+			return fmt.Sprintf("noc=%.1fmm2/%.1fW", noc.AreaMM2, noc.PowerW)
+		},
+	},
+	{
+		// SRAM against eDRAM for the distributed on-chip memory (§II-A:
+		// "the cell type of Mem can be selected from DFF, SRAM, and eDRAM").
+		title: "memory cell technology (64x64 TUs, 8 cores)", name: "mem",
+		point: Point{X: 64, N: 2, Tx: 2, Ty: 4},
+		variants: []variant{
+			{"sram", func(cfg *chip.Config) { cfg.Core.MemCell = tech.CellSRAM }},
+			{"edram", func(cfg *chip.Config) { cfg.Core.MemCell = tech.CellEDRAM }},
+		},
+		note: func(c *chip.Chip) string {
+			mem := c.AreaBreakdown().Find("mem")
+			return fmt.Sprintf("mem=%.1fmm2/%.1fW", mem.AreaMM2, mem.PowerW)
+		},
+	},
+	{
+		// Unicast (TPU-style) against multicast (Eyeriss-style) inner-TU
+		// interconnect on a mid-size array.
+		title: "inner-TU interconnect (32x32 TUs)", name: "ic",
+		point: Point{X: 32, N: 2, Tx: 2, Ty: 2},
+		variants: []variant{
+			{"unicast", func(cfg *chip.Config) { cfg.Core.TUInterconnect = tensorunit.Unicast }},
+			{"multicast", func(cfg *chip.Config) { cfg.Core.TUInterconnect = tensorunit.Multicast }},
+		},
+		note: func(c *chip.Chip) string {
+			return fmt.Sprintf("tu-crit=%.0fps", c.Core.TU.CritPathPS())
+		},
+	},
+	{
+		// The §III-A VReg port-explosion tradeoff: private 2R1W port
+		// groups per functional unit versus one shared group.
+		title: "VReg port sharing (N=4 TUs per core)", name: "vreg",
+		point: Point{X: 16, N: 4, Tx: 2, Ty: 2},
+		variants: []variant{
+			{"private-ports", func(cfg *chip.Config) { cfg.Core.SharedVRegPorts = false }},
+			{"shared-ports", func(cfg *chip.Config) { cfg.Core.SharedVRegPorts = true }},
+		},
+		note: func(c *chip.Chip) string {
+			return fmt.Sprintf("vu=%.2fmm2 (%dR%dW)", c.Core.VU.AreaUM2()/1e6,
+				c.Core.VU.Cfg.VRegReadPorts, c.Core.VU.Cfg.VRegWritePorts)
+		},
+	},
+	{
+		// Weight-stationary against output-stationary systolic cells
+		// (§II-A: both supported for unicast TUs).
+		title: "systolic dataflow (64x64 TUs)", name: "df",
+		point: Point{X: 64, N: 2, Tx: 2, Ty: 4},
+		variants: []variant{
+			{"weight-stationary", func(cfg *chip.Config) { cfg.Core.TUDataflow = tensorunit.WeightStationary }},
+			{"output-stationary", func(cfg *chip.Config) { cfg.Core.TUDataflow = tensorunit.OutputStationary }},
+		},
+		note: func(c *chip.Chip) string {
+			return fmt.Sprintf("tu=%.1fmm2", c.AreaBreakdown().Find("tu").AreaMM2)
+		},
+	},
+	{
+		// Int8 inference arithmetic against a BF16 variant of the same
+		// design point — the training-accelerator direction the paper
+		// leaves to future work (§III: "NeuroMeter models both training
+		// and inference accelerators").
+		title: "operand data type (64x64 TUs)", name: "dt",
+		point: Point{X: 64, N: 2, Tx: 2, Ty: 4},
+		variants: []variant{
+			{"int8-inference", func(cfg *chip.Config) { cfg.Core.TUDataType = maclib.Int8 }},
+			{"bf16-training", func(cfg *chip.Config) { cfg.Core.TUDataType = maclib.BF16 }},
+		},
+		note: func(c *chip.Chip) string {
+			return fmt.Sprintf("%.2fpJ/MAC", c.Core.TU.PerMACPJ())
+		},
+	},
 }
 
-// AblateInterconnect compares unicast (TPU-style) against multicast
-// (Eyeriss-style) inner-TU interconnect on a mid-size array.
-func AblateInterconnect(cs Constraints) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, tc := range []struct {
-		name string
-		ic   tensorunit.Interconnect
-	}{
-		{"unicast", tensorunit.Unicast},
-		{"multicast", tensorunit.Multicast},
-	} {
-		cfg := ablationConfig(cs, Point{X: 32, N: 2, Tx: 2, Ty: 2})
-		cfg.Name = "ic-" + tc.name
-		cfg.Core.TUInterconnect = tc.ic
-		c, err := chip.BuildCached(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("dse: interconnect ablation %s: %w", tc.name, err)
-		}
-		rows = append(rows, ablationRow(tc.name,
-			fmt.Sprintf("tu-crit=%.0fps", c.Core.TU.CritPathPS()), c))
-	}
-	return rows, nil
-}
+// AblateNoCTopology compares the four NoC shapes on a 16-core design.
+func AblateNoCTopology(cs Constraints) ([]AblationRow, error) { return ablations[0].run(cs) }
 
-// AblateVRegSharing quantifies the §III-A VReg port-explosion tradeoff:
-// private 2R1W port groups per functional unit versus one shared group.
-func AblateVRegSharing(cs Constraints) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, tc := range []struct {
-		name   string
-		shared bool
-	}{
-		{"private-ports", false},
-		{"shared-ports", true},
-	} {
-		cfg := ablationConfig(cs, Point{X: 16, N: 4, Tx: 2, Ty: 2})
-		cfg.Name = "vreg-" + tc.name
-		cfg.Core.SharedVRegPorts = tc.shared
-		c, err := chip.BuildCached(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("dse: vreg ablation %s: %w", tc.name, err)
-		}
-		rows = append(rows, ablationRow(tc.name,
-			fmt.Sprintf("vu=%.2fmm2 (%dR%dW)", c.Core.VU.AreaUM2()/1e6,
-				c.Core.VU.Cfg.VRegReadPorts, c.Core.VU.Cfg.VRegWritePorts), c))
-	}
-	return rows, nil
-}
+// AblateMemoryCell compares SRAM against eDRAM on-chip memory.
+func AblateMemoryCell(cs Constraints) ([]AblationRow, error) { return ablations[1].run(cs) }
 
-// AblateDataflow compares weight-stationary against output-stationary
-// systolic cells (§II-A: both supported for unicast TUs).
-func AblateDataflow(cs Constraints) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, tc := range []struct {
-		name string
-		df   tensorunit.Dataflow
-	}{
-		{"weight-stationary", tensorunit.WeightStationary},
-		{"output-stationary", tensorunit.OutputStationary},
-	} {
-		cfg := ablationConfig(cs, Point{X: 64, N: 2, Tx: 2, Ty: 4})
-		cfg.Name = "df-" + tc.name
-		cfg.Core.TUDataflow = tc.df
-		c, err := chip.BuildCached(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("dse: dataflow ablation %s: %w", tc.name, err)
-		}
-		rows = append(rows, ablationRow(tc.name,
-			fmt.Sprintf("tu=%.1fmm2", c.AreaBreakdown().Find("tu").AreaMM2), c))
-	}
-	return rows, nil
-}
+// AblateInterconnect compares unicast against multicast inner-TU
+// interconnect.
+func AblateInterconnect(cs Constraints) ([]AblationRow, error) { return ablations[2].run(cs) }
 
-// AblateDataType compares Int8 inference arithmetic against a BF16 variant
-// of the same design point — the training-accelerator direction the paper
-// leaves to future work (§III: "NeuroMeter models both training and
-// inference accelerators").
-func AblateDataType(cs Constraints) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, tc := range []struct {
-		name string
-		dt   maclib.DataType
-	}{
-		{"int8-inference", maclib.Int8},
-		{"bf16-training", maclib.BF16},
-	} {
-		cfg := ablationConfig(cs, Point{X: 64, N: 2, Tx: 2, Ty: 4})
-		cfg.Name = "dt-" + tc.name
-		cfg.Core.TUDataType = tc.dt
-		c, err := chip.BuildCached(cfg)
-		if err != nil {
-			return nil, fmt.Errorf("dse: datatype ablation %s: %w", tc.name, err)
-		}
-		rows = append(rows, ablationRow(tc.name,
-			fmt.Sprintf("%.2fpJ/MAC", c.Core.TU.PerMACPJ()), c))
-	}
-	return rows, nil
-}
+// AblateVRegSharing compares private against shared VReg port groups.
+func AblateVRegSharing(cs Constraints) ([]AblationRow, error) { return ablations[3].run(cs) }
+
+// AblateDataflow compares weight- against output-stationary systolic cells.
+func AblateDataflow(cs Constraints) ([]AblationRow, error) { return ablations[4].run(cs) }
+
+// AblateDataType compares Int8 against BF16 operands.
+func AblateDataType(cs Constraints) ([]AblationRow, error) { return ablations[5].run(cs) }
 
 // AllAblations runs every ablation study and returns the rendered report.
 func AllAblations(cs Constraints) (string, error) {
 	var sb strings.Builder
-	for _, study := range []struct {
-		name string
-		run  func(Constraints) ([]AblationRow, error)
-	}{
-		{"NoC topology (32x32 TUs, 16 cores)", AblateNoCTopology},
-		{"memory cell technology (64x64 TUs, 8 cores)", AblateMemoryCell},
-		{"inner-TU interconnect (32x32 TUs)", AblateInterconnect},
-		{"VReg port sharing (N=4 TUs per core)", AblateVRegSharing},
-		{"systolic dataflow (64x64 TUs)", AblateDataflow},
-		{"operand data type (64x64 TUs)", AblateDataType},
-	} {
-		rows, err := study.run(cs)
+	for _, a := range ablations {
+		rows, err := a.run(cs)
 		if err != nil {
 			return "", err
 		}
-		sb.WriteString(FormatAblation(study.name, rows))
+		sb.WriteString(FormatAblation(a.title, rows))
 		sb.WriteString("\n")
 	}
 	return sb.String(), nil

@@ -8,9 +8,11 @@
 //
 // The sweep is a pipeline of pure stages. EnumerateCtx (or
 // EnumerateParallel) builds every design point under the constraints and
-// keeps the feasible ones; Frontier and SecondRound narrow the candidate
-// set the way the paper does, keeping one candidate order throughout (peak
-// TOPS descending, then X descending, then tiles ascending);
+// keeps the feasible ones in one candidate order (peak TOPS descending,
+// then X descending, then tiles ascending), which every later stage keeps;
+// SecondRound narrows the set the way the paper does before the runtime
+// study (Frontier's doc comment argues why the paper's per-bin Fig. 8
+// frontier would prune nothing more, so only its sort remains);
 // RuntimeStudyHardened simulates each surviving candidate over the
 // workload models under one batch regime, and Fig10Hardened under the
 // three Fig. 10 regimes in one pass; Winner ranks the rows by a metric
@@ -25,12 +27,9 @@
 // across a bounded goroutine pool. The engine is deterministic by
 // construction: results are collected by candidate index, not completion
 // order — so the formatted tables and CSV output are identical at every
-// worker count, including a serial run. Workers <= 1 runs inline on the caller's
-// goroutine (the historical serial path). Workers claim candidates in
-// blocks of Hardening.BlockSize consecutive indices (0 = DefaultBlockSize),
-// which keeps each worker's evaluation scratch and the study's prepared
-// workload tables hot without affecting output bytes. See DESIGN.md §9 and
-// §14.
+// worker count, including a serial run. Workers <= 1 runs inline on the
+// caller's goroutine (the historical serial path); otherwise each worker
+// claims the next candidate index in turn. See DESIGN.md §9 and §14.
 //
 // Each study prepares its workload graphs once (perfsim.Prepare), and a
 // pool item is one candidate, which evaluates its row for every batch

@@ -177,9 +177,7 @@ func EnumerateParallel(ctx context.Context, cs Constraints, workers int) []Candi
 	points := cs.sweepPoints()
 	results := make([]*Candidate, len(points))
 	var tried atomic.Int64
-	// Block size 1: builds are heavyweight, memoized, and unevenly pruned,
-	// so fine-grained claiming balances better than blocks here.
-	interrupted := runPool(ctx, len(points), workers, 1, func(i int) {
+	interrupted := runPool(ctx, len(points), workers, func(i int) {
 		p := points[i]
 		mEnumerated.Inc()
 		if n := tried.Add(1); n%progressEvery == 0 {
@@ -265,34 +263,26 @@ func cmpDesc(a, b float64) int {
 	return 0
 }
 
-// Frontier reduces the feasible set to the representative points of
-// Fig. 8's x-axis: the figure's subclusters are bins of peak TOPS
-// (TOPSCap, /2, /4, /8), and per (X, N) and bin the best-TOPS/TCO grid is
-// kept. This keeps one entry per brawniness level and performance class —
-// including the paper's named points (64,2,2,4), (64,4,1,2) and (8,4,4,8).
+// Frontier returns the candidates in the order of every candidate list
+// dse returns (peak TOPS descending, NaN last; then X descending; then
+// tiles ascending). Enumeration already returns that order, so Frontier is
+// only needed for lists assembled some other way.
+//
+// Fig. 8's x-axis bins peak TOPS at (0.6, 1.001], (0.3, 0.6], (0.15, 0.3]
+// and (0.075, 0.15] x TOPSCap, with everything lower in a fifth bin, and
+// the paper keeps one representative per (X, N, bin). That reduction would
+// change nothing the figures show, so it is not done. gridShapes makes
+// only power-of-two grids with Ty = Tx or Ty = 2*Tx, so for fixed (X, N)
+// every grid has its own power-of-two tile count and peak TOPS doubles
+// from one grid to the next. Each of the first four bins spans a ratio of
+// at most 2 with one end open, so it holds at most one grid per (X, N).
+// The fifth, (TOPSCap/32, 0.075 x TOPSCap], can hold two, but it lies
+// wholly below SecondRound's TOPSCap/12 floor. So whenever the X and N
+// choices hold no duplicates (NewStudy rejects them), SecondRound of the
+// reduced set equals SecondRound of the whole feasible set; at Table I no
+// bin holds two points at all, and Fig. 8 shows all 60.
 func Frontier(cands []Candidate, topsCap float64) []Candidate {
-	type key struct {
-		x, n, bin int
-	}
-	best := map[key]Candidate{}
-	for _, c := range cands {
-		bin := 0
-		for b := topsCap; b >= topsCap/8-1e-9; b /= 2 {
-			if c.PeakTOPS > b*0.6 {
-				break
-			}
-			bin++
-		}
-		k := key{c.Point.X, c.Point.N, bin}
-		// cmpDesc keeps a NaN TOPS/TCO from ever displacing a finite one.
-		if cur, ok := best[k]; !ok || cmpDesc(c.PeakTOPSPerTCO, cur.PeakTOPSPerTCO) < 0 {
-			best[k] = c
-		}
-	}
-	var out []Candidate
-	for _, c := range best {
-		out = append(out, c)
-	}
+	out := append([]Candidate(nil), cands...)
 	sort.Slice(out, func(i, j int) bool { return candidateLess(out[i], out[j]) })
 	return out
 }
@@ -364,14 +354,6 @@ type Hardening struct {
 	// collected by candidate index, so output is byte-identical across
 	// worker counts.
 	Workers int
-	// BlockSize is the number of consecutive candidates a worker claims at
-	// a time (< 1, including the zero value, resolves to DefaultBlockSize).
-	// Larger blocks keep a worker's evaluation scratch and the prepared
-	// workload tables hot across a run of candidates at the cost of coarser
-	// load balancing near the end of a sweep. The block size only changes
-	// which worker evaluates which candidate — results are collected by
-	// index, so output is byte-identical at any (Workers, BlockSize) pair.
-	BlockSize int
 	// Results, when non-nil, is the persistent content-addressed result
 	// store: pending candidates are looked up (fully verified — envelope
 	// checksum, fingerprint match, finite metrics) before any evaluation
@@ -486,7 +468,7 @@ func runtimeStudy(ctx context.Context, cands []Candidate, models []*graph.Graph,
 	// all workers — the per-candidate hot path never re-parses a graph.
 	sim := newStudySim(models)
 	var completed atomic.Int64
-	poolErr := runPool(ctx, len(pending), h.Workers, h.BlockSize, func(pi int) {
+	poolErr := runPool(ctx, len(pending), h.Workers, func(pi int) {
 		i := pending[pi]
 		cand := cands[i]
 		memo := acquireMemo(len(models))

@@ -57,10 +57,7 @@ func TestFig10SimulationCounts(t *testing.T) {
 	if len(cands) != 47 {
 		t.Fatalf("Fig. 10 candidate set has %d points, want 47", len(cands))
 	}
-	for _, h := range []Hardening{
-		{Workers: 1}, {Workers: 1, BlockSize: 1},
-		{Workers: 2}, {Workers: 2, BlockSize: 1},
-	} {
+	for _, h := range []Hardening{{Workers: 1}, {Workers: 2}} {
 		before := obs.Default().Snapshot().Counters
 		out, err := Fig10Hardened(context.Background(), cands, DefaultModels(), h, "")
 		if err != nil {
@@ -73,11 +70,11 @@ func TestFig10SimulationCounts(t *testing.T) {
 			"perfsim.layer_evals":      35910,
 		} {
 			if got := after[name] - before[name]; got != want {
-				t.Errorf("workers=%d block=%d: %s = %d per study, want %d", h.Workers, h.BlockSize, name, got, want)
+				t.Errorf("workers=%d: %s = %d per study, want %d", h.Workers, name, got, want)
 			}
 		}
 		if got := fig10OutputDigest(out); got != fig10Digest {
-			t.Errorf("workers=%d block=%d: Fig. 10 digest %s, want %s", h.Workers, h.BlockSize, got, fig10Digest)
+			t.Errorf("workers=%d: Fig. 10 digest %s, want %s", h.Workers, got, fig10Digest)
 		}
 	}
 }

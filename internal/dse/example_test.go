@@ -10,13 +10,10 @@ import (
 	"neurometer/internal/workloads"
 )
 
-// Hardening.Workers and Hardening.BlockSize tune how a runtime study's
-// worker pool claims candidates: Workers bounds the goroutine pool, and
-// BlockSize is how many consecutive candidates one worker claims at a time
-// (0 = dse.DefaultBlockSize), keeping its evaluation scratch hot across a
-// run of candidates. Neither knob changes output — results are collected by
-// candidate index, so any (Workers, BlockSize) combination emits the same
-// bytes as a serial run.
+// Hardening.Workers bounds a runtime study's goroutine pool; each worker
+// claims the next candidate index in turn. The knob never changes output —
+// results are collected by candidate index, so any worker count emits the
+// same bytes as a serial run.
 func ExampleHardening() {
 	cs := dse.TableI()
 	cs.XChoices, cs.NChoices, cs.MaxTiles = []int{8, 64}, []int{2, 4}, 32
@@ -31,20 +28,20 @@ func ExampleHardening() {
 	opt := perfsim.DefaultOptions()
 
 	serial, err := dse.RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-		dse.Hardening{Workers: 1, BlockSize: 1})
+		dse.Hardening{Workers: 1})
 	if err != nil {
 		fmt.Println("study:", err)
 		return
 	}
-	blocked, err := dse.RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
-		dse.Hardening{Workers: 8, BlockSize: 7})
+	parallel, err := dse.RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
+		dse.Hardening{Workers: 8})
 	if err != nil {
 		fmt.Println("study:", err)
 		return
 	}
-	fmt.Println("rows:", len(blocked) > 0)
+	fmt.Println("rows:", len(parallel) > 0)
 	fmt.Println("byte-identical to serial:",
-		dse.RuntimeRowsCSV(blocked) == dse.RuntimeRowsCSV(serial))
+		dse.RuntimeRowsCSV(parallel) == dse.RuntimeRowsCSV(serial))
 	// Output:
 	// rows: true
 	// byte-identical to serial: true

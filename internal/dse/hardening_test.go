@@ -268,17 +268,6 @@ func TestWinnerSkipsNaN(t *testing.T) {
 
 func TestFrontierAndSortNaNSafe(t *testing.T) {
 	base := findCand(t, Point{X: 64, N: 2, Tx: 2, Ty: 4})
-	nan := base
-	nan.Point = Point{X: 64, N: 2, Tx: 4, Ty: 4}
-	nan.PeakTOPSPerTCO = math.NaN()
-	nan.PeakTOPS = base.PeakTOPS // same bin as base
-
-	front := Frontier([]Candidate{nan, base}, TableI().TOPSCap)
-	for _, c := range front {
-		if c.Point == nan.Point {
-			t.Fatalf("NaN TOPS/TCO candidate won its frontier bin")
-		}
-	}
 
 	// NaN PeakTOPS must sort last, not scramble the order.
 	nanPeak := base

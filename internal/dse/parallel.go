@@ -45,34 +45,16 @@ func resolveWorkers(workers int) int {
 // DefaultWorkers selects GOMAXPROCS workers (the cmd/dse -workers default).
 const DefaultWorkers = -1
 
-// DefaultBlockSize is the claim granularity a block value below 1 resolves
-// to. Claiming candidates in blocks keeps a worker on consecutive indices,
-// so the per-worker evaluation scratch and the prepared-workload tables
-// stay hot across a run of candidates, and the claim cursor is touched once
-// per block instead of once per candidate. Sixteen is small enough that the
-// tail imbalance at the end of a sweep stays under one block per worker.
-const DefaultBlockSize = 16
-
-// resolveBlock maps a BlockSize knob to an effective claim granularity.
-func resolveBlock(block int) int {
-	if block < 1 {
-		return DefaultBlockSize
-	}
-	return block
-}
-
 // runPool executes fn(i) for every i in [0, n) across at most workers
-// goroutines and blocks until all claimed work finishes. Work is claimed
-// from an atomic cursor in index order in blocks of `block` consecutive
-// indices (block < 1 resolves to DefaultBlockSize), so a one-worker pool
-// degenerates to the plain serial loop (run inline on the caller's
-// goroutine — no spawn, no synchronization beyond the per-block claim and
-// two atomic gauge ops per item).
+// goroutines and blocks until all claimed work finishes. Each worker claims
+// the next index from an atomic cursor, so a one-worker pool degenerates to
+// the plain serial loop (run inline on the caller's goroutine — no spawn,
+// no synchronization beyond the claim and two atomic gauge ops per item).
 //
-// Determinism: the block size changes only which worker evaluates which
+// Determinism: the worker count changes only which worker evaluates which
 // index, never what is computed — results are collected by index, so
-// output is byte-identical at any (workers, block) combination; the
-// parallel byte-identity tests sweep both axes.
+// output is byte-identical at any worker count; the parallel byte-identity
+// tests pin it.
 //
 // Cancellation: each item checks ctx first; once ctx is done no new work
 // starts, in-flight items run to completion (they observe the same ctx
@@ -80,12 +62,11 @@ func resolveBlock(block int) int {
 // context error. fn must do its own panic recovery (the dse evaluators
 // convert panics to guard.ErrCandidatePanic); a panic escaping fn would
 // take the process down exactly as it would in a serial loop.
-func runPool(ctx context.Context, n, workers, block int, fn func(i int)) error {
+func runPool(ctx context.Context, n, workers int, fn func(i int)) error {
 	workers = resolveWorkers(workers)
 	if workers > n {
 		workers = n
 	}
-	block = resolveBlock(block)
 	gQueueDepth.Add(float64(n))
 	var cursor atomic.Int64
 	runOne := func(i int) {
@@ -98,21 +79,15 @@ func runPool(ctx context.Context, n, workers, block int, fn func(i int)) error {
 	}
 	work := func() {
 		for {
-			start := int(cursor.Add(int64(block))) - block
-			if start >= n {
+			i := int(cursor.Add(1)) - 1
+			if i >= n {
 				return
 			}
-			end := start + block
-			if end > n {
-				end = n
+			gQueueDepth.Add(-1)
+			if guard.CtxErr(ctx) != nil {
+				continue // drain the queue gauge, start nothing new
 			}
-			for i := start; i < end; i++ {
-				gQueueDepth.Add(-1)
-				if guard.CtxErr(ctx) != nil {
-					continue // drain the queue gauge, start nothing new
-				}
-				runOne(i)
-			}
+			runOne(i)
 		}
 	}
 	if workers <= 1 {

@@ -112,6 +112,50 @@ func TestRuntimeStudyParallelSurvivesInjectedPanic(t *testing.T) {
 	}
 }
 
+// TestRuntimeStudyParallelLayerFault injects one per-layer simulator fault
+// into a parallel study: exactly one candidate fails mid-simulation, and
+// every other candidate's row is delivered untouched — a faulted candidate
+// never poisons its neighbors' pooled memos or the shared prepared tables.
+func TestRuntimeStudyParallelLayerFault(t *testing.T) {
+	defer guard.DisarmAll()
+	cands, spec, opt := studyFixture(t)
+	models := alexnet(t)
+
+	boom := errors.New("mid-study layer fault")
+	disarm := guard.Arm("perfsim.layer", guard.Fault{Skip: 3, Count: 1, Err: boom})
+	rows, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt,
+		Hardening{Workers: 8})
+	disarm()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != len(cands)-1 {
+		t.Fatalf("got %d rows, want %d (one candidate sacrificed to the injected fault)",
+			len(rows), len(cands)-1)
+	}
+
+	// The surviving rows must be byte-identical to the corresponding rows of
+	// a clean serial run: drop the one missing point and compare.
+	clean, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt, Hardening{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	have := map[Point]bool{}
+	for _, r := range rows {
+		have[r.Point] = true
+	}
+	var kept []RuntimeRow
+	for _, r := range clean {
+		if have[r.Point] {
+			kept = append(kept, r)
+		}
+	}
+	if RuntimeRowsCSV(kept) != RuntimeRowsCSV(rows) {
+		t.Fatalf("surviving rows differ from clean run:\n--- clean\n%s\n--- faulted\n%s",
+			RuntimeRowsCSV(kept), RuntimeRowsCSV(rows))
+	}
+}
+
 func TestResolveWorkers(t *testing.T) {
 	for _, tc := range []struct{ in, wantMin int }{
 		{0, 1}, {1, 1}, {3, 3},

@@ -343,15 +343,15 @@ func TestStoreResumeAfterCancel(t *testing.T) {
 	models := alexnet(t)
 
 	for _, tc := range []struct {
-		name           string
-		workers, block int
+		name    string
+		workers int
 	}{
-		{"workers=1", 1, 0},
-		{"workers=2", 2, 1},
+		{"workers=1", 1},
+		{"workers=2", 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			h := Hardening{Workers: tc.workers, BlockSize: tc.block}
+			h := Hardening{Workers: tc.workers}
 
 			// The third candidate to start cancels the study.
 			ctx, cancel := context.WithCancel(context.Background())
@@ -541,7 +541,7 @@ func TestStoreDamageUnderFaults(t *testing.T) {
 				}
 			}
 			out, err := RuntimeStudyHardened(context.Background(), cands, alexnet(t), spec, opt,
-				Hardening{Workers: 2, BlockSize: 2, Results: cache})
+				Hardening{Workers: 2, Results: cache})
 			cache.Close()
 			guard.DisarmAll()
 			if err != nil {

@@ -23,9 +23,6 @@ type StudySpec struct {
 	// Constraints bounds the enumerated design space (TableI() for the
 	// paper's datacenter sweep).
 	Constraints Constraints
-	// Full evaluates the whole feasible set; the default false reduces it
-	// to the Fig. 8 frontier first (the cmd/dse default).
-	Full bool
 	// Spec selects the batch regime.
 	Spec BatchSpec
 	// Opt toggles the software optimizations.
@@ -45,13 +42,19 @@ type Study struct {
 
 // NewStudy resolves a spec into a runnable study: workloads are looked up
 // by name, the design space is enumerated and reduced exactly as cmd/dse
-// -fig 10 does (frontier unless Full, then second-round pruning, keeping
-// the enumeration's order: peak TOPS descending, then X descending, then
-// tiles ascending), and the study fingerprint is derived from the
-// surviving candidate list. Unknown workload names and empty candidate
-// sets fail with guard taxonomy errors so callers can map them to 400/422
-// directly.
+// -fig 10 does (second-round pruning, keeping the enumeration's order:
+// peak TOPS descending, then X descending, then tiles ascending), and the
+// study fingerprint is derived from the surviving candidate list. Unknown
+// workload names, duplicate or non-positive X and N choices, and empty
+// candidate sets fail with guard taxonomy errors so callers can map them
+// to 400/422 directly.
 func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
+	if err := checkChoices("X choices", spec.Constraints.XChoices); err != nil {
+		return nil, err
+	}
+	if err := checkChoices("N choices", spec.Constraints.NChoices); err != nil {
+		return nil, err
+	}
 	models := workloads.All()
 	if len(spec.Models) > 0 {
 		models = models[:0:0]
@@ -67,9 +70,6 @@ func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
 	if err := guard.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	if !spec.Full {
-		cands = Frontier(cands, spec.Constraints.TOPSCap)
-	}
 	cands = SecondRound(cands, spec.Constraints.TOPSCap)
 	if len(cands) == 0 {
 		return nil, guard.Infeasible("dse: study: no feasible candidates under the constraints")
@@ -80,6 +80,22 @@ func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
 		models:      models,
 		fingerprint: StudyFingerprint(cands, models, spec.Spec, spec.Opt),
 	}, nil
+}
+
+// checkChoices rejects a sweep axis with a non-positive or repeated value:
+// a repeated value would enumerate each of its design points twice.
+func checkChoices(name string, choices []int) error {
+	seen := map[int]bool{}
+	for _, v := range choices {
+		if v <= 0 {
+			return guard.Invalid("dse: study: %s must be positive, got %d", name, v)
+		}
+		if seen[v] {
+			return guard.Invalid("dse: study: %s repeats %d", name, v)
+		}
+		seen[v] = true
+	}
+	return nil
 }
 
 // StudyFingerprint derives the identity of a runtime study from everything

@@ -113,6 +113,33 @@ func TestStudyRejectsUnknownWorkload(t *testing.T) {
 	}
 }
 
+// Duplicate or non-positive X and N choices are refused, not enumerated:
+// a repeated choice would put every one of its points in the study twice.
+func TestStudyRejectsMalformedChoices(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		x, n []int
+	}{
+		{"duplicate-x", []int{64, 64, 32}, nil},
+		{"duplicate-n", nil, []int{2, 4, 2}},
+		{"zero-x", []int{0, 8}, nil},
+		{"negative-n", nil, []int{-1, 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tinySpec()
+			if tc.x != nil {
+				spec.Constraints.XChoices = tc.x
+			}
+			if tc.n != nil {
+				spec.Constraints.NChoices = tc.n
+			}
+			if _, err := NewStudy(context.Background(), spec); !errors.Is(err, guard.ErrInvalidConfig) {
+				t.Fatalf("x=%v n=%v: got %v, want ErrInvalidConfig", tc.x, tc.n, err)
+			}
+		})
+	}
+}
+
 // A served study evaluates the candidate list dse -fig 10 does, in the
 // same order: NewStudy reduces the enumeration and keeps its order.
 func TestNewStudyKeepsPipelineOrder(t *testing.T) {

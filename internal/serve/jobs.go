@@ -44,16 +44,14 @@ const (
 )
 
 // StudyRequest describes a study job. The zero value means: the paper's
-// Table I constraints, frontier + second-round reduction, batch 1, all
-// workloads, all optimizations.
+// Table I constraints, second-round reduction, batch 1, all workloads, all
+// optimizations.
 type StudyRequest struct {
 	// Regime picks a Fig. 10 batch regime ("a-small" | "b-medium" |
 	// "c-large"); alternatively set Batch or LatencyBoundMS directly.
 	Regime         string  `json:"regime,omitempty"`
 	Batch          int     `json:"batch,omitempty"`
 	LatencyBoundMS float64 `json:"latency_bound_ms,omitempty"`
-	// Full evaluates the whole feasible set instead of the frontier.
-	Full bool `json:"full,omitempty"`
 	// Models restricts the workload set (names as in /v1/perfsim/simulate).
 	Models []string `json:"models,omitempty"`
 	// Sweep-shrinking knobs (defaults: the Table I choices).
@@ -106,7 +104,6 @@ func (sr StudyRequest) spec() (dse.StudySpec, error) {
 	}
 	return dse.StudySpec{
 		Constraints: cs,
-		Full:        sr.Full,
 		Spec:        spec,
 		Opt:         perfsim.DefaultOptions(),
 		Models:      sr.Models,

@@ -60,6 +60,22 @@ func TestStudyJobLifecycle(t *testing.T) {
 	}
 }
 
+// A study whose design-space choices repeat a value is a 400, as is one
+// that still sends the removed "full" field.
+func TestStudyRejectsMalformedRequest(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"batch":8,"models":["alexnet"],"x_choices":[64,64],"n_choices":[2,4],"max_tiles":32}`,
+		`{"batch":8,"models":["alexnet"],"x_choices":[8,64],"n_choices":[0,2],"max_tiles":32}`,
+		tinyStudyBody(`"full":true`),
+	} {
+		status, _, resp := doJSON(t, "POST", ts.URL+"/v1/dse/study", body)
+		if status != 400 || resp["kind"] != "invalid-config" {
+			t.Errorf("%s: %d %v, want 400 invalid-config", body, status, resp)
+		}
+	}
+}
+
 // TestStudyJobQueueBound checks MaxQueuedJobs sheds excess submissions.
 func TestStudyJobQueueBound(t *testing.T) {
 	defer guard.DisarmAll()
