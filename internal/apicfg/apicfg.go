@@ -57,6 +57,23 @@ type Config struct {
 	PowerBudgetW   float64 `json:"power_budget_w,omitempty"`
 }
 
+// dataTypes and portKinds map the schema's enum strings to the model's
+// values; an empty tu_data_type means int8.
+var (
+	dataTypes = map[string]maclib.DataType{
+		"": maclib.Int8, "int8": maclib.Int8, "int16": maclib.Int16,
+		"int32": maclib.Int32, "bf16": maclib.BF16,
+		"fp16": maclib.FP16, "fp32": maclib.FP32,
+	}
+	portKinds = map[string]periph.Kind{
+		"ddr":  periph.DDRPort,
+		"hbm":  periph.HBMPort,
+		"pcie": periph.PCIePort,
+		"ici":  periph.ICILink,
+		"dma":  periph.DMAEngine,
+	}
+)
+
 // ChipConfig converts the JSON schema to the model's configuration.
 // Unknown enum strings fail with guard.ErrInvalidConfig.
 func (j Config) ChipConfig() (chip.Config, error) {
@@ -69,12 +86,7 @@ func (j Config) ChipConfig() (chip.Config, error) {
 		AreaBudgetMM2:    j.AreaBudgetMM2,
 		PowerBudgetW:     j.PowerBudgetW,
 	}
-	dt := map[string]maclib.DataType{
-		"": maclib.Int8, "int8": maclib.Int8, "int16": maclib.Int16,
-		"int32": maclib.Int32, "bf16": maclib.BF16,
-		"fp16": maclib.FP16, "fp32": maclib.FP32,
-	}
-	d, ok := dt[j.Core.TUDataType]
+	d, ok := dataTypes[j.Core.TUDataType]
 	if !ok {
 		return cfg, guard.Invalid("unknown tu_data_type %q", j.Core.TUDataType)
 	}
@@ -90,20 +102,12 @@ func (j Config) ChipConfig() (chip.Config, error) {
 			BlockBytes: m.BlockBytes, Banks: m.Banks,
 		})
 	}
-	kinds := map[string]chip.OffChipPort{
-		"ddr":  {Kind: periph.DDRPort},
-		"hbm":  {Kind: periph.HBMPort},
-		"pcie": {Kind: periph.PCIePort},
-		"ici":  {Kind: periph.ICILink},
-		"dma":  {Kind: periph.DMAEngine},
-	}
 	for _, p := range j.OffChip {
-		port, ok := kinds[p.Kind]
+		kind, ok := portKinds[p.Kind]
 		if !ok {
 			return cfg, guard.Invalid("unknown off_chip kind %q", p.Kind)
 		}
-		port.GBps, port.Count = p.GBps, p.Count
-		cfg.OffChip = append(cfg.OffChip, port)
+		cfg.OffChip = append(cfg.OffChip, chip.OffChipPort{Kind: kind, GBps: p.GBps, Count: p.Count})
 	}
 	return cfg, nil
 }

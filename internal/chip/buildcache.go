@@ -1,7 +1,7 @@
 package chip
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 
 	"neurometer/internal/guard"
@@ -41,13 +41,91 @@ type buildCacheEntry struct {
 }
 
 // Fingerprint returns a canonical string identity for the configuration:
-// two configs with equal fingerprints produce identical chips. It covers
-// every field (including nested core, memory-segment and off-chip slices)
-// via Go's deterministic struct formatting; the zero values that mean
-// "auto" are part of the identity, matching Build's behavior of resolving
-// them the same way every time.
+// two configs with equal fingerprints produce identical chips, and two
+// configs that differ in any field have different fingerprints. It lists
+// every field in declaration order, the nested core, memory-segment and
+// off-chip entries included, each value followed by a comma: strings are
+// length-prefixed, each slice is prefixed by its length, and floats take
+// the shortest form that reads back to the same value ('g', -1; every NaN
+// renders alike, and Validate rejects them all). The encoding is therefore
+// self-delimiting, so no choice of names can make two configs render alike
+// (TestFingerprintCraftedNames pins this, and
+// TestFingerprintCoversEveryField fails when a field added to Config is
+// left out here). The zero values that mean "auto" are part of the
+// identity, matching Build's behavior of resolving them the same way every
+// time.
 func (c Config) Fingerprint() string {
-	return fmt.Sprintf("%+v", c)
+	b := make([]byte, 0, 160+64*(len(c.Core.Mem)+len(c.OffChip)))
+	b = fpStr(b, c.Name)
+	b = fpInt(b, int64(c.TechNM))
+	b = fpFloat(b, c.Vdd)
+	b = fpFloat(b, c.ClockHz)
+	b = fpFloat(b, c.TargetTOPS)
+	b = fpInt(b, int64(c.Tx))
+	b = fpInt(b, int64(c.Ty))
+
+	cc := &c.Core
+	b = fpInt(b, int64(cc.NumTUs))
+	b = fpInt(b, int64(cc.TURows))
+	b = fpInt(b, int64(cc.TUCols))
+	b = fpInt(b, int64(cc.TUDataType))
+	b = fpInt(b, int64(cc.TUInterconnect))
+	b = fpInt(b, int64(cc.TUDataflow))
+	b = fpInt(b, int64(cc.TULocalSpadBytes))
+	b = fpInt(b, int64(cc.TULocalRegBytes))
+	b = fpInt(b, int64(cc.NumRTs))
+	b = fpInt(b, int64(cc.RTInputs))
+	b = fpInt(b, int64(cc.VULanes))
+	b = fpBool(b, cc.VUHasMAC)
+	b = fpBool(b, cc.SharedVRegPorts)
+	b = fpBool(b, cc.HasSU)
+	b = fpInt(b, int64(len(cc.Mem)))
+	for i := range cc.Mem {
+		m := &cc.Mem[i]
+		b = fpStr(b, m.Name)
+		b = fpInt(b, m.CapacityBytes)
+		b = fpInt(b, int64(m.BlockBytes))
+		b = fpInt(b, int64(m.Banks))
+		b = fpInt(b, int64(m.ReadPorts))
+		b = fpInt(b, int64(m.WritePorts))
+		b = fpFloat(b, m.ReadBytesPerCycle)
+		b = fpFloat(b, m.WriteBytesPerCycle)
+	}
+	b = fpInt(b, int64(cc.MemCell))
+
+	b = fpInt(b, int64(c.NoCTopology))
+	b = fpFloat(b, c.NoCBisectionGBps)
+	b = fpInt(b, int64(len(c.OffChip)))
+	for i := range c.OffChip {
+		p := &c.OffChip[i]
+		b = fpInt(b, int64(p.Kind))
+		b = fpFloat(b, p.GBps)
+		b = fpInt(b, int64(p.Count))
+	}
+	b = fpFloat(b, c.WhiteSpaceFrac)
+	b = fpFloat(b, c.AreaBudgetMM2)
+	b = fpFloat(b, c.PowerBudgetW)
+	return string(b)
+}
+
+// fpStr, fpInt, fpFloat and fpBool append one Fingerprint field.
+func fpStr(b []byte, s string) []byte {
+	b = strconv.AppendInt(b, int64(len(s)), 10)
+	b = append(b, ':')
+	return append(append(b, s...), ',')
+}
+
+func fpInt(b []byte, v int64) []byte { return append(strconv.AppendInt(b, v, 10), ',') }
+
+func fpFloat(b []byte, v float64) []byte {
+	return append(strconv.AppendFloat(b, v, 'g', -1, 64), ',')
+}
+
+func fpBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, "1,"...)
+	}
+	return append(b, "0,"...)
 }
 
 // BuildCached is Build behind a process-wide memo keyed on

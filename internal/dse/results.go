@@ -3,8 +3,8 @@ package dse
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"log/slog"
+	"strconv"
 
 	"neurometer/internal/chip"
 	"neurometer/internal/graph"
@@ -35,18 +35,34 @@ const resultStoreVersion = 1
 var mStoreHits = obs.NewCounter("dse.candidates_from_store")
 
 // CandidateFingerprint derives the content address of one candidate
-// evaluation. Unlike StudyFingerprint it is per-candidate and uses exact
-// (%+v) renderings throughout — a lossily formatted latency bound must not
-// alias two different batch regimes onto one stored result.
+// evaluation. Unlike StudyFingerprint it is per-candidate and exact
+// throughout: the chip config's injective Config.Fingerprint, the batch
+// spec with its latency bound in full ('g', -1; BatchSpec.String rounds it
+// to the millisecond, which would alias two batch regimes onto one stored
+// result), every simulator option, and the length-prefixed model names.
 func CandidateFingerprint(cfg chip.Config, models []string, spec BatchSpec, opt perfsim.Options) string {
-	fp := fmt.Sprintf("rstore/v%d|cfg=%s|spec=%+v|opt=%+v|models=", resultStoreVersion, cfg.Fingerprint(), spec, opt)
-	for i, m := range models {
-		if i > 0 {
-			fp += ","
-		}
-		fp += m
+	b := make([]byte, 0, 256)
+	b = append(b, "rstore/v"...)
+	b = strconv.AppendInt(b, resultStoreVersion, 10)
+	b = append(b, "|cfg="...)
+	b = append(b, cfg.Fingerprint()...)
+	b = append(b, "|spec="...)
+	b = strconv.AppendInt(b, int64(spec.Fixed), 10)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, spec.LatencyBound, 'g', -1, 64)
+	b = append(b, "|opt="...)
+	for _, on := range [...]bool{opt.SpaceToDepth, opt.SpaceToBatch, opt.DoubleBuffer} {
+		b = strconv.AppendBool(b, on)
+		b = append(b, ',')
 	}
-	return fp
+	b = append(b, "|models="...)
+	for _, m := range models {
+		b = strconv.AppendInt(b, int64(len(m)), 10)
+		b = append(b, ':')
+		b = append(b, m...)
+		b = append(b, ',')
+	}
+	return string(b)
 }
 
 // modelNames projects a workload set onto the name list

@@ -4,9 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -214,6 +216,74 @@ func TestStoreReadFaultByteIdentity(t *testing.T) {
 	if d := storeCounter("rstore.degraded") - degBefore; d < 3 {
 		t.Fatalf("degraded delta = %d, want >= 3", d)
 	}
+}
+
+// TestCandidateFingerprintCraftedNames checks that chip names cannot alias
+// two stored results: a one-tile and an eight-tile Table I chip with the
+// same per-core memory, whose names carry each other's %+v field text
+// (so Go's struct formatting renders them alike), get two content
+// addresses.
+func TestCandidateFingerprintCraftedNames(t *testing.T) {
+	cs := TableI()
+	a, b := cs.Config(Point{64, 2, 1, 1}), cs.Config(Point{64, 2, 2, 4})
+	a.Core.Mem[0].CapacityBytes = b.Core.Mem[0].CapacityBytes
+	between := func(c chip.Config) string {
+		c.Name, c.Core.Mem[0].Name = "\x00", "\x01"
+		s := fmt.Sprintf("%+v", c)
+		return s[strings.IndexByte(s, 0)+1 : strings.IndexByte(s, 1)]
+	}
+	ra, rb := between(a), between(b)
+	a.Name, a.Core.Mem[0].Name = "n", rb+"m"
+	b.Name, b.Core.Mem[0].Name = "n"+ra, "m"
+	if fmt.Sprintf("%+v", a) != fmt.Sprintf("%+v", b) {
+		t.Fatal("premise: the crafted pair must render alike under Go struct formatting")
+	}
+	names := []string{"resnet", "inception", "nasnet"}
+	spec, opt := BatchSpec{Fixed: 1}, perfsim.DefaultOptions()
+	if CandidateFingerprint(a, names, spec, opt) == CandidateFingerprint(b, names, spec, opt) {
+		t.Fatal("a one-tile and an eight-tile chip share one result-store address")
+	}
+}
+
+// TestCandidateFingerprintCoversSpecAndOptions changes every field of the
+// batch spec and the simulator options in turn, and the model list, and
+// checks that each change gives a content address of its own: a latency
+// bound 0.2 ms away must not read another regime's stored row.
+func TestCandidateFingerprintCoversSpecAndOptions(t *testing.T) {
+	cfg := TableI().Config(Point{64, 2, 2, 4})
+	models := []string{"resnet", "inception"}
+	spec, opt := BatchSpec{LatencyBound: 10.1e-3}, perfsim.DefaultOptions()
+	seen := map[string]string{}
+	check := func(what string) {
+		fp := CandidateFingerprint(cfg, models, spec, opt)
+		if prev, ok := seen[fp]; ok {
+			t.Errorf("%s gives the content address of %s", what, prev)
+			return
+		}
+		seen[fp] = what
+	}
+	check("the base candidate")
+	for _, v := range []reflect.Value{reflect.ValueOf(&spec).Elem(), reflect.ValueOf(&opt).Elem()} {
+		for i := 0; i < v.NumField(); i++ {
+			f := v.Field(i)
+			orig := reflect.New(f.Type()).Elem()
+			orig.Set(f)
+			switch f.Kind() {
+			case reflect.Int:
+				f.SetInt(f.Int() + 1)
+			case reflect.Float64:
+				f.SetFloat(f.Float() - 0.2e-3)
+			case reflect.Bool:
+				f.SetBool(!f.Bool())
+			default:
+				t.Fatalf("%s.%s: kind %s has no mutation here", v.Type(), v.Type().Field(i).Name, f.Kind())
+			}
+			check("changing " + v.Type().Field(i).Name)
+			f.Set(orig)
+		}
+	}
+	models = []string{"resnet,inception"}
+	check("joining the model names")
 }
 
 func TestStoreWrongRowQuarantined(t *testing.T) {

@@ -109,7 +109,7 @@ func (p *Prepared) SimulateBatch(ctx context.Context, batch int, opt Options, ch
 	}
 	ctx, span := obs.Start(ctx, "perfsim.simulate_batch")
 	defer span.End()
-	span.SetStr("graph", p.g.Name)
+	span.SetStr("graph", p.name)
 	span.SetInt("batch", int64(batch))
 	span.SetInt("candidates", int64(len(chips)))
 	br := acquireBatch(len(chips))
@@ -139,5 +139,5 @@ func (p *Prepared) SimulateInto(ctx context.Context, c *chip.Chip, batch int, op
 	if err := guard.Inject(ctx, "perfsim.simulate"); err != nil {
 		return err
 	}
-	return simulateInto(ctx, c, p, batch, opt, res, false)
+	return simulateInto(ctx, c, p, batch, opt, res, nil)
 }

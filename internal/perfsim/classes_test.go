@@ -42,7 +42,7 @@ func TestClassedMatchesOracle(t *testing.T) {
 		for _, c := range chips {
 			for _, batch := range []int{1, 3, 16, 256, 512} {
 				for _, opt := range []perfsim.Options{perfsim.DefaultOptions(), perfsim.NoOptimizations()} {
-					perfsim.CheckMatchesOracle(t, c, p, batch, opt)
+					perfsim.CheckMatchesOracle(t, c, g, p, batch, opt)
 				}
 			}
 		}

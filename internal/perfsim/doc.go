@@ -44,10 +44,11 @@
 //
 // The design-space engine asks one question many times: "this workload,
 // this batch size, these N candidate chips". Prepare validates a graph once
-// and precomputes every chip-independent per-layer quantity; SimulateBatch
-// (and the lower-level (*Prepared).SimulateInto) then run the same closed
-// forms over each candidate into pooled result scratch, so the steady state
-// allocates nothing per candidate. Headline metrics are bit-identical to
+// and precomputes every chip-independent quantity once per shape class,
+// keeping of the graph only its name; SimulateBatch (and the lower-level
+// (*Prepared).SimulateInto) then run the same closed forms over each
+// candidate into pooled result scratch, so the steady state allocates
+// nothing per candidate. Headline metrics are bit-identical to
 // per-candidate SimulateCtx calls; per-layer LayerStat detail is a
 // single-candidate feature — use SimulateCtx when Layers matter.
 // BatchResults come from a sync.Pool: Release them when done and copy out

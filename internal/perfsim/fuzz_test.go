@@ -58,7 +58,7 @@ func FuzzPerfsimOptions(f *testing.F) {
 		c := build(x, n)
 		res, err := Simulate(c, g, batch, opt) // must never panic
 		if c != nil && batch > 0 {
-			checkMatchesOracle(t, c, p, batch, opt)
+			checkMatchesOracle(t, c, g, p, batch, opt)
 		}
 		if err != nil {
 			return

@@ -14,11 +14,12 @@ import (
 )
 
 // simulateOracle is the reference simulator the shape-class path is checked
-// against: the per-layer loop that evaluates every closed form on every
-// layer, with no classes and no scratch. It bumps no counters. Any change
-// to a closed form in evalClass or simulateInto must be mirrored here, and
-// TestClassedMatchesOracle then pins the two bit for bit.
-func simulateOracle(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt Options, res *Result, detail bool) (err error) {
+// against: the per-layer loop that prepares and evaluates every closed form
+// on every layer of g, with no classes and no scratch. It bumps no
+// counters. Any change to a closed form in evalClass or simulateInto must
+// be mirrored here, and TestClassedMatchesOracle then pins the two bit for
+// bit.
+func simulateOracle(ctx context.Context, c *chip.Chip, g *graph.Graph, batch int, opt Options, res *Result, detail bool) (err error) {
 	defer guard.RecoverTo(&err)
 	core := c.Core
 	if core.TU == nil {
@@ -46,7 +47,7 @@ func simulateOracle(ctx context.Context, c *chip.Chip, p *Prepared, batch int, o
 	if core.Mem != nil {
 		memBytes = float64(core.Mem.CapacityBytes()) * cores
 	}
-	weightsResident := p.params <= memBytes*0.85
+	weightsResident := float64(g.Params()) <= memBytes*0.85
 
 	layers := res.Layers[:0]
 	*res = Result{Batch: batch, Layers: layers}
@@ -81,9 +82,9 @@ func simulateOracle(ctx context.Context, c *chip.Chip, p *Prepared, batch int, o
 	// runs only once the context is actually dead, returning the identical
 	// error it always did.
 	done := ctx.Done()
-	for li := range p.layers {
-		lv := &p.layers[li]
-		name := p.g.Layers[li].Name
+	for li := range g.Layers {
+		lv := prepareLayer(&g.Layers[li])
+		name := g.Layers[li].Name
 		// Deadline check per layer: analytical layers are cheap, so this is
 		// the granularity at which a per-candidate timeout can actually
 		// interrupt a simulation.
@@ -348,7 +349,7 @@ func simulateOracle(ctx context.Context, c *chip.Chip, p *Prepared, batch int, o
 			"cycles", res.Cycles, "time_sec", res.TimeSec, "fps", res.FPS,
 			"achieved_tops", res.AchievedTOPS, "utilization", res.Utilization,
 		)
-		return fmt.Errorf("perfsim: %s batch %d: %w", p.g.Name, batch, ferr)
+		return fmt.Errorf("perfsim: %s batch %d: %w", g.Name, batch, ferr)
 	}
 
 	// Padded/bubble cell-cycles carry zeros: they burn clock and control
@@ -365,18 +366,18 @@ func simulateOracle(ctx context.Context, c *chip.Chip, p *Prepared, batch int, o
 	return nil
 }
 
-// checkMatchesOracle simulates p on c at (batch, opt) through the classed
-// core, in detail mode and through SimulateInto, and through the oracle,
-// and fails t unless every Result field and every LayerStat agree bit for
-// bit (errors by message).
-func checkMatchesOracle(t testing.TB, c *chip.Chip, p *Prepared, batch int, opt Options) {
+// checkMatchesOracle simulates p, prepared from g, on c at (batch, opt)
+// through the classed core, in detail mode and through SimulateInto, and
+// simulates g through the oracle, and fails t unless every Result field and
+// every LayerStat agree bit for bit (errors by message).
+func checkMatchesOracle(t testing.TB, c *chip.Chip, g *graph.Graph, p *Prepared, batch int, opt Options) {
 	t.Helper()
 	ctx := context.Background()
 	var want, got, fast Result
-	wantErr := simulateOracle(ctx, c, p, batch, opt, &want, true)
-	gotErr := simulateInto(ctx, c, p, batch, opt, &got, true)
+	wantErr := simulateOracle(ctx, c, g, batch, opt, &want, true)
+	gotErr := simulateInto(ctx, c, p, batch, opt, &got, g)
 	fastErr := p.SimulateInto(ctx, c, batch, opt, &fast)
-	where := fmt.Sprintf("%s on %s batch %d %+v", p.g.Name, c.Cfg.Name, batch, opt)
+	where := fmt.Sprintf("%s on %s batch %d %+v", g.Name, c.Cfg.Name, batch, opt)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(fastErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: errors diverge: detail %v, headline %v, oracle %v", where, gotErr, fastErr, wantErr)
 	}

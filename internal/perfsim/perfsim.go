@@ -102,17 +102,20 @@ func Simulate(c *chip.Chip, g *graph.Graph, batch int, opt Options) (*Result, er
 	return SimulateCtx(context.Background(), c, g, batch, opt)
 }
 
-// SimulateCtx is Simulate with observability and robustness: it opens a
-// span per graph (child of any span in ctx) and a child span per layer
-// carrying the mapping decision and cycle breakdown. The ctx deadline is
-// honored between layers (a canceled or expired ctx aborts the simulation
-// with guard.ErrCanceled/ErrTimeout), and the headline result metrics are
+// SimulateCtx is Simulate with observability and robustness, and the one
+// path that records per-layer detail: it opens a span per graph (child of
+// any span in ctx) and a child span per layer carrying the mapping decision
+// and cycle breakdown, and fills Result.Layers with one LayerStat per layer
+// of g, named from g. The ctx deadline is honored between layers (a
+// canceled or expired ctx aborts the simulation with
+// guard.ErrCanceled/ErrTimeout), and the headline result metrics are
 // finite-checked before returning so NaN/Inf never escapes into sweeps.
 //
-// SimulateCtx re-validates and re-prepares the graph on every call. When
-// evaluating many chips against one workload, Prepare the graph once and
-// use (*Prepared).SimulateInto or SimulateBatch, which amortize that cost
-// and reuse result scratch; both produce bit-identical headline metrics.
+// SimulateCtx validates and prepares g on every call. When the layers are
+// not needed, or when evaluating many chips against one workload, Prepare
+// the graph once and use (*Prepared).SimulateInto or SimulateBatch, which
+// amortize that cost and reuse result scratch; both produce bit-identical
+// headline metrics.
 func SimulateCtx(ctx context.Context, c *chip.Chip, g *graph.Graph, batch int, opt Options) (res *Result, err error) {
 	defer guard.RecoverTo(&err)
 	if c == nil {
@@ -136,7 +139,7 @@ func SimulateCtx(ctx context.Context, c *chip.Chip, g *graph.Graph, batch int, o
 		return nil, err
 	}
 	res = &Result{Layers: make([]LayerStat, 0, len(g.Layers))}
-	if err := simulateInto(ctx, c, p, batch, opt, res, true); err != nil {
+	if err := simulateInto(ctx, c, p, batch, opt, res, g); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -221,17 +224,18 @@ type simEnv struct {
 
 // simulateInto is the shared simulation core. It fully overwrites *res
 // (reusing the Layers backing array) and allocates nothing on the steady
-// state when detail is false: per-layer spans and LayerStat records are
-// produced only for the detailed single-candidate path (SimulateCtx), while
-// the batch/sweep path accumulates through locals. Both modes execute the
-// same closed forms in the same order, so headline metrics are
-// bit-identical between them.
+// state when detail is nil. A non-nil detail is the graph p was prepared
+// from, and asks for per-layer spans and LayerStat records named from its
+// layers: the detailed single-candidate path (SimulateCtx). The batch and
+// sweep paths accumulate through locals. Both modes execute the same closed
+// forms in the same order, so headline metrics are bit-identical between
+// them.
 //
 // The closed forms run once per shape class (see prep.go), on the class's
 // first layer, when the walk over the layers reaches it; every layer then
 // adds its class's values to the running sums in graph order. The deadline
 // check and the perfsim.layer injection site stay per layer.
-func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt Options, res *Result, detail bool) (err error) {
+func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt Options, res *Result, detail *graph.Graph) (err error) {
 	defer guard.RecoverTo(&err)
 	core := c.Core
 	if core.TU == nil {
@@ -290,18 +294,20 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 
 	var stack [stackClasses]classVals
 	vals := stack[:]
-	if len(p.first) > len(stack) {
+	if len(p.vals) > len(stack) {
 		s, _ := classPool.Get().(*classScratch)
-		if s == nil || cap(s.vals) < len(p.first) {
-			s = &classScratch{vals: make([]classVals, len(p.first))}
+		if s == nil || cap(s.vals) < len(p.vals) {
+			s = &classScratch{vals: make([]classVals, len(p.vals))}
 		}
 		defer classPool.Put(s)
 		vals = s.vals
 	}
-	vals = vals[:len(p.first)]
+	vals = vals[:len(p.vals)]
 	// The counters cover the layers actually walked and the classes
-	// actually evaluated, early error returns and panics included.
-	walked, evals := 0, 0
+	// actually evaluated, early error returns and panics included. Classes
+	// are numbered in order of first appearance, so the walk first reaches
+	// class k when evals == k.
+	walked, evals := 0, int32(0)
 	defer func() {
 		mLayers.Add(int64(walked))
 		mLayerEvals.Add(int64(evals))
@@ -313,7 +319,7 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 	// runs only once the context is actually dead, returning the identical
 	// error it always did.
 	done := ctx.Done()
-	for li := range p.layers {
+	for li, k := range p.class {
 		// Deadline check per layer: analytical layers are cheap, so this is
 		// the granularity at which a per-candidate timeout can actually
 		// interrupt a simulation.
@@ -327,10 +333,9 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 		if err := guard.Inject(ctx, "perfsim.layer"); err != nil {
 			return err
 		}
-		k := p.class[li]
 		cv := &vals[k]
-		if int(p.first[k]) == li {
-			e.evalClass(&p.layers[li], cv)
+		if k == evals {
+			e.evalClass(&p.vals[k], cv)
 			evals++
 		}
 		totalMACs += cv.macs
@@ -342,10 +347,10 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 		totalVecOps += cv.vops
 		res.Cycles += cv.cycles
 		walked++
-		if detail {
-			name, mapName := p.g.Layers[li].Name, cv.mapping.String()
+		if detail != nil {
+			name, mapName := detail.Layers[li].Name, cv.mapping.String()
 			res.Layers = append(res.Layers, LayerStat{
-				Name: name, Kind: p.layers[li].kind, Mapping: mapName,
+				Name: name, Kind: p.vals[k].kind, Mapping: mapName,
 				Cycles: cv.cycles, ComputeCycles: cv.compute, NoCCycles: cv.noc,
 				HBMCycles: cv.hbm, VUCycles: cv.vu, Overhead: cv.overhead, MACs: cv.macs,
 				MemReadBytes: cv.memRead, MemWriteBytes: cv.memWrite,
@@ -379,7 +384,7 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 			"cycles", res.Cycles, "time_sec", res.TimeSec, "fps", res.FPS,
 			"achieved_tops", res.AchievedTOPS, "utilization", res.Utilization,
 		)
-		return fmt.Errorf("perfsim: %s batch %d: %w", p.g.Name, batch, ferr)
+		return fmt.Errorf("perfsim: %s batch %d: %w", p.name, batch, ferr)
 	}
 
 	// Padded/bubble cell-cycles carry zeros: they burn clock and control

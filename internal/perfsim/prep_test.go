@@ -12,9 +12,8 @@ import (
 
 // TestPrepareClasses pins the shape-class counts of the Fig. 9/10 models
 // and of manyShapes (more classes than the stack scratch holds), and the
-// class contract: classes are numbered in order of first appearance,
-// first[k] is class k's first layer, every layer's layerVals equals its
-// representative's, and no two classes share a key.
+// class contract: classes are numbered in order of first appearance, every
+// layer's layerVals equals its class's row, and no two classes share a row.
 func TestPrepareClasses(t *testing.T) {
 	if stackClasses >= 83 {
 		t.Fatalf("manyShapes' 83 classes fit the %d-class stack scratch", stackClasses)
@@ -33,32 +32,31 @@ func TestPrepareClasses(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(p.layers) != tc.layers || len(p.first) != tc.classes {
-			t.Errorf("%s: %d layers in %d classes, want %d in %d",
-				g.Name, len(p.layers), len(p.first), tc.layers, tc.classes)
+		if p.Name() != g.Name || len(p.class) != tc.layers || len(p.vals) != tc.classes {
+			t.Errorf("%s: %q with %d layers in %d classes, want %d in %d",
+				g.Name, p.Name(), len(p.class), len(p.vals), tc.layers, tc.classes)
 		}
-		seen := map[layerVals]int32{}
-		for i := range p.layers {
-			k := p.class[i]
-			if k < 0 || int(k) >= len(p.first) {
-				t.Fatalf("%s layer %d: class %d out of range", g.Name, i, k)
+		reached := int32(0)
+		for i, k := range p.class {
+			if k < 0 || k > reached || int(k) >= len(p.vals) {
+				t.Fatalf("%s layer %d: class %d, but only %d classes appear before it", g.Name, i, k, reached)
 			}
-			if rep := int(p.first[k]); rep > i || (rep < i && p.class[rep] != k) {
-				t.Errorf("%s layer %d: class %d's first layer is %d", g.Name, i, k, rep)
+			if k == reached {
+				reached++
 			}
-			if p.layers[i] != p.layers[p.first[k]] {
-				t.Errorf("%s layer %d (%s): layerVals differ from class %d's representative %s",
-					g.Name, i, g.Layers[i].Name, k, g.Layers[p.first[k]].Name)
+			if lv := prepareLayer(&g.Layers[i]); lv != p.vals[k] {
+				t.Errorf("%s layer %d (%s): layerVals differ from class %d's row", g.Name, i, g.Layers[i].Name, k)
 			}
-			if prev, ok := seen[p.layers[i]]; ok && prev != k {
-				t.Errorf("%s layer %d: key of class %d also in class %d", g.Name, i, k, prev)
-			}
-			seen[p.layers[i]] = k
 		}
-		for k, rep := range p.first {
-			if p.class[rep] != int32(k) || (k > 0 && rep <= p.first[k-1]) {
-				t.Errorf("%s: class %d first appears at layer %d, out of order", g.Name, k, rep)
+		if int(reached) != len(p.vals) {
+			t.Errorf("%s: %d classes reached, %d rows stored", g.Name, reached, len(p.vals))
+		}
+		seen := map[layerVals]int{}
+		for k, lv := range p.vals {
+			if prev, ok := seen[lv]; ok {
+				t.Errorf("%s: classes %d and %d share one row", g.Name, prev, k)
 			}
+			seen[lv] = k
 		}
 	}
 }

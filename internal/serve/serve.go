@@ -142,6 +142,7 @@ type Server struct {
 	limBuild  *limiter
 	limSim    *limiter
 	accessLog *slog.Logger
+	workloads preparedWorkloads
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -162,6 +163,7 @@ func New(cfg Config) *Server {
 		limBuild:   newLimiter("chip.build", cfg.BuildLimit, cfg.QueueDepth, cfg.AdmissionTimeout, cfg.ShedWatermark),
 		limSim:     newLimiter("perfsim.simulate", cfg.SimulateLimit, cfg.QueueDepth, cfg.AdmissionTimeout, cfg.ShedWatermark),
 		accessLog:  cfg.AccessLog,
+		workloads:  newPreparedWorkloads(),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		draining:   make(chan struct{}),
@@ -315,6 +317,41 @@ func (s *Server) buildHandler(r *http.Request) (int, any, error) {
 
 // ---- /v1/perfsim/simulate -------------------------------------------------
 
+// preparedWorkloads maps every bundled workload name, aliases included, to
+// that model's prepared workload, built on first use and kept for the
+// server's life: the simulate routes never rebuild or re-prepare a graph.
+// Aliases of one model share one entry, and the map is complete when New
+// returns, so an unknown name is never stored and the map needs no lock.
+type preparedWorkloads map[string]func() (*perfsim.Prepared, error)
+
+func newPreparedWorkloads() preparedWorkloads {
+	m := preparedWorkloads{}
+	for _, names := range workloads.Names() {
+		prep := sync.OnceValues(func() (*perfsim.Prepared, error) {
+			g, err := workloads.ByName(names[0])
+			if err != nil {
+				return nil, err
+			}
+			return perfsim.Prepare(g)
+		})
+		for _, name := range names {
+			m[name] = prep
+		}
+	}
+	return m
+}
+
+// get returns the prepared workload for name. An unknown name is a 400
+// carrying workloads.ByName's message.
+func (m preparedWorkloads) get(name string) (*perfsim.Prepared, error) {
+	prep, ok := m[name]
+	if !ok {
+		_, err := workloads.ByName(name)
+		return nil, guard.Invalid("%v", err)
+	}
+	return prep()
+}
+
 // SimulateRequest runs one workload at one batch size on a chip.
 type SimulateRequest struct {
 	ChipRequest
@@ -338,14 +375,35 @@ type SimulateResponse struct {
 	TOPSPerTCO   float64 `json:"tops_per_tco"`
 }
 
+// simulateResponse summarizes one simulation of workload on c.
+func simulateResponse(c *chip.Chip, workload string, batch int, res *perfsim.Result) *SimulateResponse {
+	e := c.Efficiency(res.AchievedTOPS*1e12, res.Activity)
+	return &SimulateResponse{
+		Chip:         c.Cfg.Name,
+		Workload:     workload,
+		Batch:        batch,
+		FPS:          res.FPS,
+		LatencyMS:    res.LatencySec * 1e3,
+		AchievedTOPS: res.AchievedTOPS,
+		Utilization:  res.Utilization,
+		PowerW:       e.PowerW,
+		TOPSPerWatt:  e.TOPSPerWatt,
+		TOPSPerTCO:   e.TOPSPerTCO,
+	}
+}
+
+// simulateHandler runs the server's prepared workload on one chip. The
+// response needs no per-layer detail, so it takes perfsim's headline path,
+// (*Prepared).SimulateInto, whose metrics are bit-identical to SimulateCtx;
+// the perfsim.simulate span it opens is the one SimulateCtx would.
 func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
 	var req SimulateRequest
 	if err := decodeBody(r, &req); err != nil {
 		return 0, nil, err
 	}
-	g, err := workloads.ByName(req.Workload)
+	p, err := s.workloads.get(req.Workload)
 	if err != nil {
-		return 0, nil, guard.Invalid("%v", err)
+		return 0, nil, err
 	}
 	c, err := req.resolve()
 	if err != nil {
@@ -359,23 +417,16 @@ func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
 	if batch == 0 {
 		batch = 1
 	}
-	res, err := perfsim.SimulateCtx(r.Context(), c, g, batch, opt)
+	ctx, span := obs.Start(r.Context(), "perfsim.simulate")
+	span.SetStr("graph", p.Name())
+	span.SetInt("batch", int64(batch))
+	var res perfsim.Result
+	err = p.SimulateInto(ctx, c, batch, opt, &res)
+	span.End()
 	if err != nil {
 		return 0, nil, err
 	}
-	e := c.Efficiency(res.AchievedTOPS*1e12, res.Activity)
-	return http.StatusOK, SimulateResponse{
-		Chip:         c.Cfg.Name,
-		Workload:     g.Name,
-		Batch:        batch,
-		FPS:          res.FPS,
-		LatencyMS:    res.LatencySec * 1e3,
-		AchievedTOPS: res.AchievedTOPS,
-		Utilization:  res.Utilization,
-		PowerW:       e.PowerW,
-		TOPSPerWatt:  e.TOPSPerWatt,
-		TOPSPerTCO:   e.TOPSPerTCO,
-	}, nil
+	return http.StatusOK, simulateResponse(c, p.Name(), batch, &res), nil
 }
 
 // ---- /v1/perfsim/simulate-batch -------------------------------------------
@@ -388,8 +439,8 @@ func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
 const maxBatchConfigs = 256
 
 // SimulateBatchRequest evaluates one workload at one batch size across many
-// candidate chips in a single call. The workload graph is validated and
-// prepared once and shared by every candidate (perfsim.SimulateBatch).
+// candidate chips in a single call. Every candidate runs on the server's
+// one prepared copy of the workload ((*perfsim.Prepared).SimulateBatch).
 type SimulateBatchRequest struct {
 	Workload string           `json:"workload"`
 	Batch    int              `json:"batch"`
@@ -433,11 +484,7 @@ func (s *Server) simulateBatchHandler(r *http.Request) (int, any, error) {
 		return 0, nil, guard.Invalid("simulate-batch: %d configs exceeds the %d limit",
 			len(req.Configs), maxBatchConfigs)
 	}
-	g, err := workloads.ByName(req.Workload)
-	if err != nil {
-		return 0, nil, guard.Invalid("%v", err)
-	}
-	p, err := perfsim.Prepare(g)
+	p, err := s.workloads.get(req.Workload)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -450,7 +497,7 @@ func (s *Server) simulateBatchHandler(r *http.Request) (int, any, error) {
 		batch = 1
 	}
 	resp := SimulateBatchResponse{
-		Workload: g.Name,
+		Workload: p.Name(),
 		Batch:    batch,
 		Results:  make([]SimulateBatchEntry, len(req.Configs)),
 	}
@@ -480,21 +527,7 @@ func (s *Server) simulateBatchHandler(r *http.Request) (int, any, error) {
 			resp.Results[i] = SimulateBatchEntry{Kind: guard.Kind(serr), Err: serr.Error()}
 			continue
 		}
-		res := &br.Results[i]
-		c := chips[i]
-		e := c.Efficiency(res.AchievedTOPS*1e12, res.Activity)
-		resp.Results[i].Result = &SimulateResponse{
-			Chip:         c.Cfg.Name,
-			Workload:     g.Name,
-			Batch:        batch,
-			FPS:          res.FPS,
-			LatencyMS:    res.LatencySec * 1e3,
-			AchievedTOPS: res.AchievedTOPS,
-			Utilization:  res.Utilization,
-			PowerW:       e.PowerW,
-			TOPSPerWatt:  e.TOPSPerWatt,
-			TOPSPerTCO:   e.TOPSPerTCO,
-		}
+		resp.Results[i].Result = simulateResponse(chips[i], p.Name(), batch, &br.Results[i])
 	}
 	for _, en := range resp.Results {
 		if en.Err != "" {

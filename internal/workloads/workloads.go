@@ -6,6 +6,7 @@ package workloads
 
 import (
 	"fmt"
+	"slices"
 
 	"neurometer/internal/graph"
 )
@@ -91,21 +92,40 @@ func All() []*graph.Graph {
 	return []*graph.Graph{ResNet50(), InceptionV3(), NasNetALarge()}
 }
 
-// ByName resolves a case-study workload.
+// bundled lists the workloads ByName resolves, one entry per model: the
+// names it answers to, its graph's own Name first, and its constructor.
+var bundled = []struct {
+	names []string
+	build func() (*graph.Graph, error)
+}{
+	{[]string{"resnet", "resnet50", "resnet-50"}, noErr(ResNet50)},
+	{[]string{"inception", "inception-v3", "inceptionv3"}, noErr(InceptionV3)},
+	{[]string{"nasnet", "nasnet-a-large", "nasnetalarge"}, noErr(NasNetALarge)},
+	{[]string{"alexnet"}, noErr(AlexNet)},
+	{[]string{"bert-base", "bert", "transformer"}, BERTBase},
+	{[]string{"mobilenet", "mobilenet-v1", "mobilenetv1"}, noErr(MobileNetV1)},
+}
+
+func noErr(f func() *graph.Graph) func() (*graph.Graph, error) {
+	return func() (*graph.Graph, error) { return f(), nil }
+}
+
+// ByName resolves a case-study workload, building a fresh graph.
 func ByName(name string) (*graph.Graph, error) {
-	switch name {
-	case "resnet", "resnet50", "resnet-50":
-		return ResNet50(), nil
-	case "inception", "inception-v3", "inceptionv3":
-		return InceptionV3(), nil
-	case "nasnet", "nasnet-a-large", "nasnetalarge":
-		return NasNetALarge(), nil
-	case "alexnet":
-		return AlexNet(), nil
-	case "bert", "bert-base", "transformer":
-		return BERTBase()
-	case "mobilenet", "mobilenet-v1", "mobilenetv1":
-		return MobileNetV1(), nil
+	for _, w := range bundled {
+		if slices.Contains(w.names, name) {
+			return w.build()
+		}
 	}
 	return nil, fmt.Errorf("workloads: unknown model %q", name)
+}
+
+// Names lists every name ByName accepts, one group per bundled model; the
+// first name of a group is the model's graph Name, the rest are aliases.
+func Names() [][]string {
+	groups := make([][]string, len(bundled))
+	for i, w := range bundled {
+		groups[i] = slices.Clone(w.names)
+	}
+	return groups
 }

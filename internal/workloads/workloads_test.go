@@ -183,3 +183,28 @@ func TestMobileNetV1(t *testing.T) {
 		t.Errorf("ByName: %v", err)
 	}
 }
+
+// TestNamesResolve checks that every name Names lists resolves through
+// ByName to a graph named by its group's first name, and that no name
+// belongs to two groups.
+func TestNamesResolve(t *testing.T) {
+	seen := map[string]bool{}
+	for _, group := range Names() {
+		for _, name := range group {
+			if seen[name] {
+				t.Errorf("%q is listed twice", name)
+			}
+			seen[name] = true
+			g, err := ByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if g.Name != group[0] {
+				t.Errorf("ByName(%q) is %q, want %q", name, g.Name, group[0])
+			}
+		}
+	}
+	if _, err := ByName("vgg"); err == nil {
+		t.Error("an unknown name must not resolve")
+	}
+}
