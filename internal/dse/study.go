@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"neurometer/internal/graph"
@@ -101,11 +102,16 @@ func checkChoices(name string, choices []int) error {
 // StudyFingerprint derives the identity of a runtime study from everything
 // that determines its output: batch spec, options, workloads and the
 // candidate list. Two studies with the same fingerprint are
-// interchangeable. The leading "v1" is part of the identity, so job IDs
-// hashed from it stay stable across builds.
+// interchangeable. The batch spec is rendered exactly, the latency bound in
+// the shortest form that reads back to the same value, so two bounds that
+// differ by any amount never share a fingerprint. The leading "v2" names
+// this rendering: a job ID hashed from it is stable only across builds
+// that render the same version, and "v1" (which rounded the bound to the
+// millisecond) IDs do not carry over.
 func StudyFingerprint(cands []Candidate, models []*graph.Graph, spec BatchSpec, opt perfsim.Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "v1|spec=%s|opt=%+v|models=", spec, opt)
+	fmt.Fprintf(&b, "v2|spec=%d,%s|opt=%+v|models=", spec.Fixed,
+		strconv.FormatFloat(spec.LatencyBound, 'g', -1, 64), opt)
 	for i, g := range models {
 		if i > 0 {
 			b.WriteByte(',')

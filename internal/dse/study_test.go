@@ -51,6 +51,22 @@ func TestStudyFingerprintStableAndDiscriminating(t *testing.T) {
 	if c.Fingerprint() == a.Fingerprint() {
 		t.Fatal("different batch regimes must produce different fingerprints")
 	}
+
+	// Latency bounds that round to the same millisecond are still
+	// different studies.
+	fps := map[string]float64{}
+	for _, bound := range []float64{9.9e-3, 10e-3, 10.1e-3} {
+		spec := tinySpec()
+		spec.Spec = BatchSpec{LatencyBound: bound}
+		s, err := NewStudy(ctx, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prev, ok := fps[s.Fingerprint()]; ok {
+			t.Fatalf("latency bounds %g s and %g s share fingerprint %.60s", prev, bound, s.Fingerprint())
+		}
+		fps[s.Fingerprint()] = bound
+	}
 }
 
 // An interrupted Study.Run has persisted its completed rows in the result

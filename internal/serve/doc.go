@@ -28,10 +28,22 @@
 //     same study to a restarted server sharing the store reruns it
 //     byte-identically, simulating only the candidates not yet stored.
 //
+//   - Inline config memo. Each Server maps the exact bytes of an inline
+//     ChipRequest.Config to the chip apicfg.Resolve and chip.BuildCached
+//     built from them, so all three model routes skip the config's JSON
+//     parse and fingerprint when a client posts a config again
+//     (serve.config_memo_hits / serve.config_memo_misses). Equal bytes
+//     always give the same chip, because the parse is pure and a Chip is
+//     immutable. Only built chips are stored; presets, parse errors and
+//     build errors take the unmemoized path. It holds at most 1024
+//     entries and 1 MiB of key bytes, and an insert that would pass either
+//     empties it. While a guard fault is armed it is neither read nor
+//     written, so injected faults reach chip.build.
+//
 //   - Graceful shutdown. Shutdown sequences listener close → connection
 //     drain with deadline → job cancellation → final metrics snapshot.
 //
-// Error mapping is guard.HTTPStatus: invalid-config 400, infeasible 422,
+// Error mapping is HTTPStatus: invalid-config 400, infeasible 422,
 // timeout 504, canceled 499, non-finite/panic/other 500. See DESIGN.md §10
 // and the README's Serving section for the wire contract.
 package serve

@@ -60,6 +60,25 @@ func TestStudyJobLifecycle(t *testing.T) {
 	}
 }
 
+// Two studies whose latency bounds round to the same millisecond are
+// different studies, so they get different job IDs: the second is never
+// answered with the first one's rows.
+func TestStudyJobIDsSeparateCloseLatencyBounds(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	ids := map[string]string{}
+	for _, bound := range []string{"9.9", "10.1"} {
+		status, _, body := doJSON(t, "POST", ts.URL+"/v1/dse/study", `{"latency_bound_ms":`+bound+`,"models":["alexnet"],"x_choices":[8,64],"n_choices":[2,4],"max_tiles":32}`)
+		id, _ := body["id"].(string)
+		if status != 202 || id == "" {
+			t.Fatalf("submit at %s ms: %d %v", bound, status, body)
+		}
+		if prev, ok := ids[id]; ok {
+			t.Fatalf("latency bounds %s ms and %s ms share job %s", prev, bound, id)
+		}
+		ids[id] = bound
+	}
+}
+
 // A study whose design-space choices repeat a value is a 400, as is one
 // that still sends the removed "full" field.
 func TestStudyRejectsMalformedRequest(t *testing.T) {

@@ -270,11 +270,11 @@ func checkContentType(r *http.Request) error {
 }
 
 // writeError renders a failure: ErrShed → 429 + Retry-After, ErrTooLarge →
-// 413, ErrUnsupportedMedia → 415, everything else through guard.HTTPStatus,
+// 413, ErrUnsupportedMedia → 415, everything else through HTTPStatus,
 // with the kind= taxonomy in the body. 5xx responses feed the watchdog;
 // shed and 4xx responses do not (the server is behaving as designed).
 func (s *Server) writeError(w http.ResponseWriter, r *http.Request, endpoint string, err error) {
-	status := guard.HTTPStatus(err)
+	status := HTTPStatus(err)
 	switch {
 	case errors.Is(err, ErrShed):
 		status = http.StatusTooManyRequests

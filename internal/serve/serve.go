@@ -143,6 +143,7 @@ type Server struct {
 	limSim    *limiter
 	accessLog *slog.Logger
 	workloads preparedWorkloads
+	chips     chipMemo
 
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
@@ -164,6 +165,7 @@ func New(cfg Config) *Server {
 		limSim:     newLimiter("perfsim.simulate", cfg.SimulateLimit, cfg.QueueDepth, cfg.AdmissionTimeout, cfg.ShedWatermark),
 		accessLog:  cfg.AccessLog,
 		workloads:  newPreparedWorkloads(),
+		chips:      chipMemo{chips: map[string]*chip.Chip{}},
 		baseCtx:    ctx,
 		baseCancel: cancel,
 		draining:   make(chan struct{}),
@@ -300,6 +302,69 @@ func (cr ChipRequest) resolve() (*chip.Chip, error) {
 	return chip.BuildCached(cfg)
 }
 
+// chipMemo maps the exact bytes of an inline ChipRequest.Config to the chip
+// apicfg.Resolve and chip.BuildCached made from them, so a config posted
+// again skips the JSON parse and the fingerprint. apicfg.Parse is a pure
+// function of those bytes and a Chip is immutable after Build, so a hit
+// returns the chip a miss would. Only built chips are stored: presets,
+// parse errors and build errors always take the unmemoized path, which
+// keeps their statuses and messages. Configs that differ only in
+// whitespace or key order are separate entries holding one chip.
+//
+// The memo holds at most chipMemoEntries entries and chipMemoKeyBytes key
+// bytes: a body may carry a config of up to Config.MaxBodyBytes, so an
+// entry count alone does not bound its memory. An insert that would pass
+// either bound empties it first, as chip.BuildCached does, and a key larger
+// than the whole byte bound is never stored.
+type chipMemo struct {
+	mu       sync.Mutex
+	chips    map[string]*chip.Chip
+	keyBytes int
+}
+
+const (
+	chipMemoEntries  = 1024
+	chipMemoKeyBytes = 1 << 20
+)
+
+var (
+	mConfigMemoHits   = obs.NewCounter("serve.config_memo_hits")
+	mConfigMemoMisses = obs.NewCounter("serve.config_memo_misses")
+)
+
+// resolve returns cr's chip, through the memo for an inline config. While
+// any guard fault is armed the memo is neither read nor written, so
+// injected faults reach chip.build as they do through BuildCached.
+func (m *chipMemo) resolve(cr ChipRequest) (*chip.Chip, error) {
+	if cr.Preset != "" || len(cr.Config) == 0 || guard.Armed() {
+		return cr.resolve()
+	}
+	m.mu.Lock()
+	c, ok := m.chips[string(cr.Config)]
+	m.mu.Unlock()
+	if ok {
+		mConfigMemoHits.Inc()
+		return c, nil
+	}
+	mConfigMemoMisses.Inc()
+	c, err := cr.resolve()
+	// A fault armed since the check above may have reached this build.
+	if err != nil || len(cr.Config) > chipMemoKeyBytes || guard.Armed() {
+		return c, err
+	}
+	m.mu.Lock()
+	if _, ok := m.chips[string(cr.Config)]; !ok {
+		if len(m.chips) >= chipMemoEntries || m.keyBytes+len(cr.Config) > chipMemoKeyBytes {
+			clear(m.chips)
+			m.keyBytes = 0
+		}
+		m.chips[string(cr.Config)] = c
+		m.keyBytes += len(cr.Config)
+	}
+	m.mu.Unlock()
+	return c, nil
+}
+
 func (s *Server) buildHandler(r *http.Request) (int, any, error) {
 	var req ChipRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -308,7 +373,7 @@ func (s *Server) buildHandler(r *http.Request) (int, any, error) {
 	if err := guard.CtxErr(r.Context()); err != nil {
 		return 0, nil, err
 	}
-	c, err := req.resolve()
+	c, err := s.chips.resolve(req)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -405,7 +470,7 @@ func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	c, err := req.resolve()
+	c, err := s.chips.resolve(req.ChipRequest)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -507,7 +572,7 @@ func (s *Server) simulateBatchHandler(r *http.Request) (int, any, error) {
 	// error recorded here wins).
 	chips := make([]*chip.Chip, len(req.Configs))
 	for i, cr := range req.Configs {
-		c, rerr := cr.resolve()
+		c, rerr := s.chips.resolve(cr)
 		if rerr != nil {
 			resp.Results[i] = SimulateBatchEntry{Kind: guard.Kind(rerr), Err: rerr.Error()}
 			continue
