@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"testing"
 
+	"neurometer/internal/chip"
 	"neurometer/internal/cyclesim"
 	"neurometer/internal/dse"
 	"neurometer/internal/perfsim"
@@ -299,6 +300,21 @@ func BenchmarkChipBuild(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTableIEnumerate measures one cold Table I enumeration per
+// iteration: the build memo is emptied first, so every iteration builds
+// the 60 chips that survive the peak-TOPS prune, the enumeration half of a
+// cold dse -fig 10.
+func BenchmarkTableIEnumerate(b *testing.B) {
+	cs := dse.TableI()
+	b.ReportAllocs()
+	var n int
+	for i := 0; i < b.N; i++ {
+		chip.ResetBuildCache()
+		n = len(dse.EnumerateCtx(context.Background(), cs))
+	}
+	b.ReportMetric(float64(n), "candidates")
 }
 
 // BenchmarkPerfSim measures one ResNet-50 performance simulation.

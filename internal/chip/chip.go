@@ -50,6 +50,10 @@ type Chip struct {
 
 	// misc is the top-level control/config/clock-spine logic block.
 	misc pat.Result
+
+	// Fixed at Build, like everything else in a Chip: the die area, the
+	// TDP, and the summed bandwidth of the DRAM ports.
+	areaMM2, tdpW, offChipGBps float64
 }
 
 // Build constructs and evaluates a chip from the high-level configuration,
@@ -160,6 +164,10 @@ func build(cfg Config) (*Chip, error) {
 	a, d, l := node.LogicBlock(150e3, 0.2)
 	c.misc = pat.Result{AreaUM2: a, DynPJ: d, LeakUW: l}
 
+	c.areaMM2 = c.areaWithWhiteSpaceMM2()
+	c.tdpW = c.sumTDPW()
+	c.offChipGBps = c.dramGBps()
+
 	// ---- Budgets -----------------------------------------------------------------------
 	if cfg.AreaBudgetMM2 > 0 && c.AreaMM2() > cfg.AreaBudgetMM2 {
 		return nil, guard.Infeasible("chip: area %.1fmm2 exceeds budget %.1fmm2", c.AreaMM2(), cfg.AreaBudgetMM2)
@@ -194,7 +202,10 @@ func (c *Chip) modeledAreaUM2() float64 {
 }
 
 // AreaMM2 returns the total die area including the configured white space.
-func (c *Chip) AreaMM2() float64 {
+func (c *Chip) AreaMM2() float64 { return c.areaMM2 }
+
+// areaWithWhiteSpaceMM2 works out AreaMM2 once, at Build.
+func (c *Chip) areaWithWhiteSpaceMM2() float64 {
 	modeled := c.modeledAreaUM2() / 1e6
 	ws := c.Cfg.WhiteSpaceFrac
 	if ws <= 0 || ws >= 1 {
@@ -256,11 +267,13 @@ func (c *Chip) tdpParts() map[string]float64 {
 	return parts
 }
 
-// TDPW returns the chip thermal design power in watts. Contributions are
-// summed in sorted component order so the result is bit-for-bit
-// deterministic (map iteration order would otherwise reorder float
-// additions).
-func (c *Chip) TDPW() float64 {
+// TDPW returns the chip thermal design power in watts.
+func (c *Chip) TDPW() float64 { return c.tdpW }
+
+// sumTDPW works out TDPW once, at Build. Contributions are summed in sorted
+// component order so the result is bit-for-bit deterministic (map
+// iteration order would otherwise reorder float additions).
+func (c *Chip) sumTDPW() float64 {
 	parts := c.tdpParts()
 	keys := make([]string, 0, len(parts))
 	for k := range parts {
@@ -272,6 +285,21 @@ func (c *Chip) TDPW() float64 {
 		total += parts[k]
 	}
 	return total * tdpGuardband
+}
+
+// OffChipGBps returns the summed bandwidth of the DRAM ports (DDR, HBM and
+// LPDDR), in port order.
+func (c *Chip) OffChipGBps() float64 { return c.offChipGBps }
+
+func (c *Chip) dramGBps() float64 {
+	var total float64
+	for _, p := range c.Periph {
+		switch p.Cfg.Kind {
+		case periph.HBMPort, periph.DDRPort, periph.LPDDRPort:
+			total += p.Cfg.GBps
+		}
+	}
+	return total
 }
 
 // LeakageW returns the total static leakage.

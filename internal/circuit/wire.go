@@ -34,25 +34,17 @@ type Wire struct {
 // ElmoreDelayPS returns the Elmore delay of the (unrepeated) wire in ps:
 //
 //	t = R_drv*(C_w + C_L) + R_w*(C_w/2 + C_L)
-func (w *Wire) ElmoreDelayPS() float64 { return w.elmorePS(w.LengthMM, w.DriverRes) }
-
-// elmorePS is ElmoreDelayPS for this wire at the given length and driver.
-func (w *Wire) elmorePS(lengthMM, driverRes float64) float64 {
-	rw := w.Node.WireResOhmPerMM[w.Layer] * lengthMM
-	cw := w.Node.WireCapFFPerMM[w.Layer] * lengthMM * 1e-15
-	cl := w.LoadFF * 1e-15
-	rd := driverRes
-	if rd <= 0 {
-		rd = w.Node.InvRonOhm() / 8 // default 8x driver
-	}
-	return (rd*(cw+cl) + rw*(cw/2+cl)) * 1e12
+func (w *Wire) ElmoreDelayPS() float64 {
+	r := w.rc()
+	return r.elmorePS(w.LengthMM, w.driverRes())
 }
 
-// wireEnergyPJPerBit is the switching energy of one wire of the given
-// length at activity 1.
-func (w *Wire) wireEnergyPJPerBit(lengthMM float64) float64 {
-	cw := w.Node.WireCapFFPerMM[w.Layer] * lengthMM
-	return (cw + w.LoadFF) * w.Node.Vdd * w.Node.Vdd / 1000 // fF*V^2 -> pJ
+// driverRes resolves the wire's driver: DriverRes, or a default 8x driver.
+func (w *Wire) driverRes() float64 {
+	if w.DriverRes <= 0 {
+		return w.Node.InvRonOhm() / 8
+	}
+	return w.DriverRes
 }
 
 // wirePitchUM returns the routing pitch per wire in um for the layer,
@@ -81,20 +73,48 @@ func (w *Wire) TrackAreaUM2() float64 {
 // Eval returns the power/area/timing of the unrepeated wire bus. Energy is
 // per bus transfer (all bits switching counted at activity 1; callers apply
 // activity factors).
-func (w *Wire) Eval() pat.Result { return w.evalAt(w.LengthMM, w.DriverRes) }
+func (w *Wire) Eval() pat.Result {
+	r := w.rc()
+	return r.evalAt(w.LengthMM, w.driverRes())
+}
 
-// evalAt is Eval for this bus at the given length and driver. Repeated
-// evaluates one segment through it, so the receiver is never changed.
-func (w *Wire) evalAt(lengthMM, driverRes float64) pat.Result {
-	bits := w.Bits
-	if bits <= 0 {
-		bits = 1
+// rc is what evaluating a wire bus at some length reads of the wire and its
+// node, copied out once: the layer's RC per mm, the far-end load, the
+// supply, the routing pitch and the bus width.
+type rc struct {
+	resOhmPerMM, capFFPerMM float64
+	loadFF, vdd, pitchUM    float64
+	bits                    float64 // at least 1
+}
+
+func (w *Wire) rc() rc {
+	return rc{
+		resOhmPerMM: w.Node.WireResOhmPerMM[w.Layer],
+		capFFPerMM:  w.Node.WireCapFFPerMM[w.Layer],
+		loadFF:      w.LoadFF,
+		vdd:         w.Node.Vdd,
+		pitchUM:     w.wirePitchUM(),
+		bits:        float64(maxI(w.Bits, 1)),
 	}
+}
+
+// elmorePS is the Elmore delay in ps of the bus at the given length, driven
+// through driverRes ohms.
+func (r *rc) elmorePS(lengthMM, driverRes float64) float64 {
+	rw := r.resOhmPerMM * lengthMM
+	cw := r.capFFPerMM * lengthMM * 1e-15
+	cl := r.loadFF * 1e-15
+	return (driverRes*(cw+cl) + rw*(cw/2+cl)) * 1e12
+}
+
+// evalAt is the unrepeated bus at the given length and driver. The
+// switching energy of one wire at activity 1 is (C_w + C_L)*Vdd^2.
+func (r *rc) evalAt(lengthMM, driverRes float64) pat.Result {
 	return pat.Result{
-		AreaUM2: w.wirePitchUM() * lengthMM * 1000 * float64(bits),
-		DynPJ:   w.wireEnergyPJPerBit(lengthMM) * float64(bits),
+		AreaUM2: r.pitchUM * lengthMM * 1000 * r.bits,
+		DynPJ:   (r.capFFPerMM*lengthMM + r.loadFF) * r.vdd * r.vdd / 1000 * r.bits, // fF*V^2 -> pJ
 		LeakUW:  0,
-		DelayPS: w.elmorePS(lengthMM, driverRes),
+		DelayPS: r.elmorePS(lengthMM, driverRes),
 	}
 }
 
@@ -103,32 +123,60 @@ func (w *Wire) evalAt(lengthMM, driverRes float64) pat.Result {
 // The returned result includes repeater overheads; the bool reports whether
 // repeaters were actually inserted (short wires need none).
 func (w *Wire) Repeated() (pat.Result, bool) {
+	r := w.Repeater()
+	return r.At(w.LengthMM)
+}
+
+// Repeater is the repeated-insertion model of a wire with every term that
+// does not depend on its length evaluated once. Repeated delegates to it;
+// a caller that evaluates one bus at many lengths (memarray's organization
+// search) keeps one and calls At, so the wire's Node is not read again.
+type Repeater struct {
+	rc
+	driverRes    float64 // the wire's own driver, used while unrepeated
+	segDriverRes float64 // each repeated segment's default-sized driver
+	lcritMM      float64
+	// Per repeater and bit: ~24x inverter area, switching energy (pJ) and
+	// leakage (uW).
+	repArea, repEnergy, repLeak float64
+}
+
+// Repeater returns the wire's repeated-insertion model; the wire's length
+// is not part of it.
+func (w *Wire) Repeater() Repeater {
 	// Critical segment length where unrepeated quadratic delay exceeds the
 	// repeated linear delay (classic sqrt(2*Rdrv*Cin/(Rw*Cw)) form).
 	rw := w.Node.WireResOhmPerMM[w.Layer]
 	cw := w.Node.WireCapFFPerMM[w.Layer] * 1e-15
 	r0 := w.Node.InvRonOhm()
 	c0 := w.Node.InvCinFF() * 1e-15
-	lcrit := math.Sqrt(2 * r0 * c0 / (rw * cw)) // in mm
-	if w.LengthMM <= lcrit {
-		return w.Eval(), false
+	return Repeater{
+		rc:           w.rc(),
+		driverRes:    w.driverRes(),
+		segDriverRes: r0 / 8,
+		lcritMM:      math.Sqrt(2 * r0 * c0 / (rw * cw)),
+		repArea:      24 * w.Node.GateAreaUM2(),
+		repEnergy:    24 * w.Node.GateEnergyFJ / 1000,
+		repLeak:      24 * w.Node.GateLeakNW / 1000,
 	}
-	nseg := math.Ceil(w.LengthMM / lcrit)
+}
+
+// At evaluates the repeated bus at the given length, as Repeated does for
+// a wire of that length.
+func (r *Repeater) At(lengthMM float64) (pat.Result, bool) {
+	if lengthMM <= r.lcritMM {
+		return r.evalAt(lengthMM, r.driverRes), false
+	}
+	nseg := math.Ceil(lengthMM / r.lcritMM)
 	// One segment: the same bus over 1/nseg of the length, driven by a
 	// default-sized repeater.
-	segRes := w.evalAt(w.LengthMM/nseg, 0)
-	bits := float64(maxI(w.Bits, 1))
-	// Repeater: ~24x inverter per segment per bit.
-	repArea := 24 * w.Node.GateAreaUM2()
-	repEnergy := 24 * w.Node.GateEnergyFJ / 1000 // pJ per switch
-	repLeak := 24 * w.Node.GateLeakNW / 1000
-	out := pat.Result{
-		AreaUM2: segRes.AreaUM2*nseg + repArea*nseg*bits,
-		DynPJ:   segRes.DynPJ*nseg + repEnergy*nseg*bits,
-		LeakUW:  repLeak * nseg * bits,
-		DelayPS: segRes.DelayPS * nseg,
-	}
-	return out, true
+	seg := r.evalAt(lengthMM/nseg, r.segDriverRes)
+	return pat.Result{
+		AreaUM2: seg.AreaUM2*nseg + r.repArea*nseg*r.bits,
+		DynPJ:   seg.DynPJ*nseg + r.repEnergy*nseg*r.bits,
+		LeakUW:  r.repLeak * nseg * r.bits,
+		DelayPS: seg.DelayPS * nseg,
+	}, true
 }
 
 // Pipelined evaluates the repeated wire and, if its delay exceeds the cycle

@@ -153,8 +153,9 @@ func (cs Constraints) sweepPoints() []Point {
 // and prunes the ones that exceed the area/power budgets or the peak-TOPS
 // upper bound (§III-A.1: points beyond the budget or with extremely low
 // performance are pruned; core count is swept up to the feasibility edge).
-// It runs under a span over the sweep, with pruning counters and
-// debug-level progress logging.
+// It runs under a span over the sweep, with a chip.build child span per
+// point it builds (attribute point), pruning counters and debug-level
+// progress logging.
 // chip.Build converts model-stack panics to guard.ErrCandidatePanic, so a
 // single broken design point cannot take down the sweep — it is counted,
 // logged at warn level, and pruned. Cancelling ctx stops the enumeration
@@ -191,7 +192,12 @@ func EnumerateParallel(ctx context.Context, cs Constraints, workers int) []Candi
 			mPruned.Inc()
 			return
 		}
+		_, bspan := obs.Start(ctx, "chip.build")
+		if bspan != nil {
+			bspan.SetStr("point", p.String())
+		}
 		c, err := chip.BuildCached(cs.Config(p))
+		bspan.End()
 		if err != nil {
 			mPruned.Inc()
 			if errors.Is(err, guard.ErrCandidatePanic) {

@@ -43,6 +43,39 @@ func TestTableIEnumerationCounts(t *testing.T) {
 	}
 }
 
+func TestEnumerateTracesEachBuild(t *testing.T) {
+	// One chip.build span per built point, under dse.enumerate, named by
+	// its point: enumerate's own time is the pruning between them. Two
+	// workers, so the spans are recorded from both pool goroutines.
+	rt := obs.NewRequestTracer()
+	ctx, root := rt.StartRoot(context.Background(), "test")
+	cands := EnumerateParallel(ctx, TableI(), 2)
+	root.End()
+	points := map[string]bool{}
+	for _, s := range rt.WireSpans() {
+		if s.Name != "chip.build" {
+			continue
+		}
+		if s.Path != "test/dse.enumerate/chip.build" {
+			t.Errorf("chip.build span at %q, want it under dse.enumerate", s.Path)
+		}
+		for _, a := range s.Attrs {
+			if a.K == "point" {
+				points[a.V.(string)] = true
+			}
+		}
+	}
+	// Every Table I point that passes the peak-TOPS prune builds.
+	if len(points) != 60 || len(cands) != 60 {
+		t.Fatalf("%d chip.build spans with distinct points for %d candidates, want 60 each", len(points), len(cands))
+	}
+	for _, c := range cands {
+		if !points[c.Point.String()] {
+			t.Errorf("candidate %s has no chip.build span", c.Point)
+		}
+	}
+}
+
 func TestFig10SimulationCounts(t *testing.T) {
 	// The simulation work of one cold Fig. 10 study over the Table I
 	// frontier after the second-round prune, the counts perfbench's

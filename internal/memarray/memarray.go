@@ -113,7 +113,7 @@ const maxBanks = 4096
 // widths tried for every bank/port organization.
 var (
 	searchBanks = powersOfTwo(1, maxBanks)
-	searchPorts = []int{1, 2, 3, 4}
+	searchPorts = [...]int{1, 2, 3, 4}
 	subDims     = [...]int{16, 32, 64, 128, 256, 512, 1024}
 )
 
@@ -143,16 +143,17 @@ func Build(cfg Config) (*Array, error) {
 	if cfg.Banks > 0 {
 		bankChoices = []int{cfg.Banks}
 	}
-	readChoices := searchPorts
+	readChoices := searchPorts[:]
 	if cfg.ReadPorts > 0 {
 		readChoices = []int{cfg.ReadPorts}
 	}
-	writeChoices := searchPorts
+	writeChoices := searchPorts[:]
 	if cfg.WritePorts > 0 {
 		writeChoices = []int{cfg.WritePorts}
 	}
 
-	o := newOptimizer(&cfg)
+	o := optimizer{cfg: &cfg}
+	o.init()
 	var best orgPAT
 	var bestOrg Org
 	var bestCost float64
@@ -238,10 +239,10 @@ func portAreaFactor(cell tech.MemCell, totalPorts int) float64 {
 
 // optimizer holds what one Build's search reuses across every candidate
 // organization: node-derived constants, the row decoder of each subarray
-// height, and the wires whose node and layer never change.
+// height, the wires whose node and layer never change, and the subarray
+// terms of each total port count scored so far.
 type optimizer struct {
 	cfg *Config
-	n   *tech.Node
 
 	totalBits, blockBits float64
 	cellAreaUM2          float64 // one-port cell
@@ -251,36 +252,148 @@ type optimizer struct {
 	gateAreaUM2          float64
 	latchAreaUM2         float64 // output latch for one block
 
+	// activeSubs[ci] is the number of subarrays subDims[ci] columns wide
+	// that one block access activates.
+	activeSubs [len(subDims)]float64
+
 	dec [len(subDims)]pat.Result // indexed like subDims
 
-	// wl is the subarray wordline; bus the block-wide data bus, used for
-	// both the intra-bank H-tree and the bank-to-port route. Candidates set
-	// only their lengths (and the wordline load).
-	wl, bus circuit.Wire
+	// wl is the subarray wordline; a shape sets its length and load. bus
+	// is the block-wide data bus, used for both the intra-bank H-tree and
+	// the bank-to-port route; only its length varies, so it is kept as a
+	// Repeater.
+	wl  circuit.Wire
+	bus circuit.Repeater
+
+	// tables holds the subarray grids of the total port counts scored so
+	// far, filled shape by shape as the search reaches them. One Build
+	// scores at most 2*len(searchPorts)-1 totals: that many when both
+	// port counts are searched, fewer when either is fixed.
+	tables [2*len(searchPorts) - 1]subTable
 }
 
-func newOptimizer(cfg *Config) optimizer {
+// subTable is the subarray grid of one total port count, indexed like
+// subDims (rows, then columns).
+type subTable struct {
+	ports        int     // 0: slot unused
+	cellArea     float64 // um^2, the cell widened for the ports
+	cellW, cellH float64 // um
+	sub          [len(subDims)][len(subDims)]subarray
+}
+
+// subarray is what one subarray shape costs that does not depend on the
+// bank count: the bank cycle test, the subarray access time, the wordline
+// and bitline energies, the peripheral gates and the subarray area.
+type subarray struct {
+	state       uint8 // subUnknown, subFits or subTooSlow
+	accessPS    float64
+	cyclePS     float64
+	wlPJ        float64 // wordline energy per activation
+	blPJ        float64 // sensed bitline energy, all columns
+	periphGates float64
+	areaUM2     float64 // cells, peripherals and decoder, with routing
+}
+
+const (
+	subUnknown uint8 = iota
+	subFits
+	subTooSlow
+)
+
+// senseSwing is the bitline swing of a sensed read; writes swing fully.
+const senseSwing = 0.25
+
+// init derives the search's constants from o.cfg. The caller sets cfg in
+// a composite literal, so the optimizer and its config stay on its stack.
+func (o *optimizer) init() {
+	cfg := o.cfg
 	n := &cfg.Node
-	o := optimizer{
-		cfg:         cfg,
-		n:           n,
-		totalBits:   float64(cfg.CapacityBytes) * 8,
-		blockBits:   float64(cfg.BlockBytes) * 8,
-		cellAreaUM2: n.CellAreaUM2(cfg.Cell),
-		invRonOhm:   n.InvRonOhm(),
-		gateAreaUM2: n.GateAreaUM2(),
-	}
+	o.totalBits = float64(cfg.CapacityBytes) * 8
+	o.blockBits = float64(cfg.BlockBytes) * 8
+	o.cellAreaUM2 = n.CellAreaUM2(cfg.Cell)
+	o.invRonOhm = n.InvRonOhm()
+	o.gateAreaUM2 = n.GateAreaUM2()
 	o.cellW, o.cellH = n.CellDimsUM(cfg.Cell)
 	o.cellLeakUW = o.totalBits * n.CellLeakNW(cfg.Cell) / 1000
 	// One output latch per block bit, however many subarrays supply the
 	// block: the latch area does not depend on activeSubs.
 	o.latchAreaUM2 = o.blockBits * circuit.DFF{Node: *n}.Eval().AreaUM2
-	for i, rows := range subDims {
-		o.dec[i] = circuit.Decoder{Node: *n, Outputs: rows}.Eval()
+	for i, dim := range subDims {
+		o.dec[i] = circuit.Decoder{Node: *n, Outputs: dim}.Eval()
+		o.activeSubs[i] = math.Ceil(o.blockBits / float64(dim))
 	}
 	o.wl = circuit.Wire{Node: *n, Layer: tech.WireLocal, DriverRes: o.invRonOhm / 16}
-	o.bus = circuit.Wire{Node: *n, Layer: tech.WireIntermediate, Bits: int(o.blockBits)}
-	return o
+	bus := circuit.Wire{Node: *n, Layer: tech.WireIntermediate, Bits: int(o.blockBits)}
+	o.bus = bus.Repeater()
+}
+
+// table returns the subarray grid of a total port count, taking a free
+// slot for a count not seen before.
+func (o *optimizer) table(ports int) *subTable {
+	for i := range o.tables {
+		t := &o.tables[i]
+		if t.ports == ports {
+			return t
+		}
+		if t.ports == 0 {
+			t.ports = ports
+			t.cellArea = o.cellAreaUM2 * portAreaFactor(o.cfg.Cell, ports)
+			pf := math.Sqrt(portAreaFactor(o.cfg.Cell, ports))
+			t.cellW = o.cellW * pf
+			t.cellH = o.cellH * pf
+			return t
+		}
+	}
+	panic("memarray: more total port counts than subarray tables")
+}
+
+// shape returns subarray shape (subDims[ri], subDims[ci]) of the table,
+// working it out on first use.
+func (o *optimizer) shape(t *subTable, ri, ci int) *subarray {
+	s := &t.sub[ri][ci]
+	if s.state != subUnknown {
+		return s
+	}
+	n := &o.cfg.Node
+	rows, cols := subDims[ri], subDims[ci]
+	dec := &o.dec[ri]
+
+	wlWire := &o.wl
+	wlWire.LengthMM = float64(cols) * t.cellW / 1000
+	wlWire.LoadFF = float64(cols) * 0.18 // gate cap of pass transistors
+	wl := wlWire.Eval()
+
+	// Bitline: discharge through the cell; the cell is a weak driver
+	// (~25x unit inverter resistance); sensing uses a reduced swing.
+	blLen := float64(rows) * t.cellH / 1000
+	blCap := n.WireCapFFPerMM[tech.WireLocal]*blLen + float64(rows)*0.10
+	cellRes := o.invRonOhm * 25
+	blDelay := cellRes * blCap * 1e-15 * 1e12 * 0.35 // reduced swing sensing
+
+	senseDelay := 3 * n.FO4PS
+	s.accessPS = dec.DelayPS + wl.DelayPS + blDelay + senseDelay
+	s.cyclePS = s.accessPS * 1.1 // bank busy time; H-trees are pipelined
+	if s.cyclePS > o.cfg.CyclePS*2.05 {
+		// Bank cycle can be up to 2 cycles with pipelining; slower
+		// organizations can't sustain the per-bank throughput.
+		s.state = subTooSlow
+		return s
+	}
+	s.state = subFits
+
+	s.wlPJ = wl.DynPJ
+	blEnergyPerCol := blCap * n.Vdd * n.Vdd * senseSwing / 1000 // pJ
+	s.blPJ = blEnergyPerCol * float64(cols)
+
+	// Peripheral gates per subarray: sense amps + precharge + write
+	// drivers per column, wordline drivers per row.
+	subCellsArea := float64(rows*cols) * t.cellArea
+	perColGates := 14.0 * float64(t.ports)
+	perRowGates := 4.0 * float64(t.ports)
+	s.periphGates = float64(cols)*perColGates + float64(rows)*perRowGates
+	periphArea := s.periphGates * o.gateAreaUM2
+	s.areaUM2 = (subCellsArea + periphArea + dec.AreaUM2) * 1.18 // routing channels
+	return s
 }
 
 // evaluate scores one bank/port organization: it searches the subarray grid
@@ -289,16 +402,11 @@ func newOptimizer(cfg *Config) optimizer {
 func (o *optimizer) evaluate(banks, rp, wp int) (best orgPAT, org Org, ok bool) {
 	mEvals.Inc()
 	bankBits := o.totalBits / float64(banks)
-	ports := rp + wp
 	bp := bankPorts{banks: banks, rp: rp, wp: wp}
-
-	bp.cellArea = o.cellAreaUM2 * portAreaFactor(o.cfg.Cell, ports)
-	pf := math.Sqrt(portAreaFactor(o.cfg.Cell, ports))
-	bp.cellW = o.cellW * pf
-	bp.cellH = o.cellH * pf
+	t := o.table(rp + wp)
 
 	bankCtlGates := 800 + 60*math.Log2(bankBits)
-	bp.ctlArea, bp.ctlDynPJ, bp.ctlLeakUW = o.n.LogicBlock(bankCtlGates, 0.3)
+	bp.ctlArea, bp.ctlDynPJ, bp.ctlLeakUW = o.cfg.Node.LogicBlock(bankCtlGates, 0.3)
 
 	// Subarray search: rows and columns each from 16 to 1024. A column-mux
 	// ratio of 1 is the only one worth scoring. A larger ratio narrows each
@@ -308,20 +416,21 @@ func (o *optimizer) evaluate(banks, rp, wp int) (best orgPAT, org Org, ok bool) 
 	// ratio does, and when it fits it is the argmin (ties keep the first).
 	var bestCost float64
 	for ri, rows := range subDims {
-		for _, cols := range subDims {
+		for ci, cols := range subDims {
 			subBits := float64(rows * cols)
 			if subBits > bankBits {
 				break
 			}
 			subsPerBank := math.Ceil(bankBits / subBits)
-			activeSubs := math.Ceil(o.blockBits / float64(cols))
+			activeSubs := o.activeSubs[ci]
 			if activeSubs > subsPerBank {
 				continue
 			}
-			p, fits := o.evalOrg(&bp, ri, cols, int(subsPerBank), int(activeSubs))
-			if !fits {
+			sub := o.shape(t, ri, ci)
+			if sub.state != subFits {
 				continue
 			}
+			p := o.evalOrg(&bp, sub, ri, int(subsPerBank), int(activeSubs))
 			cost := p.cost()
 			if !ok || cost < bestCost {
 				best, bestCost, ok = p, cost, true
@@ -336,69 +445,27 @@ func (o *optimizer) evaluate(banks, rp, wp int) (best orgPAT, org Org, ok bool) 
 }
 
 // bankPorts is what evalOrg needs of the bank/port organization being
-// scored: its counts, its cell widened for the ports, and its bank
-// controller.
+// scored: its counts and its bank controller.
 type bankPorts struct {
 	banks, rp, wp                int
-	cellArea, cellW, cellH       float64 // um^2, um, um
 	ctlArea, ctlDynPJ, ctlLeakUW float64
 }
 
-// evalOrg computes the PAT of one subarray shape (rows subDims[ri], cols)
-// in the given bank/port organization. The bool is false when the bank
-// cycle is too slow for the clock.
-func (o *optimizer) evalOrg(bp *bankPorts, ri, cols, subsPerBank, activeSubs int) (orgPAT, bool) {
-	n := o.n
-	rows := subDims[ri]
-	banks, rp, wp := bp.banks, bp.rp, bp.wp
-	cellArea, cellW, cellH := bp.cellArea, bp.cellW, bp.cellH
-
-	// ---- Subarray level -------------------------------------------------
+// evalOrg computes the PAT of one fitting subarray shape (rows subDims[ri])
+// in the given bank/port organization.
+func (o *optimizer) evalOrg(bp *bankPorts, sub *subarray, ri, subsPerBank, activeSubs int) orgPAT {
 	dec := &o.dec[ri]
-	wlWire := &o.wl
-	wlWire.LengthMM = float64(cols) * cellW / 1000
-	wlWire.LoadFF = float64(cols) * 0.18 // gate cap of pass transistors
-	wlDelay := wlWire.ElmoreDelayPS()
-
-	// Bitline: discharge through the cell; the cell is a weak driver
-	// (~25x unit inverter resistance); sensing uses a reduced swing.
-	blLen := float64(rows) * cellH / 1000
-	blCap := n.WireCapFFPerMM[tech.WireLocal]*blLen + float64(rows)*0.10
-	cellRes := o.invRonOhm * 25
-	blDelay := cellRes * blCap * 1e-15 * 1e12 * 0.35 // reduced swing sensing
-
-	senseDelay := 3 * n.FO4PS
-	subAccessPS := dec.DelayPS + wlDelay + blDelay + senseDelay
-	cyclePS := subAccessPS * 1.1 // bank busy time; H-trees are pipelined
-	if cyclePS > o.cfg.CyclePS*2.05 {
-		// Bank cycle can be up to 2 cycles with pipelining; slower
-		// organizations can't sustain the per-bank throughput.
-		return orgPAT{}, false
-	}
-
-	wlEnergy := wlWire.Eval().DynPJ
-	const senseSwing = 0.25
-	blEnergyPerCol := blCap * n.Vdd * n.Vdd * senseSwing / 1000 // pJ
-
-	// Peripheral gates per subarray: sense amps + precharge + write
-	// drivers per column, wordline drivers per row.
-	subCellsArea := float64(rows*cols) * cellArea
-	perColGates := 14.0 * float64(rp+wp)
-	perRowGates := 4.0 * float64(rp+wp)
-	periphGates := float64(cols)*perColGates + float64(rows)*perRowGates
-	periphArea := periphGates * o.gateAreaUM2
-	subArea := (subCellsArea + periphArea + dec.AreaUM2) * 1.18 // routing channels
+	banks, rp, wp := bp.banks, bp.rp, bp.wp
 
 	// ---- Bank level ------------------------------------------------------
-	bankArea := subArea * float64(subsPerBank)
+	bankArea := sub.areaUM2 * float64(subsPerBank)
 	bankSideMM := math.Sqrt(bankArea) / 1000
 	// Intra-bank data distribution: blockBits routed from the active
 	// subarrays to the bank port on intermediate metal with shielding.
 	// Each read and write port owns its own data path.
 	const shield = 1.4
 	portPaths := float64(rp + wp)
-	o.bus.LengthMM = bankSideMM * 0.5
-	htreeRes, _ := o.bus.Repeated()
+	htreeRes, _ := o.bus.At(bankSideMM * 0.5)
 	htreeArea := htreeRes.AreaUM2 * shield * portPaths
 	htreeEnergy := htreeRes.DynPJ // per access on one port
 	htreeDelay := htreeRes.DelayPS
@@ -413,24 +480,23 @@ func (o *optimizer) evalOrg(bp *bankPorts, ri, cols, subsPerBank, activeSubs int
 	// Bank-to-port routing across the array: the block bus travels on
 	// average a third of the array side, regardless of which bank serves
 	// the access (banks tile in 2D around the port spine).
-	o.bus.LengthMM = arraySideMM * 0.35
-	edgeRes, _ := o.bus.Repeated()
+	edgeRes, _ := o.bus.At(arraySideMM * 0.35)
 	edgeArea := edgeRes.AreaUM2 * shield * portPaths
 	totalArea := cellsOnly + edgeArea
 
 	// ---- Per-access energy ----------------------------------------------
 	active := float64(activeSubs)
-	readPJ := dec.DynPJ*active + wlEnergy*active +
-		blEnergyPerCol*float64(cols)*active +
+	readPJ := dec.DynPJ*active + sub.wlPJ*active +
+		sub.blPJ*active +
 		htreeEnergy + edgeRes.DynPJ + bp.ctlDynPJ
 	// Writes drive full-swing bitlines but skip the sense path.
-	writePJ := dec.DynPJ*active + wlEnergy*active +
-		blEnergyPerCol*float64(cols)*active*(1.0/senseSwing)*0.5 +
+	writePJ := dec.DynPJ*active + sub.wlPJ*active +
+		sub.blPJ*active*(1.0/senseSwing)*0.5 +
 		htreeEnergy + edgeRes.DynPJ + bp.ctlDynPJ
 
 	// ---- Leakage ---------------------------------------------------------
 	leakUW := o.cellLeakUW +
-		periphGates*float64(subsPerBank*banks)*n.GateLeakNW/1000 +
+		sub.periphGates*float64(subsPerBank*banks)*o.cfg.Node.GateLeakNW/1000 +
 		bp.ctlLeakUW*float64(banks) +
 		(htreeLeak+edgeRes.LeakUW)*float64(banks)
 
@@ -439,9 +505,9 @@ func (o *optimizer) evalOrg(bp *bankPorts, ri, cols, subsPerBank, activeSubs int
 		readPJ:   readPJ,
 		writePJ:  writePJ,
 		leakUW:   leakUW,
-		accessPS: subAccessPS + htreeDelay + edgeRes.DelayPS,
-		cyclePS:  cyclePS,
-	}, true
+		accessPS: sub.accessPS + htreeDelay + edgeRes.DelayPS,
+		cyclePS:  sub.cyclePS,
+	}
 }
 
 // AreaUM2 returns total layout area in um^2.

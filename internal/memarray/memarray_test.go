@@ -177,7 +177,8 @@ func TestPortDominance(t *testing.T) {
 						WriteBytesPerCycle: tp[1] * block,
 					}
 					name := fmt.Sprintf("%dnm %s %dB %gR%gW/cycle", nm, cell, capBytes, cfg.ReadBytesPerCycle, cfg.WriteBytesPerCycle)
-					o := newOptimizer(&cfg)
+					o := optimizer{cfg: &cfg}
+					o.init()
 					for _, banks := range searchBanks {
 						if int64(banks*block) > capBytes {
 							break

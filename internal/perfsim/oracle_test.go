@@ -39,7 +39,14 @@ func simulateOracle(ctx context.Context, c *chip.Chip, g *graph.Graph, batch int
 	if nocBPC <= 0 || cores == 1 {
 		nocBPC = math.Inf(1) // single core: no NoC crossing
 	}
-	hbmBPC := offChipGBps(c) * 1e9 / c.ClockHz()
+	var dramGBps float64
+	for _, p := range c.Periph {
+		switch p.Cfg.Kind.String() {
+		case "hbm", "ddr", "lpddr":
+			dramGBps += p.Cfg.GBps
+		}
+	}
+	hbmBPC := dramGBps * 1e9 / c.ClockHz()
 	if hbmBPC <= 0 {
 		hbmBPC = math.Inf(1)
 	}

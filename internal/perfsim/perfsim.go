@@ -259,7 +259,7 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 	if e.nocBPC <= 0 || e.cores == 1 {
 		e.nocBPC = math.Inf(1) // single core: no NoC crossing
 	}
-	e.hbmBPC = offChipGBps(c) * 1e9 / c.ClockHz()
+	e.hbmBPC = c.OffChipGBps() * 1e9 / c.ClockHz()
 	if e.hbmBPC <= 0 {
 		e.hbmBPC = math.Inf(1)
 	}
@@ -616,17 +616,6 @@ func (e *simEnv) evalClass(lv *layerVals, cv *classVals) {
 		memWrite: lv.outBytes * batchF,
 		mapping:  mapVector,
 	}
-}
-
-func offChipGBps(c *chip.Chip) float64 {
-	var total float64
-	for _, p := range c.Periph {
-		switch p.Cfg.Kind.String() {
-		case "hbm", "ddr", "lpddr":
-			total += p.Cfg.GBps
-		}
-	}
-	return total
 }
 
 // LatencyLimitedBatch finds the largest power-of-two batch whose batch

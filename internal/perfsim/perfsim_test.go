@@ -271,7 +271,7 @@ func TestLPDDROffChipBandwidth(t *testing.T) {
 		return r
 	}
 	lp := build(periph.LPDDRPort, 4)
-	if got := offChipGBps(lp); got != 4 {
+	if got := lp.OffChipGBps(); got != 4 {
 		t.Errorf("off-chip bandwidth of a 4 GB/s LPDDR chip = %v GB/s", got)
 	}
 	r := sim(lp)

@@ -78,7 +78,8 @@ func TestAnalogScalesSlowly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logicShrink := techtest.MustByNode(16).GateAreaUM2() / techtest.MustByNode(28).GateAreaUM2()
+	n16, n28 := techtest.MustByNode(16), techtest.MustByNode(28)
+	logicShrink := n16.GateAreaUM2() / n28.GateAreaUM2()
 	analogShrink := a16.AreaUM2() / a28.AreaUM2()
 	if analogShrink <= logicShrink || analogShrink >= 1 {
 		t.Errorf("analog shrink %.2f should be between logic shrink %.2f and 1", analogShrink, logicShrink)
@@ -94,7 +95,8 @@ func TestDMAIsDigital(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logicShrink := techtest.MustByNode(16).GateAreaUM2() / techtest.MustByNode(28).GateAreaUM2()
+	n16, n28 := techtest.MustByNode(16), techtest.MustByNode(28)
+	logicShrink := n16.GateAreaUM2() / n28.GateAreaUM2()
 	got := d16.AreaUM2() / d28.AreaUM2()
 	if got > logicShrink*1.05 {
 		t.Errorf("DMA should scale like logic: got %.3f want ~%.3f", got, logicShrink)

@@ -356,24 +356,28 @@ func (n Node) CellDimsUM(c MemCell) (w, h float64) {
 	return a / h, h
 }
 
+// The unit-gate helpers below take a pointer: the circuit and memory-array
+// models call them in their inner loops, and a value receiver would copy
+// the whole Node on every call.
+
 // InvCinFF returns the input capacitance of a unit inverter.
-func (n Node) InvCinFF() float64 { return n.GateCapFF }
+func (n *Node) InvCinFF() float64 { return n.GateCapFF }
 
 // InvRonOhm returns the effective drive resistance of a unit inverter,
 // derived from the FO4 delay: FO4 = ln(2) * Ron * (Cpar + 4*Cin) with
 // Cpar ~= Cin.
-func (n Node) InvRonOhm() float64 {
+func (n *Node) InvRonOhm() float64 {
 	return n.FO4PS * 1e-12 / (math.Ln2 * 5 * n.GateCapFF * 1e-15)
 }
 
 // GateAreaUM2 returns the layout area of one NAND2-equivalent gate.
-func (n Node) GateAreaUM2() float64 { return 1e6 / n.GateDensityPerMM2 }
+func (n *Node) GateAreaUM2() float64 { return 1e6 / n.GateDensityPerMM2 }
 
 // LogicBlock returns the area/energy/leakage of a block of the given
 // NAND2-equivalent gate count with the given average switching activity
 // (energy reported per clocked operation of the block). Delay is not
 // meaningful for an amorphous gate-count block and is returned as zero.
-func (n Node) LogicBlock(gates float64, activity float64) (areaUM2, dynPJ, leakUW float64) {
+func (n *Node) LogicBlock(gates float64, activity float64) (areaUM2, dynPJ, leakUW float64) {
 	areaUM2 = gates * n.GateAreaUM2()
 	dynPJ = gates * n.GateEnergyFJ * activity / 1000
 	leakUW = gates * n.GateLeakNW / 1000
