@@ -1,33 +1,34 @@
 // Command neurometerd serves the NeuroMeter models over HTTP with the
 // robustness envelope described in DESIGN.md §10: admission control and
 // load shedding, per-request deadlines, panic containment, a degraded-
-// readiness watchdog, and asynchronous DSE study jobs.
+// readiness watchdog, and DSE studies answered within the request.
 //
 //	neurometerd -addr :8080 -result-store /var/lib/neurometer/results
 //
 // Endpoints:
 //
-//	GET  /healthz                 liveness (always 200 while the process runs)
-//	GET  /readyz                  readiness (503 while draining or degraded)
-//	GET  /metricz                 metrics snapshot (text, ?format=json, or
-//	                              ?format=prom for Prometheus exposition)
-//	POST /v1/chip/build           chip model report for a preset or inline config
-//	POST /v1/perfsim/simulate     one workload × batch on a chip
-//	POST /v1/dse/study            submit an async study job
-//	GET  /v1/dse/study/{id}       job status and, when done, the result rows
+//	GET  /healthz                    liveness (always 200 while the process runs)
+//	GET  /readyz                     readiness (503 while draining or degraded)
+//	GET  /metricz                    metrics snapshot (text, ?format=json, or
+//	                                 ?format=prom for Prometheus exposition)
+//	POST /v1/chip/build              chip model report for a preset or inline config
+//	POST /v1/perfsim/simulate        one workload × batch on a chip
+//	POST /v1/perfsim/simulate-batch  one workload × batch on many chips
+//	POST /v1/dse/study               a whole design-space study (at most 4096
+//	                                 design points), answered with its rows and CSV
 //
 // Result store: -result-store dir arms the persistent content-addressed
-// result cache (internal/rstore) that study jobs read through. Entries
+// result cache (internal/rstore) that studies read through. Entries
 // are verified on every read (checksum, fingerprint, finiteness); corrupt
 // or torn entries are quarantined under dir/quarantine and recomputed, so
 // a damaged store can slow the daemon down but never change a result or
-// take it down. The store is also what carries a study across a restart:
-// resubmitting a study that a drain interrupted reruns it, serving the
-// candidates that finished as store hits.
+// take it down. The store is also what carries a study across a deadline
+// or a restart: posting again a study that ran out of time reruns it,
+// serving the candidates that finished as store hits.
 //
 // SIGTERM and SIGINT begin a graceful drain: the listener closes, in-flight
-// requests finish, running study jobs are canceled, and the process exits 0
-// within -drain-timeout (exit 1 if the drain deadline expires first).
+// requests (studies included) finish, and the process exits 0 within
+// -drain-timeout (exit 1 if the drain deadline expires first).
 package main
 
 import (
@@ -53,15 +54,14 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	buildLimit := flag.Int("build-limit", def.BuildLimit, "max concurrent /v1/chip/build requests")
 	simLimit := flag.Int("simulate-limit", def.SimulateLimit, "max concurrent /v1/perfsim/simulate requests")
-	studyLimit := flag.Int("study-limit", def.StudyLimit, "max concurrently running study jobs")
+	studyLimit := flag.Int("study-limit", def.StudyLimit, "max concurrent /v1/dse/study requests")
 	queueDepth := flag.Int("queue-depth", def.QueueDepth, "admission queue depth per endpoint")
-	maxQueuedJobs := flag.Int("max-queued-jobs", def.MaxQueuedJobs, "max study jobs waiting for a run slot")
 	admissionTimeout := flag.Duration("admission-timeout", def.AdmissionTimeout, "max wait for an execution slot before shedding")
 	requestTimeout := flag.Duration("request-timeout", def.RequestTimeout, "default per-request deadline")
 	shedWatermark := flag.Float64("shed-watermark", def.ShedWatermark, "shed build/simulate requests while dse.eval_inflight is at or above this (0 disables)")
 	degradedAfter := flag.Int("degraded-after", def.DegradedAfter, "consecutive 5xx responses before /readyz reports degraded (negative disables)")
 	workers := flag.Int("workers", 0, "study evaluation workers (0 = GOMAXPROCS)")
-	resultStore := flag.String("result-store", "", "persistent per-candidate result store directory that study jobs read through (empty disables; corrupt entries are quarantined and recomputed)")
+	resultStore := flag.String("result-store", "", "persistent per-candidate result store directory that studies read through (empty disables; corrupt entries are quarantined and recomputed)")
 	retryJitter := flag.Int("retry-after-jitter", def.RetryAfterJitter, "seconds of uniform jitter added to Retry-After on 429 (negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time for the graceful drain on SIGTERM/SIGINT")
 	accessLog := flag.String("access-log", "stderr", "structured JSON access log destination: stderr, off, or a file path")
@@ -82,7 +82,6 @@ func main() {
 		SimulateLimit:    *simLimit,
 		StudyLimit:       *studyLimit,
 		QueueDepth:       *queueDepth,
-		MaxQueuedJobs:    *maxQueuedJobs,
 		AdmissionTimeout: *admissionTimeout,
 		RequestTimeout:   *requestTimeout,
 		ShedWatermark:    *shedWatermark,

@@ -122,12 +122,14 @@ type Candidate struct {
 }
 
 // gridShapes enumerates Tx x Ty grids with power-of-two dimensions where
-// Tx == Ty or Tx == Ty/2 (the paper's square-ish layout rule).
+// Tx == Ty or Tx == Ty/2 (the paper's square-ish layout rule). The bounds
+// divide instead of multiplying, so no maxTiles can overflow them: tx stays
+// at or below the square root of maxTiles, and there are at most 63 shapes.
 func gridShapes(maxTiles int) [][2]int {
 	var out [][2]int
-	for tx := 1; tx*tx <= maxTiles*2; tx *= 2 {
+	for tx := 1; tx <= maxTiles/tx; tx *= 2 {
 		for _, ty := range []int{tx, 2 * tx} {
-			if tx*ty <= maxTiles {
+			if ty <= maxTiles/tx {
 				out = append(out, [2]int{tx, ty})
 			}
 		}

@@ -35,11 +35,11 @@ const resultStoreVersion = 1
 var mStoreHits = obs.NewCounter("dse.candidates_from_store")
 
 // CandidateFingerprint derives the content address of one candidate
-// evaluation. Unlike StudyFingerprint it is per-candidate and exact
-// throughout: the chip config's injective Config.Fingerprint, the batch
-// spec with its latency bound in full ('g', -1; BatchSpec.String rounds it
-// to the millisecond, which would alias two batch regimes onto one stored
-// result), every simulator option, and the length-prefixed model names.
+// evaluation. It is exact throughout: the chip config's injective
+// Config.Fingerprint, the batch spec with its latency bound in full ('g',
+// -1; BatchSpec.String rounds it to the millisecond, which would alias two
+// batch regimes onto one stored result), every simulator option, and the
+// length-prefixed model names.
 func CandidateFingerprint(cfg chip.Config, models []string, spec BatchSpec, opt perfsim.Options) string {
 	b := make([]byte, 0, 256)
 	b = append(b, "rstore/v"...)

@@ -2,9 +2,6 @@ package dse
 
 import (
 	"context"
-	"fmt"
-	"strconv"
-	"strings"
 
 	"neurometer/internal/graph"
 	"neurometer/internal/guard"
@@ -12,12 +9,11 @@ import (
 	"neurometer/internal/workloads"
 )
 
-// Study is the job-facing handle over a runtime study: a serving layer (or
+// Study is the wire-facing handle over a runtime study: a serving layer (or
 // any outer search loop driving NeuroMeter as an evaluation oracle) accepts
 // a StudySpec over the wire, materializes it once into a deterministic
-// candidate list, and gets a stable fingerprint that doubles as an
-// idempotent job identity — two requests describing the same study resolve
-// to the same fingerprint and byte-identical output.
+// candidate list, and runs it. Two specs that describe the same study give
+// byte-identical output.
 
 // StudySpec describes a runtime study as pure data.
 type StudySpec struct {
@@ -35,21 +31,29 @@ type StudySpec struct {
 
 // Study is a materialized, runnable StudySpec.
 type Study struct {
-	spec        StudySpec
-	cands       []Candidate
-	models      []*graph.Graph
-	fingerprint string
+	spec   StudySpec
+	cands  []Candidate
+	models []*graph.Graph
 }
 
+// maxStudyPoints bounds the (X, N, grid) points one study may enumerate:
+// 24× Table I's 168 and 5.8× a 13-X, 6-N, 256-tile sweep's 702. Every point
+// is listed before any pruning, so without the bound a request body of
+// distinct choices could ask for billions of them.
+const maxStudyPoints = 4096
+
 // NewStudy resolves a spec into a runnable study: workloads are looked up
-// by name, the design space is enumerated and reduced exactly as cmd/dse
-// -fig 10 does (second-round pruning, keeping the enumeration's order:
-// peak TOPS descending, then X descending, then tiles ascending), and the
-// study fingerprint is derived from the surviving candidate list. Unknown
-// workload names, duplicate or non-positive X and N choices, and empty
-// candidate sets fail with guard taxonomy errors so callers can map them
-// to 400/422 directly.
+// by name, and the design space is enumerated and reduced exactly as
+// cmd/dse -fig 10 does (second-round pruning, keeping the enumeration's
+// order: peak TOPS descending, then X descending, then tiles ascending).
+// A design space of more than maxStudyPoints points, unknown workload
+// names, duplicate or non-positive X and N choices, and empty candidate
+// sets fail with guard taxonomy errors so callers can map them to 400/422
+// directly.
 func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
+	if err := checkPoints(spec.Constraints); err != nil {
+		return nil, err
+	}
 	if err := checkChoices("X choices", spec.Constraints.XChoices); err != nil {
 		return nil, err
 	}
@@ -75,12 +79,22 @@ func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
 	if len(cands) == 0 {
 		return nil, guard.Infeasible("dse: study: no feasible candidates under the constraints")
 	}
-	return &Study{
-		spec:        spec,
-		cands:       cands,
-		models:      models,
-		fingerprint: StudyFingerprint(cands, models, spec.Spec, spec.Opt),
-	}, nil
+	return &Study{spec: spec, cands: cands, models: models}, nil
+}
+
+// checkPoints rejects a design space of more than maxStudyPoints points
+// before anything is enumerated. Each product it forms is at most the
+// bound, so none can overflow.
+func checkPoints(cs Constraints) error {
+	x, n, g := len(cs.XChoices), len(cs.NChoices), len(gridShapes(cs.MaxTiles))
+	if x == 0 || n == 0 || g == 0 {
+		return nil
+	}
+	if x > maxStudyPoints/n || x*n > maxStudyPoints/g {
+		return guard.Invalid("dse: study: %d X choices × %d N choices × %d grid shapes exceeds the %d-point limit",
+			x, n, g, maxStudyPoints)
+	}
+	return nil
 }
 
 // checkChoices rejects a sweep axis with a non-positive or repeated value:
@@ -99,48 +113,15 @@ func checkChoices(name string, choices []int) error {
 	return nil
 }
 
-// StudyFingerprint derives the identity of a runtime study from everything
-// that determines its output: batch spec, options, workloads and the
-// candidate list. Two studies with the same fingerprint are
-// interchangeable. The batch spec is rendered exactly, the latency bound in
-// the shortest form that reads back to the same value, so two bounds that
-// differ by any amount never share a fingerprint. The leading "v2" names
-// this rendering: a job ID hashed from it is stable only across builds
-// that render the same version, and "v1" (which rounded the bound to the
-// millisecond) IDs do not carry over.
-func StudyFingerprint(cands []Candidate, models []*graph.Graph, spec BatchSpec, opt perfsim.Options) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "v2|spec=%d,%s|opt=%+v|models=", spec.Fixed,
-		strconv.FormatFloat(spec.LatencyBound, 'g', -1, 64), opt)
-	for i, g := range models {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(g.Name)
-	}
-	b.WriteString("|points=")
-	for i, c := range cands {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(c.Point.String())
-	}
-	return b.String()
-}
-
-// Fingerprint identifies the study: everything that determines its output.
-// Equal fingerprints mean interchangeable studies; the serving layer
-// hashes it into the job ID.
-func (s *Study) Fingerprint() string { return s.fingerprint }
-
 // NumCandidates reports how many design points the study will evaluate.
 func (s *Study) NumCandidates() int { return len(s.cands) }
 
 // Run executes the study under the hardening envelope. An interrupted run
-// (canceled ctx) returns the rows completed so far with the classified
-// cause. To resume, rerun the study with the same h.Results store:
-// completed candidates come back as verified store hits, only the rest
-// are simulated, and the output is byte-identical to an uninterrupted run.
+// (canceled ctx or an expired deadline) returns the rows completed so far
+// with the classified cause. To resume, rerun the study with the same
+// h.Results store: completed candidates come back as verified store hits,
+// only the rest are simulated, and the output is byte-identical to an
+// uninterrupted run.
 func (s *Study) Run(ctx context.Context, h Hardening) ([]RuntimeRow, error) {
 	return RuntimeStudyHardened(ctx, s.cands, s.models, s.spec.Spec, s.spec.Opt, h)
 }

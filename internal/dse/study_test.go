@@ -3,11 +3,13 @@ package dse
 import (
 	"context"
 	"errors"
+	"math"
+	"reflect"
 	"testing"
 
 	"neurometer/internal/guard"
+	"neurometer/internal/obs"
 	"neurometer/internal/perfsim"
-	"neurometer/internal/workloads"
 )
 
 // tinySpec is a fast two-brawniness study on one workload, small enough to
@@ -25,54 +27,11 @@ func tinySpec() StudySpec {
 	}
 }
 
-func TestStudyFingerprintStableAndDiscriminating(t *testing.T) {
-	ctx := context.Background()
-	a, err := NewStudy(ctx, tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewStudy(ctx, tinySpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("identical specs must produce identical fingerprints")
-	}
-	if a.NumCandidates() == 0 {
-		t.Fatal("tiny spec produced no candidates")
-	}
-
-	other := tinySpec()
-	other.Spec = BatchSpec{Fixed: 16}
-	c, err := NewStudy(ctx, other)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Fingerprint() == a.Fingerprint() {
-		t.Fatal("different batch regimes must produce different fingerprints")
-	}
-
-	// Latency bounds that round to the same millisecond are still
-	// different studies.
-	fps := map[string]float64{}
-	for _, bound := range []float64{9.9e-3, 10e-3, 10.1e-3} {
-		spec := tinySpec()
-		spec.Spec = BatchSpec{LatencyBound: bound}
-		s, err := NewStudy(ctx, spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if prev, ok := fps[s.Fingerprint()]; ok {
-			t.Fatalf("latency bounds %g s and %g s share fingerprint %.60s", prev, bound, s.Fingerprint())
-		}
-		fps[s.Fingerprint()] = bound
-	}
-}
-
 // An interrupted Study.Run has persisted its completed rows in the result
 // store; a fresh Study over the same spec and store resumes by rerunning
-// and emits byte-identical CSV to an uninterrupted run — the property the
-// serving layer's drain-and-resubmit job lifecycle is built on.
+// and emits byte-identical CSV to an uninterrupted run — the property that
+// lets a served study cut short by its deadline be posted again, to the
+// same server or a restarted one, and simulate only what is missing.
 func TestStudyRunResumeByteIdentical(t *testing.T) {
 	defer guard.DisarmAll()
 	ctx := context.Background()
@@ -129,17 +88,31 @@ func TestStudyRejectsUnknownWorkload(t *testing.T) {
 	}
 }
 
+// distinct returns n distinct six-digit choices.
+func distinct(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = 100000 + i
+	}
+	return out
+}
+
 // Duplicate or non-positive X and N choices are refused, not enumerated:
 // a repeated choice would put every one of its points in the study twice.
+// So is a design space of more than maxStudyPoints points, before any of
+// it is listed: the huge row asks for about 2·10^11 points.
 func TestStudyRejectsMalformedChoices(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		x, n []int
+		name     string
+		x, n     []int
+		maxTiles int
 	}{
-		{"duplicate-x", []int{64, 64, 32}, nil},
-		{"duplicate-n", nil, []int{2, 4, 2}},
-		{"zero-x", []int{0, 8}, nil},
-		{"negative-n", nil, []int{-1, 2}},
+		{"duplicate-x", []int{64, 64, 32}, nil, 0},
+		{"duplicate-n", nil, []int{2, 4, 2}, 0},
+		{"zero-x", []int{0, 8}, nil, 0},
+		{"negative-n", nil, []int{-1, 2}, 0},
+		{"over-cap", distinct(64), []int{1, 2, 3, 4, 5, 6, 7, 8}, 256},
+		{"huge", distinct(75000), distinct(75000), 1 << 40},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := tinySpec()
@@ -149,10 +122,57 @@ func TestStudyRejectsMalformedChoices(t *testing.T) {
 			if tc.n != nil {
 				spec.Constraints.NChoices = tc.n
 			}
+			if tc.maxTiles != 0 {
+				spec.Constraints.MaxTiles = tc.maxTiles
+			}
+			before := obs.Default().Snapshot().Counters["dse.candidates_enumerated"]
 			if _, err := NewStudy(context.Background(), spec); !errors.Is(err, guard.ErrInvalidConfig) {
-				t.Fatalf("x=%v n=%v: got %v, want ErrInvalidConfig", tc.x, tc.n, err)
+				t.Fatalf("%d X, %d N choices, max tiles %d: got %v, want ErrInvalidConfig",
+					len(spec.Constraints.XChoices), len(spec.Constraints.NChoices), spec.Constraints.MaxTiles, err)
+			}
+			if d := obs.Default().Snapshot().Counters["dse.candidates_enumerated"] - before; d != 0 {
+				t.Fatalf("a refused study enumerated %d points", d)
 			}
 		})
+	}
+}
+
+// The point cap admits a design space of exactly maxStudyPoints points and
+// refuses one more.
+func TestStudyPointCapBoundary(t *testing.T) {
+	cs := TableI()
+	cs.NChoices, cs.MaxTiles = []int{1}, 1 // one N choice, one grid shape
+	cs.XChoices = distinct(maxStudyPoints)
+	if err := checkPoints(cs); err != nil {
+		t.Fatalf("%d points: %v", maxStudyPoints, err)
+	}
+	cs.XChoices = distinct(maxStudyPoints + 1)
+	if err := checkPoints(cs); !errors.Is(err, guard.ErrInvalidConfig) {
+		t.Fatalf("%d points: got %v, want ErrInvalidConfig", maxStudyPoints+1, err)
+	}
+}
+
+// gridShapes keeps the layout rule for the grids the figures use and stays
+// bounded for any tile limit: its old tx*tx bound wrapped to zero for
+// limits near 2^61 and never ended.
+func TestGridShapesBounded(t *testing.T) {
+	want := [][2]int{{1, 1}, {1, 2}, {2, 2}, {2, 4}, {4, 4}, {4, 8}, {8, 8}, {8, 16}}
+	if got := gridShapes(128); !reflect.DeepEqual(got, want) {
+		t.Fatalf("gridShapes(128) = %v, want %v", got, want)
+	}
+	for _, max := range []int{0, -1, 1 << 40, 1 << 61, math.MaxInt} {
+		shapes := gridShapes(max)
+		if len(shapes) > 63 {
+			t.Fatalf("gridShapes(%d) has %d shapes", max, len(shapes))
+		}
+		for _, g := range shapes {
+			if g[0] < 1 || g[1] > max/g[0] || (g[1] != g[0] && g[1] != 2*g[0]) {
+				t.Fatalf("gridShapes(%d) holds %v", max, g)
+			}
+		}
+	}
+	if n := len(gridShapes(1 << 40)); n != 41 {
+		t.Fatalf("gridShapes(1<<40) has %d shapes, want 41", n)
 	}
 }
 
@@ -161,14 +181,17 @@ func TestStudyRejectsMalformedChoices(t *testing.T) {
 func TestNewStudyKeepsPipelineOrder(t *testing.T) {
 	ctx := context.Background()
 	cs := TableI()
-	spec := StudySpec{Constraints: cs, Spec: BatchSpec{Fixed: 1}, Opt: perfsim.DefaultOptions()}
-	s, err := NewStudy(ctx, spec)
+	s, err := NewStudy(ctx, StudySpec{Constraints: cs, Spec: BatchSpec{Fixed: 1}, Opt: perfsim.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fingerprint lists every candidate point in order.
-	want := SecondRound(Frontier(EnumerateCtx(ctx, cs), cs.TOPSCap), cs.TOPSCap)
-	if fp := StudyFingerprint(want, workloads.All(), spec.Spec, spec.Opt); s.Fingerprint() != fp {
-		t.Fatalf("NewStudy fingerprint\n%s\nwant the pipeline's\n%s", s.Fingerprint(), fp)
+	want := SecondRound(EnumerateCtx(ctx, cs), cs.TOPSCap)
+	if len(s.cands) != len(want) {
+		t.Fatalf("NewStudy kept %d candidates, the pipeline %d", len(s.cands), len(want))
+	}
+	for i := range want {
+		if s.cands[i].Point != want[i].Point {
+			t.Fatalf("candidate %d: NewStudy has %v, the pipeline %v", i, s.cands[i].Point, want[i].Point)
+		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package serve is the resilient serving layer over the NeuroMeter models:
 // an HTTP service (cmd/neurometerd) exposing chip building, performance
-// simulation, and asynchronous DSE studies as a high-QPS evaluation oracle
-// for outer search loops.
+// simulation, and whole DSE studies, each answered within its request, as
+// a high-QPS evaluation oracle for outer search loops.
 //
 // Its failure behavior is designed, not accidental:
 //
@@ -14,7 +14,7 @@
 //
 //   - Deadline propagation. Per-request deadlines (Config.RequestTimeout,
 //     tightened per request via ?timeout_ms=) ride the request context into
-//     perfsim.SimulateCtx and dse.RuntimeStudyHardened; expiry surfaces as
+//     the simulations and a study's enumeration and run; expiry surfaces as
 //     guard.ErrTimeout → 504 and a client disconnect as guard.ErrCanceled
 //     → 499, with the kind= taxonomy in the response body.
 //
@@ -22,11 +22,16 @@
 //     poisoned request into a 500 and a counter increment — never a dead
 //     process. A watchdog trips /readyz into a degraded 503 after
 //     Config.DegradedAfter consecutive 5xx responses and un-trips on the
-//     next success. DSE job IDs are derived from the study fingerprint,
-//     and study rows persist through the result store (Config.Results):
-//     a SIGTERM mid-study drains in-flight candidates, and resubmitting the
-//     same study to a restarted server sharing the store reruns it
+//     next success. Study rows persist through the result store
+//     (Config.Results): posting again a study that ran out of time, to the
+//     same server or a restarted one sharing the store, reruns it
 //     byte-identically, simulating only the candidates not yet stored.
+//
+//   - Bounded studies. POST /v1/dse/study runs dse.NewStudy and Study.Run
+//     inside the request, behind the dse.study limiter (Config.StudyLimit
+//     slots, no eval_inflight watermark: studies are what drive it). A
+//     design space of more than 4096 (X, N, grid) points is refused with
+//     400 before it is enumerated.
 //
 //   - Inline config memo. Each Server maps the exact bytes of an inline
 //     ChipRequest.Config to the chip apicfg.Resolve and chip.BuildCached
@@ -40,8 +45,9 @@
 //     empties it. While a guard fault is armed it is neither read nor
 //     written, so injected faults reach chip.build.
 //
-//   - Graceful shutdown. Shutdown sequences listener close → connection
-//     drain with deadline → job cancellation → final metrics snapshot.
+//   - Graceful shutdown. Shutdown sequences listener close → drain of
+//     in-flight requests, studies included, within the deadline → final
+//     metrics snapshot.
 //
 // Error mapping is HTTPStatus: invalid-config 400, infeasible 422,
 // timeout 504, canceled 499, non-finite/panic/other 500. See DESIGN.md §10

@@ -25,16 +25,14 @@ import (
 // Config sizes the server's robustness envelope. The zero value of any
 // field falls back to the DefaultConfig value.
 type Config struct {
-	// BuildLimit / SimulateLimit bound concurrent executions per endpoint;
-	// StudyLimit bounds concurrently *running* study jobs.
+	// BuildLimit / SimulateLimit / StudyLimit bound concurrent executions
+	// per endpoint.
 	BuildLimit    int
 	SimulateLimit int
 	StudyLimit    int
 	// QueueDepth bounds how many admitted requests may wait for a slot per
 	// endpoint; beyond it requests shed immediately.
 	QueueDepth int
-	// MaxQueuedJobs bounds submitted-but-not-running study jobs.
-	MaxQueuedJobs int
 	// AdmissionTimeout bounds how long a queued request waits for a slot.
 	AdmissionTimeout time.Duration
 	// RequestTimeout is the default per-request deadline (tightened per
@@ -46,7 +44,7 @@ type Config struct {
 	// DegradedAfter consecutive 5xx responses trip /readyz degraded
 	// (0 falls back to the default; negative disables the watchdog).
 	DegradedAfter int
-	// Workers is the dse evaluation pool size for study jobs.
+	// Workers is the dse evaluation pool size for studies.
 	Workers int
 	// MaxBodyBytes bounds request bodies; an overflowing body is rejected
 	// with 413 and kind=too-large.
@@ -56,7 +54,7 @@ type Config struct {
 	// that would otherwise all retry on the same tick. Negative disables.
 	RetryAfterJitter int
 	// Results, when non-nil, is the persistent content-addressed result
-	// store study jobs read through (dse.Hardening.Results), so a study
+	// store studies read through (dse.Hardening.Results), so a study
 	// whose candidates were already evaluated serves them from disk. nil
 	// disables result caching; store faults degrade to evaluation and
 	// never fail a request.
@@ -78,7 +76,6 @@ func DefaultConfig() Config {
 		StudyLimit:       1,
 		RetryAfterJitter: 3,
 		QueueDepth:       16,
-		MaxQueuedJobs:    8,
 		AdmissionTimeout: time.Second,
 		RequestTimeout:   30 * time.Second,
 		DegradedAfter:    5,
@@ -106,9 +103,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth == 0 {
 		c.QueueDepth = d.QueueDepth
 	}
-	if c.MaxQueuedJobs == 0 {
-		c.MaxQueuedJobs = d.MaxQueuedJobs
-	}
 	if c.AdmissionTimeout == 0 {
 		c.AdmissionTimeout = d.AdmissionTimeout
 	}
@@ -131,46 +125,42 @@ func (c Config) withDefaults() Config {
 }
 
 // Server is the neurometerd HTTP service. Create with New, mount Handler
-// (or ListenAndServe), and always Shutdown — it owns running study jobs.
+// (or Serve), and Shutdown to drain.
 type Server struct {
 	cfg  Config
 	mux  *http.ServeMux
 	http *http.Server
 	wd   *watchdog
-	jobs *jobStore
 
 	limBuild  *limiter
 	limSim    *limiter
+	limStudy  *limiter
 	accessLog *slog.Logger
 	workloads preparedWorkloads
 	chips     chipMemo
 
-	baseCtx    context.Context
-	baseCancel context.CancelFunc
-	draining   chan struct{} // closed when Shutdown begins
-	stopOnce   sync.Once
-	stopErr    error
+	draining chan struct{} // closed when Shutdown begins
+	stopOnce sync.Once
+	stopErr  error
 }
 
 // New builds a server from the config (zero fields take defaults).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	obs.RegisterBuildInfo() // the build_info gauge is visible on /metricz
-	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		cfg:        cfg,
-		mux:        http.NewServeMux(),
-		wd:         &watchdog{threshold: int64(cfg.DegradedAfter)},
-		limBuild:   newLimiter("chip.build", cfg.BuildLimit, cfg.QueueDepth, cfg.AdmissionTimeout, cfg.ShedWatermark),
-		limSim:     newLimiter("perfsim.simulate", cfg.SimulateLimit, cfg.QueueDepth, cfg.AdmissionTimeout, cfg.ShedWatermark),
-		accessLog:  cfg.AccessLog,
-		workloads:  newPreparedWorkloads(),
-		chips:      chipMemo{chips: map[string]*chip.Chip{}},
-		baseCtx:    ctx,
-		baseCancel: cancel,
-		draining:   make(chan struct{}),
+		cfg:      cfg,
+		mux:      http.NewServeMux(),
+		wd:       &watchdog{threshold: int64(cfg.DegradedAfter)},
+		limBuild: newLimiter("chip.build", cfg.BuildLimit, cfg.QueueDepth, cfg.AdmissionTimeout, cfg.ShedWatermark),
+		limSim:   newLimiter("perfsim.simulate", cfg.SimulateLimit, cfg.QueueDepth, cfg.AdmissionTimeout, cfg.ShedWatermark),
+		// A study is what drives dse.eval_inflight, so it never sheds on it.
+		limStudy:  newLimiter("dse.study", cfg.StudyLimit, cfg.QueueDepth, cfg.AdmissionTimeout, 0),
+		accessLog: cfg.AccessLog,
+		workloads: newPreparedWorkloads(),
+		chips:     chipMemo{chips: map[string]*chip.Chip{}},
+		draining:  make(chan struct{}),
 	}
-	s.jobs = newJobStore(s)
 	// Constructed here, not in Serve, so Shutdown never races the Serve
 	// goroutine's first instructions.
 	s.http = &http.Server{Handler: s.mux}
@@ -181,8 +171,7 @@ func New(cfg Config) *Server {
 	s.mux.Handle("POST /v1/chip/build", s.handle("chip.build", s.limBuild, s.buildHandler))
 	s.mux.Handle("POST /v1/perfsim/simulate", s.handle("perfsim.simulate", s.limSim, s.simulateHandler))
 	s.mux.Handle("POST /v1/perfsim/simulate-batch", s.handle("perfsim.simulate_batch", s.limSim, s.simulateBatchHandler))
-	s.mux.Handle("POST /v1/dse/study", s.handle("dse.study", nil, s.studySubmit))
-	s.mux.Handle("GET /v1/dse/study/{id}", s.handle("dse.study.get", nil, s.studyGet))
+	s.mux.Handle("POST /v1/dse/study", s.handle("dse.study", s.limStudy, s.studyHandler))
 	return s
 }
 
@@ -199,26 +188,19 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Shutdown drains the server in the documented order: close the listener,
-// drain in-flight connections within the ctx deadline, cancel running
-// study jobs and wait for them to unwind, then log the final
-// metrics snapshot. Idempotent (a SIGTERM/SIGINT double-fire drains once);
-// afterwards /readyz reports 503 until the process exits.
+// let in-flight requests (studies included) finish within the ctx
+// deadline, then log the final metrics snapshot. Idempotent (a
+// SIGTERM/SIGINT double-fire drains once); afterwards /readyz reports 503
+// until the process exits.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.stopOnce.Do(func() {
 		close(s.draining)
-		httpErr := s.http.Shutdown(ctx) // listener close + connection drain
-		jobsErr := s.jobs.shutdown(ctx) // cancel studies, wait for them
-		s.baseCancel()
+		s.stopErr = s.http.Shutdown(ctx) // listener close + connection drain
 		snap := obs.Default().Snapshot()
 		slog.Info("serve: final metrics snapshot",
 			"requests", snap.Counters["serve.requests_total"],
 			"shed", snap.Counters["serve.shed_total"],
-			"responses_5xx", snap.Counters["serve.responses_5xx"],
-			"jobs_submitted", snap.Counters["serve.jobs_submitted"])
-		s.stopErr = httpErr
-		if s.stopErr == nil {
-			s.stopErr = jobsErr
-		}
+			"responses_5xx", snap.Counters["serve.responses_5xx"])
 	})
 	return s.stopErr
 }
@@ -244,14 +226,12 @@ type readyzBody struct {
 	Ready               bool   `json:"ready"`
 	Reason              string `json:"reason,omitempty"`
 	ConsecutiveFailures int64  `json:"consecutive_failures"`
-	RunningJobs         int    `json:"running_jobs"`
 }
 
 func (s *Server) readyz(w http.ResponseWriter, _ *http.Request) {
 	body := readyzBody{
 		Ready:               true,
 		ConsecutiveFailures: s.wd.consecutive.Load(),
-		RunningJobs:         s.jobs.running(),
 	}
 	switch {
 	case s.isDraining():
@@ -498,9 +478,9 @@ func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
 
 // maxBatchConfigs bounds the candidate list of one simulate-batch request.
 // The endpoint exists to amortize workload preparation across candidates,
-// not to smuggle a whole design-space sweep past the study-job machinery —
-// use POST /v1/dse/study for sweeps that need the result store and
-// admission as long-running work.
+// not to run a whole design-space sweep on a simulate slot — use
+// POST /v1/dse/study for sweeps, which enumerates, prunes and reads
+// through the result store under the dse.study limiter.
 const maxBatchConfigs = 256
 
 // SimulateBatchRequest evaluates one workload at one batch size across many

@@ -173,7 +173,7 @@ func TestFaultMatrix(t *testing.T) {
 		{
 			name: "study with every candidate failing maps to 422", site: "dse.candidate",
 			fault: guard.Fault{Err: guard.Infeasible("injected")},
-			path:  "/v1/dse/study", body: tinyStudyBody(`"wait":true`),
+			path:  "/v1/dse/study", body: tinyStudyBody(""),
 			wantStatus: 422, wantKind: "infeasible",
 		},
 	}
@@ -243,8 +243,8 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 	t.Fatal("condition not reached within deadline")
 }
 
-// TestNoGoroutineLeakAcrossLifecycle runs requests (including an async
-// study) through a full server lifecycle and checks the goroutine count
+// TestNoGoroutineLeakAcrossLifecycle runs requests (including a study)
+// through a full server lifecycle and checks the goroutine count
 // returns to its baseline after Shutdown.
 func TestNoGoroutineLeakAcrossLifecycle(t *testing.T) {
 	base := invariants.GoroutineBaseline()

@@ -192,7 +192,7 @@ func TestPreparedWorkloadsConcurrent(t *testing.T) {
 	}
 	calls = append(calls,
 		call{"POST", "/v1/chip/build", `{"preset":"tpuv2"}`, nil},
-		call{"POST", "/v1/dse/study", tinyStudyBody(`"wait":true`), nil},
+		call{"POST", "/v1/dse/study", tinyStudyBody(""), nil},
 		call{"GET", "/healthz", "", nil},
 		call{"GET", "/readyz", "", nil},
 		call{"GET", "/metricz", "", nil})
@@ -215,14 +215,6 @@ func TestPreparedWorkloadsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	var id struct{ ID string }
-	status, body := serveDirect(h, "POST", "/v1/dse/study", tinyStudyBody(""))
-	if err := json.Unmarshal(body, &id); status/100 != 2 || err != nil || id.ID == "" {
-		t.Fatalf("study resubmission: status %d, %s", status, body)
-	}
-	if status, body := serveDirect(h, "GET", "/v1/dse/study/"+id.ID, ""); status != http.StatusOK {
-		t.Fatalf("study get: status %d, %s", status, body)
-	}
 	for _, names := range groups {
 		first, _ := s.workloads.get(names[0])
 		for _, name := range names[1:] {
