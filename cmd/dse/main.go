@@ -18,9 +18,7 @@
 //
 // Robustness flags (see the README's Failure model section):
 //
-//	-candidate-timeout d per-candidate evaluation deadline (e.g. 30s)
-//	-retries n           retry timed-out candidates up to n times
-//	-result-store dir    persistent content-addressed result cache for the
+//	-result-store dir  persistent content-addressed result cache for the
 //	                -fig 10 sweep: verified read-through (checksum +
 //	                fingerprint + finiteness), corrupt entries quarantined,
 //	                every store fault degrades to evaluation — output is
@@ -35,7 +33,8 @@
 //	-csv prefix     also write -fig 10 rows to prefix.<regime>.csv
 //
 // SIGINT interrupts a sweep gracefully: in-flight candidates unwind and the
-// process exits with kind=canceled.
+// process exits with kind=canceled. A candidate's evaluation is a closed
+// form that takes microseconds, so there is no per-candidate deadline.
 //
 // Exit codes: 0 success; 2 invalid config (an unknown -fig included) or
 // infeasible study; 130 canceled (SIGINT); 1 any other failure.
@@ -48,7 +47,6 @@ import (
 	"log"
 	"os"
 	"os/signal"
-	"time"
 
 	"neurometer/internal/dse"
 	"neurometer/internal/guard"
@@ -58,8 +56,6 @@ import (
 
 // hardenFlags carries the robustness and parallelism flag values into run.
 type hardenFlags struct {
-	timeout time.Duration
-	retries int
 	workers int
 	csv     string
 	store   string
@@ -68,8 +64,6 @@ type hardenFlags struct {
 func main() {
 	fig := flag.Int("fig", 10, "figure to reproduce: 7, 8, 9 or 10; 0 = ablation studies; -1 = edge-scenario sweep")
 	var hf hardenFlags
-	flag.DurationVar(&hf.timeout, "candidate-timeout", 0, "per-candidate evaluation deadline (0 = unbounded)")
-	flag.IntVar(&hf.retries, "retries", 0, "retries for retryable (timed-out) candidate failures")
 	flag.IntVar(&hf.workers, "workers", dse.DefaultWorkers, "candidate-evaluation workers (default GOMAXPROCS; 1 = serial; output is identical at any count)")
 	flag.StringVar(&hf.csv, "csv", "", "also write -fig 10 rows as CSV at <prefix>.<regime>.csv")
 	flag.StringVar(&hf.store, "result-store", "", "persistent per-candidate result store directory for the -fig 10 sweep (verified read-through cache; faults degrade to evaluation)")
@@ -157,7 +151,7 @@ func run(ctx context.Context, fig int, hf hardenFlags) error {
 		}
 	case 10:
 		cands := dse.SecondRound(dse.EnumerateParallel(ctx, cs, hf.workers), cs.TOPSCap)
-		h := dse.Hardening{CandidateTimeout: hf.timeout, MaxRetries: hf.retries, Workers: hf.workers}
+		h := dse.Hardening{Workers: hf.workers}
 		if hf.store != "" {
 			st, err := rstore.OpenDisk(hf.store)
 			if err != nil {

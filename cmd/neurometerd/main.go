@@ -55,7 +55,7 @@ func main() {
 	buildLimit := flag.Int("build-limit", def.BuildLimit, "max concurrent /v1/chip/build requests")
 	simLimit := flag.Int("simulate-limit", def.SimulateLimit, "max concurrent /v1/perfsim/simulate requests")
 	studyLimit := flag.Int("study-limit", def.StudyLimit, "max concurrent /v1/dse/study requests")
-	queueDepth := flag.Int("queue-depth", def.QueueDepth, "admission queue depth per endpoint")
+	queueDepth := flag.Int("queue-depth", def.QueueDepth, "admission queue depth per endpoint (0 = default; negative = no waiting room)")
 	admissionTimeout := flag.Duration("admission-timeout", def.AdmissionTimeout, "max wait for an execution slot before shedding")
 	requestTimeout := flag.Duration("request-timeout", def.RequestTimeout, "default per-request deadline")
 	shedWatermark := flag.Float64("shed-watermark", def.ShedWatermark, "shed build/simulate requests while dse.eval_inflight is at or above this (0 disables)")

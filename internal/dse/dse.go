@@ -32,7 +32,6 @@ var (
 	mPruned       = obs.NewCounter("dse.candidates_pruned")
 	mFeasible     = obs.NewCounter("dse.candidates_feasible")
 	mEvalFailures = obs.NewCounter("dse.candidate_failures")
-	mEvalRetries  = obs.NewCounter("dse.candidate_retries")
 	mEvalPanics   = obs.NewCounter("dse.candidate_panics")
 	mEvalLatency  = obs.NewHistogram("dse.candidate_eval_seconds", nil)
 )
@@ -344,18 +343,10 @@ type RuntimeRow struct {
 	Batches []int
 }
 
-// Hardening configures the fault-tolerance envelope of a runtime study.
-// The zero value means: no per-candidate deadline, no retries, one worker
-// and no result store.
+// Hardening configures the execution envelope of a runtime study. The zero
+// value means: one worker and no result store. The caller's ctx is the one
+// deadline a study has.
 type Hardening struct {
-	// CandidateTimeout bounds each candidate's evaluation across the whole
-	// workload set; 0 = unbounded. An expired deadline fails the candidate
-	// with guard.ErrTimeout.
-	CandidateTimeout time.Duration
-	// MaxRetries re-evaluates a candidate whose failure is retryable
-	// (guard.Retryable — timeouts). Validation errors, infeasibility,
-	// non-finite results, and panics are deterministic and never retried.
-	MaxRetries int
 	// Workers bounds the evaluation pool: <= 1 (and the zero value) runs
 	// candidates serially on the caller's goroutine — the historical
 	// behavior — and DefaultWorkers resolves to GOMAXPROCS. Results are
@@ -365,11 +356,10 @@ type Hardening struct {
 	// Results, when non-nil, is the persistent content-addressed result
 	// store: pending candidates are looked up (fully verified — envelope
 	// checksum, fingerprint match, finite metrics) before any evaluation
-	// is scheduled, and evaluations run under the store's single-flight
-	// layer and persist their rows. Store faults of every kind degrade to
-	// evaluation, so a study runs byte-identically with a cold, warm,
-	// poisoned, or absent store. A nil Cache (including
-	// rstore.NewCache(nil)) disables all of this.
+	// is scheduled, and each computed row is then written best effort.
+	// Store faults of every kind degrade to evaluation, so a study runs
+	// byte-identically with a cold, warm, poisoned, or absent store. A nil
+	// Cache (including rstore.NewCache(nil)) disables all of this.
 	//
 	// The store is also how an interrupted study resumes: rerun it with
 	// the same store, and the candidates that completed come back as hits
@@ -392,14 +382,14 @@ type outcome struct {
 // per candidate (nesting the per-graph simulation spans), an eval-latency
 // histogram, and progress logging.
 //
-// Per candidate it recovers panics (guard.ErrCandidatePanic), enforces the
-// deadline, retries retryable failures, and rejects rows with non-finite
-// aggregates. A failing candidate does not abort the sweep: its error is
-// counted in dse.candidate_failures, logged, and the candidate is skipped;
-// the joined failures are returned only when every candidate failed. A
-// canceled sweep ctx stops new evaluations, lets in-flight workers unwind,
-// and returns the rows completed so far along with the classified cause
-// (guard.ErrCanceled / guard.ErrTimeout).
+// Per candidate it recovers panics (guard.ErrCandidatePanic) and rejects
+// rows with non-finite aggregates. A failing candidate does not abort the
+// sweep: its error is counted in dse.candidate_failures, logged, and the
+// candidate is skipped; the joined failures are returned only when every
+// candidate failed. A canceled sweep ctx, or one past its deadline, stops
+// new evaluations, lets in-flight workers unwind, and returns the rows
+// completed so far along with the classified cause (guard.ErrCanceled /
+// guard.ErrTimeout).
 //
 // Determinism: rows and failures are assembled in candidate order whatever
 // the worker count, and each candidate's evaluation is single-threaded —
@@ -419,8 +409,7 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 // one simMemo, so a simulation two regimes need — batch 1 for a fixed
 // batch-1 regime and the bottom of a latency ladder — runs once. Each row
 // keeps the whole per-candidate envelope of RuntimeStudyHardened: its own
-// store entry, span, injection site, deadline and retries, finite check
-// and panic recovery.
+// store entry, span, injection site, finite check and panic recovery.
 //
 // rows[s] holds specs[s]'s rows in candidate order. An interrupted study
 // returns every regime's completed rows and the classified cause as err.
@@ -489,7 +478,10 @@ func runtimeStudy(ctx context.Context, cands []Candidate, models []*graph.Graph,
 			cspan.SetStr("point", cand.Point.String())
 			cspan.SetStr("spec", specNames[s])
 			evalStart := time.Now()
-			row, err := evalStoreAware(cctx, h.Results, fps[s][i], cand, sim, memo, spec, opt, h)
+			row, err := evalCandidate(cctx, cand, sim, memo, spec, opt)
+			if err == nil && h.Results != nil {
+				storeRow(h.Results, fps[s][i], row)
+			}
 			mEvalLatency.Observe(time.Since(evalStart).Seconds())
 			cspan.End()
 			// A canceled sweep ctx surfaces as the candidate's error too;
@@ -615,30 +607,6 @@ func (m *simMemo) simulate(ctx context.Context, sim *studySim, mi int, c *chip.C
 	}
 	m.ok[k] = true
 	return &m.res[k], nil
-}
-
-// evalWithRetry evaluates one candidate under the hardening envelope:
-// deadline per attempt, bounded retry of retryable failures.
-func evalWithRetry(ctx context.Context, cand Candidate, sim *studySim, memo *simMemo, spec BatchSpec, opt perfsim.Options, h Hardening) (RuntimeRow, error) {
-	for attempt := 0; ; attempt++ {
-		actx, cancel := ctx, context.CancelFunc(func() {})
-		if h.CandidateTimeout > 0 {
-			actx, cancel = context.WithTimeout(ctx, h.CandidateTimeout)
-		}
-		row, err := evalCandidate(actx, cand, sim, memo, spec, opt)
-		cancel()
-		if err == nil {
-			return row, nil
-		}
-		// Don't burn retries when the sweep itself is shutting down, and
-		// don't retry deterministic failures.
-		if guard.CtxErr(ctx) != nil || !guard.Retryable(err) || attempt >= h.MaxRetries {
-			return RuntimeRow{}, err
-		}
-		mEvalRetries.Inc()
-		slog.DebugContext(ctx, "dse: retrying candidate",
-			"point", cand.Point.String(), "attempt", attempt+1, "err", err)
-	}
 }
 
 // evalCandidate simulates one candidate over the workload set and

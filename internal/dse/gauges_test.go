@@ -2,6 +2,7 @@ package dse
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -41,15 +42,17 @@ func TestGaugesDrainAfterTimeouts(t *testing.T) {
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)
 
-	// Every attempt stalls past the deadline: the evaluator abandons the
-	// candidate goroutine mid-flight, which must not leak a slot.
+	// Every simulation stalls past the study's deadline: each worker
+	// abandons its candidate mid-flight when the deadline passes, which
+	// must not leak a slot.
 	disarm := guard.Arm("perfsim.simulate", guard.Fault{Delay: 10 * time.Second})
 	defer disarm()
 
-	h := Hardening{CandidateTimeout: 20 * time.Millisecond, Workers: 2}
-	_, err := RuntimeStudyHardened(context.Background(), cands, models, spec, opt, h)
-	if err == nil {
-		t.Fatal("want all-candidates-failed error")
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	_, err := RuntimeStudyHardened(ctx, cands, models, spec, opt, Hardening{Workers: 2})
+	if !errors.Is(err, guard.ErrTimeout) {
+		t.Fatalf("got %v, want ErrTimeout", err)
 	}
 	checkGaugesDrained(t)
 }

@@ -7,7 +7,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"time"
 
 	"neurometer/internal/graph"
 	"neurometer/internal/guard"
@@ -61,56 +60,6 @@ func TestRuntimeStudySkipsPanickingCandidate(t *testing.T) {
 	}
 }
 
-func TestRuntimeStudyTimeoutClassifiedAndRetried(t *testing.T) {
-	defer guard.DisarmAll()
-	cands, spec, opt := studyFixture(t)
-	models := alexnet(t)
-
-	// Candidate 1's first layer stalls far past the 30ms deadline, every
-	// attempt. With one retry allowed the fault fires twice, then the
-	// candidate fails with ErrTimeout and the sweep continues.
-	hits := 0
-	disarm := guard.Arm("perfsim.simulate", guard.Fault{
-		Delay: 10 * time.Second, OnHit: func() { hits++ },
-	})
-	defer disarm()
-
-	h := Hardening{CandidateTimeout: 30 * time.Millisecond, MaxRetries: 1}
-	rows, err := RuntimeStudyHardened(context.Background(), cands[:1], models, spec, opt, h)
-	if err == nil {
-		t.Fatal("want all-candidates-failed error")
-	}
-	if !errors.Is(err, guard.ErrTimeout) {
-		t.Fatalf("error %v must wrap ErrTimeout", err)
-	}
-	if len(rows) != 0 {
-		t.Fatalf("timed-out candidate produced %d rows", len(rows))
-	}
-	if hits != 2 {
-		t.Fatalf("fault fired %d times, want 2 (initial attempt + 1 retry)", hits)
-	}
-}
-
-func TestRuntimeStudyRetrySucceedsAfterTransientTimeout(t *testing.T) {
-	defer guard.DisarmAll()
-	cands, spec, opt := studyFixture(t)
-	models := alexnet(t)
-
-	// The fault stalls only the first attempt (Count: 1); the retry runs
-	// clean and the candidate must deliver its row.
-	disarm := guard.Arm("perfsim.simulate", guard.Fault{Count: 1, Delay: 10 * time.Second})
-	defer disarm()
-
-	h := Hardening{CandidateTimeout: 30 * time.Millisecond, MaxRetries: 2}
-	rows, err := RuntimeStudyHardened(context.Background(), cands[:1], models, spec, opt, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
-	}
-}
-
 func TestRuntimeStudyRejectsNaNRows(t *testing.T) {
 	defer guard.DisarmAll()
 	cands, spec, opt := studyFixture(t)
@@ -156,11 +105,11 @@ func TestRuntimeStudyCancellationReturnsPartial(t *testing.T) {
 	}
 }
 
-// The result store is a study's checkpoint: a serial run interrupted while
-// candidate 1 evaluates has persisted candidate 0's row, and rerunning on
-// the same store serves that row and evaluates only candidates 1 and 2,
-// with output byte-identical to an uninterrupted run.
-func TestCheckpointResumeIsByteIdentical(t *testing.T) {
+// Rerunning an interrupted study on its result store resumes it: a serial
+// run interrupted while candidate 1 evaluates has stored candidate 0's
+// row, and rerunning on the same store serves that row and evaluates only
+// candidates 1 and 2, with output byte-identical to an uninterrupted run.
+func TestRerunOnStoreIsByteIdentical(t *testing.T) {
 	defer guard.DisarmAll()
 	cands, spec, opt := studyFixture(t)
 	models := alexnet(t)

@@ -75,19 +75,6 @@ func modelNames(models []*graph.Graph) []string {
 	return names
 }
 
-// encodeStoredRow serializes a RuntimeRow for the store. JSON float
-// encoding is round-trip exact, so a decoded row is bit-identical to the
-// evaluated one — the property the byte-identity tests pin down.
-func encodeStoredRow(row RuntimeRow) ([]byte, error) {
-	b, err := json.Marshal(row)
-	if err != nil {
-		// Unreachable for a CheckFinites-clean row; degrade to "not
-		// persisted" rather than fail an evaluation that succeeded.
-		return nil, guard.Invalid("dse: encode stored row: %v", err)
-	}
-	return b, nil
-}
-
 // decodeStoredRow deserializes and verifies a stored payload: it must
 // parse, describe the expected design point, and pass the same finiteness
 // gate a fresh evaluation passes. Failures classify as guard.ErrCorrupt so
@@ -129,42 +116,17 @@ func lookupStoredRow(ctx context.Context, cache *rstore.Cache, fp string, want P
 	return row, ok
 }
 
-// evalStoreAware evaluates one candidate through the store's single-flight
-// layer: concurrent evaluations of the same fingerprint (another study in
-// this process, another worker goroutine) collapse to one, with the
-// leader's successful row persisted best-effort. Waiters re-verify the
-// shared bytes exactly like a disk read; if the bytes do not survive
-// verification the waiter falls back to evaluating locally — a degraded
-// flight changes cost, never results.
-func evalStoreAware(ctx context.Context, cache *rstore.Cache, fp string, cand Candidate, sim *studySim, memo *simMemo, spec BatchSpec, opt perfsim.Options, h Hardening) (RuntimeRow, error) {
-	if cache == nil {
-		return evalWithRetry(ctx, cand, sim, memo, spec, opt, h)
-	}
-	var leaderRow RuntimeRow
-	payload, shared, err := cache.Compute(ctx, fp, func() ([]byte, error) {
-		row, err := evalWithRetry(ctx, cand, sim, memo, spec, opt, h)
-		if err != nil {
-			return nil, err
-		}
-		leaderRow = row
-		b, eerr := encodeStoredRow(row)
-		if eerr != nil {
-			slog.WarnContext(ctx, "dse: result not persisted", "point", cand.Point.String(), "err", eerr)
-			return nil, nil // row already captured; skip persistence only
-		}
-		return b, nil
-	})
+// storeRow saves a computed row best effort. JSON float encoding is
+// round-trip exact, so a row read back is bit-identical to the evaluated
+// one — the property the byte-identity tests pin down. A row that does not
+// encode (unreachable for a CheckFinites-clean row) is logged and left
+// unsaved; a failed write is counted and logged by the cache. Neither ever
+// fails the evaluation that produced the row.
+func storeRow(cache *rstore.Cache, fp string, row RuntimeRow) {
+	b, err := json.Marshal(row)
 	if err != nil {
-		return RuntimeRow{}, err
+		slog.Warn("dse: result not persisted", "point", row.Point.String(), "err", err)
+		return
 	}
-	if !shared {
-		return leaderRow, nil
-	}
-	row, derr := decodeStoredRow(payload, cand.Point)
-	if derr != nil {
-		cache.ReportBad(ctx, fp, derr)
-		return evalWithRetry(ctx, cand, sim, memo, spec, opt, h)
-	}
-	mStoreHits.Inc()
-	return row, nil
+	cache.Put(fp, b)
 }

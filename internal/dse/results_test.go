@@ -330,9 +330,9 @@ func TestStoreConcurrentStudiesByteIdentity(t *testing.T) {
 	ref := studyCSV(t, Hardening{})
 	cache := openCache(t, t.TempDir())
 
-	// Two studies over the same candidates race on a shared cache: the
-	// single-flight layer dedupes whatever overlaps in time, and both
-	// outputs match the reference exactly.
+	// Two studies over the same candidates race on a shared cache, each
+	// looking up, computing and writing the same rows, and both outputs
+	// match the reference exactly.
 	var wg sync.WaitGroup
 	out := make([]string, 2)
 	for i := range out {
@@ -357,12 +357,12 @@ func TestStoreConcurrentStudiesByteIdentity(t *testing.T) {
 	}
 }
 
-// TestStoreHitsRecordIntoCheckpoint: rows a rerun serves from the store
-// stay there. A study interrupted twice — once cold, once while resuming
-// — keeps every row either attempt completed, and the third run serves
-// all of them as hits, simulates only the last candidate, and matches the
-// uninterrupted reference byte for byte.
-func TestStoreHitsRecordIntoCheckpoint(t *testing.T) {
+// TestStoreKeepsRowsAcrossInterruptedReruns: rows a rerun serves from the
+// store stay there. A study interrupted twice — once cold, once while
+// resuming — keeps every row either attempt completed, and the third run
+// serves all of them as hits, simulates only the last candidate, and
+// matches the uninterrupted reference byte for byte.
+func TestStoreKeepsRowsAcrossInterruptedReruns(t *testing.T) {
 	defer guard.DisarmAll()
 	ref := studyCSV(t, Hardening{})
 	cands, spec, opt := studyFixture(t)

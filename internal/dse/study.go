@@ -46,30 +46,12 @@ const maxStudyPoints = 4096
 // by name, and the design space is enumerated and reduced exactly as
 // cmd/dse -fig 10 does (second-round pruning, keeping the enumeration's
 // order: peak TOPS descending, then X descending, then tiles ascending).
-// A design space of more than maxStudyPoints points, unknown workload
-// names, duplicate or non-positive X and N choices, and empty candidate
-// sets fail with guard taxonomy errors so callers can map them to 400/422
-// directly.
+// A spec that fails Check and an empty candidate set fail with guard
+// taxonomy errors so callers can map them to 400/422 directly.
 func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
-	if err := checkPoints(spec.Constraints); err != nil {
+	models, err := spec.resolve()
+	if err != nil {
 		return nil, err
-	}
-	if err := checkChoices("X choices", spec.Constraints.XChoices); err != nil {
-		return nil, err
-	}
-	if err := checkChoices("N choices", spec.Constraints.NChoices); err != nil {
-		return nil, err
-	}
-	models := workloads.All()
-	if len(spec.Models) > 0 {
-		models = models[:0:0]
-		for _, name := range spec.Models {
-			g, err := workloads.ByName(name)
-			if err != nil {
-				return nil, guard.Invalid("dse: study: %v", err)
-			}
-			models = append(models, g)
-		}
 	}
 	cands := EnumerateCtx(ctx, spec.Constraints)
 	if err := guard.CtxErr(ctx); err != nil {
@@ -80,6 +62,40 @@ func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
 		return nil, guard.Infeasible("dse: study: no feasible candidates under the constraints")
 	}
 	return &Study{spec: spec, cands: cands, models: models}, nil
+}
+
+// Check runs the checks NewStudy makes before it enumerates anything: a
+// design space of at most maxStudyPoints points, X and N choices that are
+// positive and distinct, and known workload names. It costs microseconds,
+// so a server can refuse a bad spec before it admits the study.
+func (spec StudySpec) Check() error {
+	_, err := spec.resolve()
+	return err
+}
+
+// resolve checks the spec as Check documents and looks up its workloads.
+func (spec StudySpec) resolve() ([]*graph.Graph, error) {
+	if err := checkPoints(spec.Constraints); err != nil {
+		return nil, err
+	}
+	if err := checkChoices("X choices", spec.Constraints.XChoices); err != nil {
+		return nil, err
+	}
+	if err := checkChoices("N choices", spec.Constraints.NChoices); err != nil {
+		return nil, err
+	}
+	if len(spec.Models) == 0 {
+		return workloads.All(), nil
+	}
+	models := make([]*graph.Graph, 0, len(spec.Models))
+	for _, name := range spec.Models {
+		g, err := workloads.ByName(name)
+		if err != nil {
+			return nil, guard.Invalid("dse: study: %v", err)
+		}
+		models = append(models, g)
+	}
+	return models, nil
 }
 
 // checkPoints rejects a design space of more than maxStudyPoints points

@@ -8,8 +8,8 @@
 // returns wraps exactly one of the sentinel errors (ErrInvalidConfig,
 // ErrInfeasible, ErrNonFinite, ErrTimeout, ErrCanceled,
 // ErrCandidatePanic, ErrUnavailable, ErrCorrupt), so callers classify
-// failures with errors.Is, Retryable picks out the transient kinds, and
-// the CLIs render structured one-line diagnostics with Kind.
+// failures with errors.Is and the CLIs render structured one-line
+// diagnostics with Kind.
 //
 // # Concurrency contract
 //
@@ -26,8 +26,7 @@
 //
 // CtxErr classifies a context's state under the taxonomy: nil while live,
 // ErrCanceled after cancellation, ErrTimeout after a deadline. It is the
-// single idiom the sweeps use to decide between "keep going", "stop",
-// and "retry".
+// single idiom the sweeps use to decide between "keep going" and "stop".
 //
 // # Fault-site registry
 //
@@ -49,8 +48,8 @@
 //	                       catch a corrupted metric before it reaches a
 //	                       frontier or a CSV row.
 //	dse.candidate          once per candidate in the study pool, after
-//	                       the result-store phase — the retry and
-//	                       cancel/rerun test hook.
+//	                       the result-store phase — the cancel/rerun
+//	                       test hook.
 //	rstore.read            result-store Get, before the disk read.
 //	rstore.write           result-store Put, before the tmp-file write —
 //	                       the ENOSPC/full-disk hook.

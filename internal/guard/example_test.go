@@ -9,15 +9,15 @@ import (
 )
 
 // Every model error wraps exactly one taxonomy sentinel, so callers
-// classify with Kind / errors.Is and retry only what Retryable allows.
+// classify with Kind or errors.Is.
 func ExampleKind() {
 	err := guard.Invalid("tile grid %dx%d exceeds the die", 16, 16)
-	fmt.Println(guard.Kind(err), guard.Retryable(err))
+	fmt.Println(guard.Kind(err), errors.Is(err, guard.ErrInvalidConfig))
 
 	stalled := fmt.Errorf("candidate stalled: %w", guard.ErrTimeout)
-	fmt.Println(guard.Kind(stalled), guard.Retryable(stalled))
+	fmt.Println(guard.Kind(stalled), errors.Is(stalled, guard.ErrTimeout))
 	// Output:
-	// invalid-config false
+	// invalid-config true
 	// timeout true
 }
 

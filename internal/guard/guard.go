@@ -23,45 +23,45 @@ var (
 var (
 	// ErrInvalidConfig marks a configuration the model refuses to
 	// evaluate: missing required fields, out-of-range parameters,
-	// non-finite inputs. Never retryable.
+	// non-finite inputs.
 	ErrInvalidConfig = errors.New("invalid config")
 
 	// ErrInfeasible marks a well-formed configuration with no feasible
 	// implementation: timing cannot close, budgets are exceeded, the
-	// memory optimizer finds no organization. Never retryable.
+	// memory optimizer finds no organization.
 	ErrInfeasible = errors.New("infeasible")
 
 	// ErrNonFinite marks a model output rejected because it contained
 	// NaN or Inf. Such values must never reach frontiers, winners, or
-	// CSV output. Never retryable.
+	// CSV output.
 	ErrNonFinite = errors.New("non-finite result")
 
-	// ErrTimeout marks an evaluation that exceeded its deadline.
-	// Retryable: sweeps may re-attempt a timed-out candidate under the
-	// bounded-retry policy.
+	// ErrTimeout marks work stopped because its caller's deadline passed
+	// (a request's timeout, for example). Nothing below the caller sets a
+	// deadline of its own: evaluations are closed forms that finish in
+	// microseconds.
 	ErrTimeout = errors.New("timeout")
 
 	// ErrCanceled marks an evaluation aborted because the whole run was
-	// canceled (SIGINT, parent context). Never retryable: the sweep is
-	// shutting down.
+	// canceled (SIGINT, parent context): the sweep is shutting down.
 	ErrCanceled = errors.New("canceled")
 
 	// ErrCandidatePanic marks a panicking evaluation converted to an
-	// error by RecoverTo. Never retryable: panics are deterministic
-	// model bugs, not transient conditions.
+	// error by RecoverTo. Panics are deterministic model bugs, not
+	// transient conditions.
 	ErrCandidatePanic = errors.New("candidate panicked")
 
-	// ErrUnavailable marks a transient infrastructure failure, such as
-	// an unreadable result-store entry. The work itself is fine — later,
-	// it will succeed — so it is retryable under the bounded-backoff
-	// policy.
+	// ErrUnavailable marks an infrastructure failure, such as an
+	// unreadable result-store entry. The work itself is fine: a store
+	// read that fails degrades to evaluation, and a store write that
+	// fails only leaves the row unsaved.
 	ErrUnavailable = errors.New("unavailable")
 
 	// ErrCorrupt marks persisted state that failed integrity verification:
 	// a result-store entry with a bad checksum, a torn write, a foreign
 	// format version, or a payload that deserializes to something other
-	// than what its fingerprint promises. Never retryable — rereading the
-	// same bytes cannot fix them — and never fatal: every consumer of
+	// than what its fingerprint promises. Rereading the same bytes cannot
+	// fix them, but it is never fatal either: every consumer of
 	// persisted state treats ErrCorrupt as "this copy does not exist"
 	// (quarantine it, recompute the result).
 	ErrCorrupt = errors.New("corrupt data")
@@ -102,7 +102,7 @@ func Classify(err error) error {
 }
 
 // CtxErr returns the classified context error, or nil when ctx is live.
-// Model loops call it between units of work so per-candidate deadlines and
+// Model loops call it between units of work so a caller's deadline and
 // SIGINT cancellation interrupt long evaluations promptly.
 func CtxErr(ctx context.Context) error {
 	return Classify(context.Cause(ctx))
@@ -117,14 +117,6 @@ func Unavailable(format string, args ...any) error {
 // Corrupt returns an ErrCorrupt-wrapping error with a formatted message.
 func Corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
-}
-
-// Retryable reports whether a failure is worth re-attempting under the
-// sweeps' bounded-retry policy: timeouts and transient unavailability
-// qualify — config, feasibility, non-finite and panic failures are
-// deterministic.
-func Retryable(err error) bool {
-	return errors.Is(err, ErrTimeout) || errors.Is(err, ErrUnavailable)
 }
 
 // Kind names the taxonomy class of err for structured one-line CLI

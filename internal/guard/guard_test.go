@@ -56,24 +56,6 @@ func TestCtxErr(t *testing.T) {
 	}
 }
 
-func TestRetryable(t *testing.T) {
-	if !Retryable(Classify(context.DeadlineExceeded)) {
-		t.Errorf("timeouts must be retryable")
-	}
-	if !Retryable(Unavailable("connection refused")) {
-		t.Errorf("transient unavailability must be retryable")
-	}
-	for _, err := range []error{
-		Invalid("bad"), Infeasible("none"), NonFinite("x", math.Inf(1)),
-		Classify(context.Canceled),
-		errors.New("misc"),
-	} {
-		if Retryable(err) {
-			t.Errorf("%v must not be retryable", err)
-		}
-	}
-}
-
 func TestKind(t *testing.T) {
 	cases := map[string]error{
 		"invalid-config": Invalid("z"),

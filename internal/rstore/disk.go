@@ -31,8 +31,9 @@ import (
 // moves to quarantine/ instead of being deleted, so an operator can
 // inspect what corrupted and the store can never serve the same bad bytes
 // twice. All methods are safe for concurrent use — distinct fingerprints
-// touch distinct files, and same-fingerprint writers race only on the
-// atomic rename, whose last writer wins with a complete entry either way.
+// touch distinct files, and each write stages its bytes in a tmp file of
+// its own, so same-fingerprint writers race only on the atomic rename,
+// whose last writer wins with a complete entry either way.
 type DiskStore struct {
 	dir    string
 	odir   string // <dir>/objects
@@ -110,9 +111,6 @@ func OpenDisk(dir string) (*DiskStore, error) {
 
 // Report returns the startup scan summary.
 func (s *DiskStore) Report() ScanReport { return s.report }
-
-// Dir returns the store root.
-func (s *DiskStore) Dir() string { return s.dir }
 
 // path maps a fingerprint to its entry file.
 func (s *DiskStore) path(fp string) string {
@@ -200,10 +198,11 @@ func (s *DiskStore) Get(fp string) ([]byte, error) {
 	return payload, nil
 }
 
-// Put durably stores payload under fp: encode, write to a tmp file, fsync
-// the file, rename over the final name, fsync the directory. A failure at
-// any step removes the tmp file and returns an error the caller treats as
-// "result not persisted" — never as a failed evaluation.
+// Put durably stores payload under fp: encode, write to a tmp file of this
+// call's own, fsync the file, rename over the final name, fsync the
+// directory. A failure at any step removes the tmp file and returns an
+// error the caller treats as "result not persisted" — never as a failed
+// evaluation.
 // guard.Inject("rstore.write") is the ENOSPC/IO-fault hook.
 func (s *DiskStore) Put(fp string, payload []byte) error {
 	if err := guard.Inject(nil, "rstore.write"); err != nil {
@@ -217,9 +216,8 @@ func (s *DiskStore) Put(fp string, payload []byte) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return guard.Unavailable("rstore: write %s: %v", shortFP(fp), err)
 	}
-	tmp := path + tmpSuffix
-	if err := writeFileSync(tmp, b); err != nil {
-		os.Remove(tmp)
+	tmp, err := writeTempSync(filepath.Dir(path), filepath.Base(path)+".*"+tmpSuffix, b)
+	if err != nil {
 		return guard.Unavailable("rstore: write %s: %v", shortFP(fp), err)
 	}
 	if err := os.Rename(tmp, path); err != nil {
@@ -232,14 +230,14 @@ func (s *DiskStore) Put(fp string, payload []byte) error {
 	return nil
 }
 
-// Quarantine moves the entry for fp (if any) into quarantine/. Callers use
+// quarantine moves the entry for fp (if any) into quarantine/. Lookup uses
 // it when a checksum-valid entry fails a higher layer's verification —
 // undeserializable payload, non-finite metrics, identity mismatch — so the
 // bad bytes are preserved for inspection but never served again.
-func (s *DiskStore) Quarantine(fp string, reason error) {
+func (s *DiskStore) quarantine(fp string, reason error) {
 	path := s.path(fp)
 	if _, err := os.Stat(path); err != nil {
-		return // already gone (raced with another quarantine, or flight-only bytes)
+		return // already gone (raced with another quarantine)
 	}
 	s.quarantineFile(path, reason)
 	mQuarantined.Inc()
@@ -320,7 +318,7 @@ func (s *DiskStore) enforceQuarantineCap() {
 }
 
 // Close releases the store. The disk backend holds no open handles, so
-// this is a no-op kept for the Store contract.
+// this is a no-op.
 func (s *DiskStore) Close() error { return nil }
 
 // shortFP abbreviates a fingerprint for log and error messages.
@@ -331,22 +329,30 @@ func shortFP(fp string) string {
 	return fp
 }
 
-// writeFileSync writes b to path and fsyncs the file before closing, so
-// the subsequent rename can only expose fully durable bytes.
-func writeFileSync(path string, b []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// writeTempSync writes b to a new file in dir, named by os.CreateTemp's
+// pattern, and fsyncs it before closing, so the rename that follows can
+// only expose fully durable bytes. It returns the file's path; on failure
+// the file is removed.
+func writeTempSync(dir, pattern string, b []byte) (string, error) {
+	f, err := os.CreateTemp(dir, pattern)
 	if err != nil {
-		return err
+		return "", err
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return err
+	err = f.Chmod(0o644)
+	if err == nil {
+		_, err = f.Write(b)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if err == nil {
+		err = f.Sync()
 	}
-	return f.Close()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
 }
 
 // syncDir fsyncs a directory so a just-renamed entry's directory record is

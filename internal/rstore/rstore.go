@@ -13,16 +13,16 @@
 // run against a cold store, a warm store, a poisoned store, or no store at
 // all produces byte-identical output.
 //
-// Concurrency within a process is deduplicated by single-flight: when many
-// studies want the same missing fingerprint, one evaluates and the rest
-// wait for its bytes.
+// Writers never coordinate: each write stages its bytes in a temp file of
+// its own and renames it into place, so concurrent writers of one
+// fingerprint — in one process or several — each leave a complete entry,
+// and the last rename wins.
 package rstore
 
 import (
 	"context"
 	"errors"
 	"log/slog"
-	"sync"
 
 	"neurometer/internal/guard"
 	"neurometer/internal/obs"
@@ -31,25 +31,6 @@ import (
 // ErrNotFound reports a fingerprint with no stored entry: the one store
 // outcome that is a plain miss rather than a degradation.
 var ErrNotFound = errors.New("rstore: not found")
-
-// Store is the pluggable persistence backend. Implementations must be safe
-// for concurrent use and must honor the degradation contract: Get returns
-// ErrNotFound for absent entries and a guard-classified error (quarantining
-// the bytes when they are corrupt) for everything else; Put either persists
-// durably or returns an error — a partial entry must never become visible.
-type Store interface {
-	// Get returns the verified payload stored under fp, ErrNotFound when
-	// there is none, or a guard-classified error when the entry exists
-	// but cannot be trusted (in which case it has been quarantined).
-	Get(fp string) ([]byte, error)
-	// Put durably stores payload under fp.
-	Put(fp string, payload []byte) error
-	// Quarantine moves the entry for fp aside because a higher layer's
-	// verification rejected its (checksum-valid) payload.
-	Quarantine(fp string, reason error)
-	// Close releases backend resources.
-	Close() error
-}
 
 // Counters for the -metrics snapshot. hits/misses tell the cache story;
 // corrupt_quarantined and degraded tell the robustness story — the
@@ -61,34 +42,23 @@ var (
 	mDegraded      = obs.NewCounter("rstore.degraded")
 	mWriteFailures = obs.NewCounter("rstore.write_failures")
 	mTmpRemoved    = obs.NewCounter("rstore.tmp_removed")
-	mDeduped       = obs.NewCounter("rstore.singleflight_deduped")
 	mQEvicted      = obs.NewCounter("rstore.quarantine_evicted")
 )
 
-// Cache is the process-facing face of a Store: read-path verification,
-// degradation accounting, and in-process single-flight. A nil *Cache is
-// valid and behaves as "no store": lookups miss, computes run, writes are
-// dropped — so call sites wire it through unconditionally.
+// Cache is the process-facing face of a DiskStore: read-path verification,
+// degradation accounting and best-effort writes. A nil *Cache is valid and
+// behaves as "no store": lookups miss and writes are dropped — so call
+// sites wire it through unconditionally.
 type Cache struct {
-	store Store
-
-	mu     sync.Mutex
-	flight map[string]*flightCall
+	store *DiskStore
 }
 
-// flightCall is one in-progress computation other callers can wait on.
-type flightCall struct {
-	done    chan struct{}
-	payload []byte
-	err     error
-}
-
-// NewCache wraps a backend store. A nil store yields a nil Cache.
-func NewCache(s Store) *Cache {
+// NewCache wraps a disk store. A nil store yields a nil Cache.
+func NewCache(s *DiskStore) *Cache {
 	if s == nil {
 		return nil
 	}
-	return &Cache{store: s, flight: make(map[string]*flightCall)}
+	return &Cache{store: s}
 }
 
 // Close closes the backend.
@@ -123,7 +93,7 @@ func (c *Cache) Lookup(ctx context.Context, fp string, verify func(payload []byt
 		return false
 	}
 	if err := verify(payload); err != nil {
-		c.store.Quarantine(fp, err)
+		c.store.quarantine(fp, err)
 		c.degrade(ctx, err)
 		return false
 	}
@@ -140,68 +110,15 @@ func (c *Cache) degrade(ctx context.Context, err error) {
 	slog.Debug("rstore: degraded to evaluation", "kind", guard.Kind(err), "err", err)
 }
 
-// Compute runs fn under single-flight for fp: the first caller (the
-// leader) computes, and concurrent callers for the same fingerprint wait
-// and share the leader's bytes instead of re-evaluating. On success the
-// leader best-effort persists the payload — a write failure (ENOSPC, bad
-// mount) is counted and logged but never surfaces, because persistence is
+// Put stores payload under fp, best effort: a write failure (ENOSPC, bad
+// mount) is counted and logged but never returned, because persistence is
 // an optimization, not part of the result.
-//
-// The return distinguishes who did the work: shared is false for the
-// leader (payload is exactly what fn returned — callers that captured
-// richer state in fn's closure should prefer that) and true for waiters
-// (payload is the leader's bytes, which the waiter must verify-decode
-// like any other cached read). A compute error propagates to every caller
-// in the flight; waiters treat it as their own evaluation failing.
-//
-// A waiter whose ctx ends first stops waiting and returns the classified
-// context error, exactly as if its own evaluation had timed out.
-func (c *Cache) Compute(ctx context.Context, fp string, fn func() ([]byte, error)) (payload []byte, shared bool, err error) {
-	if c == nil {
-		p, err := fn()
-		return p, false, err
-	}
-	c.mu.Lock()
-	if f, ok := c.flight[fp]; ok {
-		c.mu.Unlock()
-		mDeduped.Inc()
-		select {
-		case <-f.done:
-			return f.payload, true, f.err
-		case <-ctx.Done():
-			return nil, false, guard.CtxErr(ctx)
-		}
-	}
-	f := &flightCall{done: make(chan struct{})}
-	c.flight[fp] = f
-	c.mu.Unlock()
-
-	f.payload, f.err = fn()
-	// A nil payload with a nil error means "nothing to persist" (the
-	// caller kept its result out-of-band); don't write an empty entry.
-	// A failed write is counted and logged, never returned: the result
-	// already exists — only its durability is at stake.
-	if f.err == nil && f.payload != nil {
-		if err := c.store.Put(fp, f.payload); err != nil {
-			mWriteFailures.Inc()
-			slog.Warn("rstore: result not persisted", "kind", guard.Kind(err), "err", err)
-		}
-	}
-	c.mu.Lock()
-	delete(c.flight, fp)
-	c.mu.Unlock()
-	close(f.done)
-	return f.payload, false, f.err
-}
-
-// ReportBad quarantines the stored entry for fp after a caller's own
-// verification rejected payload bytes obtained outside Lookup (for
-// example, a single-flight waiter that failed to decode the leader's
-// bytes), and counts the degradation.
-func (c *Cache) ReportBad(ctx context.Context, fp string, reason error) {
+func (c *Cache) Put(fp string, payload []byte) {
 	if c == nil {
 		return
 	}
-	c.store.Quarantine(fp, reason)
-	c.degrade(ctx, reason)
+	if err := c.store.Put(fp, payload); err != nil {
+		mWriteFailures.Inc()
+		slog.Warn("rstore: result not persisted", "kind", guard.Kind(err), "err", err)
+	}
 }

@@ -7,12 +7,9 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
-	"time"
 
 	"neurometer/internal/guard"
 	"neurometer/internal/obs"
@@ -323,87 +320,45 @@ func TestLookupRejectedPayloadQuarantined(t *testing.T) {
 	}
 }
 
-func TestCacheSingleFlight(t *testing.T) {
+// TestConcurrentPut: writers of one fingerprint never share staging bytes.
+// Each Put stages in a tmp file of its own, so every call succeeds, the
+// entry left behind is one writer's complete payload, and no tmp file is
+// left over.
+func TestConcurrentPut(t *testing.T) {
 	s, err := OpenDisk(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache(s)
-	var calls atomic.Int32
-	release := make(chan struct{})
-	const waiters = 8
-	joinedBefore := counter("rstore.singleflight_deduped")
+	const writers = 8
+	payloads := map[string]bool{}
+	for i := 0; i < writers; i++ {
+		payloads[string(bytes.Repeat([]byte{'a' + byte(i)}, 4096+i))] = true
+	}
 	var wg sync.WaitGroup
-	results := make([][]byte, waiters)
-	sharedCount := atomic.Int32{}
-	for i := 0; i < waiters; i++ {
+	for p := range payloads {
 		wg.Add(1)
-		go func(i int) {
+		go func(p string) {
 			defer wg.Done()
-			payload, shared, err := c.Compute(context.Background(), "fp", func() ([]byte, error) {
-				calls.Add(1)
-				<-release // hold the flight open until everyone has joined
-				return []byte("the answer"), nil
-			})
-			if err != nil {
+			if err := s.Put("fp", []byte(p)); err != nil {
 				t.Error(err)
 			}
-			if shared {
-				sharedCount.Add(1)
-			}
-			results[i] = payload
-		}(i)
+		}(p)
 	}
-	// Hold the flight open until every other caller has joined it. A
-	// caller that arrived after the flight finished would find no flight
-	// and lead a second one, so releasing any earlier would make the
-	// single-compute check below depend on goroutine scheduling.
-	deadline := time.Now().Add(10 * time.Second)
-	for counter("rstore.singleflight_deduped")-joinedBefore < waiters-1 {
-		if time.Now().After(deadline) {
-			close(release)
-			wg.Wait()
-			t.Fatalf("only %d of %d callers joined the flight (compute ran %d times)",
-				counter("rstore.singleflight_deduped")-joinedBefore, waiters-1, calls.Load())
-		}
-		runtime.Gosched()
-	}
-	close(release)
 	wg.Wait()
-	if calls.Load() != 1 {
-		t.Fatalf("compute ran %d times, want 1", calls.Load())
-	}
-	for i, r := range results {
-		if string(r) != "the answer" {
-			t.Fatalf("waiter %d got %q", i, r)
-		}
-	}
-	// The leader persisted; a later lookup hits from disk.
-	if !c.Lookup(context.Background(), "fp", func(p []byte) error {
-		if string(p) != "the answer" {
-			return guard.Corrupt("bad bytes")
-		}
-		return nil
-	}) {
-		t.Fatal("persisted flight result must be readable")
-	}
-}
-
-func TestCacheComputeErrorPropagates(t *testing.T) {
-	s, err := OpenDisk(t.TempDir())
+	got, err := s.Get("fp")
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := NewCache(s)
-	boom := errors.New("eval failed")
-	if _, _, err := c.Compute(context.Background(), "fp", func() ([]byte, error) {
-		return nil, boom
-	}); !errors.Is(err, boom) {
-		t.Fatalf("got %v, want the compute error", err)
+	if !payloads[string(got)] {
+		t.Fatalf("Get returned %d bytes that no writer put", len(got))
 	}
-	// Failures are never persisted.
-	if _, err := s.Get("fp"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("failed compute must not persist: got %v", err)
+	entryFiles(t, s, 1)
+	tmps, err := filepath.Glob(filepath.Join(s.odir, "*", "*"+tmpSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tmps) != 0 {
+		t.Fatalf("tmp files left behind: %v", tmps)
 	}
 }
 
@@ -412,13 +367,7 @@ func TestNilCacheIsInert(t *testing.T) {
 	if c.Lookup(context.Background(), "fp", func([]byte) error { return nil }) {
 		t.Fatal("nil cache must miss")
 	}
-	payload, shared, err := c.Compute(context.Background(), "fp", func() ([]byte, error) {
-		return []byte("direct"), nil
-	})
-	if err != nil || shared || string(payload) != "direct" {
-		t.Fatalf("nil cache Compute = %q, %v, %v", payload, shared, err)
-	}
-	c.ReportBad(context.Background(), "fp", errors.New("x"))
+	c.Put("fp", []byte("dropped"))
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}

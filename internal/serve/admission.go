@@ -54,7 +54,8 @@ func newLimiter(endpoint string, maxInflight, queueDepth int, admissionTimeout t
 }
 
 // acquire admits the request or returns ErrShed (or the classified context
-// error when the client gave up while waiting). On success the returned
+// error when the client gave up while waiting). A waiter whose ctx deadline
+// passes first is shed too. On success the returned
 // release func must be called exactly once when the request finishes.
 func (l *limiter) acquire(ctx context.Context) (release func(), err error) {
 	if l.watermark > 0 && evalInflight.Value() >= l.watermark {
@@ -82,6 +83,11 @@ func (l *limiter) acquire(ctx context.Context) (release func(), err error) {
 			ErrShed, l.endpoint, l.admissionTimeout)
 	case <-ctx.Done():
 		<-l.queue
+		// A deadline that passes in the queue is overload, not a failed
+		// request: shed it, so it stays out of the watchdog's 5xx count.
+		if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+			return nil, fmt.Errorf("%w: %s: request deadline passed while waiting for a slot", ErrShed, l.endpoint)
+		}
 		return nil, guard.CtxErr(ctx)
 	}
 }

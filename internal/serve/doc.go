@@ -10,7 +10,9 @@
 //     deadline. When the waiting room is full, the deadline passes without
 //     a slot, or dse.eval_inflight exceeds the configured watermark, the
 //     request is shed with 429 + Retry-After instead of queueing
-//     unboundedly (serve.shed_total counts them).
+//     unboundedly (serve.shed_total counts them). A negative
+//     Config.QueueDepth leaves no waiting room: requests shed as soon as
+//     every slot is busy.
 //
 //   - Deadline propagation. Per-request deadlines (Config.RequestTimeout,
 //     tightened per request via ?timeout_ms=) ride the request context into
@@ -29,9 +31,12 @@
 //
 //   - Bounded studies. POST /v1/dse/study runs dse.NewStudy and Study.Run
 //     inside the request, behind the dse.study limiter (Config.StudyLimit
-//     slots, no eval_inflight watermark: studies are what drive it). A
-//     design space of more than 4096 (X, N, grid) points is refused with
-//     400 before it is enumerated.
+//     slots, no eval_inflight watermark: studies are what drive it). The
+//     request deadline is the study's only deadline. The body is checked
+//     (dse.StudySpec.Check) before the study waits for a slot, so a design
+//     space of more than 4096 (X, N, grid) points, a repeated X or N
+//     choice or an unknown model is refused with 400 however busy the
+//     route is, and is never enumerated.
 //
 //   - Inline config memo. Each Server maps the exact bytes of an inline
 //     ChipRequest.Config to the chip apicfg.Resolve and chip.BuildCached

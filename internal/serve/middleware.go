@@ -131,7 +131,8 @@ type handlerFunc func(r *http.Request) (status int, body any, err error)
 
 // handle wraps a model endpoint with the full robustness stack, outermost
 // first: request identity + RED metrics + access logging, admission control
-// (lim may be nil for cheap endpoints), per-request deadline propagation,
+// (lim is nil for cheap endpoints, and for the study route, whose handler
+// checks the body before it takes a slot), per-request deadline propagation,
 // panic recovery, error→status mapping, and watchdog accounting.
 func (s *Server) handle(endpoint string, lim *limiter, h handlerFunc) http.Handler {
 	rm := newRouteMetrics(endpoint)

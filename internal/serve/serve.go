@@ -31,7 +31,8 @@ type Config struct {
 	SimulateLimit int
 	StudyLimit    int
 	// QueueDepth bounds how many admitted requests may wait for a slot per
-	// endpoint; beyond it requests shed immediately.
+	// endpoint; beyond it requests shed immediately (0 falls back to the
+	// default; negative leaves no waiting room).
 	QueueDepth int
 	// AdmissionTimeout bounds how long a queued request waits for a slot.
 	AdmissionTimeout time.Duration
@@ -171,7 +172,9 @@ func New(cfg Config) *Server {
 	s.mux.Handle("POST /v1/chip/build", s.handle("chip.build", s.limBuild, s.buildHandler))
 	s.mux.Handle("POST /v1/perfsim/simulate", s.handle("perfsim.simulate", s.limSim, s.simulateHandler))
 	s.mux.Handle("POST /v1/perfsim/simulate-batch", s.handle("perfsim.simulate_batch", s.limSim, s.simulateBatchHandler))
-	s.mux.Handle("POST /v1/dse/study", s.handle("dse.study", s.limStudy, s.studyHandler))
+	// The study handler takes its dse.study slot itself, after it has
+	// checked the body.
+	s.mux.Handle("POST /v1/dse/study", s.handle("dse.study", nil, s.studyHandler))
 	return s
 }
 

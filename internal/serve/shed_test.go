@@ -10,16 +10,17 @@ import (
 	"neurometer/internal/guard"
 )
 
-// TestLoadShedding saturates a one-slot build endpoint with an injected
-// delay and asserts the overload contract: excess requests get 429 with a
-// Retry-After header, within (roughly) the admission deadline rather than
-// hanging, and serve.shed_total counts every shed.
+// TestLoadShedding saturates a one-slot build endpoint that has no waiting
+// room with an injected delay and asserts the overload contract: excess
+// requests get 429 with a Retry-After header at once, before the admission
+// deadline, and serve.shed_total counts every shed.
 func TestLoadShedding(t *testing.T) {
 	defer guard.DisarmAll()
+	const admission = 400 * time.Millisecond
 	_, ts := newTestServer(t, Config{
 		BuildLimit:       1,
-		QueueDepth:       0,
-		AdmissionTimeout: 100 * time.Millisecond,
+		QueueDepth:       -1,
+		AdmissionTimeout: admission,
 	})
 
 	// Hold the single build slot for half a second. chip.build injects with
@@ -32,6 +33,7 @@ func TestLoadShedding(t *testing.T) {
 	var wg sync.WaitGroup
 	statuses := make([]int, 1+extra)
 	retryAfter := make([]string, 1+extra)
+	took := make([]time.Duration, 1+extra)
 	for i := range statuses {
 		wg.Add(1)
 		go func(i int) {
@@ -40,6 +42,7 @@ func TestLoadShedding(t *testing.T) {
 				// Let the slow request claim the slot first.
 				time.Sleep(50 * time.Millisecond)
 			}
+			sent := time.Now()
 			resp, err := http.Post(ts.URL+"/v1/chip/build", "application/json",
 				strings.NewReader(`{"preset":"tpuv1"}`))
 			if err != nil {
@@ -49,6 +52,7 @@ func TestLoadShedding(t *testing.T) {
 			resp.Body.Close()
 			statuses[i] = resp.StatusCode
 			retryAfter[i] = resp.Header.Get("Retry-After")
+			took[i] = time.Since(sent)
 		}(i)
 	}
 	wg.Wait()
@@ -62,6 +66,12 @@ func TestLoadShedding(t *testing.T) {
 			if retryAfter[i] == "" {
 				t.Errorf("request %d: 429 without Retry-After", i)
 			}
+			// The waiting room (slots+queue = 1) was full while the slow
+			// build held its ticket, so the shed was immediate: it did not
+			// wait out the admission deadline.
+			if took[i] >= admission {
+				t.Errorf("request %d: 429 after %v, want it before the %v admission deadline", i, took[i], admission)
+			}
 		default:
 			t.Errorf("request %d: unexpected status %d", i, st)
 		}
@@ -69,8 +79,6 @@ func TestLoadShedding(t *testing.T) {
 	if shed == 0 {
 		t.Fatal("no request was shed despite a saturated slot")
 	}
-	// The waiting room (slots+queue = 1) was full while the slow build held
-	// its ticket, so sheds were immediate — well before the slot freed.
 	if elapsed := time.Since(start); elapsed > hold+2*time.Second {
 		t.Fatalf("shedding took %v — requests hung instead of shedding", elapsed)
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"net/http"
-	"time"
 
 	"neurometer/internal/dse"
 	"neurometer/internal/guard"
@@ -11,7 +10,9 @@ import (
 
 // StudyRequest describes a study. The zero value means: the paper's
 // Table I constraints, second-round reduction, batch 1, all workloads, all
-// optimizations.
+// optimizations. The request deadline (?timeout_ms=) bounds the whole
+// study; a field this type does not name, such as the removed
+// candidate_timeout_ms and retries, is refused with 400.
 type StudyRequest struct {
 	// Regime picks a Fig. 10 batch regime ("a-small" | "b-medium" |
 	// "c-large"); alternatively set Batch or LatencyBoundMS directly.
@@ -25,9 +26,6 @@ type StudyRequest struct {
 	XChoices []int `json:"x_choices,omitempty"`
 	NChoices []int `json:"n_choices,omitempty"`
 	MaxTiles int   `json:"max_tiles,omitempty"`
-	// Hardening overrides.
-	CandidateTimeoutMS int `json:"candidate_timeout_ms,omitempty"`
-	Retries            int `json:"retries,omitempty"`
 }
 
 // spec resolves the request into a dse.StudySpec.
@@ -83,10 +81,11 @@ type StudyResponse struct {
 }
 
 // studyHandler runs a whole study inside the request, under the request
-// deadline and the dse.study limiter. A study that does not finish in time
-// fails with the classified context error (504 or 499); with a result
-// store, the candidates it finished are stored, and posting it again
-// simulates only the rest.
+// deadline. It checks the body first and only then takes a dse.study slot,
+// so a malformed or over-cap study gets 400 however busy the route is. A
+// study that does not finish in time fails with the classified context
+// error (504 or 499); with a result store, the candidates it finished are
+// stored, and posting it again simulates only the rest.
 func (s *Server) studyHandler(r *http.Request) (int, any, error) {
 	var req StudyRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -96,15 +95,21 @@ func (s *Server) studyHandler(r *http.Request) (int, any, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	if err := spec.Check(); err != nil {
+		return 0, nil, err
+	}
+	release, err := s.limStudy.acquire(r.Context())
+	if err != nil {
+		return 0, nil, err
+	}
+	defer release()
 	study, err := dse.NewStudy(r.Context(), spec)
 	if err != nil {
 		return 0, nil, err
 	}
 	rows, err := study.Run(r.Context(), dse.Hardening{
-		CandidateTimeout: time.Duration(req.CandidateTimeoutMS) * time.Millisecond,
-		MaxRetries:       req.Retries,
-		Workers:          s.cfg.Workers,
-		Results:          s.cfg.Results, // nil = no result store
+		Workers: s.cfg.Workers,
+		Results: s.cfg.Results, // nil = no result store
 	})
 	if err != nil {
 		return 0, nil, err

@@ -75,7 +75,7 @@ func overCapStudyBody() string {
 
 // A study whose design-space choices repeat a value is a 400, as is one
 // over the point cap, and one that still sends a removed field ("full",
-// "wait" or "workers").
+// "wait", "workers", "candidate_timeout_ms" or "retries").
 func TestStudyRejectsMalformedRequest(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	before := obs.Default().Snapshot().Counters["dse.candidates_enumerated"]
@@ -86,6 +86,8 @@ func TestStudyRejectsMalformedRequest(t *testing.T) {
 		tinyStudyBody(`"full":true`),
 		tinyStudyBody(`"wait":true`),
 		tinyStudyBody(`"workers":2`),
+		tinyStudyBody(`"candidate_timeout_ms":30000`),
+		tinyStudyBody(`"retries":2`),
 	} {
 		status, _, resp := doJSON(t, "POST", ts.URL+"/v1/dse/study", body)
 		if status != 400 || resp["kind"] != "invalid-config" {
@@ -97,6 +99,37 @@ func TestStudyRejectsMalformedRequest(t *testing.T) {
 	}
 }
 
+// parkStudy posts a tiny study and parks it on its first candidate, so it
+// holds a dse.study slot until unpark is called; parked then receives its
+// status. unpark is also registered as a cleanup, so a failed check cannot
+// leave the study parked.
+func parkStudy(t *testing.T, url string) (unpark func(), parked <-chan int) {
+	t.Helper()
+	reached, release := make(chan struct{}), make(chan struct{})
+	unpark = sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unpark)
+	guard.Arm("dse.candidate", guard.Fault{Count: 1, OnHit: func() {
+		close(reached)
+		<-release
+	}})
+	status := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(url+"/v1/dse/study", "application/json", strings.NewReader(tinyStudyBody("")))
+		if err != nil {
+			status <- 0
+			return
+		}
+		resp.Body.Close()
+		status <- resp.StatusCode
+	}()
+	select {
+	case <-reached:
+	case st := <-status:
+		t.Fatalf("parked study answered %d before reaching a candidate", st)
+	}
+	return unpark, status
+}
+
 // TestStudyAdmissionSheds: while the one study slot is taken, another
 // study sheds with 429 + Retry-After once the admission deadline passes,
 // and the other routes keep serving; the parked study then finishes
@@ -104,29 +137,7 @@ func TestStudyRejectsMalformedRequest(t *testing.T) {
 func TestStudyAdmissionSheds(t *testing.T) {
 	defer guard.DisarmAll()
 	_, ts := newTestServer(t, Config{StudyLimit: 1, AdmissionTimeout: 100 * time.Millisecond})
-
-	reached, release := make(chan struct{}), make(chan struct{})
-	unpark := sync.OnceFunc(func() { close(release) })
-	defer unpark() // a failed check below must not leave the study parked
-	guard.Arm("dse.candidate", guard.Fault{Count: 1, OnHit: func() {
-		close(reached)
-		<-release
-	}})
-	parked := make(chan int, 1)
-	go func() {
-		resp, err := http.Post(ts.URL+"/v1/dse/study", "application/json", strings.NewReader(tinyStudyBody("")))
-		if err != nil {
-			parked <- 0
-			return
-		}
-		resp.Body.Close()
-		parked <- resp.StatusCode
-	}()
-	select {
-	case <-reached:
-	case status := <-parked:
-		t.Fatalf("first study answered %d before reaching a candidate", status)
-	}
+	unpark, parked := parkStudy(t, ts.URL)
 
 	status, hdr, body := doJSON(t, "POST", ts.URL+"/v1/dse/study", `{"batch":4,"models":["alexnet"],"x_choices":[8,64],"n_choices":[2,4],"max_tiles":32}`)
 	if status != 429 || body["kind"] != "shed" || hdr.Get("Retry-After") == "" {
@@ -134,6 +145,43 @@ func TestStudyAdmissionSheds(t *testing.T) {
 	}
 	if status, _, body := doJSON(t, "POST", ts.URL+"/v1/chip/build", `{"preset":"tpuv1"}`); status != 200 {
 		t.Fatalf("build while a study runs: %d %v", status, body)
+	}
+	unpark()
+	if status := <-parked; status != 200 {
+		t.Fatalf("parked study: %d, want 200", status)
+	}
+}
+
+// TestStudyValidatesBeforeAdmission: the study route checks a body before
+// it waits for a slot. While a study holds the only slot, an over-cap body
+// and a body with a repeated choice each get 400 well inside the admission
+// deadline, a valid body still waits it out and sheds, and so does one
+// whose own deadline passes first.
+func TestStudyValidatesBeforeAdmission(t *testing.T) {
+	defer guard.DisarmAll()
+	const admission = 500 * time.Millisecond
+	_, ts := newTestServer(t, Config{StudyLimit: 1, QueueDepth: 4, AdmissionTimeout: admission})
+	unpark, parked := parkStudy(t, ts.URL)
+
+	for _, body := range []string{
+		overCapStudyBody(),
+		`{"batch":8,"models":["alexnet"],"x_choices":[64,64],"n_choices":[2,4],"max_tiles":32}`,
+	} {
+		start := time.Now()
+		status, _, resp := doJSON(t, "POST", ts.URL+"/v1/dse/study", body)
+		if elapsed := time.Since(start); status != 400 || elapsed >= admission/2 {
+			t.Errorf("%.60s: %d %v after %v, want 400 well inside %v", body, status, resp, elapsed, admission)
+		}
+	}
+	valid := `{"batch":4,"models":["alexnet"],"x_choices":[8,64],"n_choices":[2,4],"max_tiles":32}`
+	start := time.Now()
+	status, _, resp := doJSON(t, "POST", ts.URL+"/v1/dse/study", valid)
+	if status != 429 || resp["kind"] != "shed" || time.Since(start) < admission {
+		t.Errorf("valid study: %d %v after %v, want 429 kind=shed after %v", status, resp, time.Since(start), admission)
+	}
+	status, _, resp = doJSON(t, "POST", ts.URL+"/v1/dse/study?timeout_ms=50", valid)
+	if status != 429 || resp["kind"] != "shed" {
+		t.Errorf("valid study with a 50 ms deadline: %d %v, want 429 kind=shed", status, resp)
 	}
 	unpark()
 	if status := <-parked; status != 200 {
