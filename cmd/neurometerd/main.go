@@ -3,6 +3,13 @@
 // load shedding, per-request deadlines, panic containment, a degraded-
 // readiness watchdog, and DSE studies answered within the request.
 //
+// The flags size admission (per-endpoint limits, queue depth, admission
+// timeout) and deployment (address, result store, drain, logs). The rest of
+// the envelope is fixed: a 30 s request deadline (?timeout_ms= tightens
+// it), /readyz degraded after 5 consecutive 5xx responses, 1 MiB request
+// bodies, 0–3 s of Retry-After jitter on a 429, and slow=true on
+// access-log lines of 1 s or more.
+//
 //	neurometerd -addr :8080 -result-store /var/lib/neurometer/results
 //
 // Endpoints:
@@ -57,15 +64,10 @@ func main() {
 	studyLimit := flag.Int("study-limit", def.StudyLimit, "max concurrent /v1/dse/study requests")
 	queueDepth := flag.Int("queue-depth", def.QueueDepth, "admission queue depth per endpoint (0 = default; negative = no waiting room)")
 	admissionTimeout := flag.Duration("admission-timeout", def.AdmissionTimeout, "max wait for an execution slot before shedding")
-	requestTimeout := flag.Duration("request-timeout", def.RequestTimeout, "default per-request deadline")
-	shedWatermark := flag.Float64("shed-watermark", def.ShedWatermark, "shed build/simulate requests while dse.eval_inflight is at or above this (0 disables)")
-	degradedAfter := flag.Int("degraded-after", def.DegradedAfter, "consecutive 5xx responses before /readyz reports degraded (negative disables)")
 	workers := flag.Int("workers", 0, "study evaluation workers (0 = GOMAXPROCS)")
 	resultStore := flag.String("result-store", "", "persistent per-candidate result store directory that studies read through (empty disables; corrupt entries are quarantined and recomputed)")
-	retryJitter := flag.Int("retry-after-jitter", def.RetryAfterJitter, "seconds of uniform jitter added to Retry-After on 429 (negative disables)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time for the graceful drain on SIGTERM/SIGINT")
 	accessLog := flag.String("access-log", "stderr", "structured JSON access log destination: stderr, off, or a file path")
-	slowRequest := flag.Duration("slow-request", def.SlowRequest, "flag access-log lines slow=true at or above this latency (negative disables)")
 	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof debug endpoints (empty disables)")
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -83,12 +85,7 @@ func main() {
 		StudyLimit:       *studyLimit,
 		QueueDepth:       *queueDepth,
 		AdmissionTimeout: *admissionTimeout,
-		RequestTimeout:   *requestTimeout,
-		ShedWatermark:    *shedWatermark,
-		DegradedAfter:    *degradedAfter,
 		Workers:          *workers,
-		RetryAfterJitter: *retryJitter,
-		SlowRequest:      *slowRequest,
 	}
 	if *resultStore != "" {
 		st, err := rstore.OpenDisk(*resultStore)

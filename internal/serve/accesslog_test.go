@@ -3,9 +3,11 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"io"
 	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
@@ -32,10 +34,7 @@ func (b *syncBuffer) String() string {
 
 func TestAccessLogLines(t *testing.T) {
 	var buf syncBuffer
-	_, ts := newTestServer(t, Config{
-		AccessLog:   slog.New(slog.NewJSONHandler(&buf, nil)),
-		SlowRequest: -1,
-	})
+	_, ts := newTestServer(t, Config{AccessLog: slog.New(slog.NewJSONHandler(&buf, nil))})
 
 	// A success, with a caller-provided request id that must thread through.
 	req, err := http.NewRequest("POST", ts.URL+"/v1/chip/build", strings.NewReader(`{"preset":"tpuv1"}`))
@@ -83,16 +82,12 @@ func TestAccessLogLines(t *testing.T) {
 	}
 }
 
+// TestAccessLogSlowFlag: a request that took 1.5 s is flagged slow=true.
 func TestAccessLogSlowFlag(t *testing.T) {
 	var buf syncBuffer
-	_, ts := newTestServer(t, Config{
-		AccessLog:   slog.New(slog.NewJSONHandler(&buf, nil)),
-		SlowRequest: 1, // 1ns: everything is slow
-	})
-	status, _, _ := doJSON(t, "POST", ts.URL+"/v1/chip/build", `{"preset":"tpuv1"}`)
-	if status != 200 {
-		t.Fatalf("build: status %d", status)
-	}
+	s := New(Config{AccessLog: slog.New(slog.NewJSONHandler(&buf, nil))})
+	defer s.Shutdown(context.Background())
+	s.logAccess(httptest.NewRequest("POST", "/v1/chip/build", nil), "chip.build", "req-1", 200, "", 1.5)
 	if !strings.Contains(buf.String(), `"slow":true`) {
 		t.Fatalf("slow request not flagged: %s", buf.String())
 	}

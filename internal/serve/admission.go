@@ -7,22 +7,15 @@ import (
 	"time"
 
 	"neurometer/internal/guard"
-	"neurometer/internal/obs"
 )
 
 // ErrShed marks a request rejected by admission control: the waiting room
-// was full, no execution slot freed up within the admission deadline, or
-// the evaluation pool was past its load watermark. The middleware maps it
-// to 429 Too Many Requests with a Retry-After header — shedding is the
-// designed response to overload, not a server failure, so it neither feeds
-// the watchdog nor counts as a 5xx.
+// was full, or no execution slot freed up within the admission deadline or
+// the request's own deadline. The middleware maps it to 429 Too Many
+// Requests with a Retry-After header — shedding is the designed response to
+// overload, not a server failure, so it neither feeds the watchdog nor
+// counts as a 5xx.
 var ErrShed = errors.New("overloaded")
-
-// evalInflight is the dse worker pool's in-flight gauge, shared through the
-// obs default registry. Cost-aware shedding reads it: when heavy study work
-// saturates the evaluation pool, cheap interactive requests are turned away
-// early instead of piling onto a machine that cannot serve them.
-var evalInflight = obs.NewGauge("dse.eval_inflight")
 
 // limiter is one endpoint's admission controller: at most cap(slots)
 // requests executing, at most cap(queue) more waiting, everyone else shed
@@ -33,11 +26,9 @@ type limiter struct {
 	slots            chan struct{}
 	queue            chan struct{}
 	admissionTimeout time.Duration
-	// watermark sheds before queueing when evalInflight meets it (0 = off).
-	watermark float64
 }
 
-func newLimiter(endpoint string, maxInflight, queueDepth int, admissionTimeout time.Duration, watermark float64) *limiter {
+func newLimiter(endpoint string, maxInflight, queueDepth int, admissionTimeout time.Duration) *limiter {
 	if maxInflight < 1 {
 		maxInflight = 1
 	}
@@ -49,7 +40,6 @@ func newLimiter(endpoint string, maxInflight, queueDepth int, admissionTimeout t
 		slots:            make(chan struct{}, maxInflight),
 		queue:            make(chan struct{}, maxInflight+queueDepth),
 		admissionTimeout: admissionTimeout,
-		watermark:        watermark,
 	}
 }
 
@@ -58,10 +48,6 @@ func newLimiter(endpoint string, maxInflight, queueDepth int, admissionTimeout t
 // passes first is shed too. On success the returned
 // release func must be called exactly once when the request finishes.
 func (l *limiter) acquire(ctx context.Context) (release func(), err error) {
-	if l.watermark > 0 && evalInflight.Value() >= l.watermark {
-		return nil, fmt.Errorf("%w: %s: evaluation pool past watermark (%.0f in flight)",
-			ErrShed, l.endpoint, evalInflight.Value())
-	}
 	// The waiting room bounds slot-holders plus waiters, so a ticket is
 	// held until the request releases its slot.
 	select {

@@ -7,36 +7,35 @@
 //
 //   - Admission control. Every model endpoint sits behind a bounded work
 //     queue with a per-endpoint concurrency limit and an admission
-//     deadline. When the waiting room is full, the deadline passes without
-//     a slot, or dse.eval_inflight exceeds the configured watermark, the
-//     request is shed with 429 + Retry-After instead of queueing
-//     unboundedly (serve.shed_total counts them). A negative
+//     deadline. When the waiting room is full or the deadline passes
+//     without a slot, the request is shed with 429 + Retry-After instead
+//     of queueing unboundedly (serve.shed_total counts them). A negative
 //     Config.QueueDepth leaves no waiting room: requests shed as soon as
 //     every slot is busy.
 //
-//   - Deadline propagation. Per-request deadlines (Config.RequestTimeout,
-//     tightened per request via ?timeout_ms=) ride the request context into
-//     the simulations and a study's enumeration and run; expiry surfaces as
-//     guard.ErrTimeout → 504 and a client disconnect as guard.ErrCanceled
-//     → 499, with the kind= taxonomy in the response body.
+//   - Deadline propagation. Per-request deadlines (30 s, tightened per
+//     request via ?timeout_ms=, never loosened) ride the request context
+//     into the simulations and a study's enumeration and run; expiry
+//     surfaces as guard.ErrTimeout → 504 and a client disconnect as
+//     guard.ErrCanceled → 499, with the kind= taxonomy in the response
+//     body.
 //
 //   - Crash safety. Panic-recovery middleware (guard.RecoverTo) converts a
 //     poisoned request into a 500 and a counter increment — never a dead
-//     process. A watchdog trips /readyz into a degraded 503 after
-//     Config.DegradedAfter consecutive 5xx responses and un-trips on the
-//     next success. Study rows persist through the result store
-//     (Config.Results): posting again a study that ran out of time, to the
-//     same server or a restarted one sharing the store, reruns it
-//     byte-identically, simulating only the candidates not yet stored.
+//     process. A watchdog trips /readyz into a degraded 503 after 5
+//     consecutive 5xx responses and un-trips on the next success. Study
+//     rows persist through the result store (Config.Results): posting
+//     again a study that ran out of time, to the same server or a
+//     restarted one sharing the store, reruns it byte-identically,
+//     simulating only the candidates not yet stored.
 //
 //   - Bounded studies. POST /v1/dse/study runs dse.NewStudy and Study.Run
 //     inside the request, behind the dse.study limiter (Config.StudyLimit
-//     slots, no eval_inflight watermark: studies are what drive it). The
-//     request deadline is the study's only deadline. The body is checked
-//     (dse.StudySpec.Check) before the study waits for a slot, so a design
-//     space of more than 4096 (X, N, grid) points, a repeated X or N
-//     choice or an unknown model is refused with 400 however busy the
-//     route is, and is never enumerated.
+//     slots). The request deadline is the study's only deadline. The body
+//     is checked (dse.StudySpec.Check) before the study waits for a slot,
+//     so a design space of more than 4096 (X, N, grid) points, a repeated
+//     X or N choice or an unknown model is refused with 400 however busy
+//     the route is, and is never enumerated.
 //
 //   - Inline config memo. Each Server maps the exact bytes of an inline
 //     ChipRequest.Config to the chip apicfg.Resolve and chip.BuildCached

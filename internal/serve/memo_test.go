@@ -141,7 +141,7 @@ func TestChipMemoSkipsFailures(t *testing.T) {
 		{"unknown enum", strings.Replace(memoConfig, `"int8"`, `"int4"`, 1), http.StatusBadRequest},
 		{"infeasible chip", strings.Replace(memoConfig, `"area_budget_mm2":500`, `"area_budget_mm2":1`, 1), http.StatusUnprocessableEntity},
 	}
-	s := New(Config{DegradedAfter: -1})
+	s := New(Config{})
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 	h := s.Handler()
 	for _, tc := range cases {
@@ -180,7 +180,7 @@ func TestChipMemoSkipsFailures(t *testing.T) {
 // built while armed is not stored.
 func TestChipMemoBypassedWhileArmed(t *testing.T) {
 	defer guard.DisarmAll()
-	s := New(Config{DegradedAfter: -1})
+	s := New(Config{})
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 	h := s.Handler()
 	build := func(cfg string) (int, []byte) {

@@ -171,7 +171,7 @@ func (s *Server) handle(endpoint string, lim *limiter, h handlerFunc) http.Handl
 			// connection on overflow and surfaces a typed error decodeBody
 			// maps to 413 — a client streaming an oversized body cannot
 			// tie up the decoder.
-			r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
+			r.Body = http.MaxBytesReader(sw, r.Body, maxBodyBytes)
 		}
 
 		if lim != nil {
@@ -212,7 +212,7 @@ func (s *Server) handle(endpoint string, lim *limiter, h handlerFunc) http.Handl
 
 // logAccess emits one structured access-log line (when the server has an
 // access logger): request id, route, status, error disposition, latency,
-// and a slow-request flag against the configured threshold.
+// and a slow flag at or above slowRequest.
 func (s *Server) logAccess(r *http.Request, endpoint, rid string, status int, kind string, sec float64) {
 	if s.accessLog == nil {
 		return
@@ -228,25 +228,23 @@ func (s *Server) logAccess(r *http.Request, endpoint, rid string, status int, ki
 	if kind != "" {
 		attrs = append(attrs, slog.String("kind", kind))
 	}
-	if slow := s.cfg.SlowRequest; slow > 0 && sec >= slow.Seconds() {
+	if sec >= slowRequest.Seconds() {
 		attrs = append(attrs, slog.Bool("slow", true))
 	}
 	s.accessLog.LogAttrs(r.Context(), slog.LevelInfo, "request", attrs...)
 }
 
-// requestContext derives the handler context: the server's default request
-// timeout, tightened (never loosened) by a positive ?timeout_ms= query
-// parameter. The resulting deadline rides into the model layers, and a
-// client disconnect cancels it through r.Context().
+// requestContext derives the handler context: requestTimeout, tightened
+// (never loosened) by a positive ?timeout_ms= query parameter. The
+// milliseconds are compared before they are converted, so a huge value
+// cannot overflow the Duration into a negative one. The resulting deadline
+// rides into the model layers, and a client disconnect cancels it through
+// r.Context().
 func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
-	d := s.cfg.RequestTimeout
-	if ms, err := strconv.Atoi(r.URL.Query().Get("timeout_ms")); err == nil && ms > 0 {
-		if req := time.Duration(ms) * time.Millisecond; d <= 0 || req < d {
-			d = req
-		}
-	}
-	if d <= 0 {
-		return context.WithCancel(r.Context())
+	d := requestTimeout
+	ms, err := strconv.Atoi(r.URL.Query().Get("timeout_ms"))
+	if err == nil && ms > 0 && int64(ms) < d.Milliseconds() {
+		d = time.Duration(ms) * time.Millisecond
 	}
 	return context.WithTimeout(r.Context(), d)
 }
@@ -297,7 +295,7 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, endpoint str
 
 // retryAfter hints how long a shed client should back off: the admission
 // deadline rounded up to a whole second (the time a queued slot is most
-// likely to take to free), plus a uniform 0..RetryAfterJitter seconds of
+// likely to take to free), plus a uniform 0..retryAfterJitter seconds of
 // dither so a burst of shed clients does not reconverge on the same retry
 // tick and shed again in lockstep.
 func (s *Server) retryAfter() string {
@@ -305,18 +303,13 @@ func (s *Server) retryAfter() string {
 	if secs < 1 {
 		secs = 1
 	}
-	if j := s.cfg.RetryAfterJitter; j > 0 {
-		secs += rand.Intn(j + 1)
-	}
-	return strconv.Itoa(secs)
+	return strconv.Itoa(secs + rand.Intn(retryAfterJitter+1))
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(w).Encode(v); err != nil {
 		slog.Debug("serve: response encode failed", "err", err)
 	}
 }

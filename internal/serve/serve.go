@@ -36,24 +36,8 @@ type Config struct {
 	QueueDepth int
 	// AdmissionTimeout bounds how long a queued request waits for a slot.
 	AdmissionTimeout time.Duration
-	// RequestTimeout is the default per-request deadline (tightened per
-	// request with ?timeout_ms=).
-	RequestTimeout time.Duration
-	// ShedWatermark sheds build/simulate requests while dse.eval_inflight
-	// is at or above it (0 disables cost-aware shedding).
-	ShedWatermark float64
-	// DegradedAfter consecutive 5xx responses trip /readyz degraded
-	// (0 falls back to the default; negative disables the watchdog).
-	DegradedAfter int
 	// Workers is the dse evaluation pool size for studies.
 	Workers int
-	// MaxBodyBytes bounds request bodies; an overflowing body is rejected
-	// with 413 and kind=too-large.
-	MaxBodyBytes int64
-	// RetryAfterJitter widens the Retry-After hint on 429 responses by a
-	// uniform 0..RetryAfterJitter seconds, de-synchronizing shed clients
-	// that would otherwise all retry on the same tick. Negative disables.
-	RetryAfterJitter int
 	// Results, when non-nil, is the persistent content-addressed result
 	// store studies read through (dse.Hardening.Results), so a study
 	// whose candidates were already evaluated serves them from disk. nil
@@ -64,10 +48,25 @@ type Config struct {
 	// the model endpoints (request id, route, status, disposition, latency,
 	// slow flag). nil disables access logging.
 	AccessLog *slog.Logger
-	// SlowRequest is the latency at or above which an access-log line is
-	// flagged slow=true (0 falls back to the default; negative disables).
-	SlowRequest time.Duration
 }
+
+// The fixed part of the robustness envelope.
+const (
+	// requestTimeout is every request's deadline; ?timeout_ms= tightens it.
+	requestTimeout = 30 * time.Second
+	// degradedAfter consecutive 5xx responses trip /readyz degraded.
+	degradedAfter = 5
+	// maxBodyBytes bounds request bodies; an overflowing body is rejected
+	// with 413 and kind=too-large.
+	maxBodyBytes = 1 << 20
+	// retryAfterJitter widens the Retry-After hint on 429 responses by a
+	// uniform 0..retryAfterJitter seconds, de-synchronizing shed clients
+	// that would otherwise all retry on the same tick.
+	retryAfterJitter = 3
+	// slowRequest is the latency at or above which an access-log line is
+	// flagged slow=true.
+	slowRequest = time.Second
+)
 
 // DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
@@ -75,14 +74,9 @@ func DefaultConfig() Config {
 		BuildLimit:       8,
 		SimulateLimit:    4,
 		StudyLimit:       1,
-		RetryAfterJitter: 3,
 		QueueDepth:       16,
 		AdmissionTimeout: time.Second,
-		RequestTimeout:   30 * time.Second,
-		DegradedAfter:    5,
 		Workers:          dse.DefaultWorkers,
-		MaxBodyBytes:     1 << 20,
-		SlowRequest:      time.Second,
 	}
 }
 
@@ -98,29 +92,14 @@ func (c Config) withDefaults() Config {
 	if c.StudyLimit == 0 {
 		c.StudyLimit = d.StudyLimit
 	}
-	if c.RetryAfterJitter == 0 {
-		c.RetryAfterJitter = d.RetryAfterJitter
-	}
 	if c.QueueDepth == 0 {
 		c.QueueDepth = d.QueueDepth
 	}
 	if c.AdmissionTimeout == 0 {
 		c.AdmissionTimeout = d.AdmissionTimeout
 	}
-	if c.RequestTimeout == 0 {
-		c.RequestTimeout = d.RequestTimeout
-	}
-	if c.DegradedAfter == 0 {
-		c.DegradedAfter = d.DegradedAfter
-	}
 	if c.Workers == 0 {
 		c.Workers = d.Workers
-	}
-	if c.MaxBodyBytes == 0 {
-		c.MaxBodyBytes = d.MaxBodyBytes
-	}
-	if c.SlowRequest == 0 {
-		c.SlowRequest = d.SlowRequest
 	}
 	return c
 }
@@ -150,13 +129,12 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	obs.RegisterBuildInfo() // the build_info gauge is visible on /metricz
 	s := &Server{
-		cfg:      cfg,
-		mux:      http.NewServeMux(),
-		wd:       &watchdog{threshold: int64(cfg.DegradedAfter)},
-		limBuild: newLimiter("chip.build", cfg.BuildLimit, cfg.QueueDepth, cfg.AdmissionTimeout, cfg.ShedWatermark),
-		limSim:   newLimiter("perfsim.simulate", cfg.SimulateLimit, cfg.QueueDepth, cfg.AdmissionTimeout, cfg.ShedWatermark),
-		// A study is what drives dse.eval_inflight, so it never sheds on it.
-		limStudy:  newLimiter("dse.study", cfg.StudyLimit, cfg.QueueDepth, cfg.AdmissionTimeout, 0),
+		cfg:       cfg,
+		mux:       http.NewServeMux(),
+		wd:        &watchdog{},
+		limBuild:  newLimiter("chip.build", cfg.BuildLimit, cfg.QueueDepth, cfg.AdmissionTimeout),
+		limSim:    newLimiter("perfsim.simulate", cfg.SimulateLimit, cfg.QueueDepth, cfg.AdmissionTimeout),
+		limStudy:  newLimiter("dse.study", cfg.StudyLimit, cfg.QueueDepth, cfg.AdmissionTimeout),
 		accessLog: cfg.AccessLog,
 		workloads: newPreparedWorkloads(),
 		chips:     chipMemo{chips: map[string]*chip.Chip{}},
@@ -295,8 +273,8 @@ func (cr ChipRequest) resolve() (*chip.Chip, error) {
 // whitespace or key order are separate entries holding one chip.
 //
 // The memo holds at most chipMemoEntries entries and chipMemoKeyBytes key
-// bytes: a body may carry a config of up to Config.MaxBodyBytes, so an
-// entry count alone does not bound its memory. An insert that would pass
+// bytes: a body may carry a config of up to maxBodyBytes, so an entry
+// count alone does not bound its memory. An insert that would pass
 // either bound empties it first, as chip.BuildCached does, and a key larger
 // than the whole byte bound is never stored.
 type chipMemo struct {

@@ -137,7 +137,7 @@ func TestMetricz(t *testing.T) {
 // healthy requests afterwards.
 func TestFaultMatrix(t *testing.T) {
 	defer guard.DisarmAll()
-	_, ts := newTestServer(t, Config{DegradedAfter: -1})
+	_, ts := newTestServer(t, Config{})
 
 	cases := []struct {
 		name, site string
@@ -205,7 +205,7 @@ func TestFaultMatrix(t *testing.T) {
 // count it as a server failure).
 func TestClientDisconnectMapsTo499(t *testing.T) {
 	defer guard.DisarmAll()
-	s, ts := newTestServer(t, Config{DegradedAfter: 1})
+	s, ts := newTestServer(t, Config{})
 
 	released := make(chan struct{})
 	guard.Arm("perfsim.layer", guard.Fault{Delay: 5 * time.Second, Count: 1, OnHit: func() { close(released) }})
@@ -222,11 +222,10 @@ func TestClientDisconnectMapsTo499(t *testing.T) {
 	<-released // the armed delay observed the cancellation
 
 	// Wait for the handler to unwind, then check the canceled client was
-	// not treated as a server failure: the watchdog (threshold 1) must not
-	// have tripped.
+	// not treated as a server failure: the watchdog counted nothing.
 	waitFor(t, 2*time.Second, func() bool { return gInflight.Value() == 0 })
-	if s.wd.isDegraded() {
-		t.Fatal("client disconnect tripped the watchdog")
+	if n := s.wd.consecutive.Load(); n != 0 {
+		t.Fatalf("client disconnect fed the watchdog: %d consecutive failures", n)
 	}
 }
 
@@ -282,21 +281,30 @@ func TestNoGoroutineLeakAcrossLifecycle(t *testing.T) {
 	invariants.RequireGaugesDrained(t)
 }
 
-// TestBodyTooLarge: a request body past MaxBodyBytes is cut off with 413
-// and kind=too-large, on every POST endpoint.
+// TestBodyTooLarge: a request body of 1 MiB + 1 byte is cut off with 413
+// and kind=too-large, on every POST endpoint; a body of exactly 1 MiB is
+// read to its end.
 func TestBodyTooLarge(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBodyBytes: 64})
-	big := `{"preset":"` + strings.Repeat("x", 256) + `"}`
+	_, ts := newTestServer(t, Config{})
+	body := func(n int) string {
+		const frame = `{"preset":""}`
+		return frame[:len(frame)-2] + strings.Repeat("x", n-len(frame)) + frame[len(frame)-2:]
+	}
+	big := body(1<<20 + 1)
 	for _, ep := range []string{"/v1/chip/build", "/v1/perfsim/simulate", "/v1/perfsim/simulate-batch", "/v1/dse/study"} {
-		status, _, body := doJSON(t, "POST", ts.URL+ep, big)
-		if status != http.StatusRequestEntityTooLarge || body["kind"] != "too-large" {
-			t.Errorf("%s oversized body: %d %v, want 413 kind=too-large", ep, status, body)
+		status, _, resp := doJSON(t, "POST", ts.URL+ep, big)
+		if status != http.StatusRequestEntityTooLarge || resp["kind"] != "too-large" {
+			t.Errorf("%s oversized body: %d %v, want 413 kind=too-large", ep, status, resp)
 		}
 	}
+	// A body at the bound is decoded: its unknown preset is a 400.
+	if status, _, resp := doJSON(t, "POST", ts.URL+"/v1/chip/build", body(1<<20)); status != 400 || resp["kind"] != "invalid-config" {
+		t.Errorf("1 MiB body: %d %v, want 400 kind=invalid-config", status, resp)
+	}
 	// A body within the bound still works.
-	status, _, body := doJSON(t, "POST", ts.URL+"/v1/chip/build", `{"preset":"tpuv1"}`)
+	status, _, resp := doJSON(t, "POST", ts.URL+"/v1/chip/build", `{"preset":"tpuv1"}`)
 	if status != 200 {
-		t.Fatalf("small body after 413s: %d %v", status, body)
+		t.Fatalf("small body after 413s: %d %v", status, resp)
 	}
 }
 
@@ -336,11 +344,11 @@ func TestContentTypeChecked(t *testing.T) {
 }
 
 // TestRetryAfterJitterBand: the Retry-After hint stays inside
-// [admission, admission+jitter] seconds and actually dithers.
+// [admission, admission+3] seconds and actually dithers.
 func TestRetryAfterJitterBand(t *testing.T) {
-	s := New(Config{AdmissionTimeout: 2 * time.Second, RetryAfterJitter: 5})
+	s := New(Config{AdmissionTimeout: 2 * time.Second})
 	defer s.Shutdown(context.Background())
-	const lo, hi = 2, 2 + 5
+	const lo, hi = 2, 2 + 3
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
 		secs, err := strconv.Atoi(s.retryAfter())
@@ -355,13 +363,34 @@ func TestRetryAfterJitterBand(t *testing.T) {
 	if len(seen) < 2 {
 		t.Fatalf("200 draws produced %d distinct Retry-After values, want jitter", len(seen))
 	}
+}
 
-	// Jitter disabled: the historical fixed hint.
-	s2 := New(Config{AdmissionTimeout: 2 * time.Second, RetryAfterJitter: -1})
-	defer s2.Shutdown(context.Background())
-	for i := 0; i < 20; i++ {
-		if got := s2.retryAfter(); got != "2" {
-			t.Fatalf("jitter disabled: Retry-After = %s, want 2", got)
+// TestRequestDeadlineNeverLoosened: ?timeout_ms= only tightens the 30 s
+// request deadline. A value too large for a time.Duration in nanoseconds
+// keeps the 30 s deadline instead of wrapping negative and dropping it;
+// garbage and non-positive values keep it too.
+func TestRequestDeadlineNeverLoosened(t *testing.T) {
+	s := New(Config{})
+	defer s.Shutdown(context.Background())
+	for _, tc := range []struct {
+		query string
+		want  time.Duration
+	}{
+		{"", 30 * time.Second},
+		{"?timeout_ms=250", 250 * time.Millisecond},
+		{"?timeout_ms=60000", 30 * time.Second},
+		{"?timeout_ms=10000000000000", 30 * time.Second},
+		{"?timeout_ms=9223372036854775807", 30 * time.Second},
+		{"?timeout_ms=0", 30 * time.Second},
+		{"?timeout_ms=-5", 30 * time.Second},
+		{"?timeout_ms=soon", 30 * time.Second},
+	} {
+		ctx, cancel := s.requestContext(httptest.NewRequest("POST", "/v1/chip/build"+tc.query, nil))
+		deadline, ok := ctx.Deadline()
+		left := time.Until(deadline)
+		cancel()
+		if !ok || left > tc.want || left < tc.want-time.Second {
+			t.Errorf("%q: deadline set %v, %v away; want %v", tc.query, ok, left, tc.want)
 		}
 	}
 }

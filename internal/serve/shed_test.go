@@ -87,38 +87,22 @@ func TestLoadShedding(t *testing.T) {
 	}
 }
 
-// TestWatermarkShedding pushes the shared dse.eval_inflight gauge past the
-// configured watermark and checks that interactive endpoints turn work away
-// while heavy study evaluation saturates the pool.
-func TestWatermarkShedding(t *testing.T) {
-	_, ts := newTestServer(t, Config{ShedWatermark: 2})
-
-	evalInflight.Add(2) // as if two study candidates were evaluating
-	status, hdr, body := doJSON(t, "POST", ts.URL+"/v1/chip/build", `{"preset":"tpuv1"}`)
-	evalInflight.Add(-2)
-	if status != 429 {
-		t.Fatalf("status = %d (%v), want 429", status, body)
-	}
-	if hdr.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
-	}
-
-	if status, _, _ := doJSON(t, "POST", ts.URL+"/v1/chip/build", `{"preset":"tpuv1"}`); status != 200 {
-		t.Fatalf("below watermark: status = %d, want 200", status)
-	}
-}
-
-// TestWatchdogDegradesAndRecovers drives consecutive 5xx failures through
-// the middleware and watches /readyz flip to 503 degraded, then back to 200
-// after a success.
+// TestWatchdogDegradesAndRecovers drives 5 consecutive 5xx failures through
+// the middleware and watches /readyz flip to 503 degraded on the fifth, then
+// back to 200 after a success.
 func TestWatchdogDegradesAndRecovers(t *testing.T) {
 	defer guard.DisarmAll()
-	_, ts := newTestServer(t, Config{DegradedAfter: 2})
+	_, ts := newTestServer(t, Config{})
 
 	disarm := guard.Arm("chip.build", guard.Fault{Err: guard.NonFinite("peak_tops", 0)})
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 5; i++ {
 		if status, _, _ := doJSON(t, "POST", ts.URL+"/v1/chip/build", `{"preset":"tpuv1"}`); status != 500 {
 			t.Fatalf("faulted build %d: status %d, want 500", i, status)
+		}
+		if i == 3 {
+			if status, _, body := doJSON(t, "GET", ts.URL+"/readyz", ""); status != 200 {
+				t.Fatalf("readyz after 4 failures: %d %v, want 200 ready", status, body)
+			}
 		}
 	}
 	status, _, body := doJSON(t, "GET", ts.URL+"/readyz", "")
@@ -145,17 +129,45 @@ func TestWatchdogDegradesAndRecovers(t *testing.T) {
 }
 
 // TestShedDoesNotTripWatchdog: 429s are the designed overload response, not
-// failures — a shed storm must not mark the instance degraded.
+// failures — a shed storm must not mark the instance degraded. One parked
+// build fills a waiting room with one slot and no queue, so every other
+// build sheds at once.
 func TestShedDoesNotTripWatchdog(t *testing.T) {
-	s, ts := newTestServer(t, Config{ShedWatermark: 1, DegradedAfter: 2})
-	evalInflight.Add(1)
-	defer evalInflight.Add(-1)
-	for i := 0; i < 5; i++ {
-		if status, _, _ := doJSON(t, "POST", ts.URL+"/v1/chip/build", `{"preset":"tpuv1"}`); status != 429 {
-			t.Fatalf("status %d, want 429", status)
+	defer guard.DisarmAll()
+	s, ts := newTestServer(t, Config{BuildLimit: 1, QueueDepth: -1})
+	reached, release := make(chan struct{}), make(chan struct{})
+	unpark := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unpark)
+	guard.Arm("chip.build", guard.Fault{Count: 1, OnHit: func() {
+		close(reached)
+		<-release
+	}})
+	parked := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/v1/chip/build", "application/json", strings.NewReader(`{"preset":"tpuv1"}`))
+		if err != nil {
+			parked <- 0
+			return
+		}
+		resp.Body.Close()
+		parked <- resp.StatusCode
+	}()
+	select {
+	case <-reached:
+	case st := <-parked:
+		t.Fatalf("parked build answered %d before reaching chip.build", st)
+	}
+
+	for i := 0; i < 2*degradedAfter; i++ {
+		if status, _, body := doJSON(t, "POST", ts.URL+"/v1/chip/build", `{"preset":"tpuv1"}`); status != 429 {
+			t.Fatalf("build %d behind the parked one: %d %v, want 429", i, status, body)
 		}
 	}
-	if s.wd.isDegraded() {
-		t.Fatal("shedding tripped the watchdog")
+	if n := s.wd.consecutive.Load(); n != 0 || s.wd.isDegraded() {
+		t.Fatalf("shedding fed the watchdog: %d consecutive failures, degraded %v", n, s.wd.isDegraded())
+	}
+	unpark()
+	if status := <-parked; status != 200 {
+		t.Fatalf("parked build: %d, want 200", status)
 	}
 }

@@ -71,9 +71,7 @@ func freshSimulate(t *testing.T, workload, preset string, batch int, opt perfsim
 func wireBytes(t *testing.T, v any) []byte {
 	t.Helper()
 	var b bytes.Buffer
-	enc := json.NewEncoder(&b)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
+	if err := json.NewEncoder(&b).Encode(v); err != nil {
 		t.Fatal(err)
 	}
 	return b.Bytes()

@@ -15,22 +15,18 @@ var mDegraded = obs.NewCounter("serve.degraded_total")
 // stays green so the orchestrator does not kill a process that can still
 // recover. The next successful request un-trips it.
 type watchdog struct {
-	threshold   int64 // consecutive 5xx to trip; <= 0 disables the watchdog
 	consecutive atomic.Int64
 	degraded    atomic.Bool
 }
 
-// fail records one server-side failure; crossing the threshold trips the
+// fail records one server-side failure; degradedAfter in a row trip the
 // degraded state (counted once per trip).
 func (w *watchdog) fail() {
-	if w.threshold <= 0 {
-		return
-	}
-	if n := w.consecutive.Add(1); n >= w.threshold {
+	if n := w.consecutive.Add(1); n >= degradedAfter {
 		if !w.degraded.Swap(true) {
 			mDegraded.Inc()
 			slog.Warn("serve: watchdog tripped, /readyz degraded",
-				"consecutive_failures", n, "threshold", w.threshold)
+				"consecutive_failures", n, "threshold", degradedAfter)
 		}
 	}
 }
