@@ -291,11 +291,14 @@ func BenchmarkAblations(b *testing.B) {
 }
 
 // BenchmarkChipBuild measures the framework's own modeling speed — the
-// "fast" in fast-and-accurate: one full chip evaluation per iteration.
+// "fast" in fast-and-accurate: one full, cold chip evaluation per
+// iteration. The build memos are emptied first, or every iteration after
+// the first would score its memory arrays from the array memo.
 func BenchmarkChipBuild(b *testing.B) {
 	cs := dse.TableI()
 	cfg := cs.Config(dse.Point{X: 64, N: 2, Tx: 2, Ty: 4})
 	for i := 0; i < b.N; i++ {
+		chip.ResetBuildCache()
 		if _, err := Build(cfg); err != nil {
 			b.Fatal(err)
 		}

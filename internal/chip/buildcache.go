@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"neurometer/internal/guard"
+	"neurometer/internal/memarray"
 	"neurometer/internal/obs"
 )
 
@@ -165,11 +166,13 @@ func BuildCached(cfg Config) (*Chip, error) {
 	return entry.chip, entry.err
 }
 
-// ResetBuildCache drops every memoized build. Tests that recalibrate model
-// constants (or measure cold-build cost) call it; production sweeps never
-// need to.
+// ResetBuildCache drops every memoized build, and the memory-array memo
+// under it (memarray.BuildCached), so the next build is cold all the way
+// down. Tests that recalibrate model constants (or measure cold-build cost)
+// call it; production sweeps never need to.
 func ResetBuildCache() {
 	buildMu.Lock()
 	clear(buildCache)
 	buildMu.Unlock()
+	memarray.ResetBuildCache()
 }

@@ -8,6 +8,7 @@ import (
 
 	"neurometer/internal/chip"
 	"neurometer/internal/dse"
+	"neurometer/internal/periph"
 	"neurometer/internal/refchips"
 )
 
@@ -54,6 +55,43 @@ func TestStoredTDPAndArea(t *testing.T) {
 		}
 		if math.Float64bits(c.AreaMM2()) != math.Float64bits(want) {
 			t.Errorf("%s: stored area %v mm2, recomputed %v mm2", name, c.AreaMM2(), want)
+		}
+	}
+}
+
+// TestTDPSumOrderEveryPeriphKind: TDPW sums its parts in sorted name order
+// from a fixed list, in which the peripheral kinds interleave with the core
+// parts. Chips with ports of every kind, two of some, at 256 bandwidth
+// scales check that list against the sorted parts map bit for bit;
+// reduction trees beside the tensor units give them every core part too.
+func TestTDPSumOrderEveryPeriphKind(t *testing.T) {
+	for scale := 1; scale <= 256; scale++ {
+		cfg := refchips.TPUv2()
+		cfg.Core.NumRTs, cfg.Core.RTInputs = 1, 64
+		cfg.OffChip = nil
+		for k := periph.DDRPort; k <= periph.LPDDRPort; k++ {
+			gbps := float64(scale) * (1.3 + 0.7*float64(k))
+			cfg.OffChip = append(cfg.OffChip, chip.OffChipPort{Kind: k, GBps: gbps, Count: 1 + int(k)%2})
+		}
+		c, err := chip.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts := chip.TDPParts(c)
+		keys := make([]string, 0, len(parts))
+		for k := range parts {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		var sum float64
+		for _, k := range keys {
+			sum += parts[k]
+		}
+		if len(keys) < 15 {
+			t.Fatalf("parts %v: want every core part and every peripheral kind", keys)
+		}
+		if want := sum * chip.TDPGuardband; math.Float64bits(c.TDPW()) != math.Float64bits(want) {
+			t.Errorf("scale %d: stored TDP %v W, recomputed %v W", scale, c.TDPW(), want)
 		}
 	}
 }

@@ -214,29 +214,78 @@ func (c *Chip) areaWithWhiteSpaceMM2() float64 {
 	return modeled / (1 - ws)
 }
 
-// tdpParts returns the named TDP contributions in watts (pre guardband).
-func (c *Chip) tdpParts() map[string]float64 {
-	parts := map[string]float64{}
+// tdpPart numbers a TDP contribution: the core parts, then one per
+// peripheral kind (tdpPeriph + the kind).
+type tdpPart int
+
+const (
+	tdpTU tdpPart = iota
+	tdpRT
+	tdpVU
+	tdpSU
+	tdpMem
+	tdpCtrl
+	tdpCDB
+	tdpNoC
+	tdpMisc
+	tdpPeriph
+	numTDPParts = tdpPeriph + tdpPart(periph.LPDDRPort) + 1
+)
+
+var tdpCoreNames = [tdpPeriph]string{"tu", "rt", "vu", "su", "mem", "ctrl", "cdb", "noc", "misc"}
+
+// String returns the part's tdpParts name.
+func (p tdpPart) String() string {
+	if p < tdpPeriph {
+		return tdpCoreNames[p]
+	}
+	return periph.Kind(p - tdpPeriph).String()
+}
+
+// tdpOrder lists the parts sorted by name. sumTDPW adds them in this
+// order, so the float additions always run in one order whatever parts a
+// chip has.
+var tdpOrder = func() (o [numTDPParts]tdpPart) {
+	for i := range o {
+		o[i] = tdpPart(i)
+	}
+	sort.Slice(o[:], func(i, j int) bool { return o[i].String() < o[j].String() })
+	return o
+}()
+
+// tdpTerms are the TDP contributions in watts (pre guardband), by part;
+// has marks the parts the chip has, and a part it lacks reads +0. A
+// peripheral kind sums its ports in port order.
+type tdpTerms struct {
+	w   [numTDPParts]float64
+	has [numTDPParts]bool
+}
+
+func (t *tdpTerms) set(p tdpPart, w float64) { t.w[p], t.has[p] = w, true }
+
+// tdp works out the TDP contributions.
+func (c *Chip) tdp() tdpTerms {
+	var t tdpTerms
 	hz := c.clockHz
 	tiles := float64(c.tiles)
 	core := c.Core
 
 	if core.TU != nil {
 		macs := float64(core.TU.MACs()) * float64(core.Cfg.NumTUs) * tiles
-		parts["tu"] = core.TU.PerMACPJ()*1e-12*macs*hz*tdpActTU +
-			core.TU.LeakUW()*float64(core.Cfg.NumTUs)*tiles*1e-6
+		t.set(tdpTU, core.TU.PerMACPJ()*1e-12*macs*hz*tdpActTU+
+			core.TU.LeakUW()*float64(core.Cfg.NumTUs)*tiles*1e-6)
 	}
 	if core.RT != nil {
 		macs := float64(core.RT.MACs()) * float64(core.Cfg.NumRTs) * tiles
-		parts["rt"] = core.RT.PerMACPJ()*1e-12*macs*hz*tdpActTU +
-			core.RT.LeakUW()*float64(core.Cfg.NumRTs)*tiles*1e-6
+		t.set(tdpRT, core.RT.PerMACPJ()*1e-12*macs*hz*tdpActTU+
+			core.RT.LeakUW()*float64(core.Cfg.NumRTs)*tiles*1e-6)
 	}
 	lanes := float64(core.Cfg.VULanes)
-	parts["vu"] = core.VU.PerOpPJ()*1e-12*lanes*hz*tdpActVU*tiles +
-		core.VU.LeakUW()*tiles*1e-6
+	t.set(tdpVU, core.VU.PerOpPJ()*1e-12*lanes*hz*tdpActVU*tiles+
+		core.VU.LeakUW()*tiles*1e-6)
 	if core.SU != nil {
-		parts["su"] = core.SU.PerInstrPJ()*1e-12*hz*tdpActSU*tiles +
-			core.SU.LeakUW()*tiles*1e-6
+		t.set(tdpSU, core.SU.PerInstrPJ()*1e-12*hz*tdpActSU*tiles+
+			core.SU.LeakUW()*tiles*1e-6)
 	}
 	if core.Mem != nil {
 		perCycle := 0.0
@@ -245,44 +294,54 @@ func (c *Chip) tdpParts() map[string]float64 {
 			perCycle += seg.Spec.ReadBytesPerCycle / blk * seg.Data.ReadEnergyPJ()
 			perCycle += seg.Spec.WriteBytesPerCycle / blk * seg.Data.WriteEnergyPJ()
 		}
-		parts["mem"] = perCycle*1e-12*hz*tdpActMem*tiles + core.Mem.LeakUW()*tiles*1e-6
+		t.set(tdpMem, perCycle*1e-12*hz*tdpActMem*tiles+core.Mem.LeakUW()*tiles*1e-6)
 	}
-	parts["ctrl"] = (core.ifu.DynPJ+core.lsu.DynPJ)*1e-12*hz*tiles +
-		(core.ifu.LeakUW+core.lsu.LeakUW)*tiles*1e-6
+	t.set(tdpCtrl, (core.ifu.DynPJ+core.lsu.DynPJ)*1e-12*hz*tiles+
+		(core.ifu.LeakUW+core.lsu.LeakUW)*tiles*1e-6)
 	// CDB: the compute units' streaming traffic (operands in, results out).
 	cdbBytesPerCycle := core.cdbBPC
 	if cdbBytesPerCycle == 0 {
 		cdbBytesPerCycle = core.memReadBPC + core.memWriteBPC
 	}
-	parts["cdb"] = c.Core.CDB.EnergyPerBytePJ()*cdbBytesPerCycle*1e-12*hz*tdpActCDB*tiles +
-		core.CDB.LeakUW()*tiles*1e-6
+	t.set(tdpCDB, c.Core.CDB.EnergyPerBytePJ()*cdbBytesPerCycle*1e-12*hz*tdpActCDB*tiles+
+		core.CDB.LeakUW()*tiles*1e-6)
 	// NoC at a fraction of peak injection bandwidth.
 	flitsPerCycle := c.NoC.PeakBytesPerCycle() / (float64(c.NoC.FlitBits()) / 8)
-	parts["noc"] = c.NoC.EnergyPerFlitHopPJ()*c.NoC.AvgHops()*flitsPerCycle*1e-12*hz*tdpActNoC +
-		c.NoC.LeakUW()*1e-6
+	t.set(tdpNoC, c.NoC.EnergyPerFlitHopPJ()*c.NoC.AvgHops()*flitsPerCycle*1e-12*hz*tdpActNoC+
+		c.NoC.LeakUW()*1e-6)
 	for _, p := range c.Periph {
-		parts[p.Cfg.Kind.String()] += p.PowerW(tdpActIO)
+		k := tdpPeriph + tdpPart(p.Cfg.Kind)
+		t.set(k, t.w[k]+p.PowerW(tdpActIO))
 	}
-	parts["misc"] = c.misc.DynPJ*1e-12*hz + c.misc.LeakUW*1e-6
+	t.set(tdpMisc, c.misc.DynPJ*1e-12*hz+c.misc.LeakUW*1e-6)
+	return t
+}
+
+// tdpParts returns the named TDP contributions in watts (pre guardband) of
+// the parts the chip has.
+func (c *Chip) tdpParts() map[string]float64 {
+	t := c.tdp()
+	parts := map[string]float64{}
+	for p := range numTDPParts {
+		if t.has[p] {
+			parts[p.String()] = t.w[p]
+		}
+	}
 	return parts
 }
 
 // TDPW returns the chip thermal design power in watts.
 func (c *Chip) TDPW() float64 { return c.tdpW }
 
-// sumTDPW works out TDPW once, at Build. Contributions are summed in sorted
-// component order so the result is bit-for-bit deterministic (map
-// iteration order would otherwise reorder float additions).
+// sumTDPW works out TDPW once, at Build, adding the contributions in
+// tdpOrder (TestStoredTDPAndArea recomputes the sum from the sorted
+// tdpParts map). A part the chip lacks adds +0, which leaves the sum
+// unchanged.
 func (c *Chip) sumTDPW() float64 {
-	parts := c.tdpParts()
-	keys := make([]string, 0, len(parts))
-	for k := range parts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	t := c.tdp()
 	var total float64
-	for _, k := range keys {
-		total += parts[k]
+	for _, p := range tdpOrder {
+		total += t.w[p]
 	}
 	return total * tdpGuardband
 }

@@ -13,6 +13,19 @@
 // is exact but skips candidates that provably cannot win: column-mux ratios
 // above 1, and, without a latency target, every port pair of a bank count
 // but the smallest one that meets the throughput.
+//
+// BuildCached is Build behind a process-wide memo that scores each
+// bank/port organization of an array geometry once (see buildcache.go);
+// the chip's components build their arrays through it. An *Array is
+// immutable once built, so one instance may be shared freely across chips
+// and goroutines; no caller writes its Cfg or Org.
+//
+// Two counters pin the optimizer's work: memarray.builds counts array
+// requests (every Build and BuildCached call), memarray.evals the bank/port
+// organizations actually scored, each a search of its subarray grid and the
+// dominant cost of chip construction. Memo hits add to the first but not
+// the second: a cold Table I enumeration makes 240 requests that score 338
+// organizations.
 package memarray
 
 import (
@@ -26,10 +39,9 @@ import (
 	"neurometer/internal/tech"
 )
 
-// Observability: memarray.builds counts Build calls, memarray.evals the
-// bank/port organizations the internal optimizer scored (each one searches
-// its subarray grid) — the dominant cost of chip construction. Without a
-// latency target that is at most one port pair per bank count.
+// Observability: memarray.builds counts array requests, memarray.evals the
+// bank/port organizations scored (see the package doc). Without a latency
+// target a search scores at most one port pair per bank count.
 var (
 	mBuilds = obs.NewCounter("memarray.builds")
 	mEvals  = obs.NewCounter("memarray.evals")
@@ -106,7 +118,10 @@ func (p *orgPAT) cost() float64 { return p.areaUM2 * (p.readPJ + p.writePJ) }
 const conflictMargin = 1.0
 
 // maxBanks bounds the optimizer search.
-const maxBanks = 4096
+const (
+	maxBankLog = 12
+	maxBanks   = 1 << maxBankLog
+)
 
 // Search spaces: bank counts (powers of two) and per-bank read/write port
 // counts tried where the Config leaves them 0, and the subarray heights and
@@ -120,25 +135,41 @@ var (
 // Build evaluates (and where requested, optimizes) the array organization.
 func Build(cfg Config) (*Array, error) {
 	mBuilds.Inc()
+	if err := validate(&cfg); err != nil {
+		return nil, err
+	}
+	o := optimizer{cfg: &cfg}
+	return o.search(nil)
+}
+
+// validate rejects the configs Build refuses to evaluate.
+func validate(cfg *Config) error {
 	if cfg.CapacityBytes <= 0 {
-		return nil, guard.Invalid("memarray: capacity must be positive, got %d", cfg.CapacityBytes)
+		return guard.Invalid("memarray: capacity must be positive, got %d", cfg.CapacityBytes)
 	}
 	if cfg.BlockBytes <= 0 {
-		return nil, guard.Invalid("memarray: block size must be positive, got %d", cfg.BlockBytes)
+		return guard.Invalid("memarray: block size must be positive, got %d", cfg.BlockBytes)
 	}
 	if int64(cfg.BlockBytes) > cfg.CapacityBytes {
-		return nil, guard.Invalid("memarray: block (%dB) exceeds capacity (%dB)", cfg.BlockBytes, cfg.CapacityBytes)
+		return guard.Invalid("memarray: block (%dB) exceeds capacity (%dB)", cfg.BlockBytes, cfg.CapacityBytes)
 	}
 	if cfg.CyclePS <= 0 {
-		return nil, guard.Invalid("memarray: CyclePS must be positive")
+		return guard.Invalid("memarray: CyclePS must be positive")
 	}
 	if err := guard.CheckFinites(
 		"CyclePS", cfg.CyclePS, "ReadBytesPerCycle", cfg.ReadBytesPerCycle,
 		"WriteBytesPerCycle", cfg.WriteBytesPerCycle, "TargetLatencyPS", cfg.TargetLatencyPS,
 	); err != nil {
-		return nil, guard.Invalid("memarray: %v", err)
+		return guard.Invalid("memarray: %v", err)
 	}
+	return nil
+}
 
+// search is the bank/port search of a validated o.cfg: it returns the
+// cheapest organization that meets the throughput and latency targets.
+// With a non-nil memo every organization is scored through it (see score).
+func (o *optimizer) search(memo *geomEntry) (*Array, error) {
+	cfg := o.cfg
 	bankChoices := searchBanks
 	if cfg.Banks > 0 {
 		bankChoices = []int{cfg.Banks}
@@ -152,8 +183,6 @@ func Build(cfg Config) (*Array, error) {
 		writeChoices = []int{cfg.WritePorts}
 	}
 
-	o := optimizer{cfg: &cfg}
-	o.init()
 	var best orgPAT
 	var bestOrg Org
 	var bestCost float64
@@ -179,11 +208,11 @@ func Build(cfg Config) (*Array, error) {
 		scored := false
 		for _, rp := range readChoices {
 			for _, wp := range writeChoices {
-				if !meetsThroughput(&cfg, banks, rp, wp) || (scored && cfg.TargetLatencyPS <= 0) {
+				if !meetsThroughput(cfg, banks, rp, wp) || (scored && cfg.TargetLatencyPS <= 0) {
 					continue
 				}
 				scored = true
-				p, org, ok := o.evaluate(banks, rp, wp)
+				p, org, ok := o.score(memo, banks, rp, wp)
 				if !ok {
 					continue
 				}
@@ -201,7 +230,39 @@ func Build(cfg Config) (*Array, error) {
 		return nil, guard.Infeasible("memarray: no feasible organization for %dB (block %dB, need %.1fR+%.1fW B/cyc, latency<=%.0fps)",
 			cfg.CapacityBytes, cfg.BlockBytes, cfg.ReadBytesPerCycle, cfg.WriteBytesPerCycle, cfg.TargetLatencyPS)
 	}
-	return &Array{Cfg: cfg, Org: bestOrg, orgPAT: best}, nil
+	return &Array{Cfg: *cfg, Org: bestOrg, orgPAT: best}, nil
+}
+
+// score returns evaluate's result for one bank/port organization, from
+// memo when it holds one (memo may be nil), and records a fresh score
+// there. The memo keeps the organizations of the search space; one outside
+// it (a fixed bank count that is not a power of two up to maxBanks, or
+// more than four ports of a kind) is scored afresh for each new demand.
+// The optimizer is initialized on its first real evaluation, so a search
+// answered wholly from the memo derives no constants.
+func (o *optimizer) score(memo *geomEntry, banks, rp, wp int) (orgPAT, Org, bool) {
+	slot := -1
+	if memo != nil {
+		slot = orgSlot(banks, rp, wp)
+	}
+	if slot >= 0 {
+		if i := memo.index[slot]; i > 0 {
+			return memo.orgs[i-1].result(banks, rp, wp)
+		}
+	}
+	if !o.ready {
+		o.init()
+	}
+	p, org, ok := o.evaluate(banks, rp, wp)
+	if slot >= 0 {
+		memo.orgs = append(memo.orgs, scoredOrg{
+			p: p, subs: org.SubarraysPerBank,
+			rows: uint16(org.SubarrayRows), cols: uint16(org.SubarrayCols), ok: ok,
+		})
+		memo.index[slot] = uint8(len(memo.orgs))
+		memoOrgs.Add(1)
+	}
+	return p, org, ok
 }
 
 func meetsThroughput(cfg *Config, banks, rp, wp int) bool {
@@ -242,7 +303,8 @@ func portAreaFactor(cell tech.MemCell, totalPorts int) float64 {
 // height, the wires whose node and layer never change, and the subarray
 // terms of each total port count scored so far.
 type optimizer struct {
-	cfg *Config
+	cfg   *Config
+	ready bool // init has run
 
 	totalBits, blockBits float64
 	cellAreaUM2          float64 // one-port cell
@@ -325,6 +387,7 @@ func (o *optimizer) init() {
 	o.wl = circuit.Wire{Node: *n, Layer: tech.WireLocal, DriverRes: o.invRonOhm / 16}
 	bus := circuit.Wire{Node: *n, Layer: tech.WireIntermediate, Bits: int(o.blockBits)}
 	o.bus = bus.Repeater()
+	o.ready = true
 }
 
 // table returns the subarray grid of a total port count, taking a free

@@ -86,7 +86,7 @@ func Build(cfg Config) (*Mem, error) {
 	}
 	m := &Mem{Cfg: cfg}
 	for _, seg := range cfg.Segments {
-		data, err := memarray.Build(memarray.Config{
+		data, err := memarray.BuildCached(memarray.Config{
 			Node: cfg.Node, Cell: cfg.Cell,
 			CapacityBytes:      seg.CapacityBytes,
 			BlockBytes:         seg.BlockBytes,
@@ -116,7 +116,7 @@ func Build(cfg Config) (*Mem, error) {
 				lines = 1
 			}
 			// ~4 B of tag+state per line.
-			tags, err := memarray.Build(memarray.Config{
+			tags, err := memarray.BuildCached(memarray.Config{
 				Node: cfg.Node, Cell: tech.CellSRAM,
 				CapacityBytes: max64(lines*4, 64),
 				BlockBytes:    4 * ways,

@@ -83,7 +83,7 @@ func Build(cfg Config) (*Unit, error) {
 	u.lsu = mk(cfg.LSUGates, 0.12)
 	u.alu = maclib.ALU(n, maclib.Int32)
 
-	rf, err := memarray.Build(memarray.Config{
+	rf, err := memarray.BuildCached(memarray.Config{
 		Node: n, Cell: tech.CellDFF,
 		CapacityBytes: int64(cfg.IntRegEntries) * 4,
 		BlockBytes:    4,
@@ -95,7 +95,7 @@ func Build(cfg Config) (*Unit, error) {
 	}
 	u.regfile = rf
 
-	ic, err := memarray.Build(memarray.Config{
+	ic, err := memarray.BuildCached(memarray.Config{
 		Node: n, Cell: tech.CellSRAM,
 		CapacityBytes: cfg.ICacheBytes,
 		BlockBytes:    8,

@@ -300,6 +300,9 @@ func (s *Server) writeError(w http.ResponseWriter, r *http.Request, endpoint str
 // tick and shed again in lockstep.
 func (s *Server) retryAfter() string {
 	secs := int(s.cfg.AdmissionTimeout / time.Second)
+	if s.cfg.AdmissionTimeout%time.Second > 0 {
+		secs++
+	}
 	if secs < 1 {
 		secs = 1
 	}

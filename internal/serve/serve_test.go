@@ -344,24 +344,31 @@ func TestContentTypeChecked(t *testing.T) {
 }
 
 // TestRetryAfterJitterBand: the Retry-After hint stays inside
-// [admission, admission+3] seconds and actually dithers.
+// [admission, admission+3] seconds, the admission deadline rounded up to a
+// whole second (a client told to retry sooner than a slot can free would
+// be shed again), and actually dithers.
 func TestRetryAfterJitterBand(t *testing.T) {
-	s := New(Config{AdmissionTimeout: 2 * time.Second})
-	defer s.Shutdown(context.Background())
-	const lo, hi = 2, 2 + 3
-	seen := map[int]bool{}
-	for i := 0; i < 200; i++ {
-		secs, err := strconv.Atoi(s.retryAfter())
-		if err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		admission time.Duration
+		lo        int
+	}{{2 * time.Second, 2}, {1500 * time.Millisecond, 2}} {
+		s := New(Config{AdmissionTimeout: tc.admission})
+		hi := tc.lo + retryAfterJitter
+		seen := map[int]bool{}
+		for i := 0; i < 200; i++ {
+			secs, err := strconv.Atoi(s.retryAfter())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if secs < tc.lo || secs > hi {
+				t.Fatalf("admission %v: Retry-After %d outside [%d, %d]", tc.admission, secs, tc.lo, hi)
+			}
+			seen[secs] = true
 		}
-		if secs < lo || secs > hi {
-			t.Fatalf("Retry-After %d outside [%d, %d]", secs, lo, hi)
+		s.Shutdown(context.Background())
+		if len(seen) < 2 {
+			t.Fatalf("admission %v: 200 draws produced %d distinct Retry-After values, want jitter", tc.admission, len(seen))
 		}
-		seen[secs] = true
-	}
-	if len(seen) < 2 {
-		t.Fatalf("200 draws produced %d distinct Retry-After values, want jitter", len(seen))
 	}
 }
 

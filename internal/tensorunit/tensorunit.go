@@ -169,7 +169,7 @@ func Build(cfg Config) (*Unit, error) {
 	}
 	// Local scratchpad (Eyeriss spad): a small SRAM per cell.
 	if cfg.LocalSpadBytes > 0 {
-		sp, err := memarray.Build(memarray.Config{
+		sp, err := memarray.BuildCached(memarray.Config{
 			Node: n, Cell: tech.CellSRAM,
 			CapacityBytes: int64(cfg.LocalSpadBytes),
 			BlockBytes:    2,

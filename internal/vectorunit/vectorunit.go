@@ -106,7 +106,7 @@ func Build(cfg Config) (*Unit, error) {
 	// "VReg overhead explosion" with many TUs per core comes from: every
 	// extra port grows each slice's cells.
 	elemBytes := cfg.ElemType.Bits() / 8
-	slice, err := memarray.Build(memarray.Config{
+	slice, err := memarray.BuildCached(memarray.Config{
 		Node: n, Cell: tech.CellDFF,
 		CapacityBytes: int64(entries) * int64(elemBytes),
 		BlockBytes:    elemBytes,
