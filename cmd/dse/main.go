@@ -16,16 +16,6 @@
 //	-memprofile f   pprof heap profile
 //	-v              debug-level progress logging
 //
-// Robustness flags (see the README's Failure model section):
-//
-//	-result-store dir  persistent content-addressed result cache for the
-//	                -fig 10 sweep: verified read-through (checksum +
-//	                fingerprint + finiteness), corrupt entries quarantined,
-//	                every store fault degrades to evaluation — output is
-//	                byte-identical with or without the store. Rerunning an
-//	                interrupted sweep with the same store resumes it: the
-//	                finished candidates are store hits
-//
 // Parallelism and export (see DESIGN.md §9):
 //
 //	-workers n      candidate-evaluation pool size (default GOMAXPROCS;
@@ -51,14 +41,12 @@ import (
 	"neurometer/internal/dse"
 	"neurometer/internal/guard"
 	"neurometer/internal/obs"
-	"neurometer/internal/rstore"
 )
 
-// hardenFlags carries the robustness and parallelism flag values into run.
+// hardenFlags carries the parallelism and export flag values into run.
 type hardenFlags struct {
 	workers int
 	csv     string
-	store   string
 }
 
 func main() {
@@ -66,7 +54,6 @@ func main() {
 	var hf hardenFlags
 	flag.IntVar(&hf.workers, "workers", dse.DefaultWorkers, "candidate-evaluation workers (default GOMAXPROCS; 1 = serial; output is identical at any count)")
 	flag.StringVar(&hf.csv, "csv", "", "also write -fig 10 rows as CSV at <prefix>.<regime>.csv")
-	flag.StringVar(&hf.store, "result-store", "", "persistent per-candidate result store directory for the -fig 10 sweep (verified read-through cache; faults degrade to evaluation)")
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -151,16 +138,7 @@ func run(ctx context.Context, fig int, hf hardenFlags) error {
 		}
 	case 10:
 		cands := dse.SecondRound(dse.EnumerateParallel(ctx, cs, hf.workers), cs.TOPSCap)
-		h := dse.Hardening{Workers: hf.workers}
-		if hf.store != "" {
-			st, err := rstore.OpenDisk(hf.store)
-			if err != nil {
-				return err
-			}
-			h.Results = rstore.NewCache(st)
-			defer h.Results.Close()
-		}
-		out, err := dse.Fig10Hardened(ctx, cands, dse.DefaultModels(), h, "")
+		out, err := dse.Fig10Hardened(ctx, cands, dse.DefaultModels(), dse.Hardening{Workers: hf.workers}, "")
 		if err != nil {
 			return err
 		}

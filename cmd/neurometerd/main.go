@@ -16,8 +16,7 @@
 //
 //	GET  /healthz                    liveness (always 200 while the process runs)
 //	GET  /readyz                     readiness (503 while draining or degraded)
-//	GET  /metricz                    metrics snapshot (text, ?format=json, or
-//	                                 ?format=prom for Prometheus exposition)
+//	GET  /metricz                    metrics snapshot (text or ?format=json)
 //	POST /v1/chip/build              chip model report for a preset or inline config
 //	POST /v1/perfsim/simulate        one workload × batch on a chip
 //	POST /v1/perfsim/simulate-batch  one workload × batch on many chips
@@ -44,8 +43,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"net/http"
-	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -68,7 +65,6 @@ func main() {
 	resultStore := flag.String("result-store", "", "persistent per-candidate result store directory that studies read through (empty disables; corrupt entries are quarantined and recomputed)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max time for the graceful drain on SIGTERM/SIGINT")
 	accessLog := flag.String("access-log", "stderr", "structured JSON access log destination: stderr, off, or a file path")
-	debugAddr := flag.String("debug-addr", "", "listen address for net/http/pprof debug endpoints (empty disables)")
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
@@ -105,9 +101,6 @@ func main() {
 	}
 	defer closeLog()
 	cfg.AccessLog = logger
-	if *debugAddr != "" {
-		go serveDebug(*debugAddr)
-	}
 	if err := run(cfg, *addr, *drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "neurometerd: %v\n", err)
 		stop()
@@ -131,22 +124,6 @@ func openAccessLog(dest string) (*slog.Logger, func(), error) {
 		return nil, nil, err
 	}
 	return slog.New(slog.NewJSONHandler(f, nil)), func() { f.Close() }, nil
-}
-
-// serveDebug mounts net/http/pprof on its own listener, kept off the main
-// service mux so profiling endpoints are never reachable on the public
-// address.
-func serveDebug(addr string) {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	slog.Info("neurometerd: pprof debug endpoints up", "addr", addr)
-	if err := http.ListenAndServe(addr, mux); err != nil {
-		slog.Warn("neurometerd: debug listener failed", "addr", addr, "err", err)
-	}
 }
 
 // run serves until SIGTERM/SIGINT, then drains within drainTimeout.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -10,9 +9,7 @@ import (
 // Build identity, sourced from runtime/debug.ReadBuildInfo: the module
 // version stamped by `go install`, plus the VCS revision and dirty flag
 // embedded by `go build` inside a git checkout. It feeds the -version flag
-// on every CLI and the neurometer_build_info gauge (the Prometheus idiom:
-// a constant-1 gauge whose labels carry the build identity, joinable
-// against every other series from the process).
+// on every CLI.
 
 // BuildInfo is the resolved build identity of the running binary.
 type BuildInfo struct {
@@ -61,22 +58,4 @@ func (b BuildInfo) String() string {
 		}
 	}
 	return s + " " + b.GoVersion
-}
-
-// RegisterBuildInfo publishes the build_info gauge: constant 1 with the
-// identity in its labels. Idempotent; every entry point (CLI Setup, serve
-// New) calls it so the gauge is present wherever /metricz or -metrics can
-// be observed.
-func RegisterBuildInfo() {
-	b := ReadBuildInfo()
-	rev := b.Revision
-	if rev == "" {
-		rev = "unknown"
-	}
-	NewGauge(Name("build_info",
-		"version", b.Version,
-		"revision", rev,
-		"goversion", b.GoVersion,
-		"modified", fmt.Sprintf("%t", b.Dirty),
-	)).Set(1)
 }

@@ -44,7 +44,6 @@ func (f *Flags) Setup() (stop func(), err error) {
 		fmt.Println(ReadBuildInfo().String())
 		os.Exit(0)
 	}
-	RegisterBuildInfo()
 	level := slog.LevelInfo
 	if f.Verbose {
 		level = slog.LevelDebug
@@ -87,7 +86,6 @@ func (f *Flags) Setup() (stop func(), err error) {
 			}
 		}
 		if f.Metrics {
-			UpdateRuntimeMetrics()
 			fmt.Fprint(os.Stderr, Default().Snapshot().Text())
 		}
 	}, nil

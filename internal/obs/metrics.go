@@ -291,9 +291,9 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // Snapshot renderings are deterministic so CI can diff them byte-for-byte:
-// JSON map keys come out sorted (encoding/json sorts map keys), Text and
-// Prometheus sort names explicitly, and histogram buckets are ascending by
-// registration (bounds are sorted when the histogram is created).
+// JSON map keys come out sorted (encoding/json sorts map keys), Text sorts
+// names explicitly, and histogram buckets are ascending by registration
+// (bounds are sorted when the histogram is created).
 
 // JSON renders the snapshot as indented JSON with sorted keys.
 func (s Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  ") }

@@ -161,3 +161,20 @@ func TestHistogramEmptySnapshotMinMaxZero(t *testing.T) {
 		t.Errorf("empty mean: %g", s.Mean())
 	}
 }
+
+func TestHistogramBoundsSortedAtRegistration(t *testing.T) {
+	h := NewHistogram("test.unsorted_bounds_seconds", []float64{1, 0.1, 10})
+	h.Observe(0.05)
+	h.Observe(5)
+	snap := Default().Snapshot()
+	hs := snap.Histograms["test.unsorted_bounds_seconds"]
+	want := []float64{0.1, 1, 10}
+	for i, b := range want {
+		if hs.Bounds[i] != b {
+			t.Fatalf("bounds = %v, want %v", hs.Bounds, want)
+		}
+	}
+	if hs.Buckets[0] != 1 || hs.Buckets[2] != 1 {
+		t.Fatalf("buckets = %v: observations landed in wrong cells", hs.Buckets)
+	}
+}

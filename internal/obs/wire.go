@@ -1,34 +1,8 @@
 package obs
 
-import (
-	"crypto/rand"
-	"encoding/hex"
-	"strconv"
-	"strings"
-)
-
-// Request-scoped tracing and trace-context parsing. A request tracer
-// (NewRequestTracer + StartRoot) captures one unit of work's span subtree
-// independently of the process-wide tracer, and WireSpans exports it as
-// structured records. ParseTraceparent reads an incoming W3C traceparent
-// header, whose trace id serve's access log adopts as the request id.
-
-// TraceparentHeader is the HTTP header carrying trace context, per the W3C
-// Trace Context spec ("traceparent: 00-<trace-id>-<parent-id>-<flags>").
-const TraceparentHeader = "Traceparent"
-
-// NewTraceID returns 16 random bytes as 32 lowercase hex chars. It is the
-// request-id generator for serve access logs: a request that arrives
-// without correlation headers still gets a unique, trace-shaped id.
-func NewTraceID() string {
-	var b [16]byte
-	if _, err := rand.Read(b[:]); err != nil {
-		// Entropy exhaustion is effectively unreachable; a fixed fallback
-		// keeps request ids flowing rather than failing the request.
-		return "00000000000000000000000000000001"
-	}
-	return hex.EncodeToString(b[:])
-}
+// Request-scoped tracing. A request tracer (NewRequestTracer + StartRoot)
+// captures one unit of work's span subtree independently of the
+// process-wide tracer, and WireSpans exports it as structured records.
 
 // NewRequestTracer returns a detached tracer for capturing one request's
 // span subtree. It is never installed process-wide: the caller roots the
@@ -37,25 +11,6 @@ func NewTraceID() string {
 func NewRequestTracer() *Tracer {
 	detachedEver.Store(true)
 	return newTracer()
-}
-
-// ParseTraceparent splits a traceparent header value into its trace id and
-// parent span id. It accepts any version byte and ignores the flags, per
-// the spec's forward-compatibility rules; malformed or all-zero ids report
-// ok=false.
-func ParseTraceparent(s string) (traceID string, parentID uint64, ok bool) {
-	parts := strings.Split(strings.TrimSpace(s), "-")
-	if len(parts) < 4 || len(parts[0]) != 2 || len(parts[1]) != 32 || len(parts[2]) != 16 {
-		return "", 0, false
-	}
-	if _, err := hex.DecodeString(parts[1]); err != nil || parts[1] == strings.Repeat("0", 32) {
-		return "", 0, false
-	}
-	id, err := strconv.ParseUint(parts[2], 16, 64)
-	if err != nil || id == 0 {
-		return "", 0, false
-	}
-	return parts[1], id, true
 }
 
 // WireAttr is one serialized span attribute. Values round-trip through

@@ -2,6 +2,8 @@ package serve
 
 import (
 	"context"
+	crand "crypto/rand"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,9 +31,9 @@ var (
 )
 
 // routeMetrics are the per-route RED instruments (rate, errors, duration),
-// registered once per route when the middleware stack is built. Error
-// counters are labeled by taxonomy kind and registered on first use — the
-// kind set is small and data-dependent.
+// registered once per route when the middleware stack is built, under
+// serve.route.<route>.*. Error counters are named by taxonomy kind and
+// registered on first use — the kind set is small and data-dependent.
 type routeMetrics struct {
 	requests *obs.Counter
 	seconds  *obs.Histogram
@@ -39,13 +41,13 @@ type routeMetrics struct {
 
 func newRouteMetrics(route string) routeMetrics {
 	return routeMetrics{
-		requests: obs.NewCounter(obs.Name("serve.route_requests_total", "route", route)),
-		seconds:  obs.NewHistogram(obs.Name("serve.route_request_seconds", "route", route), nil),
+		requests: obs.NewCounter("serve.route." + route + ".requests_total"),
+		seconds:  obs.NewHistogram("serve.route."+route+".request_seconds", nil),
 	}
 }
 
 func routeErrors(route, kind string) *obs.Counter {
-	return obs.NewCounter(obs.Name("serve.route_errors_total", "route", route, "kind", kind))
+	return obs.NewCounter("serve.route." + route + ".errors." + kind)
 }
 
 // statusWriter records the response status for metrics and the access log.
@@ -76,10 +78,9 @@ func (w *statusWriter) status() int {
 }
 
 // requestID resolves the request's correlation id: an incoming X-Request-Id
-// wins (so a caller's id threads through), then the trace id of an incoming
-// traceparent (a traced caller's requests correlate with its trace), then a
-// fresh id. The resolved id is echoed in the X-Request-Id response header
-// and stamped on the access-log line.
+// (cut to 64 bytes) wins, so a caller's id threads through; otherwise 16
+// random bytes as 32 lowercase hex chars. The resolved id is echoed in the
+// X-Request-Id response header and stamped on the access-log line.
 func requestID(r *http.Request) string {
 	if id := r.Header.Get("X-Request-Id"); id != "" {
 		if len(id) > 64 {
@@ -87,10 +88,13 @@ func requestID(r *http.Request) string {
 		}
 		return id
 	}
-	if traceID, _, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceparentHeader)); ok {
-		return traceID
+	var b [16]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		// Entropy exhaustion is effectively unreachable; a fixed fallback
+		// keeps request ids flowing rather than failing the request.
+		return "00000000000000000000000000000001"
 	}
-	return obs.NewTraceID()
+	return hex.EncodeToString(b[:])
 }
 
 // apiError is the wire form of every failure: the message plus the guard

@@ -127,7 +127,6 @@ type Server struct {
 // New builds a server from the config (zero fields take defaults).
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	obs.RegisterBuildInfo() // the build_info gauge is visible on /metricz
 	s := &Server{
 		cfg:       cfg,
 		mux:       http.NewServeMux(),
@@ -228,22 +227,16 @@ func (s *Server) readyz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // metricz serves the registry snapshot: human-readable text by default,
-// ?format=json for the structured form, ?format=prom for the Prometheus
-// text exposition format a scraper consumes. All three renderings are
+// ?format=json for the structured form. Both renderings are
 // deterministically ordered, so CI can diff consecutive scrapes.
 func (s *Server) metricz(w http.ResponseWriter, r *http.Request) {
-	obs.UpdateRuntimeMetrics()
 	snap := obs.Default().Snapshot()
-	switch r.URL.Query().Get("format") {
-	case "json":
+	if r.URL.Query().Get("format") == "json" {
 		writeJSON(w, http.StatusOK, snap)
-	case "prom":
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.Write(snap.Prometheus())
-	default:
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		io.WriteString(w, snap.Text())
+		return
 	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	io.WriteString(w, snap.Text())
 }
 
 // ---- /v1/chip/build -------------------------------------------------------

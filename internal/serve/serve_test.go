@@ -14,6 +14,7 @@ import (
 
 	"neurometer/internal/guard"
 	"neurometer/internal/invariants"
+	"neurometer/internal/obs"
 )
 
 // newTestServer spins up a Server on an httptest listener and guarantees a
@@ -128,6 +129,29 @@ func TestMetricz(t *testing.T) {
 	status, _, body := doJSON(t, "GET", ts.URL+"/metricz?format=json", "")
 	if status != 200 || body["counters"] == nil {
 		t.Fatalf("metricz json: %d %v", status, body)
+	}
+}
+
+// TestMetriczRouteInstruments: after a real build, /metricz?format=json
+// carries the route's request counter and latency histogram.
+func TestMetriczRouteInstruments(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	before := obs.Default().Snapshot().Counters["serve.route.chip.build.requests_total"]
+	if status, _, body := doJSON(t, "POST", ts.URL+"/v1/chip/build", `{"preset":"tpuv1"}`); status != 200 {
+		t.Fatalf("build: %d %v", status, body)
+	}
+	status, _, body := doJSON(t, "GET", ts.URL+"/metricz?format=json", "")
+	if status != 200 {
+		t.Fatalf("metricz json: %d %v", status, body)
+	}
+	counters, _ := body["counters"].(map[string]any)
+	if n, _ := counters["serve.route.chip.build.requests_total"].(float64); n < float64(before+1) {
+		t.Errorf("serve.route.chip.build.requests_total = %v, want at least %d", n, before+1)
+	}
+	hists, _ := body["histograms"].(map[string]any)
+	h, _ := hists["serve.route.chip.build.request_seconds"].(map[string]any)
+	if n, _ := h["count"].(float64); n < 1 {
+		t.Errorf("serve.route.chip.build.request_seconds = %v, want at least one observation", h)
 	}
 }
 
