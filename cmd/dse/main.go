@@ -62,7 +62,7 @@ func main() {
 		log.Fatal(err)
 	}
 	// SIGINT cancels the run context; the sweep loops notice it between
-	// candidates (and inside perfsim between layers) and unwind with
+	// candidates (and perfsim before each simulation) and unwind with
 	// guard.ErrCanceled.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt)
 	runErr := run(ctx, *fig, hf)

@@ -566,10 +566,14 @@ func newStudySim(models []*graph.Graph) *studySim {
 // once. Keying by model and batch alone is sound because a simulation is a
 // pure function of (chip, prepared graph, batch, options) and the chip and
 // options are fixed for the memo's life. Failed simulations are never
-// memoized. Memos are pooled, so the steady state allocates nothing.
+// memoized. Each model's simulations share one perfsim.Binding, which
+// computes the model's tiling terms on the candidate's chip once for the
+// candidate's rows (a Binding rebinds itself on the next candidate's
+// chip). Memos are pooled, so the steady state allocates nothing.
 type simMemo struct {
-	res []perfsim.Result
-	ok  []bool
+	res  []perfsim.Result
+	ok   []bool
+	bind []perfsim.Binding
 	// spare holds a batch outside the memo's keys; a row consumes each
 	// model's result before it simulates the next model.
 	spare perfsim.Result
@@ -588,6 +592,9 @@ func acquireMemo(nModels int) *simMemo {
 		m.res = make([]perfsim.Result, n)
 		m.ok = make([]bool, n)
 	}
+	if len(m.bind) < nModels {
+		m.bind = make([]perfsim.Binding, nModels)
+	}
 	clear(m.ok)
 	return m
 }
@@ -595,14 +602,15 @@ func acquireMemo(nModels int) *simMemo {
 // simulate returns model mi's simulation of batch on c, running it only if
 // the memo does not hold it yet.
 func (m *simMemo) simulate(ctx context.Context, sim *studySim, mi int, c *chip.Chip, batch int, opt perfsim.Options) (*perfsim.Result, error) {
+	p, b := sim.prepared[mi], &m.bind[mi]
 	if batch <= 0 || batch > perfsim.LatencyLimitedMaxBatch || batch&(batch-1) != 0 {
-		return &m.spare, sim.prepared[mi].SimulateInto(ctx, c, batch, opt, &m.spare)
+		return &m.spare, b.SimulateInto(ctx, p, c, batch, opt, &m.spare)
 	}
 	k := mi*memoBatches + bits.TrailingZeros(uint(batch))
 	if m.ok[k] {
 		return &m.res[k], nil
 	}
-	if err := sim.prepared[mi].SimulateInto(ctx, c, batch, opt, &m.res[k]); err != nil {
+	if err := b.SimulateInto(ctx, p, c, batch, opt, &m.res[k]); err != nil {
 		return nil, err
 	}
 	m.ok[k] = true

@@ -40,7 +40,8 @@
 //	chip.build             chip.Build, before any modeling — a failing
 //	                       site makes the whole candidate fail fast.
 //	perfsim.simulate       perfsim.Simulate entry, before the layer walk.
-//	perfsim.layer          once per layer inside the walk; with
+//	perfsim.layer          once per layer, in the per-layer pass a
+//	                       simulation runs while any fault is armed; with
 //	                       Fault.Skip/Count this pinpoints one layer of
 //	                       one candidate.
 //	perfsim.achieved_tops  a CorruptFloat site on the final AchievedTOPS

@@ -300,20 +300,31 @@ func (s Snapshot) JSON() ([]byte, error) { return json.MarshalIndent(s, "", "  "
 
 // Text renders the snapshot as a sorted, human-readable table.
 func (s Snapshot) Text() string {
+	// Names pad to one column: the longest name, but never under 40, so a
+	// snapshot of short names renders as it always has.
+	w := widest(widest(widest(40, s.Counters), s.Gauges), s.Histograms)
 	var sb strings.Builder
 	sb.WriteString("== metrics ==\n")
 	for _, name := range sortedKeys(s.Counters) {
-		fmt.Fprintf(&sb, "%-40s %d\n", name, s.Counters[name])
+		fmt.Fprintf(&sb, "%-*s %d\n", w, name, s.Counters[name])
 	}
 	for _, name := range sortedKeys(s.Gauges) {
-		fmt.Fprintf(&sb, "%-40s %g\n", name, s.Gauges[name])
+		fmt.Fprintf(&sb, "%-*s %g\n", w, name, s.Gauges[name])
 	}
 	for _, name := range sortedKeys(s.Histograms) {
 		h := s.Histograms[name]
-		fmt.Fprintf(&sb, "%-40s n=%d mean=%.3g min=%.3g max=%.3g\n",
-			name, h.Count, h.Mean(), h.Min, h.Max)
+		fmt.Fprintf(&sb, "%-*s n=%d mean=%.3g min=%.3g max=%.3g\n",
+			w, name, h.Count, h.Mean(), h.Min, h.Max)
 	}
 	return sb.String()
+}
+
+// widest returns the longer of w and m's longest name.
+func widest[V any](w int, m map[string]V) int {
+	for name := range m {
+		w = max(w, len(name))
+	}
+	return w
 }
 
 func sortedKeys[V any](m map[string]V) []string {

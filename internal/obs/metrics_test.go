@@ -122,6 +122,43 @@ func TestSnapshotTextAndJSON(t *testing.T) {
 	}
 }
 
+// TestSnapshotTextPadsToLongestName: a name past 40 columns (the per-route
+// serve names reach 49) widens the name column for every line, so each
+// value keeps a column of its own; a snapshot of short names keeps the
+// 40-column layout byte for byte.
+func TestSnapshotTextPadsToLongestName(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("perfsim.layers_simulated").Add(53)
+	r.Gauge("dse.frontier_size").Set(14)
+	short := r.Snapshot().Text()
+	want := "== metrics ==\n" +
+		"perfsim.layers_simulated                 53\n" +
+		"dse.frontier_size                        14\n"
+	if short != want {
+		t.Errorf("short names:\n got %q\nwant %q", short, want)
+	}
+
+	long := "serve.route.perfsim.simulate_batch.requests_total"
+	if len(long) != 49 {
+		t.Fatalf("len(%q) = %d, want 49", long, len(long))
+	}
+	r.Counter(long).Add(7)
+	r.Histogram("serve.request_seconds", nil).Observe(0.5)
+	lines := strings.Split(strings.TrimSuffix(r.Snapshot().Text(), "\n"), "\n")[1:]
+	if len(lines) != 4 {
+		t.Fatalf("want 4 metric lines, got %q", lines)
+	}
+	for _, line := range lines {
+		name, value := line[:49], line[49:]
+		if strings.TrimRight(name, " ") == "" || value[0] != ' ' || value[1] == ' ' {
+			t.Errorf("line %q: want the name padded to 49 columns, then one space and the value", line)
+		}
+	}
+	if !strings.HasPrefix(lines[1], long+" 7") {
+		t.Errorf("long-name line = %q, want %q", lines[1], long+" 7")
+	}
+}
+
 // Regression: a duration histogram fed only negative (clock-skew) samples
 // must clamp them to zero at record time — min, max, and sum all read 0 and
 // the samples land in the first bucket, instead of a negative max leaking

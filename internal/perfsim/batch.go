@@ -60,7 +60,7 @@ var batchPool sync.Pool
 
 // acquireBatch fetches pooled scratch sized for n candidates. Reused
 // Results keep their backing arrays; every slot is fully overwritten by
-// simulateInto before it is visible to the caller, and Errs is cleared
+// simulate before it is visible to the caller, and Errs is cleared
 // here, so no state leaks between batches.
 func acquireBatch(n int) *BatchResult {
 	br, _ := batchPool.Get().(*BatchResult)
@@ -96,8 +96,9 @@ func SimulateBatch(ctx context.Context, g *graph.Graph, batch int, opt Options, 
 // workload. Candidate failures (nil chip, no tensor units, injected fault,
 // non-finite metrics, panic) land in Errs[i] and do not disturb the other
 // candidates; only batch-level problems (invalid batch, empty chip list,
-// canceled ctx) fail the whole call. The ctx is checked between candidates
-// and between layers, exactly like SimulateCtx.
+// canceled ctx) fail the whole call. The ctx is checked between
+// candidates and once per simulation, before its closed forms run; only
+// while a fault is armed is it checked between layers too.
 //
 // The returned BatchResult is pooled scratch — Release it when done.
 func (p *Prepared) SimulateBatch(ctx context.Context, batch int, opt Options, chips []*chip.Chip) (*BatchResult, error) {
@@ -130,6 +131,12 @@ func (p *Prepared) SimulateBatch(ctx context.Context, batch int, opt Options, ch
 // nothing in the steady state and produces headline metrics bit-identical
 // to SimulateCtx. res must not be nil.
 func (p *Prepared) SimulateInto(ctx context.Context, c *chip.Chip, batch int, opt Options, res *Result) error {
+	return p.simulateBound(ctx, c, batch, opt, res, nil)
+}
+
+// simulateBound is SimulateInto reading the tiling terms from b when b is
+// non-nil.
+func (p *Prepared) simulateBound(ctx context.Context, c *chip.Chip, batch int, opt Options, res *Result, b *Binding) error {
 	if c == nil {
 		return guard.Invalid("perfsim: nil chip")
 	}
@@ -139,5 +146,5 @@ func (p *Prepared) SimulateInto(ctx context.Context, c *chip.Chip, batch int, op
 	if err := guard.Inject(ctx, "perfsim.simulate"); err != nil {
 		return err
 	}
-	return simulateInto(ctx, c, p, batch, opt, res, nil)
+	return simulate(ctx, c, p, batch, opt, res, nil, b)
 }

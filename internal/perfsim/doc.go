@@ -30,15 +30,27 @@
 // Prepare groups layers into shape classes, keyed by everything the closed
 // forms read about a layer (its prepared values, name excluded), and a
 // simulation evaluates the closed forms — mapping choice, cycles, traffic,
-// stream MACs, epilogue — once per class, on the class's first layer.
-// It then walks the layers in graph order and adds each layer's class
-// values to the running sums, in the same order a per-layer loop would,
-// so every Result and LayerStat is bit-identical to evaluating each layer
-// (pinned against a per-layer reference simulator by
-// TestClassedMatchesOracle). The deadline check, the perfsim.layer
-// injection site, and in detail mode the LayerStat and perfsim.layer span
-// stay per layer. The counter perfsim.layers_simulated counts layers
-// walked, perfsim.layer_evals class evaluations.
+// stream MACs, epilogue — once per class, every class up front. It then
+// walks the layers in graph order and adds each layer's class values to
+// running sums, in the same order a per-layer loop would, so every Result
+// and LayerStat is bit-identical to evaluating each layer (pinned against
+// a per-layer reference simulator by TestClassedMatchesOracle). The walk
+// makes no call and no check per layer. Per-layer work runs in a separate
+// pass, and only when it is wanted: the perfsim.layer injection site and a
+// per-layer deadline check while any fault is armed (guard.Armed), and the
+// LayerStat and perfsim.layer span of SimulateCtx's detail. Otherwise the
+// deadline is checked once per simulation, before the classes are
+// evaluated; a whole Fig. 10 simulation takes a few microseconds. The
+// counter perfsim.layers_simulated counts layers walked,
+// perfsim.layer_evals class evaluations.
+//
+// A Binding caches the tiling terms of a Prepared's matrix classes on one
+// chip — the part of a simulation neither the batch nor the options
+// change — for a caller that simulates one (workload, chip) pair at
+// several batches, as the dse study does for each candidate's batch
+// regimes and latency ladder. It rebinds itself when used with another
+// Prepared or chip, and its results are bit-identical to unbound ones
+// (TestSimulationPathsAgree).
 //
 // # Batch evaluation
 //
@@ -64,6 +76,7 @@
 // guard.ErrInfeasible for layers the chip cannot map, guard.ErrNonFinite
 // if any derived quantity leaves the finite range, and the classified
 // context error (guard.ErrCanceled / guard.ErrTimeout) when SimulateCtx's
-// context expires — checked between layers, so cancellation latency is one
-// layer's closed-form evaluation.
+// context expires — checked once per simulation, before its closed forms
+// run, so cancellation latency is one simulation (a few microseconds); in
+// detail mode and while a fault is armed it is checked between layers.
 package perfsim

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"neurometer/internal/chip"
@@ -18,8 +19,8 @@ import (
 var (
 	mSimulations = obs.NewCounter("perfsim.simulations")
 	mLayers      = obs.NewCounter("perfsim.layers_simulated")
-	// mLayerEvals counts closed-form evaluations: one per shape class a
-	// simulation reaches, at most one per layer.
+	// mLayerEvals counts closed-form evaluations: one per shape class per
+	// simulation, at most one per layer.
 	mLayerEvals = obs.NewCounter("perfsim.layer_evals")
 )
 
@@ -106,10 +107,11 @@ func Simulate(c *chip.Chip, g *graph.Graph, batch int, opt Options) (*Result, er
 // path that records per-layer detail: it opens a span per graph (child of
 // any span in ctx) and a child span per layer carrying the mapping decision
 // and cycle breakdown, and fills Result.Layers with one LayerStat per layer
-// of g, named from g. The ctx deadline is honored between layers (a
-// canceled or expired ctx aborts the simulation with
-// guard.ErrCanceled/ErrTimeout), and the headline result metrics are
-// finite-checked before returning so NaN/Inf never escapes into sweeps.
+// of g, named from g. The detail is recorded in a per-layer pass, which
+// also honors the ctx deadline between layers (a canceled or expired ctx
+// aborts the simulation with guard.ErrCanceled/ErrTimeout), and the
+// headline result metrics are finite-checked before returning so NaN/Inf
+// never escapes into sweeps.
 //
 // SimulateCtx validates and prepares g on every call. When the layers are
 // not needed, or when evaluating many chips against one workload, Prepare
@@ -220,22 +222,36 @@ type simEnv struct {
 	nocBPC, hbmBPC, memBytes      float64
 	weightsResident               bool
 	hopCycles, bubble             float64
+	// terms holds the tiling terms of the class being evaluated when no
+	// Binding supplies them.
+	terms tileTerms
 }
 
-// simulateInto is the shared simulation core. It fully overwrites *res
+// simulateInto is simulate with no Binding: the tiling terms are computed
+// in the simulation.
+func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt Options, res *Result, detail *graph.Graph) error {
+	return simulate(ctx, c, p, batch, opt, res, detail, nil)
+}
+
+// simulate is the shared simulation core. It fully overwrites *res
 // (reusing the Layers backing array) and allocates nothing on the steady
 // state when detail is nil. A non-nil detail is the graph p was prepared
 // from, and asks for per-layer spans and LayerStat records named from its
-// layers: the detailed single-candidate path (SimulateCtx). The batch and
-// sweep paths accumulate through locals. Both modes execute the same closed
-// forms in the same order, so headline metrics are bit-identical between
-// them.
+// layers: the detailed single-candidate path (SimulateCtx). A non-nil b
+// supplies the matrix classes' tiling terms for (p, c) (see Binding). Every
+// path executes the same closed forms and adds the same values in the same
+// order, so headline metrics are bit-identical between them.
 //
-// The closed forms run once per shape class (see prep.go), on the class's
-// first layer, when the walk over the layers reaches it; every layer then
-// adds its class's values to the running sums in graph order. The deadline
-// check and the perfsim.layer injection site stay per layer.
-func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt Options, res *Result, detail *graph.Graph) (err error) {
+// A simulation runs in one tight pass: it evaluates the closed forms once
+// per shape class (see prep.go), every class up front in class order, then
+// walks the layers in graph order adding each layer's class values to
+// running sums held in locals, with no call and no check per layer. The
+// per-layer work — the deadline check, the perfsim.layer injection site,
+// and in detail mode the LayerStats and spans — runs in a separate pass,
+// and only when detail is asked for or a fault is armed somewhere
+// (guard.Armed); otherwise a cancelable ctx is checked once, before the
+// classes are evaluated.
+func simulate(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt Options, res *Result, detail *graph.Graph, b *Binding) (err error) {
 	defer guard.RecoverTo(&err)
 	core := c.Core
 	if core.TU == nil {
@@ -282,15 +298,6 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 
 	layers := res.Layers[:0]
 	*res = Result{Batch: batch, Layers: layers}
-	act := chip.Activity{ClockGateIdleFrac: 0.5}
-	var totalMACs, totalVecOps float64
-	// streamMACs counts cell-cycles actually clocked through the arrays,
-	// including padded tiles and fill/drain bubbles: the energy-relevant
-	// quantity (a 64x64 array computing a 10-row stripe still clocks all
-	// 4096 cells). This is the mechanism behind the paper's observation
-	// that runtime energy efficiency favors smaller arrays (§III-B.2).
-	var streamMACs float64
-	var memRead, memWrite, nocBytes, hbmBytes float64
 
 	var stack [stackClasses]classVals
 	vals := stack[:]
@@ -304,40 +311,49 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 	}
 	vals = vals[:len(p.vals)]
 	// The counters cover the layers actually walked and the classes
-	// actually evaluated, early error returns and panics included. Classes
-	// are numbered in order of first appearance, so the walk first reaches
-	// class k when evals == k.
-	walked, evals := 0, int32(0)
+	// actually evaluated, early error returns and panics included.
+	walked, evals := 0, 0
 	defer func() {
 		mLayers.Add(int64(walked))
 		mLayerEvals.Add(int64(evals))
 	}()
 
-	// Deadline checks gate on the Done channel: nil for non-cancelable
+	perLayer := detail != nil || guard.Armed()
+	// The deadline check gates on the Done channel: nil for non-cancelable
 	// contexts (skip entirely), and a lock-free poll otherwise —
 	// guard.CtxErr (which classifies via context.Cause, taking a mutex)
-	// runs only once the context is actually dead, returning the identical
-	// error it always did.
-	done := ctx.Done()
-	for li, k := range p.class {
-		// Deadline check per layer: analytical layers are cheap, so this is
-		// the granularity at which a per-candidate timeout can actually
-		// interrupt a simulation.
-		if done != nil {
-			select {
-			case <-done:
-				return guard.CtxErr(ctx)
-			default:
-			}
+	// runs only once the context is actually dead.
+	if done := ctx.Done(); done != nil && !perLayer {
+		select {
+		case <-done:
+			return guard.CtxErr(ctx)
+		default:
 		}
-		if err := guard.Inject(ctx, "perfsim.layer"); err != nil {
+	}
+	terms := b.bind(p, c, &e)
+	for k := range vals {
+		var tt *tileTerms
+		if terms != nil {
+			tt = &terms[k]
+		}
+		e.evalClass(&p.vals[k], &vals[k], tt)
+		evals++
+	}
+	if perLayer {
+		if err := layerPass(ctx, p, vals, res, detail, &walked); err != nil {
 			return err
 		}
+	}
+
+	// streamMACs counts cell-cycles actually clocked through the arrays,
+	// including padded tiles and fill/drain bubbles: the energy-relevant
+	// quantity (a 64x64 array computing a 10-row stripe still clocks all
+	// 4096 cells). This is the mechanism behind the paper's observation
+	// that runtime energy efficiency favors smaller arrays (§III-B.2).
+	var cycles, totalMACs, totalVecOps, streamMACs float64
+	var memRead, memWrite, nocBytes, hbmBytes float64
+	for _, k := range p.class {
 		cv := &vals[k]
-		if k == evals {
-			e.evalClass(&p.vals[k], cv)
-			evals++
-		}
 		totalMACs += cv.macs
 		streamMACs += cv.streamMACs
 		memRead += cv.memRead
@@ -345,28 +361,13 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 		nocBytes += cv.nocBytes
 		hbmBytes += cv.hbmBytes
 		totalVecOps += cv.vops
-		res.Cycles += cv.cycles
-		walked++
-		if detail != nil {
-			name, mapName := detail.Layers[li].Name, cv.mapping.String()
-			res.Layers = append(res.Layers, LayerStat{
-				Name: name, Kind: p.vals[k].kind, Mapping: mapName,
-				Cycles: cv.cycles, ComputeCycles: cv.compute, NoCCycles: cv.noc,
-				HBMCycles: cv.hbm, VUCycles: cv.vu, Overhead: cv.overhead, MACs: cv.macs,
-				MemReadBytes: cv.memRead, MemWriteBytes: cv.memWrite,
-				NoCBytes: cv.nocBytes, HBMBytes: cv.hbmBytes, StreamMACs: cv.streamMACs,
-			})
-			_, lspan := obs.Start(ctx, "perfsim.layer")
-			lspan.SetStr("layer", name)
-			lspan.SetStr("mapping", mapName)
-			lspan.SetFloat("cycles", cv.cycles)
-			lspan.SetFloat("macs", cv.macs)
-			lspan.End()
-		}
+		cycles += cv.cycles
 	}
+	walked = len(p.class)
 	mSimulations.Inc()
 
 	batchF, cores := e.batchF, e.cores
+	res.Cycles = cycles
 	res.TimeSec = res.Cycles / c.ClockHz()
 	res.LatencySec = res.TimeSec
 	res.FPS = batchF / res.TimeSec
@@ -389,6 +390,7 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 
 	// Padded/bubble cell-cycles carry zeros: they burn clock and control
 	// but toggle little datapath (~30% of a live MAC).
+	act := chip.Activity{ClockGateIdleFrac: 0.5}
 	effectiveMACs := totalMACs + 0.3*fmax(0, streamMACs-totalMACs)
 	act.TUMACsPerSec = effectiveMACs / res.TimeSec
 	act.VUOpsPerSec = totalVecOps / res.TimeSec
@@ -401,11 +403,142 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 	return nil
 }
 
+// layerPass is a simulation's per-layer pass, run when detail is asked for
+// or a fault is armed: for each layer in graph order it checks the ctx
+// deadline, hits the perfsim.layer injection site and, when detail is
+// non-nil, appends the layer's LayerStat to res.Layers and records its
+// span. vals holds the evaluated classes. *walked counts the layers it has
+// passed, so a panic at the injection site leaves the count of the layers
+// before it.
+func layerPass(ctx context.Context, p *Prepared, vals []classVals, res *Result, detail *graph.Graph, walked *int) error {
+	done := ctx.Done()
+	for li, k := range p.class {
+		*walked = li
+		// Deadline check per layer: the granularity at which a canceled
+		// ctx can interrupt a simulation on this path.
+		if done != nil {
+			select {
+			case <-done:
+				return guard.CtxErr(ctx)
+			default:
+			}
+		}
+		if err := guard.Inject(ctx, "perfsim.layer"); err != nil {
+			return err
+		}
+		if detail == nil {
+			continue
+		}
+		cv := &vals[k]
+		name, mapName := detail.Layers[li].Name, cv.mapping.String()
+		res.Layers = append(res.Layers, LayerStat{
+			Name: name, Kind: p.vals[k].kind, Mapping: mapName,
+			Cycles: cv.cycles, ComputeCycles: cv.compute, NoCCycles: cv.noc,
+			HBMCycles: cv.hbm, VUCycles: cv.vu, Overhead: cv.overhead, MACs: cv.macs,
+			MemReadBytes: cv.memRead, MemWriteBytes: cv.memWrite,
+			NoCBytes: cv.nocBytes, HBMBytes: cv.hbmBytes, StreamMACs: cv.streamMACs,
+		})
+		_, lspan := obs.Start(ctx, "perfsim.layer")
+		lspan.SetStr("layer", name)
+		lspan.SetStr("mapping", mapName)
+		lspan.SetFloat("cycles", cv.cycles)
+		lspan.SetFloat("macs", cv.macs)
+		lspan.End()
+	}
+	*walked = len(p.class)
+	return nil
+}
+
+// tileTerms are the tiling terms of a matrix class on a chip that depend on
+// the class's GEMM K and N and the chip's array geometry alone, not on the
+// batch or the options: the weight-tile grid and what mappings A, B and C
+// make of it. A Binding caches them per class from the class's unfolded K.
+// Space-to-Depth folding, which depends on the batch and the options,
+// cannot change them: it folds only K < X/2, by at most floor(X/K), so the
+// folded K still fits one array tile (ceil(K/X) stays 1) and every term
+// reads the same. TestSimulationPathsAgree pins bound against unbound
+// simulations with and without folding.
+type tileTerms struct {
+	nt, tiles             float64
+	coresA, roundsA, tusA float64
+	// roundsB is mapping B's ceil(tiles/totalTUs) when tiles >= totalTUs,
+	// and its share floor(totalTUs/tiles) of TUs per tile otherwise.
+	roundsB                      float64
+	coresB, kSplit, coresK, tusB float64
+	roundsC                      float64
+}
+
+// tiling computes into t the tileTerms of a K x N weight matrix on e's
+// chip.
+func (e *simEnv) tiling(t *tileTerms, kF, nF float64) {
+	x, tuPerCore, cores, totalTUs := e.x, e.tuPerCore, e.cores, e.totalTUs
+	kt := math.Ceil(kF / x)
+	t.nt = math.Ceil(nF / x)
+	t.tiles = kt * t.nt
+	t.coresA = fmin(cores, t.nt)
+	ntc := math.Ceil(t.nt / t.coresA)
+	t.roundsA = math.Ceil(ntc * kt / tuPerCore)
+	t.tusA = fmin(t.coresA*tuPerCore, t.tiles)
+	if t.tiles >= totalTUs {
+		t.roundsB = math.Ceil(t.tiles / totalTUs)
+	} else {
+		t.roundsB = math.Floor(totalTUs / t.tiles)
+	}
+	t.coresB = fmin(cores, t.tiles)
+	t.kSplit = fmin(kt, fmax(1, math.Floor(totalTUs/t.nt)))
+	t.coresK = math.Ceil(t.kSplit / tuPerCore)
+	t.tusB = fmin(totalTUs, t.tiles*fmax(1, math.Floor(totalTUs/t.tiles)))
+	t.roundsC = math.Ceil(t.tiles / tuPerCore)
+}
+
+// Binding holds the tiling terms of one Prepared's matrix classes on one
+// chip: the part of a simulation that neither the batch nor the options
+// change. A caller that simulates one (Prepared, chip) pair at several
+// batches — a latency-limited ladder, several batch regimes — binds it once
+// and passes the Binding to every simulation of the pair. A Binding refills
+// itself whenever it is used with another Prepared or chip, so it never
+// serves another pair's terms; it holds both, so neither can be freed and
+// its address reused while bound. Results are bit-identical to unbound
+// simulations. The zero Binding is ready to use; a Binding is not safe for
+// concurrent use.
+type Binding struct {
+	p     *Prepared
+	c     *chip.Chip
+	terms []tileTerms
+}
+
+// SimulateInto is (*Prepared).SimulateInto of p on c, reading the tiling
+// terms of (p, c) from b.
+func (b *Binding) SimulateInto(ctx context.Context, p *Prepared, c *chip.Chip, batch int, opt Options, res *Result) error {
+	return p.simulateBound(ctx, c, batch, opt, res, b)
+}
+
+// bind returns the tiling terms of (p, c), one per class of p, filling them
+// from e (the simulation's environment on c) when b was last used with
+// another pair. A nil b binds nothing and returns nil.
+func (b *Binding) bind(p *Prepared, c *chip.Chip, e *simEnv) []tileTerms {
+	if b == nil {
+		return nil
+	}
+	if b.p != p || b.c != c {
+		b.terms = slices.Grow(b.terms[:0], len(p.vals))[:len(p.vals)]
+		for k := range p.vals {
+			if lv := &p.vals[k]; lv.isMatrix {
+				e.tiling(&b.terms[k], lv.k0, lv.n0)
+			}
+		}
+		b.p, b.c = p, c
+	}
+	return b.terms
+}
+
 // evalClass runs the per-layer closed forms on lv, a shape class's
-// representative layer, overwriting every field of *cv. Layers of other
-// kinds than the one evaluated carry zeros in the fields their path does
-// not set; adding those zeros to the running sums changes no bit.
-func (e *simEnv) evalClass(lv *layerVals, cv *classVals) {
+// representative layer, overwriting every field of *cv. t, when non-nil,
+// holds the class's tiling terms on the simulation's chip (from a
+// Binding); they are computed here otherwise. Layers of other kinds than
+// the one evaluated carry zeros in the fields their path does not set;
+// adding those zeros to the running sums changes no bit.
+func (e *simEnv) evalClass(lv *layerVals, cv *classVals, t *tileTerms) {
 	opt, batchF := e.opt, e.batchF
 	x, tuPerCore, cores, totalTUs := e.x, e.tuPerCore, e.cores, e.totalTUs
 	lanes, mulBytes, accBytes := e.lanes, e.mulBytes, e.accBytes
@@ -427,10 +560,11 @@ func (e *simEnv) evalClass(lv *layerVals, cv *classVals) {
 				mF = math.Ceil(mF / fold)
 			}
 		}
-
-		kt := math.Ceil(kF / x)
-		nt := math.Ceil(nF / x)
-		tiles := kt * nt
+		if t == nil {
+			t = &e.terms
+			e.tiling(t, kF, nF)
+		}
+		nt, tiles := t.nt, t.tiles
 
 		// The scheduler evaluates three mappings and picks the fastest,
 		// mirroring TF-Sim's "advanced runtime graph scheduling". Fill
@@ -445,10 +579,8 @@ func (e *simEnv) evalClass(lv *layerVals, cv *classVals) {
 		// therefore capped by the N-tile count: with few output-channel
 		// tiles, part of the chip idles — the reason small batches
 		// cannot feed many brawny cores.
-		coresA := fmin(cores, nt)
-		ntc := math.Ceil(nt / coresA)
-		roundsA := math.Ceil(ntc * kt / tuPerCore)
-		compA := roundsA*(mF+bubble) + oneTime
+		coresA := t.coresA
+		compA := t.roundsA*(mF+bubble) + oneTime
 		// Intra-core K-splits accumulate in the core's accumulator
 		// buffer (the TPU pattern): no VU cost.
 		vuA := 0.0
@@ -458,31 +590,29 @@ func (e *simEnv) evalClass(lv *layerVals, cv *classVals) {
 		}
 		nocA := bcastA / nocBPC
 		energyA := mF * kF * mulBytes * (coresA - 1) * multicastShare
-		tusA := fmin(coresA*tuPerCore, tiles)
+		tusA := t.tusA
 
 		// ---- B: K+N split across cores (inter-core psum merging) ------
 		var compB float64
 		if tiles >= totalTUs {
-			compB = math.Ceil(tiles/totalTUs)*(mF+bubble) + oneTime
+			compB = t.roundsB*(mF+bubble) + oneTime
 		} else {
-			share := math.Floor(totalTUs / tiles)
-			compB = math.Ceil(mF/share) + bubble + oneTime
+			compB = math.Ceil(mF/t.roundsB) + bubble + oneTime
 		}
-		kSplit := fmin(kt, fmax(1, math.Floor(totalTUs/nt)))
-		coresK := math.Ceil(kSplit / tuPerCore)
+		kSplit, coresK := t.kSplit, t.coresK
 		// Every K-split pair produces a full M x N partial-sum tensor
 		// that must be summed; the cross-core fraction rides the NoC.
 		mergeB := fmax(0, kSplit-1) * mF * nF * accBytes *
 			(coresK - 1) / fmax(coresK, 1)
+		coresB := t.coresB
 		bcastB := 0.0
-		if fmin(cores, tiles) > 1 {
+		if coresB > 1 {
 			bcastB = mF * kF * mulBytes
 		}
 		vuB := fmax(0, kSplit-1) * mF * nF / lanes
 		nocB := (mergeB + bcastB) / nocBPC
-		energyB := mergeB + mF*kF*mulBytes*(fmin(cores, tiles)-1)*multicastShare
-		coresB := fmin(cores, tiles)
-		tusB := fmin(totalTUs, tiles*fmax(1, math.Floor(totalTUs/tiles)))
+		energyB := mergeB + mF*kF*mulBytes*(coresB-1)*multicastShare
+		tusB := t.tusB
 
 		// ---- C: M-split across cores (data/spatial parallel) -----------
 		// Splitting the spatial/batch dimension across cores needs halo
@@ -497,18 +627,22 @@ func (e *simEnv) evalClass(lv *layerVals, cv *classVals) {
 		}
 		// Distinct frames split for free; only splits beyond the
 		// batch dimension cut spatially and pay halos.
+		// n is a power of two, so mF*inv is exactly mF/n; while n <=
+		// batchF the halo factor is exactly 1 and is skipped.
 		coresM := 1.0
 		bestT := math.Inf(1)
-		for n := 1.0; n <= coresMax; n *= 2 {
-			spatial := fmax(1, n/batchF)
-			if t := math.Ceil(mF/n) * (1 + haloPerCore*(spatial-1)); t < bestT {
-				bestT, coresM = t, n
+		for n, inv := 1.0, 1.0; n <= coresMax; n, inv = n*2, inv*0.5 {
+			rows := math.Ceil(mF * inv)
+			if n > batchF {
+				rows *= 1 + haloPerCore*(n/batchF-1)
+			}
+			if rows < bestT {
+				bestT, coresM = rows, n
 			}
 		}
 		spatialM := fmax(1, coresM/batchF)
 		mc := math.Ceil(mF/coresM) * (1 + haloPerCore*(spatialM-1))
-		roundsC := math.Ceil(tiles / tuPerCore)
-		compC := roundsC*(mc+bubble) + oneTime
+		compC := t.roundsC*(mc+bubble) + oneTime
 		wb := 0.0
 		if coresM > 1 {
 			wb = kF * nF * mulBytes // weights replicate, one crossing
@@ -592,15 +726,13 @@ func (e *simEnv) evalClass(lv *layerVals, cv *classVals) {
 		}
 		compute := work / (totalTUs * x * x / kk)
 		overhead := launchCycles + syncPerCore*cores*0.5
-		*cv = classVals{
-			cycles: compute + overhead, compute: compute, overhead: overhead,
-			macs: macs, vops: vops,
-			// Imperfect row gating clocks ~2x the active cells.
-			streamMACs: compute * totalTUs * fmin(x*x*2/kk, x*x),
-			memRead:    lv.inBytes * batchF,
-			memWrite:   lv.outBytes * batchF,
-			mapping:    mapDepthwise,
-		}
+		// Field by field, every field: a composite literal would be built
+		// and then copied.
+		cv.cycles, cv.compute, cv.noc, cv.hbm, cv.vu, cv.overhead = compute+overhead, compute, 0, 0, 0, overhead
+		// Imperfect row gating clocks ~2x the active cells.
+		cv.macs, cv.vops, cv.streamMACs = macs, vops, compute*totalTUs*fmin(x*x*2/kk, x*x)
+		cv.memRead, cv.memWrite, cv.nocBytes, cv.hbmBytes = lv.inBytes*batchF, lv.outBytes*batchF, 0, 0
+		cv.mapping = mapDepthwise
 		return
 	}
 	// Vector-mapped layer (pool, eltwise, softmax, ...). XLA-style fusion
@@ -609,13 +741,10 @@ func (e *simEnv) evalClass(lv *layerVals, cv *classVals) {
 	// skip the full launch cost.
 	vu := vops / (lanes * 2 * 0.5) // dual-issue lanes, stride/halo efficiency
 	overhead := launchCycles*0.3 + syncPerCore*cores*0.25
-	*cv = classVals{
-		cycles: vu*0.25 + overhead, vu: vu, overhead: overhead,
-		macs: macs, vops: vops,
-		memRead:  lv.inBytes * batchF,
-		memWrite: lv.outBytes * batchF,
-		mapping:  mapVector,
-	}
+	cv.cycles, cv.compute, cv.noc, cv.hbm, cv.vu, cv.overhead = vu*0.25+overhead, 0, 0, 0, vu, overhead
+	cv.macs, cv.vops, cv.streamMACs = macs, vops, 0
+	cv.memRead, cv.memWrite, cv.nocBytes, cv.hbmBytes = lv.inBytes*batchF, lv.outBytes*batchF, 0, 0
+	cv.mapping = mapVector
 }
 
 // LatencyLimitedBatch finds the largest power-of-two batch whose batch

@@ -226,17 +226,22 @@ func (s *Server) readyz(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, status, body)
 }
 
-// metricz serves the registry snapshot: human-readable text by default,
-// ?format=json for the structured form. Both renderings are
+// metricz serves the registry snapshot: human-readable text by default (or
+// ?format=text), ?format=json for the structured form. Any other format is
+// a 400 naming the two, so a scraper asking for one that does not exist
+// learns why instead of parsing text. Both renderings are
 // deterministically ordered, so CI can diff consecutive scrapes.
 func (s *Server) metricz(w http.ResponseWriter, r *http.Request) {
-	snap := obs.Default().Snapshot()
-	if r.URL.Query().Get("format") == "json" {
-		writeJSON(w, http.StatusOK, snap)
-		return
+	switch format := r.URL.Query().Get("format"); format {
+	case "json":
+		writeJSON(w, http.StatusOK, obs.Default().Snapshot())
+	case "", "text":
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		io.WriteString(w, obs.Default().Snapshot().Text())
+	default:
+		err := guard.Invalid("metricz: unknown format %q (want text or json)", format)
+		writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error(), Kind: errKind(err)})
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	io.WriteString(w, snap.Text())
 }
 
 // ---- /v1/chip/build -------------------------------------------------------

@@ -132,6 +132,30 @@ func TestMetricz(t *testing.T) {
 	}
 }
 
+// TestMetriczFormats: ?format=text is the default text rendering, and a
+// format that does not exist is a 400 naming the two that do, not a 200
+// with text the scraper cannot parse.
+func TestMetriczFormats(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Get(ts.URL + "/metricz?format=text")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != 200 || !strings.HasPrefix(string(raw), "== metrics ==") {
+		t.Fatalf("format=text: %d %q", resp.StatusCode, raw)
+	}
+	for _, format := range []string{"prom", "JSON", "xml"} {
+		status, _, body := doJSON(t, "GET", ts.URL+"/metricz?format="+format, "")
+		msg, _ := body["error"].(string)
+		if status != 400 || body["kind"] != "invalid-config" ||
+			!strings.Contains(msg, "text") || !strings.Contains(msg, "json") {
+			t.Errorf("format=%s: %d %v, want 400 invalid-config naming text and json", format, status, body)
+		}
+	}
+}
+
 // TestMetriczRouteInstruments: after a real build, /metricz?format=json
 // carries the route's request counter and latency histogram.
 func TestMetriczRouteInstruments(t *testing.T) {
