@@ -475,8 +475,10 @@ func runtimeStudy(ctx context.Context, cands []Candidate, models []*graph.Graph,
 				continue
 			}
 			cctx, cspan := obs.Start(ctx, "dse.candidate")
-			cspan.SetStr("point", cand.Point.String())
-			cspan.SetStr("spec", specNames[s])
+			if cspan != nil {
+				cspan.SetStr("point", cand.Point.String())
+				cspan.SetStr("spec", specNames[s])
+			}
 			evalStart := time.Now()
 			row, err := evalCandidate(cctx, cand, sim, memo, spec, opt)
 			if err == nil && h.Results != nil {

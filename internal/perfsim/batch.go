@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"neurometer/internal/chip"
-	"neurometer/internal/graph"
 	"neurometer/internal/guard"
 	"neurometer/internal/obs"
 )
@@ -14,8 +13,8 @@ import (
 // "this workload, this batch, these N candidate chips" — and the historical
 // answer (N calls to SimulateCtx) re-validated the graph, rebuilt the
 // per-layer table, and allocated a fresh Result and layer slice for every
-// candidate. SimulateBatch prepares the workload once, runs the same
-// closed forms over each chip, and reuses pooled result scratch, so the
+// candidate. (*Prepared).SimulateBatch runs the same closed forms over each
+// chip of a workload prepared once, and reuses pooled result scratch, so the
 // steady state allocates nothing per candidate (asserted by
 // TestSimulateBatchZeroAllocs). Headline metrics are bit-identical to
 // per-candidate SimulateCtx calls.
@@ -35,6 +34,12 @@ var mBatchSims = obs.NewCounter("perfsim.batch_simulations")
 type BatchResult struct {
 	Results []Result
 	Errs    []error
+	// bind carries the tiling terms from chip to chip, and their backing
+	// array from batch to batch. buf is that array for graphs of up to
+	// stackClasses classes, so that a BatchResult the pool dropped (the race
+	// detector drops a quarter of Puts) costs no extra allocation.
+	bind Binding
+	buf  [stackClasses]tileTerms
 }
 
 // Failed reports how many candidates in the batch returned an error.
@@ -66,6 +71,7 @@ func acquireBatch(n int) *BatchResult {
 	br, _ := batchPool.Get().(*BatchResult)
 	if br == nil {
 		br = &BatchResult{}
+		br.bind.terms = br.buf[:0]
 	}
 	if cap(br.Results) < n || cap(br.Errs) < n {
 		br.Results = make([]Result, n)
@@ -78,18 +84,6 @@ func acquireBatch(n int) *BatchResult {
 		br.Errs[i] = nil
 	}
 	return br
-}
-
-// SimulateBatch evaluates one workload at one batch size across many
-// candidate chips, preparing the graph once. See (*Prepared).SimulateBatch
-// for the full contract; use that method directly when the same workload is
-// batched repeatedly.
-func SimulateBatch(ctx context.Context, g *graph.Graph, batch int, opt Options, chips []*chip.Chip) (*BatchResult, error) {
-	p, err := Prepare(g)
-	if err != nil {
-		return nil, err
-	}
-	return p.SimulateBatch(ctx, batch, opt, chips)
 }
 
 // SimulateBatch evaluates every chip in chips against the prepared
@@ -119,32 +113,8 @@ func (p *Prepared) SimulateBatch(ctx context.Context, batch int, opt Options, ch
 			br.Release()
 			return nil, err
 		}
-		br.Errs[i] = p.SimulateInto(ctx, c, batch, opt, &br.Results[i])
+		br.Errs[i] = br.bind.SimulateInto(ctx, p, c, batch, opt, &br.Results[i])
 	}
 	mBatchSims.Inc()
 	return br, nil
-}
-
-// SimulateInto runs one prepared simulation into caller-owned scratch,
-// fully overwriting *res (the Layers backing array is reused but left
-// empty — per-layer stats are not recorded on this path). It allocates
-// nothing in the steady state and produces headline metrics bit-identical
-// to SimulateCtx. res must not be nil.
-func (p *Prepared) SimulateInto(ctx context.Context, c *chip.Chip, batch int, opt Options, res *Result) error {
-	return p.simulateBound(ctx, c, batch, opt, res, nil)
-}
-
-// simulateBound is SimulateInto reading the tiling terms from b when b is
-// non-nil.
-func (p *Prepared) simulateBound(ctx context.Context, c *chip.Chip, batch int, opt Options, res *Result, b *Binding) error {
-	if c == nil {
-		return guard.Invalid("perfsim: nil chip")
-	}
-	if batch <= 0 {
-		return guard.Invalid("perfsim: batch must be positive, got %d", batch)
-	}
-	if err := guard.Inject(ctx, "perfsim.simulate"); err != nil {
-		return err
-	}
-	return simulate(ctx, c, p, batch, opt, res, nil, b)
 }

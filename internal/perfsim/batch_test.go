@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"neurometer/internal/chip"
+	"neurometer/internal/graph"
 	"neurometer/internal/guard"
 	"neurometer/internal/maclib"
 	"neurometer/internal/periph"
@@ -27,6 +28,16 @@ func batchChips(t *testing.T, n int) []*chip.Chip {
 		chips[i] = dcPoint(t, xs[i%len(xs)], ns[i%len(ns)], g[0], g[1])
 	}
 	return chips
+}
+
+// mustPrepare is Prepare for workloads known to be valid.
+func mustPrepare(t *testing.T, g *graph.Graph) *Prepared {
+	t.Helper()
+	p, err := Prepare(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // headline is the comparable projection of a Result: everything but the
@@ -52,9 +63,10 @@ func stripLayers(r Result) headline {
 func TestSimulateBatchBitIdentical(t *testing.T) {
 	chips := batchChips(t, 9)
 	for _, g := range workloads.All() {
+		p := mustPrepare(t, g)
 		for _, batch := range []int{1, 16, 256} {
 			for _, opt := range []Options{DefaultOptions(), NoOptimizations(), {SpaceToDepth: true}} {
-				br, err := SimulateBatch(context.Background(), g, batch, opt, chips)
+				br, err := p.SimulateBatch(context.Background(), batch, opt, chips)
 				if err != nil {
 					t.Fatalf("%s batch %d: %v", g.Name, batch, err)
 				}
@@ -117,19 +129,20 @@ func TestSimulateBatchZeroAllocs(t *testing.T) {
 // per-candidate evaluations after both have run.
 func TestSimulateBatchPoolNoAliasing(t *testing.T) {
 	g := workloads.ResNet50()
+	p := mustPrepare(t, g)
 	ctx := context.Background()
 	opt := DefaultOptions()
 	chipsA := batchChips(t, 6)
 	chipsB := batchChips(t, 6)[3:] // different shape and length
 
-	brA, err := SimulateBatch(ctx, g, 16, opt, chipsA)
+	brA, err := p.SimulateBatch(ctx, 16, opt, chipsA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	snapshot := make([]Result, len(brA.Results))
 	copy(snapshot, brA.Results)
 
-	brB, err := SimulateBatch(ctx, g, 64, opt, chipsB)
+	brB, err := p.SimulateBatch(ctx, 64, opt, chipsB)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +158,7 @@ func TestSimulateBatchPoolNoAliasing(t *testing.T) {
 	// fully overwrite it.
 	brA.Release()
 	brB.Release()
-	brC, err := SimulateBatch(ctx, g, 1, opt, chipsA)
+	brC, err := p.SimulateBatch(ctx, 1, opt, chipsA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +179,12 @@ func TestSimulateBatchPoolNoAliasing(t *testing.T) {
 // other candidate's result is untouched and bit-identical to a clean run.
 func TestSimulateBatchMidBatchLayerFault(t *testing.T) {
 	g := workloads.ResNet50()
+	p := mustPrepare(t, g)
 	chips := batchChips(t, 5)
 	ctx := context.Background()
 	opt := DefaultOptions()
 
-	clean, err := SimulateBatch(ctx, g, 16, opt, chips)
+	clean, err := p.SimulateBatch(ctx, 16, opt, chips)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +199,7 @@ func TestSimulateBatchMidBatchLayerFault(t *testing.T) {
 		Count: 1,
 		Err:   boom,
 	})()
-	br, err := SimulateBatch(ctx, g, 16, opt, chips)
+	br, err := p.SimulateBatch(ctx, 16, opt, chips)
 	if err != nil {
 		t.Fatalf("batch-level error from a single-candidate fault: %v", err)
 	}
@@ -217,7 +231,7 @@ func TestSimulateBatchMidBatchPanic(t *testing.T) {
 		Count: 1,
 		Panic: true,
 	})()
-	br, err := SimulateBatch(context.Background(), g, 8, DefaultOptions(), chips)
+	br, err := mustPrepare(t, g).SimulateBatch(context.Background(), 8, DefaultOptions(), chips)
 	if err != nil {
 		t.Fatalf("batch-level error from a single-candidate panic: %v", err)
 	}
@@ -236,7 +250,7 @@ func TestSimulateBatchPerCandidateValidation(t *testing.T) {
 	g := workloads.ResNet50()
 	chips := batchChips(t, 3)
 	chips[1] = nil
-	br, err := SimulateBatch(context.Background(), g, 4, DefaultOptions(), chips)
+	br, err := mustPrepare(t, g).SimulateBatch(context.Background(), 4, DefaultOptions(), chips)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,23 +263,24 @@ func TestSimulateBatchPerCandidateValidation(t *testing.T) {
 	}
 }
 
-// TestSimulateBatchBatchLevelValidation: bad batch sizes, empty chip
-// lists, and nil/invalid graphs fail the whole call.
+// TestSimulateBatchBatchLevelValidation: bad batch sizes and empty chip
+// lists fail the whole call, and nil/invalid graphs fail to prepare.
 func TestSimulateBatchBatchLevelValidation(t *testing.T) {
 	g := workloads.ResNet50()
+	p := mustPrepare(t, g)
 	chips := batchChips(t, 2)
-	if _, err := SimulateBatch(context.Background(), g, 0, DefaultOptions(), chips); err == nil {
+	if _, err := p.SimulateBatch(context.Background(), 0, DefaultOptions(), chips); err == nil {
 		t.Errorf("batch 0 must fail")
 	}
-	if _, err := SimulateBatch(context.Background(), g, 4, DefaultOptions(), nil); err == nil {
+	if _, err := p.SimulateBatch(context.Background(), 4, DefaultOptions(), nil); err == nil {
 		t.Errorf("empty chip list must fail")
 	}
-	if _, err := SimulateBatch(context.Background(), nil, 4, DefaultOptions(), chips); err == nil {
+	if _, err := Prepare(nil); err == nil {
 		t.Errorf("nil graph must fail")
 	}
 	bad := *g
 	bad.Layers = nil
-	if _, err := SimulateBatch(context.Background(), &bad, 4, DefaultOptions(), chips); err == nil {
+	if _, err := Prepare(&bad); err == nil {
 		t.Errorf("invalid graph must fail")
 	}
 }
@@ -275,30 +290,28 @@ func TestSimulateBatchBatchLevelValidation(t *testing.T) {
 func TestSimulateBatchCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := SimulateBatch(ctx, workloads.ResNet50(), 4, DefaultOptions(), batchChips(t, 2))
+	_, err := mustPrepare(t, workloads.ResNet50()).SimulateBatch(ctx, 4, DefaultOptions(), batchChips(t, 2))
 	if !errors.Is(err, guard.ErrCanceled) {
 		t.Errorf("want guard.ErrCanceled, got %v", err)
 	}
 }
 
 // TestLatencyLimitedSearchMatchesCtx pins the latency search probed through
-// prepared simulations into caller-owned Results against
-// LatencyLimitedBatchCtx's per-call path, bit for bit.
+// one Binding into caller-owned Results against LatencyLimitedBatch's
+// per-call path, bit for bit.
 func TestLatencyLimitedSearchMatchesCtx(t *testing.T) {
 	c := dcPoint(t, 64, 2, 2, 4)
 	for _, g := range workloads.All() {
-		p, err := Prepare(g)
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := mustPrepare(t, g)
+		var b Binding
 		gotB, gotR, err := LatencyLimitedSearch(0.010, func(batch int) (*Result, error) {
 			r := new(Result)
-			return r, p.SimulateInto(context.Background(), c, batch, DefaultOptions(), r)
+			return r, b.SimulateInto(context.Background(), p, c, batch, DefaultOptions(), r)
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantB, wantR, err := LatencyLimitedBatchCtx(context.Background(), c, g, 0.010, DefaultOptions())
+		wantB, wantR, err := LatencyLimitedBatch(c, g, 0.010, DefaultOptions())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -44,12 +44,13 @@
 // counter perfsim.layers_simulated counts layers walked,
 // perfsim.layer_evals class evaluations.
 //
-// A Binding caches the tiling terms of a Prepared's matrix classes on one
-// chip — the part of a simulation neither the batch nor the options
-// change — for a caller that simulates one (workload, chip) pair at
-// several batches, as the dse study does for each candidate's batch
-// regimes and latency ladder. It rebinds itself when used with another
-// Prepared or chip, and its results are bit-identical to unbound ones
+// Every simulation reads its matrix classes' tiling terms from a Binding,
+// which caches them for one Prepared on one chip — the part of a
+// simulation neither the batch nor the options change — so a caller that
+// simulates one (workload, chip) pair at several batches, as the dse study
+// does for each candidate's batch regimes and latency ladder, computes them
+// once. A Binding rebinds itself when used with another Prepared or chip,
+// and a fresh one gives the same bits as a reused one
 // (TestSimulationPathsAgree).
 //
 // # Batch evaluation
@@ -57,17 +58,19 @@
 // The design-space engine asks one question many times: "this workload,
 // this batch size, these N candidate chips". Prepare validates a graph once
 // and precomputes every chip-independent quantity once per shape class,
-// keeping of the graph only its name; SimulateBatch (and the lower-level
-// (*Prepared).SimulateInto) then run the same closed forms over each
-// candidate into pooled result scratch, so the steady state allocates
-// nothing per candidate. Headline metrics are bit-identical to
-// per-candidate SimulateCtx calls; per-layer LayerStat detail is a
-// single-candidate feature — use SimulateCtx when Layers matter.
-// BatchResults come from a sync.Pool: Release them when done and copy out
-// anything that must outlive the batch. LatencyLimitedSearch runs the
-// latency-limited batch search over any simulation probe, such as
-// SimulateInto into caller-owned Results. See PERFORMANCE.md for the
-// measured profile and the benchmark trajectory.
+// keeping of the graph only its name; (*Prepared).SimulateBatch then runs
+// the same closed forms over each candidate into pooled result scratch,
+// through one Binding kept with that scratch, so the steady state
+// allocates nothing per candidate. (*Binding).SimulateInto is the
+// one-candidate form of the same headline path, into a caller-owned
+// Result. Headline metrics are bit-identical to per-candidate SimulateCtx
+// calls; per-layer LayerStat detail is a single-candidate feature — use
+// SimulateCtx when Layers matter. BatchResults come from a sync.Pool:
+// Release them when done and copy out anything that must outlive the
+// batch. LatencyLimitedSearch runs the latency-limited batch search over
+// any simulation probe, such as SimulateInto into caller-owned Results.
+// See PERFORMANCE.md for the measured profile and the benchmark
+// trajectory.
 //
 // # Error contract
 //

@@ -11,12 +11,12 @@ import (
 	"neurometer/internal/workloads"
 )
 
-// SimulateBatch amortizes workload preparation across many candidate chips:
-// the graph is validated and its per-layer closed-form inputs computed once,
-// and every candidate's headline metrics are bit-identical to a
+// Prepare validates a workload and computes its per-layer closed-form
+// inputs once; SimulateBatch then evaluates many candidate chips against
+// it, and every candidate's headline metrics are bit-identical to a
 // per-candidate Simulate call. The returned BatchResult is pooled scratch —
 // Release it when done, and copy out anything that must outlive the batch.
-func ExampleSimulateBatch() {
+func ExamplePrepared_SimulateBatch() {
 	build := func(x int) *chip.Chip {
 		c, err := chip.BuildCached(chip.Config{
 			Name: fmt.Sprintf("x%d", x), TechNM: 28, ClockHz: 700e6,
@@ -40,7 +40,12 @@ func ExampleSimulateBatch() {
 		fmt.Println("workload:", err)
 		return
 	}
-	br, err := perfsim.SimulateBatch(context.Background(), g, 8, perfsim.DefaultOptions(), candidates)
+	p, err := perfsim.Prepare(g)
+	if err != nil {
+		fmt.Println("prepare:", err)
+		return
+	}
+	br, err := p.SimulateBatch(context.Background(), 8, perfsim.DefaultOptions(), candidates)
 	if err != nil {
 		fmt.Println("simulate:", err)
 		return

@@ -16,7 +16,7 @@ import (
 // simulateOracle is the reference simulator the shape-class path is checked
 // against: the per-layer loop that prepares and evaluates every closed form
 // on every layer of g, with no classes and no scratch. It bumps no
-// counters. Any change to a closed form in evalClass or simulateInto must
+// counters. Any change to a closed form in evalClass or simulate must
 // be mirrored here, and TestClassedMatchesOracle then pins the two bit for
 // bit.
 func simulateOracle(ctx context.Context, c *chip.Chip, g *graph.Graph, batch int, opt Options, res *Result, detail bool) (err error) {
@@ -374,16 +374,18 @@ func simulateOracle(ctx context.Context, c *chip.Chip, g *graph.Graph, batch int
 }
 
 // checkMatchesOracle simulates p, prepared from g, on c at (batch, opt)
-// through the classed core, in detail mode and through SimulateInto, and
-// simulates g through the oracle, and fails t unless every Result field and
-// every LayerStat agree bit for bit (errors by message).
+// through the classed core, in detail mode and then through SimulateInto on
+// the same Binding, and simulates g through the oracle, and fails t unless
+// every Result field and every LayerStat agree bit for bit (errors by
+// message).
 func checkMatchesOracle(t testing.TB, c *chip.Chip, g *graph.Graph, p *Prepared, batch int, opt Options) {
 	t.Helper()
 	ctx := context.Background()
 	var want, got, fast Result
+	var b Binding
 	wantErr := simulateOracle(ctx, c, g, batch, opt, &want, true)
-	gotErr := simulateInto(ctx, c, p, batch, opt, &got, g)
-	fastErr := p.SimulateInto(ctx, c, batch, opt, &fast)
+	gotErr := b.simulate(ctx, p, c, batch, opt, &got, g)
+	fastErr := b.SimulateInto(ctx, p, c, batch, opt, &fast)
 	where := fmt.Sprintf("%s on %s batch %d %+v", g.Name, c.Cfg.Name, batch, opt)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || fmt.Sprint(fastErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%s: errors diverge: detail %v, headline %v, oracle %v", where, gotErr, fastErr, wantErr)

@@ -11,9 +11,9 @@ import (
 )
 
 // TestSimulationPathsAgree pins every way a simulation can run against the
-// others, bit for bit in every Result field: the tight walk
-// (SimulateInto, no fault armed), the per-layer pass (a fault armed at an
-// unrelated site, and a cancelable ctx), SimulateCtx's detail path (one
+// others, bit for bit in every Result field: the tight walk (SimulateInto
+// on a fresh Binding, no fault armed), the per-layer pass (a fault armed at
+// an unrelated site, and a cancelable ctx), SimulateCtx's detail path (one
 // LayerStat per layer; TestClassedMatchesOracle checks their values), and
 // one Binding reused across batches 1 to 512 on a chip, then moved to
 // another workload on the same chip and on to the next chip. Every path
@@ -55,7 +55,7 @@ func TestSimulationPathsAgree(t *testing.T) {
 			for _, c := range chips {
 				for batch := 1; batch <= LatencyLimitedMaxBatch; batch *= 2 {
 					where := fmt.Sprintf("%s on %s batch %d %+v", g.Name, c.Cfg.Name, batch, opt)
-					fast, layers, evals := sim(func(r *Result) error { return p.SimulateInto(bg, c, batch, opt, r) })
+					fast, layers, evals := sim(func(r *Result) error { return new(Binding).SimulateInto(bg, p, c, batch, opt, r) })
 					if layers != wantLayers || evals != wantEvals {
 						t.Fatalf("%s: tight walk counted %d layers and %d evals, want %d and %d",
 							where, layers, evals, wantLayers, wantEvals)
@@ -66,7 +66,7 @@ func TestSimulationPathsAgree(t *testing.T) {
 					}{
 						{"per-layer pass", func(r *Result) error {
 							defer guard.Arm("chip.build", guard.Fault{Skip: 1 << 30})()
-							return p.SimulateInto(cctx, c, batch, opt, r)
+							return new(Binding).SimulateInto(cctx, p, c, batch, opt, r)
 						}},
 						{"detail", func(r *Result) error {
 							d, err := SimulateCtx(cctx, c, g, batch, opt)
@@ -97,7 +97,7 @@ func TestSimulationPathsAgree(t *testing.T) {
 				// The Binding moves to another workload on the same chip,
 				// then (next chip) to another chip and back to p.
 				moved, _, _ := sim(func(r *Result) error { return b.SimulateInto(bg, other, c, 8, opt, r) })
-				want, _, _ := sim(func(r *Result) error { return other.SimulateInto(bg, c, 8, opt, r) })
+				want, _, _ := sim(func(r *Result) error { return new(Binding).SimulateInto(bg, other, c, 8, opt, r) })
 				if at, ok := bitsEqual(reflect.ValueOf(moved), reflect.ValueOf(want), "Result"); !ok {
 					t.Fatalf("%s on %s: Binding moved from %s diverges at %s", other.name, c.Cfg.Name, g.Name, at)
 				}

@@ -115,33 +115,22 @@ func Simulate(c *chip.Chip, g *graph.Graph, batch int, opt Options) (*Result, er
 //
 // SimulateCtx validates and prepares g on every call. When the layers are
 // not needed, or when evaluating many chips against one workload, Prepare
-// the graph once and use (*Prepared).SimulateInto or SimulateBatch, which
-// amortize that cost and reuse result scratch; both produce bit-identical
-// headline metrics.
+// the graph once and use (*Binding).SimulateInto or
+// (*Prepared).SimulateBatch, which amortize that cost and reuse result
+// scratch; both produce bit-identical headline metrics.
 func SimulateCtx(ctx context.Context, c *chip.Chip, g *graph.Graph, batch int, opt Options) (res *Result, err error) {
 	defer guard.RecoverTo(&err)
-	if c == nil {
-		return nil, guard.Invalid("perfsim: nil chip")
-	}
-	if g == nil {
-		return nil, guard.Invalid("perfsim: nil graph")
-	}
-	if batch <= 0 {
-		return nil, guard.Invalid("perfsim: batch must be positive, got %d", batch)
-	}
-	if err := guard.Inject(ctx, "perfsim.simulate"); err != nil {
-		return nil, err
-	}
-	ctx, span := obs.Start(ctx, "perfsim.simulate")
-	defer span.End()
-	span.SetStr("graph", g.Name)
-	span.SetInt("batch", int64(batch))
 	p, err := Prepare(g)
 	if err != nil {
 		return nil, err
 	}
+	ctx, span := obs.Start(ctx, "perfsim.simulate")
+	defer span.End()
+	span.SetStr("graph", p.name)
+	span.SetInt("batch", int64(batch))
 	res = &Result{Layers: make([]LayerStat, 0, len(g.Layers))}
-	if err := simulateInto(ctx, c, p, batch, opt, res, g); err != nil {
+	var b Binding
+	if err := b.simulate(ctx, p, c, batch, opt, res, g); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -222,25 +211,16 @@ type simEnv struct {
 	nocBPC, hbmBPC, memBytes      float64
 	weightsResident               bool
 	hopCycles, bubble             float64
-	// terms holds the tiling terms of the class being evaluated when no
-	// Binding supplies them.
-	terms tileTerms
 }
 
-// simulateInto is simulate with no Binding: the tiling terms are computed
-// in the simulation.
-func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt Options, res *Result, detail *graph.Graph) error {
-	return simulate(ctx, c, p, batch, opt, res, detail, nil)
-}
-
-// simulate is the shared simulation core. It fully overwrites *res
-// (reusing the Layers backing array) and allocates nothing on the steady
-// state when detail is nil. A non-nil detail is the graph p was prepared
-// from, and asks for per-layer spans and LayerStat records named from its
-// layers: the detailed single-candidate path (SimulateCtx). A non-nil b
-// supplies the matrix classes' tiling terms for (p, c) (see Binding). Every
-// path executes the same closed forms and adds the same values in the same
-// order, so headline metrics are bit-identical between them.
+// simulate is the simulation core, reading the matrix classes' tiling
+// terms for (p, c) from b (see Binding). It fully overwrites *res (reusing
+// the Layers backing array) and allocates nothing on the steady state when
+// detail is nil. A non-nil detail is the graph p was prepared from, and asks
+// for per-layer spans and LayerStat records named from its layers: the
+// detailed single-candidate path (SimulateCtx). Every path executes the
+// same closed forms and adds the same values in the same order, so headline
+// metrics are bit-identical between them.
 //
 // A simulation runs in one tight pass: it evaluates the closed forms once
 // per shape class (see prep.go), every class up front in class order, then
@@ -251,7 +231,19 @@ func simulateInto(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt
 // and only when detail is asked for or a fault is armed somewhere
 // (guard.Armed); otherwise a cancelable ctx is checked once, before the
 // classes are evaluated.
-func simulate(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt Options, res *Result, detail *graph.Graph, b *Binding) (err error) {
+//
+// The perfsim.simulate injection site runs before the panic recovery, so
+// a panic injected there reaches the caller; panics past it become errors.
+func (b *Binding) simulate(ctx context.Context, p *Prepared, c *chip.Chip, batch int, opt Options, res *Result, detail *graph.Graph) (err error) {
+	if c == nil {
+		return guard.Invalid("perfsim: nil chip")
+	}
+	if batch <= 0 {
+		return guard.Invalid("perfsim: batch must be positive, got %d", batch)
+	}
+	if err := guard.Inject(ctx, "perfsim.simulate"); err != nil {
+		return err
+	}
 	defer guard.RecoverTo(&err)
 	core := c.Core
 	if core.TU == nil {
@@ -332,11 +324,7 @@ func simulate(ctx context.Context, c *chip.Chip, p *Prepared, batch int, opt Opt
 	}
 	terms := b.bind(p, c, &e)
 	for k := range vals {
-		var tt *tileTerms
-		if terms != nil {
-			tt = &terms[k]
-		}
-		e.evalClass(&p.vals[k], &vals[k], tt)
+		e.evalClass(&p.vals[k], &vals[k], &terms[k])
 		evals++
 	}
 	if perLayer {
@@ -456,8 +444,8 @@ func layerPass(ctx context.Context, p *Prepared, vals []classVals, res *Result, 
 // Space-to-Depth folding, which depends on the batch and the options,
 // cannot change them: it folds only K < X/2, by at most floor(X/K), so the
 // folded K still fits one array tile (ceil(K/X) stays 1) and every term
-// reads the same. TestSimulationPathsAgree pins bound against unbound
-// simulations with and without folding.
+// reads the same. TestClassedMatchesOracle pins this against the per-layer
+// oracle, which tiles the folded K.
 type tileTerms struct {
 	nt, tiles             float64
 	coresA, roundsA, tusA float64
@@ -498,28 +486,27 @@ func (e *simEnv) tiling(t *tileTerms, kF, nF float64) {
 // and passes the Binding to every simulation of the pair. A Binding refills
 // itself whenever it is used with another Prepared or chip, so it never
 // serves another pair's terms; it holds both, so neither can be freed and
-// its address reused while bound. Results are bit-identical to unbound
-// simulations. The zero Binding is ready to use; a Binding is not safe for
-// concurrent use.
+// its address reused while bound. The zero Binding is ready to use; a
+// Binding is not safe for concurrent use.
 type Binding struct {
 	p     *Prepared
 	c     *chip.Chip
 	terms []tileTerms
 }
 
-// SimulateInto is (*Prepared).SimulateInto of p on c, reading the tiling
-// terms of (p, c) from b.
+// SimulateInto runs one batch of p on c into caller-owned scratch, reading
+// the tiling terms of (p, c) from b. It fully overwrites *res (the Layers
+// backing array is reused but left empty — per-layer stats are recorded
+// only by SimulateCtx), allocates nothing in the steady state, and produces
+// headline metrics bit-identical to SimulateCtx. res must not be nil.
 func (b *Binding) SimulateInto(ctx context.Context, p *Prepared, c *chip.Chip, batch int, opt Options, res *Result) error {
-	return p.simulateBound(ctx, c, batch, opt, res, b)
+	return b.simulate(ctx, p, c, batch, opt, res, nil)
 }
 
 // bind returns the tiling terms of (p, c), one per class of p, filling them
 // from e (the simulation's environment on c) when b was last used with
-// another pair. A nil b binds nothing and returns nil.
+// another pair.
 func (b *Binding) bind(p *Prepared, c *chip.Chip, e *simEnv) []tileTerms {
-	if b == nil {
-		return nil
-	}
 	if b.p != p || b.c != c {
 		b.terms = slices.Grow(b.terms[:0], len(p.vals))[:len(p.vals)]
 		for k := range p.vals {
@@ -533,11 +520,10 @@ func (b *Binding) bind(p *Prepared, c *chip.Chip, e *simEnv) []tileTerms {
 }
 
 // evalClass runs the per-layer closed forms on lv, a shape class's
-// representative layer, overwriting every field of *cv. t, when non-nil,
-// holds the class's tiling terms on the simulation's chip (from a
-// Binding); they are computed here otherwise. Layers of other kinds than
-// the one evaluated carry zeros in the fields their path does not set;
-// adding those zeros to the running sums changes no bit.
+// representative layer, overwriting every field of *cv. t holds the
+// class's tiling terms on the simulation's chip (from a Binding). Layers of
+// other kinds than the one evaluated carry zeros in the fields their path
+// does not set; adding those zeros to the running sums changes no bit.
 func (e *simEnv) evalClass(lv *layerVals, cv *classVals, t *tileTerms) {
 	opt, batchF := e.opt, e.batchF
 	x, tuPerCore, cores, totalTUs := e.x, e.tuPerCore, e.cores, e.totalTUs
@@ -559,10 +545,6 @@ func (e *simEnv) evalClass(lv *layerVals, cv *classVals, t *tileTerms) {
 				kF *= fold
 				mF = math.Ceil(mF / fold)
 			}
-		}
-		if t == nil {
-			t = &e.terms
-			e.tiling(t, kF, nF)
 		}
 		nt, tiles := t.nt, t.tiles
 
@@ -752,14 +734,8 @@ func (e *simEnv) evalClass(lv *layerVals, cv *classVals, t *tileTerms) {
 // §III-B.2, with a 10 ms production SLO). It returns the batch and its
 // simulation result; batch 1 is returned even if it misses the bound.
 func LatencyLimitedBatch(c *chip.Chip, g *graph.Graph, latencyBound float64, opt Options) (int, *Result, error) {
-	return LatencyLimitedBatchCtx(context.Background(), c, g, latencyBound, opt)
-}
-
-// LatencyLimitedBatchCtx is LatencyLimitedBatch threading a span context
-// through the underlying simulations.
-func LatencyLimitedBatchCtx(ctx context.Context, c *chip.Chip, g *graph.Graph, latencyBound float64, opt Options) (int, *Result, error) {
 	return LatencyLimitedSearch(latencyBound, func(batch int) (*Result, error) {
-		return SimulateCtx(ctx, c, g, batch, opt)
+		return Simulate(c, g, batch, opt)
 	})
 }
 

@@ -68,9 +68,9 @@ type Prepared struct {
 }
 
 // Prepare validates g once and precomputes the quantities every simulation
-// of g needs. Callers that evaluate many chips against one
-// workload should Prepare once and reuse it (or use SimulateBatch, which
-// does so internally); SimulateCtx re-prepares on every call.
+// of g needs. Callers that evaluate many chips against one workload should
+// Prepare once and reuse it, through SimulateBatch or a Binding;
+// SimulateCtx re-prepares on every call.
 //
 // Layers are classified as they are prepared, in an open-addressed hash
 // table of class numbers over the layers' shape hashes, sized at least

@@ -78,11 +78,11 @@ func manyShapes() *graph.Graph {
 }
 
 // TestSimulateIntoSharedPrepared runs SimulateInto on one shared Prepared
-// from several goroutines over chips and batches whose class values all
-// differ, and checks every result against a serial reference: per-class
-// scratch, on the stack or from the pool, must never be shared between two
-// simulations in flight, and the shared Prepared is only read. Run it
-// under -race.
+// from several goroutines, each with its own Binding, over chips and
+// batches whose class values all differ, and checks every result against a
+// serial reference: per-class scratch, on the stack or from the pool, must
+// never be shared between two simulations in flight, and the shared
+// Prepared is only read. Run it under -race.
 func TestSimulateIntoSharedPrepared(t *testing.T) {
 	chips := batchChips(t, 8)
 	for _, g := range []*graph.Graph{workloads.NasNetALarge(), manyShapes()} {
@@ -94,9 +94,10 @@ func TestSimulateIntoSharedPrepared(t *testing.T) {
 		opt := DefaultOptions()
 		batches := []int{1, 16, 256}
 		want := make([]headline, len(chips)*len(batches))
+		var b Binding
 		for i := range want {
 			var r Result
-			if err := p.SimulateInto(ctx, chips[i%len(chips)], batches[i/len(chips)], opt, &r); err != nil {
+			if err := b.SimulateInto(ctx, p, chips[i%len(chips)], batches[i/len(chips)], opt, &r); err != nil {
 				t.Fatal(err)
 			}
 			want[i] = stripLayers(r)
@@ -107,10 +108,11 @@ func TestSimulateIntoSharedPrepared(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				var r Result
+				var b Binding
 				for round := 0; round < 3; round++ {
 					for j := range want {
 						i := (j + w*5) % len(want) // each goroutine starts elsewhere
-						if err := p.SimulateInto(ctx, chips[i%len(chips)], batches[i/len(chips)], opt, &r); err != nil {
+						if err := b.SimulateInto(ctx, p, chips[i%len(chips)], batches[i/len(chips)], opt, &r); err != nil {
 							t.Error(err)
 							return
 						}

@@ -418,8 +418,9 @@ func simulateResponse(c *chip.Chip, workload string, batch int, res *perfsim.Res
 
 // simulateHandler runs the server's prepared workload on one chip. The
 // response needs no per-layer detail, so it takes perfsim's headline path,
-// (*Prepared).SimulateInto, whose metrics are bit-identical to SimulateCtx;
-// the perfsim.simulate span it opens is the one SimulateCtx would.
+// (*Binding).SimulateInto on a zero Binding, whose metrics are
+// bit-identical to SimulateCtx; the perfsim.simulate span it opens is the
+// one SimulateCtx would.
 func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
 	var req SimulateRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -444,8 +445,9 @@ func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
 	ctx, span := obs.Start(r.Context(), "perfsim.simulate")
 	span.SetStr("graph", p.Name())
 	span.SetInt("batch", int64(batch))
+	var b perfsim.Binding
 	var res perfsim.Result
-	err = p.SimulateInto(ctx, c, batch, opt, &res)
+	err = b.SimulateInto(ctx, p, c, batch, opt, &res)
 	span.End()
 	if err != nil {
 		return 0, nil, err

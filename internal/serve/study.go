@@ -12,7 +12,8 @@ import (
 // Table I constraints, second-round reduction, batch 1, all workloads, all
 // optimizations. The request deadline (?timeout_ms=) bounds the whole
 // study; a field this type does not name, such as the removed
-// candidate_timeout_ms and retries, is refused with 400.
+// candidate_timeout_ms and retries, is refused with 400, and so is a
+// negative batch, latency_bound_ms or max_tiles.
 type StudyRequest struct {
 	// Regime picks a Fig. 10 batch regime ("a-small" | "b-medium" |
 	// "c-large"); alternatively set Batch or LatencyBoundMS directly.
@@ -37,6 +38,9 @@ func (sr StudyRequest) spec() (dse.StudySpec, error) {
 	if len(sr.NChoices) > 0 {
 		cs.NChoices = sr.NChoices
 	}
+	if sr.MaxTiles < 0 {
+		return dse.StudySpec{}, guard.Invalid("max_tiles must be positive, got %d", sr.MaxTiles)
+	}
 	if sr.MaxTiles > 0 {
 		cs.MaxTiles = sr.MaxTiles
 	}
@@ -58,6 +62,8 @@ func (sr StudyRequest) spec() (dse.StudySpec, error) {
 		return dse.StudySpec{}, guard.Invalid("batch must be positive, got %d", sr.Batch)
 	case sr.Batch > 0:
 		spec = dse.BatchSpec{Fixed: sr.Batch}
+	case sr.LatencyBoundMS < 0:
+		return dse.StudySpec{}, guard.Invalid("latency_bound_ms must be positive, got %g", sr.LatencyBoundMS)
 	case sr.LatencyBoundMS > 0:
 		spec = dse.BatchSpec{LatencyBound: sr.LatencyBoundMS * 1e-3}
 	default:

@@ -82,6 +82,8 @@ func TestStudyRejectsMalformedRequest(t *testing.T) {
 	for _, body := range []string{
 		`{"batch":8,"models":["alexnet"],"x_choices":[64,64],"n_choices":[2,4],"max_tiles":32}`,
 		`{"batch":8,"models":["alexnet"],"x_choices":[8,64],"n_choices":[0,2],"max_tiles":32}`,
+		`{"latency_bound_ms":-10,"models":["alexnet"],"x_choices":[8,64],"n_choices":[2,4],"max_tiles":32}`,
+		`{"batch":8,"models":["alexnet"],"x_choices":[8,64],"n_choices":[2,4],"max_tiles":-1}`,
 		overCapStudyBody(),
 		tinyStudyBody(`"full":true`),
 		tinyStudyBody(`"wait":true`),
