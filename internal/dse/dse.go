@@ -441,9 +441,13 @@ func runtimeStudy(ctx context.Context, cands []Candidate, models []*graph.Graph,
 	hits := 0
 	for i, cand := range cands {
 		missing := false
+		var cfgFP string
+		if h.Results != nil {
+			cfgFP = cand.Chip.Cfg.Fingerprint()
+		}
 		for s, spec := range specs {
 			if h.Results != nil {
-				fps[s][i] = CandidateFingerprint(cand.Chip.Cfg, names, spec, opt)
+				fps[s][i] = candidateFingerprint(cfgFP, names, spec, opt)
 				if row, ok := lookupStoredRow(ctx, h.Results, fps[s][i], cand.Point); ok {
 					outs[s][i] = outcome{row: row, done: true}
 					hits++
@@ -462,8 +466,12 @@ func runtimeStudy(ctx context.Context, cands []Candidate, models []*graph.Graph,
 
 	// One simulation context for the whole study: every workload graph is
 	// validated and prepared exactly once here, then shared read-only by
-	// all workers — the per-candidate hot path never re-parses a graph.
-	sim := newStudySim(models)
+	// all workers — the per-candidate hot path never re-parses a graph. A
+	// study the store fully satisfied prepares nothing.
+	var sim *studySim
+	if len(pending) > 0 {
+		sim = newStudySim(models)
+	}
 	var completed atomic.Int64
 	poolErr := runPool(ctx, len(pending), h.Workers, func(pi int) {
 		i := pending[pi]

@@ -2,8 +2,8 @@ package dse
 
 import (
 	"context"
-	"encoding/json"
-	"log/slog"
+	"encoding/binary"
+	"math"
 	"strconv"
 
 	"neurometer/internal/chip"
@@ -21,15 +21,16 @@ import (
 //
 // Trust boundary: stored bytes are verified three ways before they can
 // replace an evaluation — the rstore envelope checksum, the embedded
-// fingerprint, and decodeStoredRow's own checks (the payload must
-// deserialize, carry the expected design point, and have finite metrics,
-// the same guard.CheckFinites gate a fresh evaluation passes). Any failure
-// quarantines the entry and the candidate evaluates normally.
+// fingerprint, and decodeStoredRow's own checks (the payload must have
+// the exact length of its layout, carry the expected design point, and
+// have finite metrics, the same guard.CheckFinites gate a fresh evaluation
+// passes). Any failure quarantines the entry and the candidate evaluates
+// normally.
 
 // resultStoreVersion is folded into every candidate fingerprint, so a
-// change to the RuntimeRow payload schema orphans (rather than
-// misinterprets) entries written by older builds.
-const resultStoreVersion = 1
+// change to the RuntimeRow payload layout orphans (rather than
+// misinterprets) entries written by older builds: version 1 stored JSON.
+const resultStoreVersion = 2
 
 // mStoreHits counts candidate evaluations satisfied from the result store.
 var mStoreHits = obs.NewCounter("dse.candidates_from_store")
@@ -41,11 +42,18 @@ var mStoreHits = obs.NewCounter("dse.candidates_from_store")
 // batch regimes onto one stored result), every simulator option, and the
 // length-prefixed model names.
 func CandidateFingerprint(cfg chip.Config, models []string, spec BatchSpec, opt perfsim.Options) string {
-	b := make([]byte, 0, 256)
+	return candidateFingerprint(cfg.Fingerprint(), models, spec, opt)
+}
+
+// candidateFingerprint is CandidateFingerprint over an already rendered
+// Config.Fingerprint, so a study renders each candidate's config once for
+// all of its batch regimes.
+func candidateFingerprint(cfgFP string, models []string, spec BatchSpec, opt perfsim.Options) string {
+	b := make([]byte, 0, 128+len(cfgFP))
 	b = append(b, "rstore/v"...)
 	b = strconv.AppendInt(b, resultStoreVersion, 10)
 	b = append(b, "|cfg="...)
-	b = append(b, cfg.Fingerprint()...)
+	b = append(b, cfgFP...)
 	b = append(b, "|spec="...)
 	b = strconv.AppendInt(b, int64(spec.Fixed), 10)
 	b = append(b, ',')
@@ -75,14 +83,51 @@ func modelNames(models []*graph.Graph) []string {
 	return names
 }
 
-// decodeStoredRow deserializes and verifies a stored payload: it must
-// parse, describe the expected design point, and pass the same finiteness
-// gate a fresh evaluation passes. Failures classify as guard.ErrCorrupt so
-// the caller quarantines the entry.
+// The stored payload is a fixed little-endian layout, no text: the four
+// Point fields as int64, the six metrics as IEEE-754 bit patterns (so a row
+// read back is bit-identical to the evaluated one), then a uint32 batch
+// count and one int64 per batch. storedRowHead is the length before the
+// batches.
+const storedRowHead = 4*8 + 6*8 + 4
+
+// appendStoredRow appends row's payload encoding to b.
+func appendStoredRow(b []byte, row RuntimeRow) []byte {
+	for _, v := range [...]int{row.Point.X, row.Point.N, row.Point.Tx, row.Point.Ty} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
+	}
+	for _, f := range [...]float64{row.PeakTOPS, row.AchievedTOPS, row.Utilization, row.PowerW, row.TOPSPerWatt, row.TOPSPerTCO} {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(row.Batches)))
+	for _, v := range row.Batches {
+		b = binary.LittleEndian.AppendUint64(b, uint64(int64(v)))
+	}
+	return b
+}
+
+// decodeStoredRow decodes and verifies a stored payload: it must have
+// exactly the length its batch count implies (checked before anything is
+// allocated), describe the expected design point, and pass the same
+// finiteness gate a fresh evaluation passes. Failures classify as
+// guard.ErrCorrupt so the caller quarantines the entry.
 func decodeStoredRow(payload []byte, want Point) (RuntimeRow, error) {
-	var row RuntimeRow
-	if err := json.Unmarshal(payload, &row); err != nil {
-		return RuntimeRow{}, guard.Corrupt("dse: stored row does not deserialize: %v", err)
+	if len(payload) < storedRowHead {
+		return RuntimeRow{}, guard.Corrupt("dse: stored row is %d bytes, under the %d-byte head", len(payload), storedRowHead)
+	}
+	le := binary.LittleEndian
+	n := uint64(le.Uint32(payload[storedRowHead-4:]))
+	if uint64(len(payload)) != storedRowHead+8*n {
+		return RuntimeRow{}, guard.Corrupt("dse: stored row is %d bytes, %d batches need %d", len(payload), n, storedRowHead+8*n)
+	}
+	word := func(i int) uint64 { return le.Uint64(payload[8*i:]) }
+	row := RuntimeRow{
+		Point:        Point{X: int(int64(word(0))), N: int(int64(word(1))), Tx: int(int64(word(2))), Ty: int(int64(word(3)))},
+		PeakTOPS:     math.Float64frombits(word(4)),
+		AchievedTOPS: math.Float64frombits(word(5)),
+		Utilization:  math.Float64frombits(word(6)),
+		PowerW:       math.Float64frombits(word(7)),
+		TOPSPerWatt:  math.Float64frombits(word(8)),
+		TOPSPerTCO:   math.Float64frombits(word(9)),
 	}
 	if row.Point != want {
 		return RuntimeRow{}, guard.Corrupt("dse: stored row is for %s, wanted %s", row.Point, want)
@@ -93,6 +138,12 @@ func decodeStoredRow(payload []byte, want Point) (RuntimeRow, error) {
 		"tops_per_w", row.TOPSPerWatt, "tops_per_tco", row.TOPSPerTCO,
 	); err != nil {
 		return RuntimeRow{}, guard.Corrupt("dse: stored row rejected: %v", err)
+	}
+	if n > 0 {
+		row.Batches = make([]int, n)
+		for i := range row.Batches {
+			row.Batches[i] = int(int64(le.Uint64(payload[storedRowHead+8*i:])))
+		}
 	}
 	return row, nil
 }
@@ -116,17 +167,9 @@ func lookupStoredRow(ctx context.Context, cache *rstore.Cache, fp string, want P
 	return row, ok
 }
 
-// storeRow saves a computed row best effort. JSON float encoding is
-// round-trip exact, so a row read back is bit-identical to the evaluated
-// one — the property the byte-identity tests pin down. A row that does not
-// encode (unreachable for a CheckFinites-clean row) is logged and left
-// unsaved; a failed write is counted and logged by the cache. Neither ever
-// fails the evaluation that produced the row.
+// storeRow saves a computed row best effort, in the layout
+// decodeStoredRow reads. A failed write is counted and logged by the cache;
+// it never fails the evaluation that produced the row.
 func storeRow(cache *rstore.Cache, fp string, row RuntimeRow) {
-	b, err := json.Marshal(row)
-	if err != nil {
-		slog.Warn("dse: result not persisted", "point", row.Point.String(), "err", err)
-		return
-	}
-	cache.Put(fp, b)
+	cache.Put(fp, appendStoredRow(make([]byte, 0, storedRowHead+8*len(row.Batches)), row))
 }

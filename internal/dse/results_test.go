@@ -2,7 +2,6 @@ package dse
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -292,22 +291,23 @@ func TestStoreWrongRowQuarantined(t *testing.T) {
 	names := modelNames(alexnet(t))
 	dir := t.TempDir()
 
-	// Plant a checksum-valid entry whose payload describes a different
-	// design point under candidate 0's fingerprint — the identity check
-	// (not the checksum) must catch it.
+	// Plant a checksum-valid entry whose payload is a well-formed row for a
+	// different design point under candidate 0's fingerprint — the
+	// identity check (not the checksum or the length) must catch it.
 	st, err := rstore.OpenDisk(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrong, err := json.Marshal(RuntimeRow{Point: cands[1].Point, PeakTOPS: 1, AchievedTOPS: 1, Utilization: 1, PowerW: 1, TOPSPerWatt: 1, TOPSPerTCO: 1})
-	if err != nil {
-		t.Fatal(err)
+	wrongRow := RuntimeRow{Point: cands[1].Point, PeakTOPS: 1, AchievedTOPS: 1, Utilization: 1, PowerW: 1, TOPSPerWatt: 1, TOPSPerTCO: 1, Batches: []int{8}}
+	wrong := appendStoredRow(nil, wrongRow)
+	if _, err := decodeStoredRow(wrong, cands[1].Point); err != nil {
+		t.Fatalf("planted row does not decode for its own point: %v", err)
 	}
 	fp0 := CandidateFingerprint(cands[0].Chip.Cfg, names, spec, opt)
 	if err := st.Put(fp0, wrong); err != nil {
 		t.Fatal(err)
 	}
-	// And an entry whose payload is not JSON at all under candidate 1's.
+	// And an entry whose payload does not decode at all under candidate 1's.
 	fp1 := CandidateFingerprint(cands[1].Chip.Cfg, names, spec, opt)
 	if err := st.Put(fp1, []byte("not json {")); err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -733,10 +734,29 @@ func (e *simEnv) evalClass(lv *layerVals, cv *classVals, t *tileTerms) {
 // latency stays within the bound (the paper's "latency limited batch size",
 // §III-B.2, with a 10 ms production SLO). It returns the batch and its
 // simulation result; batch 1 is returned even if it misses the bound.
-func LatencyLimitedBatch(c *chip.Chip, g *graph.Graph, latencyBound float64, opt Options) (int, *Result, error) {
-	return LatencyLimitedSearch(latencyBound, func(batch int) (*Result, error) {
-		return Simulate(c, g, batch, opt)
+//
+// The graph is prepared once and the probes share one Binding, each into
+// a Result of its own batch size; only the chosen batch runs again through
+// SimulateCtx, so the returned Result carries its per-layer Layers.
+func LatencyLimitedBatch(c *chip.Chip, g *graph.Graph, latencyBound float64, opt Options) (batch int, res *Result, err error) {
+	defer guard.RecoverTo(&err)
+	p, err := Prepare(g)
+	if err != nil {
+		return 0, nil, err
+	}
+	var b Binding
+	probes := make([]Result, bits.Len(LatencyLimitedMaxBatch))
+	batch, _, err = LatencyLimitedSearch(latencyBound, func(batch int) (*Result, error) {
+		r := &probes[bits.TrailingZeros(uint(batch))]
+		return r, b.SimulateInto(context.Background(), p, c, batch, opt, r)
 	})
+	if err != nil {
+		return 0, nil, err
+	}
+	if res, err = SimulateCtx(context.Background(), c, g, batch, opt); err != nil {
+		return 0, nil, err
+	}
+	return batch, res, nil
 }
 
 // LatencyLimitedMaxBatch is the largest batch the latency-limited search

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # The performance gate. Runs the repository's benchmark (perfbench, declared
 # in BENCHMARK.json) on this checkout and on a base commit, and fails if this
-# checkout's median op_p90_ms on sweep-cold, study-warm or daemon-mix is
-# worse than the base's by more than the op_p90_ms bound in BENCHMARK.json.
+# checkout's median op_p90_ms on sweep-cold, study-warm, store-warm or
+# daemon-mix is worse than the base's by more than the op_p90_ms bound in
+# BENCHMARK.json.
 #
 # Usage: scripts/bench.sh <base-commit>
 #
@@ -23,7 +24,7 @@
 # "correct": false or a failed op.
 set -euo pipefail
 
-workloads=(sweep-cold study-warm daemon-mix)
+workloads=(sweep-cold study-warm store-warm daemon-mix)
 pairs=5
 seconds=5
 
