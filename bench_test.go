@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"neurometer/internal/chip"
-	"neurometer/internal/cyclesim"
 	"neurometer/internal/dse"
 	"neurometer/internal/perfsim"
 	"neurometer/internal/refchips"
@@ -357,23 +356,4 @@ func BenchmarkEdgeStudy(b *testing.B) {
 	b.ReportMetric(float64(len(rows)), "designs")
 	b.ReportMetric(best.FPSPerWatt, "best-fps-per-watt")
 	b.Logf("edge fps/W optimum: %s (%.1f fps at %.2f W)", best.Point, best.FPS, best.PowerW)
-}
-
-// BenchmarkCycleSimCrossValidation runs the cycle-accurate systolic-array
-// simulator against the analytical closed form on a ResNet-class GEMM, the
-// validation behind the performance simulator's per-tile model.
-func BenchmarkCycleSimCrossValidation(b *testing.B) {
-	cfg := cyclesim.Config{ArraySize: 64, M: 784, K: 1152, N: 256, DoubleBufferWeights: true}
-	var st cyclesim.Stats
-	for i := 0; i < b.N; i++ {
-		var err error
-		st, err = cyclesim.Simulate(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	ana := cyclesim.AnalyticalCycles(cfg)
-	b.ReportMetric(float64(st.Cycles), "simulated-cycles")
-	b.ReportMetric(ana/float64(st.Cycles), "analytical-ratio")
-	b.ReportMetric(st.Utilization()*100, "array-util-%")
 }

@@ -27,6 +27,9 @@ const (
 	// edgeDigest hashes every EdgeStudy row field at full precision; it
 	// pins the edge chips' LPDDR-bounded runtimes and DRAM power.
 	edgeDigest = "a605b0f12b563b33"
+	// fig9Digest hashes every Fig9 row field and the latency-limited
+	// batch of each model at full precision.
+	fig9Digest = "9f3a295623ee8f54"
 )
 
 // shortSum is the first 16 hex digits of h's sum, perfbench's digest form.
@@ -74,6 +77,25 @@ func TestFig10Digest(t *testing.T) {
 	}
 	if got := shortSum(h); got != fig10Digest {
 		t.Errorf("Fig. 10 digest %s, want %s", got, fig10Digest)
+	}
+}
+
+func TestFig9Digest(t *testing.T) {
+	models := DefaultModels()
+	rows, limits, err := Fig9(TableI(), models, []int{1, 4, 16, 64, 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, r := range rows {
+		fmt.Fprintln(h, r.Model, r.Batch, g(r.FPS), g(r.LatencyMS), r.MeetsSLO10)
+	}
+	for _, m := range models {
+		fmt.Fprintln(h, m.Name, limits[m.Name])
+	}
+	if got := shortSum(h); got != fig9Digest {
+		t.Errorf("Fig. 9 digest %s, want %s (%d rows)", got, fig9Digest, len(rows))
 	}
 }
 

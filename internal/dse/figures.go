@@ -104,16 +104,37 @@ type Fig9Row struct {
 
 // Fig9 sweeps batch sizes on the (64,2,2,4) reference point and reports
 // throughput and latency per workload, plus the 10ms latency-limited batch.
+// Each model is prepared once and all of its simulations share one
+// Binding; the latency ladder reuses the listed batches' results and
+// simulates only the batch sizes the list lacks.
 func Fig9(cs Constraints, models []*graph.Graph, batches []int) ([]Fig9Row, map[string]int, error) {
 	cand, err := buildPoint(cs, Point{64, 2, 2, 4})
 	if err != nil {
 		return nil, nil, err
 	}
+	opt := perfsim.DefaultOptions()
 	var rows []Fig9Row
 	limits := map[string]int{}
 	for _, g := range models {
+		p, err := perfsim.Prepare(g)
+		if err != nil {
+			return nil, nil, err
+		}
+		var b perfsim.Binding
+		ran := make(map[int]*perfsim.Result, len(batches))
+		simulate := func(batch int) (*perfsim.Result, error) {
+			if r := ran[batch]; r != nil {
+				return r, nil
+			}
+			r := new(perfsim.Result)
+			if err := b.SimulateInto(context.Background(), p, cand.Chip, batch, opt, r); err != nil {
+				return nil, err
+			}
+			ran[batch] = r
+			return r, nil
+		}
 		for _, bs := range batches {
-			r, err := perfsim.Simulate(cand.Chip, g, bs, perfsim.DefaultOptions())
+			r, err := simulate(bs)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -123,7 +144,7 @@ func Fig9(cs Constraints, models []*graph.Graph, batches []int) ([]Fig9Row, map[
 				MeetsSLO10: r.LatencySec <= 10e-3,
 			})
 		}
-		lim, _, err := perfsim.LatencyLimitedBatch(cand.Chip, g, 10e-3, perfsim.DefaultOptions())
+		lim, _, err := perfsim.LatencyLimitedSearch(10e-3, simulate)
 		if err != nil {
 			return nil, nil, err
 		}

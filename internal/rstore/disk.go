@@ -26,8 +26,10 @@ import (
 // Writes are crash-safe (tmp file + fsync + rename + parent-dir fsync): a
 // SIGKILL at any instant leaves either the previous entry or a *.tmp file
 // the next startup scan removes — never a half-written entry served as a
-// result. Reads verify the envelope (checksum, version, embedded
-// fingerprint) before returning a byte of payload; anything that fails
+// result. Every payload is verified (checksum, version, embedded
+// fingerprint) before a byte of it is returned: once, by the open scan,
+// which keeps the entry's verified bytes for its first Get, or by Get
+// itself when the entry is not held from the scan. Anything that fails
 // moves to quarantine/ instead of being deleted, so an operator can
 // inspect what corrupted and the store can never serve the same bad bytes
 // twice. All methods are safe for concurrent use — distinct fingerprints
@@ -39,6 +41,12 @@ type DiskStore struct {
 	odir   string // <dir>/objects
 	qdir   string // <dir>/quarantine
 	report ScanReport
+
+	// held maps a fingerprint to the payload the open scan verified for
+	// it. The first Get of the fingerprint takes it out; Put, quarantine
+	// and Close drop it. hmu guards the map.
+	hmu  sync.Mutex
+	held map[string][]byte
 
 	// qmu serializes quarantine-cap enforcement so concurrent quarantines
 	// can't double-evict (and double-count) the same victim.
@@ -55,6 +63,12 @@ var (
 	quarantineMaxEntries = 256
 	quarantineMaxBytes   = int64(64 << 20)
 )
+
+// heldMaxBytes bounds the entry bytes the open scan keeps for first Gets:
+// a long-lived store (neurometerd -result-store) holds at most this much,
+// about 23,000 Fig. 10 entries. Entries past it are verified but not
+// kept, and their Gets read the disk. A variable so tests can tighten it.
+var heldMaxBytes = int64(8 << 20)
 
 // QuarantineLimits reports the active quarantine directory caps (max
 // entry count, max total bytes). Invariant checks use it to assert a
@@ -94,6 +108,7 @@ func OpenDisk(dir string) (*DiskStore, error) {
 		dir:  dir,
 		odir: filepath.Join(dir, "objects"),
 		qdir: filepath.Join(dir, "quarantine"),
+		held: map[string][]byte{},
 	}
 	for _, d := range []string{s.dir, s.odir, s.qdir} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -121,10 +136,13 @@ func (s *DiskStore) path(fp string) string {
 
 // scan walks the object tree once at open: *.tmp droppings are removed,
 // every *.res entry is decoded and verified, and failures are quarantined.
-// Files the store did not write (unknown extensions) are left untouched.
-// guard.Inject("rstore.scan") fires per entry visit so tests can drive the
-// unreadable-entry path deterministically.
+// Verified payloads are held for their first Get until heldMaxBytes of
+// entries are held. Files the store did not write (unknown extensions)
+// are left untouched. guard.Inject("rstore.scan") fires per entry visit,
+// in WalkDir's lexical order, so tests can drive the unreadable-entry path
+// deterministically.
 func (s *DiskStore) scan() error {
+	var heldBytes int64
 	err := filepath.WalkDir(s.odir, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -143,13 +161,13 @@ func (s *DiskStore) scan() error {
 			return nil // not ours; leave it alone
 		}
 		verr := guard.Inject(nil, "rstore.scan")
-		var b []byte
+		var b, payload []byte
+		var fp string
 		if verr == nil {
 			b, verr = os.ReadFile(path)
 		}
 		if verr == nil {
-			var fp string
-			fp, _, verr = DecodeEntry(b)
+			fp, payload, verr = DecodeEntry(b)
 			if verr == nil && s.path(fp) != path {
 				verr = guard.Corrupt("rstore: entry %s embeds fingerprint for %s",
 					filepath.Base(path), filepath.Base(s.path(fp)))
@@ -162,6 +180,10 @@ func (s *DiskStore) scan() error {
 			return nil
 		}
 		s.report.Entries++
+		if heldBytes+int64(len(b)) <= heldMaxBytes {
+			heldBytes += int64(len(b))
+			s.held[fp] = payload
+		}
 		return nil
 	})
 	if err != nil {
@@ -170,13 +192,18 @@ func (s *DiskStore) scan() error {
 	return nil
 }
 
-// Get returns the verified payload for fp. A missing entry is ErrNotFound;
-// a present-but-invalid entry is quarantined and reported as
+// Get returns the verified payload for fp. The first Get of an entry the
+// open scan verified and held returns those bytes with no file access;
+// any other Get reads and verifies the entry file. A missing entry is
+// ErrNotFound; a present-but-invalid entry is quarantined and reported as
 // guard.ErrCorrupt; read failures classify as guard.ErrUnavailable. Every
 // non-nil error means "compute the result yourself".
 func (s *DiskStore) Get(fp string) ([]byte, error) {
 	if err := guard.Inject(nil, "rstore.read"); err != nil {
 		return nil, fmt.Errorf("rstore: read %s: %w", shortFP(fp), err)
+	}
+	if payload, ok := s.take(fp); ok {
+		return payload, nil
 	}
 	path := s.path(fp)
 	b, err := os.ReadFile(path)
@@ -198,6 +225,17 @@ func (s *DiskStore) Get(fp string) ([]byte, error) {
 	return payload, nil
 }
 
+// take removes and returns the payload held for fp, if any.
+func (s *DiskStore) take(fp string) ([]byte, bool) {
+	s.hmu.Lock()
+	defer s.hmu.Unlock()
+	payload, ok := s.held[fp]
+	if ok {
+		delete(s.held, fp)
+	}
+	return payload, ok
+}
+
 // Put durably stores payload under fp: encode, write to a tmp file of this
 // call's own, fsync the file, rename over the final name, fsync the
 // directory. A failure at any step removes the tmp file and returns an
@@ -205,6 +243,7 @@ func (s *DiskStore) Get(fp string) ([]byte, error) {
 // evaluation.
 // guard.Inject("rstore.write") is the ENOSPC/IO-fault hook.
 func (s *DiskStore) Put(fp string, payload []byte) error {
+	s.take(fp) // a held copy would outlive the entry this replaces
 	if err := guard.Inject(nil, "rstore.write"); err != nil {
 		return fmt.Errorf("rstore: write %s: %w", shortFP(fp), err)
 	}
@@ -235,6 +274,7 @@ func (s *DiskStore) Put(fp string, payload []byte) error {
 // undeserializable payload, non-finite metrics, identity mismatch — so the
 // bad bytes are preserved for inspection but never served again.
 func (s *DiskStore) quarantine(fp string, reason error) {
+	s.take(fp)
 	path := s.path(fp)
 	if _, err := os.Stat(path); err != nil {
 		return // already gone (raced with another quarantine)
@@ -317,9 +357,15 @@ func (s *DiskStore) enforceQuarantineCap() {
 	}
 }
 
-// Close releases the store. The disk backend holds no open handles, so
-// this is a no-op.
-func (s *DiskStore) Close() error { return nil }
+// Close releases the store: it drops the payloads held from the open scan.
+// The disk backend holds no open handles, and a Get after Close reads the
+// disk.
+func (s *DiskStore) Close() error {
+	s.hmu.Lock()
+	s.held = nil
+	s.hmu.Unlock()
+	return nil
+}
 
 // shortFP abbreviates a fingerprint for log and error messages.
 func shortFP(fp string) string {

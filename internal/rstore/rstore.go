@@ -6,10 +6,13 @@
 // The contract that makes the cache safe to trust is verified degradation:
 // a store may make an evaluation cheaper, but no store fault — torn write,
 // flipped bit, foreign format version, full disk, unreadable mount — may
-// ever change a result, fail a study, or crash the process. Every read is
-// re-verified (envelope checksum, embedded-fingerprint match, and the
-// caller's own payload validation); anything that fails verification is
-// quarantined and the caller silently falls back to evaluating. A study
+// ever change a result, fail a study, or crash the process. Every entry's
+// envelope (checksum, version, embedded-fingerprint match) is verified
+// once per open, by the scan that hands the verified bytes to the entry's
+// first read, or at read time when the entry is not held from the scan;
+// every read then runs the caller's own payload validation. Anything that
+// fails verification is quarantined and the caller silently falls back to
+// evaluating. A study
 // run against a cold store, a warm store, a poisoned store, or no store at
 // all produces byte-identical output.
 //

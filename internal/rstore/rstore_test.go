@@ -362,6 +362,136 @@ func TestConcurrentPut(t *testing.T) {
 	}
 }
 
+// reopenWith writes each (fingerprint, payload) pair into a fresh store and
+// reopens it, so the returned store's scan has verified (and held) them.
+func reopenWith(t *testing.T, entries map[string]string) *DiskStore {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for fp, p := range entries {
+		if err := s.Put(fp, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s2, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s2
+}
+
+// TestHeldEntryServedAfterBitFlip: an entry the open scan verified is
+// served from the scan's bytes, so damage done to its file after open
+// does not reach the first Get; the next open quarantines the file.
+func TestHeldEntryServedAfterBitFlip(t *testing.T) {
+	s := reopenWith(t, map[string]string{"fp": "verified at open"})
+	path := entryFiles(t, s, 1)[0]
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)/2] ^= 0x01
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get("fp"); err != nil || string(got) != "verified at open" {
+		t.Fatalf("held Get = %q, %v", got, err)
+	}
+	s2, err := OpenDisk(s.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := s2.Report(); r.Entries != 0 || r.Quarantined != 1 {
+		t.Fatalf("scan report = %+v, want the flipped entry quarantined", r)
+	}
+}
+
+// TestSecondGetReadsDisk: the held copy serves one Get only; the next Get
+// of the fingerprint reads the entry file.
+func TestSecondGetReadsDisk(t *testing.T) {
+	s := reopenWith(t, map[string]string{"fp": "once"})
+	if got, err := s.Get("fp"); err != nil || string(got) != "once" {
+		t.Fatalf("first Get = %q, %v", got, err)
+	}
+	if err := os.Remove(entryFiles(t, s, 1)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get("fp"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("second Get after the file was removed: got %v, want ErrNotFound", err)
+	}
+}
+
+// TestPutReplacesHeldEntry: a Put after open over a scanned fingerprint
+// drops the held copy, so Get returns the new bytes.
+func TestPutReplacesHeldEntry(t *testing.T) {
+	s := reopenWith(t, map[string]string{"fp": "old"})
+	if err := s.Put("fp", []byte("new")); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get("fp"); err != nil || string(got) != "new" {
+		t.Fatalf("Get after Put = %q, %v, want \"new\"", got, err)
+	}
+}
+
+// TestConcurrentGetTakesHeldOnce: of several concurrent Gets of one
+// fingerprint exactly one takes the held copy, the rest read the disk,
+// and all return the same bytes.
+func TestConcurrentGetTakesHeldOnce(t *testing.T) {
+	const want = "shared payload"
+	s := reopenWith(t, map[string]string{"fp": want})
+	heldp := &s.held["fp"][0]
+	const readers = 8
+	got := make([][]byte, readers)
+	var wg sync.WaitGroup
+	for i := 0; i < readers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			b, err := s.Get("fp")
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = b
+		}(i)
+	}
+	wg.Wait()
+	took := 0
+	for _, b := range got {
+		if string(b) != want {
+			t.Fatalf("Get returned %q, want %q", b, want)
+		}
+		if &b[0] == heldp {
+			took++
+		}
+	}
+	if took != 1 {
+		t.Fatalf("%d Gets took the held copy, want 1", took)
+	}
+}
+
+// TestHeldCapServesEveryEntry: with the held-bytes cap tightened to one
+// entry, the scan holds one of two entries and both are served.
+func TestHeldCapServesEveryEntry(t *testing.T) {
+	b, err := EncodeEntry("fp-a", []byte("payload-a"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func(v int64) { heldMaxBytes = v }(heldMaxBytes)
+	heldMaxBytes = int64(len(b))
+	s := reopenWith(t, map[string]string{"fp-a": "payload-a", "fp-b": "payload-b"})
+	if n := len(s.held); n != 1 {
+		t.Fatalf("scan held %d entries, want 1", n)
+	}
+	for _, fp := range []string{"fp-a", "fp-b"} {
+		if got, err := s.Get(fp); err != nil || string(got) != "payload-"+fp[3:] {
+			t.Fatalf("Get(%s) = %q, %v", fp, got, err)
+		}
+	}
+}
+
 func TestNilCacheIsInert(t *testing.T) {
 	var c *Cache
 	if c.Lookup(context.Background(), "fp", func([]byte) error { return nil }) {

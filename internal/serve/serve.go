@@ -416,9 +416,14 @@ func simulateResponse(c *chip.Chip, workload string, batch int, res *perfsim.Res
 	}
 }
 
+// bindingPool recycles the simulate route's perfsim.Bindings, so a call
+// reuses a Binding's tiling-terms slice instead of allocating one; a
+// Binding refills itself for another (workload, chip) pair.
+var bindingPool = sync.Pool{New: func() any { return new(perfsim.Binding) }}
+
 // simulateHandler runs the server's prepared workload on one chip. The
 // response needs no per-layer detail, so it takes perfsim's headline path,
-// (*Binding).SimulateInto on a zero Binding, whose metrics are
+// (*Binding).SimulateInto on a pooled Binding, whose metrics are
 // bit-identical to SimulateCtx; the perfsim.simulate span it opens is the
 // one SimulateCtx would.
 func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
@@ -445,9 +450,10 @@ func (s *Server) simulateHandler(r *http.Request) (int, any, error) {
 	ctx, span := obs.Start(r.Context(), "perfsim.simulate")
 	span.SetStr("graph", p.Name())
 	span.SetInt("batch", int64(batch))
-	var b perfsim.Binding
+	b := bindingPool.Get().(*perfsim.Binding)
 	var res perfsim.Result
 	err = b.SimulateInto(ctx, p, c, batch, opt, &res)
+	bindingPool.Put(b)
 	span.End()
 	if err != nil {
 		return 0, nil, err
