@@ -675,11 +675,7 @@ func damageStore(t *testing.T, dir string, files []string) {
 	if err := os.Truncate(files[1], info.Size()/2); err != nil {
 		t.Fatal(err)
 	}
-	sub := filepath.Join(dir, "objects", "00")
-	if err := os.MkdirAll(sub, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	tmp := filepath.Join(sub, strings.Repeat("0", 64)+".res.tmp")
+	tmp := filepath.Join(dir, "objects", strings.Repeat("0", 64)+".res.tmp")
 	if err := os.WriteFile(tmp, []byte("torn write"), 0o644); err != nil {
 		t.Fatal(err)
 	}

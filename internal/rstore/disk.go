@@ -17,11 +17,16 @@ import (
 	"neurometer/internal/guard"
 )
 
-// DiskStore is the disk backend: one file per result under a two-level
-// content-addressed layout,
+// DiskStore is the disk backend: one file per result in one flat
+// content-addressed directory, so the open scan lists it with one read,
 //
-//	<dir>/objects/<aa>/<sha256(fingerprint)>.res
+//	<dir>/objects/<sha256(fingerprint)>.res
+//	<dir>/objects/*.tmp                    (staged writes, before rename)
 //	<dir>/quarantine/                      (corrupt entries, moved aside)
+//
+// Subdirectories of objects/ are not the store's: entries an older build
+// filed under objects/<aa>/ stay on disk unread, so such a store reads as
+// empty once and recomputes each row.
 //
 // Writes are crash-safe (tmp file + fsync + rename + parent-dir fsync): a
 // SIGKILL at any instant leaves either the previous entry or a *.tmp file
@@ -108,7 +113,6 @@ func OpenDisk(dir string) (*DiskStore, error) {
 		dir:  dir,
 		odir: filepath.Join(dir, "objects"),
 		qdir: filepath.Join(dir, "quarantine"),
-		held: map[string][]byte{},
 	}
 	for _, d := range []string{s.dir, s.odir, s.qdir} {
 		if err := os.MkdirAll(d, 0o755); err != nil {
@@ -127,38 +131,57 @@ func OpenDisk(dir string) (*DiskStore, error) {
 // Report returns the startup scan summary.
 func (s *DiskStore) Report() ScanReport { return s.report }
 
-// path maps a fingerprint to its entry file.
-func (s *DiskStore) path(fp string) string {
+// entryName maps a fingerprint to its entry file's name in objects/.
+func entryName(fp string) string {
 	sum := sha256.Sum256([]byte(fp))
-	name := hex.EncodeToString(sum[:])
-	return filepath.Join(s.odir, name[:2], name+entryExt)
+	return hex.EncodeToString(sum[:]) + entryExt
 }
 
-// scan walks the object tree once at open: *.tmp droppings are removed,
-// every *.res entry is decoded and verified, and failures are quarantined.
+// path maps a fingerprint to its entry file.
+func (s *DiskStore) path(fp string) string {
+	return filepath.Join(s.odir, entryName(fp))
+}
+
+// minEntryBytes is the size of the smallest entry EncodeEntry writes (a
+// one-byte fingerprint, no payload), so the scan never holds more than
+// heldMaxBytes/minEntryBytes entries.
+const minEntryBytes = entryHeader + 1 + entryChecksum
+
+// scan lists objects/ once at open: *.tmp droppings are removed, every
+// *.res entry is decoded and verified, and failures are quarantined.
 // Verified payloads are held for their first Get until heldMaxBytes of
 // entries are held. Files the store did not write (unknown extensions)
-// are left untouched. guard.Inject("rstore.scan") fires per entry visit,
-// in WalkDir's lexical order, so tests can drive the unreadable-entry path
-// deterministically.
+// and subdirectories are left untouched. guard.Inject("rstore.scan")
+// fires per entry visit, in the listing's lexical order, so tests can
+// drive the unreadable-entry path deterministically.
 func (s *DiskStore) scan() error {
+	ents, err := os.ReadDir(s.odir)
+	if err != nil {
+		return fmt.Errorf("rstore: scan: %w", err)
+	}
+	n := 0
+	for _, d := range ents {
+		if !d.IsDir() && filepath.Ext(d.Name()) == entryExt {
+			n++
+		}
+	}
+	s.held = make(map[string][]byte, min(n, int(heldMaxBytes/minEntryBytes)))
 	var heldBytes int64
-	err := filepath.WalkDir(s.odir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
+	for _, d := range ents {
+		name := d.Name()
 		if d.IsDir() {
-			return nil
+			continue // not ours: an older build's objects/<aa>/ fan-out
 		}
-		if strings.HasSuffix(path, tmpSuffix) {
+		path := filepath.Join(s.odir, name)
+		if strings.HasSuffix(name, tmpSuffix) {
 			if rerr := os.Remove(path); rerr == nil {
 				s.report.TmpRemoved++
 				mTmpRemoved.Inc()
 			}
-			return nil
+			continue
 		}
-		if filepath.Ext(path) != entryExt {
-			return nil // not ours; leave it alone
+		if filepath.Ext(name) != entryExt {
+			continue // not ours; leave it alone
 		}
 		verr := guard.Inject(nil, "rstore.scan")
 		var b, payload []byte
@@ -168,26 +191,21 @@ func (s *DiskStore) scan() error {
 		}
 		if verr == nil {
 			fp, payload, verr = DecodeEntry(b)
-			if verr == nil && s.path(fp) != path {
-				verr = guard.Corrupt("rstore: entry %s embeds fingerprint for %s",
-					filepath.Base(path), filepath.Base(s.path(fp)))
-			}
+		}
+		if verr == nil && entryName(fp) != name {
+			verr = guard.Corrupt("rstore: entry %s embeds fingerprint for %s", name, entryName(fp))
 		}
 		if verr != nil {
 			s.quarantineFile(path, verr)
 			s.report.Quarantined++
 			mQuarantined.Inc()
-			return nil
+			continue
 		}
 		s.report.Entries++
 		if heldBytes+int64(len(b)) <= heldMaxBytes {
 			heldBytes += int64(len(b))
 			s.held[fp] = payload
 		}
-		return nil
-	})
-	if err != nil {
-		return fmt.Errorf("rstore: scan: %w", err)
 	}
 	return nil
 }
@@ -251,19 +269,16 @@ func (s *DiskStore) Put(fp string, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	path := s.path(fp)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return guard.Unavailable("rstore: write %s: %v", shortFP(fp), err)
-	}
-	tmp, err := writeTempSync(filepath.Dir(path), filepath.Base(path)+".*"+tmpSuffix, b)
+	name := entryName(fp)
+	tmp, err := writeTempSync(s.odir, name+".*"+tmpSuffix, b)
 	if err != nil {
 		return guard.Unavailable("rstore: write %s: %v", shortFP(fp), err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := os.Rename(tmp, filepath.Join(s.odir, name)); err != nil {
 		os.Remove(tmp)
 		return guard.Unavailable("rstore: write %s: %v", shortFP(fp), err)
 	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := syncDir(s.odir); err != nil {
 		return guard.Unavailable("rstore: write %s: %v", shortFP(fp), err)
 	}
 	return nil

@@ -18,14 +18,14 @@ func setQuarantineCaps(t *testing.T, entries int, bytes int64) {
 }
 
 // plantGarbageEntry writes a syntactically-placed but corrupt *.res file
-// into the object tree, backdated by age so eviction order is testable.
+// into objects/, backdated by age so eviction order is testable.
 func plantGarbageEntry(t *testing.T, dir string, i int, age time.Duration) {
 	t.Helper()
-	sub := filepath.Join(dir, "objects", fmt.Sprintf("%02x", i))
-	if err := os.MkdirAll(sub, 0o755); err != nil {
+	objects := filepath.Join(dir, "objects")
+	if err := os.MkdirAll(objects, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(sub, fmt.Sprintf("%040x", i)+entryExt)
+	path := filepath.Join(objects, fmt.Sprintf("%040x", i)+entryExt)
 	if err := os.WriteFile(path, []byte(fmt.Sprintf("garbage-%d", i)), 0o644); err != nil {
 		t.Fatal(err)
 	}

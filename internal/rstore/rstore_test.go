@@ -235,6 +235,64 @@ func TestDiskRecoveryScan(t *testing.T) {
 	}
 }
 
+// TestLegacyFanOutIgnored: an entry an older build filed under the
+// two-level objects/<aa>/ fan-out is not the store's. The scan neither
+// counts nor quarantines it, leaves its bytes as they are, and its
+// fingerprint misses.
+func TestLegacyFanOutIgnored(t *testing.T) {
+	dir := t.TempDir()
+	name := entryName("legacy-fp")
+	sub := filepath.Join(dir, "objects", name[:2])
+	if err := os.MkdirAll(sub, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := EncodeEntry("legacy-fp", []byte("old layout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(sub, name)
+	if err := os.WriteFile(legacy, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := OpenDisk(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := s.Report(); r.Entries != 0 || r.Quarantined != 0 {
+		t.Fatalf("scan report = %+v, want the fan-out entry neither kept nor quarantined", r)
+	}
+	if _, err := s.Get("legacy-fp"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get of the fan-out entry: got %v, want ErrNotFound", err)
+	}
+	if got, err := os.ReadFile(legacy); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("fan-out entry changed on disk (err %v)", err)
+	}
+}
+
+// TestPutWritesFlat: every entry lands directly in objects/, which holds
+// no subdirectory afterwards.
+func TestPutWritesFlat(t *testing.T) {
+	s, err := OpenDisk(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fp := range []string{"fp-a", "fp-b", "fp-c"} {
+		if err := s.Put(fp, []byte(fp)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ents, err := os.ReadDir(s.odir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if e.IsDir() {
+			t.Errorf("objects/ holds subdirectory %s", e.Name())
+		}
+	}
+	entryFiles(t, s, 3)
+}
+
 func TestDiskScanFaultInjection(t *testing.T) {
 	defer guard.DisarmAll()
 	dir := t.TempDir()
@@ -353,7 +411,7 @@ func TestConcurrentPut(t *testing.T) {
 		t.Fatalf("Get returned %d bytes that no writer put", len(got))
 	}
 	entryFiles(t, s, 1)
-	tmps, err := filepath.Glob(filepath.Join(s.odir, "*", "*"+tmpSuffix))
+	tmps, err := filepath.Glob(filepath.Join(s.odir, "*"+tmpSuffix))
 	if err != nil {
 		t.Fatal(err)
 	}
