@@ -137,6 +137,17 @@ func entryName(fp string) string {
 	return hex.EncodeToString(sum[:]) + entryExt
 }
 
+// isEntryName reports whether name is entryName(fp). The digest is
+// hex-encoded into a fixed buffer, so the open scan builds no name string
+// per entry; like entryName, it accepts lowercase hex only.
+func isEntryName(name, fp string) bool {
+	sum := sha256.Sum256([]byte(fp))
+	var h [2 * sha256.Size]byte
+	hex.Encode(h[:], sum[:])
+	stem, ok := strings.CutSuffix(name, entryExt)
+	return ok && stem == string(h[:])
+}
+
 // path maps a fingerprint to its entry file.
 func (s *DiskStore) path(fp string) string {
 	return filepath.Join(s.odir, entryName(fp))
@@ -192,7 +203,7 @@ func (s *DiskStore) scan() error {
 		if verr == nil {
 			fp, payload, verr = DecodeEntry(b)
 		}
-		if verr == nil && entryName(fp) != name {
+		if verr == nil && !isEntryName(name, fp) {
 			verr = guard.Corrupt("rstore: entry %s embeds fingerprint for %s", name, entryName(fp))
 		}
 		if verr != nil {

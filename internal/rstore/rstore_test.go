@@ -7,6 +7,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"syscall"
 	"testing"
@@ -232,6 +233,28 @@ func TestDiskRecoveryScan(t *testing.T) {
 	}
 	if q := quarantined(t, s2); len(q) != 2 {
 		t.Fatalf("quarantine holds %v, want two entries", q)
+	}
+}
+
+// TestIsEntryName: the scan's name check accepts exactly entryName(fp):
+// lowercase hex of the fingerprint's digest plus the entry extension.
+func TestIsEntryName(t *testing.T) {
+	name := entryName("fp")
+	stem := strings.TrimSuffix(name, entryExt)
+	for _, tc := range []struct {
+		name string
+		want bool
+	}{
+		{name, true},
+		{strings.ToUpper(stem) + entryExt, false},
+		{stem, false},
+		{stem + ".tmp", false},
+		{stem[:len(stem)-1] + entryExt, false},
+		{entryName("fq"), false},
+	} {
+		if got := isEntryName(tc.name, "fp"); got != tc.want {
+			t.Errorf("isEntryName(%q) = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

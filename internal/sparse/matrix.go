@@ -1,14 +1,15 @@
 // Package sparse implements the paper's §IV mini-case study: the synthetic
-// SpMV microbenchmark, the CSR encoding with the paper's 256x256-tile
-// scheme (whose overhead factor beta lands in [2.0, 2.5]), block/vector
-// zero-skip measurement on the generated matrices, the modified roofline
-// model, and the energy-efficiency-gain computation for TU- and RT-based
-// accelerators.
+// SpMV microbenchmark, the storage overhead factor beta of the paper's
+// 256x256-tiled CSR layout in closed form (it lands in [2.0, 2.5]),
+// block/vector zero-skip measurement on the generated matrices, the
+// modified roofline model, and the energy-efficiency-gain computation for
+// TU- and RT-based accelerators.
 package sparse
 
 import (
-	"fmt"
 	"math"
+
+	"neurometer/internal/guard"
 )
 
 // rng is a small deterministic PRNG (xorshift64*) so the microbenchmark is
@@ -89,10 +90,10 @@ type GenOptions struct {
 // element-wise sparsity converges to opt.Sparsity.
 func Generate(rows, cols int, opt GenOptions) (*Matrix, error) {
 	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("sparse: matrix dims must be positive, got %dx%d", rows, cols)
+		return nil, guard.Invalid("sparse: matrix dims must be positive, got %dx%d", rows, cols)
 	}
-	if opt.Sparsity < 0 || opt.Sparsity >= 1 {
-		return nil, fmt.Errorf("sparse: sparsity must be in [0,1), got %g", opt.Sparsity)
+	if !(opt.Sparsity >= 0 && opt.Sparsity < 1) { // NaN fails too
+		return nil, guard.Invalid("sparse: sparsity must be in [0,1), got %g", opt.Sparsity)
 	}
 	group := opt.RowGroup
 	if group <= 0 {
@@ -180,24 +181,18 @@ func Generate(rows, cols int, opt GenOptions) (*Matrix, error) {
 
 // Sparsity returns the measured zero fraction.
 func (m *Matrix) Sparsity() float64 {
-	zeros := 0
-	for _, v := range m.Data {
-		if v == 0 {
-			zeros++
-		}
-	}
-	return float64(zeros) / float64(len(m.Data))
+	return float64(m.zeros()) / float64(len(m.Data))
 }
 
-// NonZeros counts non-zero elements.
-func (m *Matrix) NonZeros() int {
-	nz := 0
+// zeros counts the zero elements.
+func (m *Matrix) zeros() int {
+	n := 0
 	for _, v := range m.Data {
-		if v != 0 {
-			nz++
+		if v == 0 {
+			n++
 		}
 	}
-	return nz
+	return n
 }
 
 // BlockSkipFraction returns the fraction of aligned b x b blocks that are

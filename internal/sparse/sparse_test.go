@@ -1,20 +1,119 @@
 package sparse
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
+
+	"neurometer/internal/guard"
 )
 
+// csr is a reference encoder for the paper's tiled CSR layout, kept in the
+// tests to check the closed-form csrBeta against: the matrix is tiled into
+// 256x256 submatrices; values holds the non-zeros in tile-major order,
+// colIdx their one-byte intra-tile column indices, rowNZ the per-tiled-row
+// non-zero counts (one byte each), and tiles the submatrix count (two
+// bytes each).
+type csr struct {
+	rows, cols int
+	values     []int8
+	colIdx     []uint8
+	rowNZ      []uint32
+	tiles      int
+}
+
+func encodeCSR(m *Matrix) *csr {
+	c := &csr{rows: m.Rows, cols: m.Cols}
+	tilesR := (m.Rows + tileSize - 1) / tileSize
+	tilesC := (m.Cols + tileSize - 1) / tileSize
+	c.tiles = tilesR * tilesC
+	for tr := 0; tr < tilesR; tr++ {
+		for tc := 0; tc < tilesC; tc++ {
+			r1 := min((tr+1)*tileSize, m.Rows)
+			c1 := min((tc+1)*tileSize, m.Cols)
+			for r := tr * tileSize; r < r1; r++ {
+				base := r * m.Cols
+				nz := uint32(0)
+				for col := tc * tileSize; col < c1; col++ {
+					if v := m.Data[base+col]; v != 0 {
+						c.values = append(c.values, v)
+						c.colIdx = append(c.colIdx, uint8(col-tc*tileSize))
+						nz++
+					}
+				}
+				c.rowNZ = append(c.rowNZ, nz)
+			}
+		}
+	}
+	return c
+}
+
+// encodedBytes is the total storage under the paper's accounting.
+func (c *csr) encodedBytes() int {
+	return len(c.values) + len(c.colIdx) + len(c.rowNZ) + 2*c.tiles
+}
+
+func (c *csr) decode() *Matrix {
+	m := &Matrix{Rows: c.rows, Cols: c.cols, Data: make([]int8, c.rows*c.cols)}
+	tilesC := (c.cols + tileSize - 1) / tileSize
+	idx, row := 0, 0
+	for tr := 0; tr*tileSize < c.rows; tr++ {
+		for tc := 0; tc < tilesC; tc++ {
+			r1 := min((tr+1)*tileSize, c.rows)
+			for r := tr * tileSize; r < r1; r++ {
+				nz := int(c.rowNZ[row])
+				row++
+				for i := 0; i < nz; i++ {
+					col := tc*tileSize + int(c.colIdx[idx])
+					m.Data[r*c.cols+col] = c.values[idx]
+					idx++
+				}
+			}
+		}
+	}
+	return m
+}
+
+// matrixBeta is the production beta of m: one zero count, the closed form.
+func matrixBeta(m *Matrix) float64 {
+	return csrBeta(m.Rows, m.Cols, len(m.Data)-m.zeros())
+}
+
 func TestGenerateValidation(t *testing.T) {
-	if _, err := Generate(0, 8, GenOptions{}); err == nil {
-		t.Errorf("zero rows must fail")
+	for _, tc := range []struct {
+		rows, cols int
+		s          float64
+	}{{0, 8, 0}, {8, 0, 0}, {8, 8, 1.0}, {8, 8, -0.1}, {8, 8, math.NaN()}} {
+		if _, err := Generate(tc.rows, tc.cols, GenOptions{Sparsity: tc.s}); !errors.Is(err, guard.ErrInvalidConfig) {
+			t.Errorf("%dx%d at sparsity %g: error %v, want ErrInvalidConfig", tc.rows, tc.cols, tc.s, err)
+		}
 	}
-	if _, err := Generate(8, 8, GenOptions{Sparsity: 1.0}); err == nil {
-		t.Errorf("sparsity 1.0 must fail")
-	}
-	if _, err := Generate(8, 8, GenOptions{Sparsity: -0.1}); err == nil {
-		t.Errorf("negative sparsity must fail")
+}
+
+// TestInvalidWorkloadIsInvalidConfig: every invalid workload parameter is
+// guard.ErrInvalidConfig (cmd/sparsity's exit 2) from Study and Sweep
+// alike.
+func TestInvalidWorkloadIsInvalidConfig(t *testing.T) {
+	small := Workload{M: 64, N: 64, K: 8}
+	for _, tc := range []struct {
+		name string
+		w    Workload
+		s    float64
+	}{
+		{"M=0", Workload{M: 0, N: 64, K: 8}, 0.5},
+		{"N=0", Workload{M: 64, N: 0, K: 8}, 0.5},
+		{"K=0", Workload{M: 64, N: 64, K: 0}, 0.5},
+		{"K<0", Workload{M: 64, N: 64, K: -5}, 0.5},
+		{"sparsity 1.0", small, 1.0},
+		{"sparsity -0.1", small, -0.1},
+	} {
+		if _, err := Study(TU8, tc.w, tc.s, 42); !errors.Is(err, guard.ErrInvalidConfig) {
+			t.Errorf("%s: Study error %v, want ErrInvalidConfig", tc.name, err)
+		}
+		if _, err := Sweep(tc.w, []float64{tc.s}, 42); !errors.Is(err, guard.ErrInvalidConfig) {
+			t.Errorf("%s: Sweep error %v, want ErrInvalidConfig", tc.name, err)
+		}
 	}
 }
 
@@ -99,7 +198,7 @@ func TestCSRRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := EncodeCSR(m).Decode()
+		got := encodeCSR(m).decode()
 		if got.Rows != m.Rows || got.Cols != m.Cols {
 			t.Fatalf("shape mismatch")
 		}
@@ -118,7 +217,7 @@ func TestCSRRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got := EncodeCSR(m).Decode()
+		got := encodeCSR(m).decode()
 		for i := range m.Data {
 			if m.Data[i] != got.Data[i] {
 				return false
@@ -138,7 +237,7 @@ func TestBetaInPaperRange(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		beta := EncodeCSR(m).Beta()
+		beta := matrixBeta(m)
 		if beta < 2.0 || beta > 2.5 {
 			t.Errorf("s=%g: beta %.2f outside [2.0, 2.5]", s, beta)
 		}
@@ -235,13 +334,82 @@ func TestNonZerosConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	csr := EncodeCSR(m)
-	if len(csr.Values) != m.NonZeros() {
-		t.Errorf("CSR values %d != matrix non-zeros %d", len(csr.Values), m.NonZeros())
+	c := encodeCSR(m)
+	if nnz := len(m.Data) - m.zeros(); len(c.values) != nnz {
+		t.Errorf("CSR values %d != matrix non-zeros %d", len(c.values), nnz)
 	}
-	if csr.EncodedBytes() <= len(csr.Values) {
+	if c.encodedBytes() <= len(c.values) {
 		t.Errorf("encoding must carry index overhead")
 	}
+}
+
+// TestBetaClosedFormMatchesEncoder: the closed-form beta equals the
+// reference encoder's bytes per non-zero bit for bit, on square, ragged
+// (not a multiple of the 256 tile) and degenerate shapes, and an all-zero
+// matrix reports 0.
+func TestBetaClosedFormMatchesEncoder(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {255, 257}, {300, 700}, {512, 512}} {
+		for _, s := range []float64{0, 0.5, 0.9, 0.99} {
+			for _, d := range []Distribution{Clustered, Random} {
+				m, err := Generate(dims[0], dims[1], GenOptions{Sparsity: s, Seed: 3, Distribution: d})
+				if err != nil {
+					t.Fatal(err)
+				}
+				c := encodeCSR(m)
+				want := 0.0
+				if len(c.values) > 0 {
+					want = float64(c.encodedBytes()) / float64(len(c.values))
+				}
+				if got := matrixBeta(m); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%dx%d %v s=%g: closed-form beta %v, encoder %v", dims[0], dims[1], d, s, got, want)
+				}
+			}
+		}
+	}
+	empty := &Matrix{Rows: 300, Cols: 700, Data: make([]int8, 300*700)}
+	if got := matrixBeta(empty); got != 0 {
+		t.Errorf("all-zero matrix beta %v, want 0", got)
+	}
+}
+
+// TestStudyMatchesSweep: the shared-matrix Sweep reproduces per-point
+// Study calls bit for bit on every field, on a workload whose sides are
+// not multiples of the CSR tile.
+func TestStudyMatchesSweep(t *testing.T) {
+	w := Workload{M: 300, N: 700, K: 32}
+	out, err := Sweep(w, DefaultSparsities(), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []Arch{TU32, TU8, RT1024, RT64} {
+		if len(out[a]) != len(DefaultSparsities()) {
+			t.Fatalf("%v: %d sweep rows, want %d", a, len(out[a]), len(DefaultSparsities()))
+		}
+		for i, s := range DefaultSparsities() {
+			want, err := Study(a, w, s, 42)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out[a][i]; !sameResult(got, want) {
+				t.Errorf("%v s=%g: Sweep %+v, Study %+v", a, s, got, want)
+			}
+		}
+	}
+}
+
+// sameResult compares every Result field bit for bit.
+func sameResult(a, b Result) bool {
+	fields := func(r Result) []float64 {
+		return []float64{r.Sparsity, r.Beta, r.SkipFrac, r.Y, r.DenseTimeSec,
+			r.SparseTimeSec, r.DensePowerW, r.SparsePowerW, r.Gain}
+	}
+	fa, fb := fields(a), fields(b)
+	for i := range fa {
+		if math.Float64bits(fa[i]) != math.Float64bits(fb[i]) {
+			return false
+		}
+	}
+	return a.Arch == b.Arch
 }
 
 // TestRooflineIdentities checks the §IV equations directly on a computed
@@ -266,8 +434,6 @@ func TestRooflineIdentities(t *testing.T) {
 	if math.Abs(r.DenseTimeSec-tD)/tD > 1e-9 {
 		t.Errorf("dense roofline mismatch: %g vs %g", r.DenseTimeSec, tD)
 	}
-	x := 1 - 0.8 // approximately; use the exact measured value below
-	_ = x
 	// Recompute with the study's own y/beta and the measured sparsity.
 	m, err := Generate(w.M, w.N, GenOptions{Sparsity: 0.8, Seed: 42})
 	if err != nil {
@@ -326,7 +492,7 @@ func TestDistributionSensitivity(t *testing.T) {
 		t.Errorf("distribution strings")
 	}
 	// CSR round-trips regardless of distribution.
-	got := EncodeCSR(random).Decode()
+	got := encodeCSR(random).decode()
 	for i := range random.Data {
 		if random.Data[i] != got.Data[i] {
 			t.Fatalf("random-distribution CSR roundtrip mismatch")

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"neurometer/internal/chip"
+	"neurometer/internal/guard"
 	"neurometer/internal/maclib"
 	"neurometer/internal/periph"
 )
@@ -122,10 +123,12 @@ type Result struct {
 	Gain float64
 }
 
-// Study evaluates one architecture at one sparsity level, generating the
-// synthetic matrix, encoding it, measuring skip fractions, and combining
-// the modified roofline with NeuroMeter's runtime power model.
+// Study evaluates one architecture at one sparsity level: it builds the
+// chip, generates the synthetic matrix and evaluates the one on the other.
 func Study(a Arch, w Workload, sparsity float64, seed uint64) (Result, error) {
+	if err := w.validate(); err != nil {
+		return Result{}, err
+	}
 	c, err := BuildArch(a)
 	if err != nil {
 		return Result{}, err
@@ -134,11 +137,42 @@ func Study(a Arch, w Workload, sparsity float64, seed uint64) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	csr := EncodeCSR(m)
+	return evaluate(a, c, w, sparsity, m, m.zeros()), nil
+}
 
+func (w Workload) validate() error {
+	if w.M <= 0 || w.N <= 0 || w.K <= 0 {
+		return guard.Invalid("sparse: workload dims must be positive, got M=%d N=%d K=%d", w.M, w.N, w.K)
+	}
+	return nil
+}
+
+// tileSize is the side of the paper's CSR submatrices.
+const tileSize = 256
+
+// csrBeta returns the storage overhead factor beta of a rows x cols Int8
+// matrix with nnz non-zeros in the paper's tiled CSR layout (§IV), relative
+// to the non-zero payload: the matrix is tiled into 256x256 submatrices;
+// each non-zero costs its value byte plus one byte of intra-tile column
+// index, each tiled row one byte of row indexing, and each submatrix two
+// bytes of tile index. It lands between 2.0 and 2.5 for the paper's
+// configurations, and is 0 for an all-zero matrix.
+func csrBeta(rows, cols, nnz int) float64 {
+	if nnz == 0 {
+		return 0
+	}
+	tilesR := (rows + tileSize - 1) / tileSize
+	tilesC := (cols + tileSize - 1) / tileSize
+	return float64(2*nnz+tilesC*rows+2*tilesR*tilesC) / float64(nnz)
+}
+
+// evaluate combines the modified roofline with NeuroMeter's runtime power
+// model for architecture a, built as c, on the generated matrix m, which
+// holds zeros zero elements.
+func evaluate(a Arch, c *chip.Chip, w Workload, sparsity float64, m *Matrix, zeros int) Result {
 	res := Result{Arch: a, Sparsity: sparsity}
-	res.Beta = csr.Beta()
-	x := 1 - m.Sparsity() // non-zero ratio
+	res.Beta = csrBeta(m.Rows, m.Cols, len(m.Data)-zeros)
+	x := 1 - float64(zeros)/float64(len(m.Data)) // non-zero ratio
 	g := a.SkipGranularity()
 	switch a {
 	case TU32, TU8:
@@ -169,7 +203,7 @@ func Study(a Arch, w Workload, sparsity float64, seed uint64) (Result, error) {
 	res.SparsePowerW = runtimePower(c, res.Y*C/2/tS, (sV+res.Beta*x*sW)/tS,
 		0.35+0.65*nzInBlocks)
 	res.Gain = (res.DensePowerW * tD) / (res.SparsePowerW * tS)
-	return res, nil
+	return res
 }
 
 // runtimePower assembles the activity factors for the SpMV kernel.
@@ -204,16 +238,30 @@ func offChipBps(c *chip.Chip) float64 {
 }
 
 // Sweep evaluates all four architectures across the sparsity levels,
-// producing the Fig. 11 dataset.
+// producing the Fig. 11 dataset. Each architecture is built once and each
+// sparsity's matrix generated once; the four architectures share it.
 func Sweep(w Workload, sparsities []float64, seed uint64) (map[Arch][]Result, error) {
+	if err := w.validate(); err != nil {
+		return nil, err
+	}
+	archs := []Arch{TU32, TU8, RT1024, RT64}
+	chips := make([]*chip.Chip, len(archs))
+	for i, a := range archs {
+		c, err := BuildArch(a)
+		if err != nil {
+			return nil, err
+		}
+		chips[i] = c
+	}
 	out := map[Arch][]Result{}
-	for _, a := range []Arch{TU32, TU8, RT1024, RT64} {
-		for _, s := range sparsities {
-			r, err := Study(a, w, s, seed)
-			if err != nil {
-				return nil, err
-			}
-			out[a] = append(out[a], r)
+	for _, s := range sparsities {
+		m, err := Generate(w.M, w.N, GenOptions{Sparsity: s, Seed: seed})
+		if err != nil {
+			return nil, err
+		}
+		zeros := m.zeros()
+		for i, a := range archs {
+			out[a] = append(out[a], evaluate(a, chips[i], w, s, m, zeros))
 		}
 	}
 	return out, nil

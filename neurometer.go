@@ -170,9 +170,10 @@ const (
 )
 
 // SparsityStudy evaluates one architecture on the synthetic SpMV
-// microbenchmark at one sparsity level: it generates the CSR-encoded
-// matrix, measures the block/vector zero-skip fractions, applies the
-// modified roofline, and pairs it with the runtime power model.
+// microbenchmark at one sparsity level: it generates the matrix, derives
+// the tiled-CSR overhead β in closed form from its non-zero count,
+// measures the block/vector zero-skip fractions, applies the modified
+// roofline, and pairs it with the runtime power model.
 func SparsityStudy(a SparseArch, w SparseWorkload, sparsity float64, seed uint64) (SparseResult, error) {
 	return sparse.Study(a, w, sparsity, seed)
 }
