@@ -30,6 +30,9 @@ const (
 	// fig9Digest hashes every Fig9 row field and the latency-limited
 	// batch of each model at full precision.
 	fig9Digest = "9f3a295623ee8f54"
+	// fig7Digest hashes every Fig7 row field at full precision, over the
+	// batches cmd/dse -fig 7 prints.
+	fig7Digest = "6e62fca92371127f"
 )
 
 // shortSum is the first 16 hex digits of h's sum, perfbench's digest form.
@@ -96,6 +99,21 @@ func TestFig9Digest(t *testing.T) {
 	}
 	if got := shortSum(h); got != fig9Digest {
 		t.Errorf("Fig. 9 digest %s, want %s (%d rows)", got, fig9Digest, len(rows))
+	}
+}
+
+func TestFig7Digest(t *testing.T) {
+	rows, err := Fig7(TableI(), DefaultModels(), []int{1, 4, 16, 64, 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, r := range rows {
+		fmt.Fprintln(h, r.Model, r.Batch, g(r.FPSBefore), g(r.FPSAfter))
+	}
+	if got := shortSum(h); got != fig7Digest {
+		t.Errorf("Fig. 7 digest %s, want %s (%d rows)", got, fig7Digest, len(rows))
 	}
 }
 

@@ -31,14 +31,20 @@
 // caller's goroutine (the historical serial path); otherwise each worker
 // claims the next candidate index in turn. See DESIGN.md §9 and §14.
 //
-// Each study prepares its workload graphs once (perfsim.Prepare), and a
-// pool item is one candidate, which evaluates its row for every batch
-// regime of the study. The rows share a pooled per-candidate memo of
-// successful simulations keyed by (model, power-of-two batch), so each
-// (candidate, model, batch) cell is simulated once: in Fig. 10, regime b's
-// latency ladder reuses regime a's batch 1 (801 simulations instead of 942
-// at Table I). The per-candidate hot path is allocation-free in the steady
-// state; see PERFORMANCE.md.
+// A study over caller-owned graphs (RuntimeStudyHardened, Fig10Hardened)
+// prepares them once per call (perfsim.Prepare), and only when some row
+// is missing from the result store. The bundled workloads have one
+// process-wide memo of prepared copies, BundledWorkloads, keyed by name
+// and alias: NewStudy and EdgeStudy read it, as do neurometerd's simulate
+// routes, so a Study prepares nothing after the first. A pool item is one
+// candidate, which evaluates its row for every batch regime of the study.
+// The rows share one pooled perfsim.Ladder per model, reset for each
+// candidate, which memoizes successful simulations by power-of-two batch,
+// so each (candidate, model, batch) cell is simulated once: in Fig. 10,
+// regime b's latency ladder reuses regime a's batch 1 (801 simulations
+// instead of 942 at Table I). Fig. 7 and Fig. 9 prepare each model once
+// and simulate through Ladders too. The per-candidate hot path is
+// allocation-free in the steady state; see PERFORMANCE.md.
 //
 // Repeated chip constructions across sweeps and figure drivers hit the
 // chip.BuildCached memo; cache traffic is visible as

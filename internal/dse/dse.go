@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -396,7 +396,12 @@ type outcome struct {
 // so a parallel, a serial, and a rerun-on-the-same-store run of the same
 // study all emit byte-identical output.
 func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*graph.Graph, spec BatchSpec, opt perfsim.Options, h Hardening) ([]RuntimeRow, error) {
-	rows, failed, err := runtimeStudy(ctx, cands, models, []BatchSpec{spec}, opt, h)
+	return oneRegime(runtimeStudy(ctx, cands, models, []BatchSpec{spec}, opt, h))
+}
+
+// oneRegime reduces runtimeStudy's answer for one batch regime to
+// RuntimeStudyHardened's.
+func oneRegime(rows [][]RuntimeRow, failed []error, err error) ([]RuntimeRow, error) {
 	if err == nil {
 		err = failed[0]
 	}
@@ -406,16 +411,25 @@ func RuntimeStudyHardened(ctx context.Context, cands []Candidate, models []*grap
 // runtimeStudy is RuntimeStudyHardened over several batch regimes in one
 // pass: each pool item is one candidate, which evaluates its row for every
 // regime the result store does not already hold. A candidate's rows share
-// one simMemo, so a simulation two regimes need — batch 1 for a fixed
-// batch-1 regime and the bottom of a latency ladder — runs once. Each row
-// keeps the whole per-candidate envelope of RuntimeStudyHardened: its own
-// store entry, span, injection site, finite check and panic recovery.
+// one perfsim.Ladder per model, so a simulation two regimes need — batch 1
+// for a fixed batch-1 regime and the bottom of a latency ladder — runs
+// once. Each row keeps the whole per-candidate envelope of
+// RuntimeStudyHardened: its own store entry, span, injection site, finite
+// check and panic recovery.
+//
+// The models are prepared only when some row is missing from the store,
+// so a study the store fully satisfies prepares nothing.
 //
 // rows[s] holds specs[s]'s rows in candidate order. An interrupted study
 // returns every regime's completed rows and the classified cause as err.
 // Otherwise failed[s] is non-nil, with the joined failures, when every
 // candidate failed under specs[s], and rows[s] is then nil.
 func runtimeStudy(ctx context.Context, cands []Candidate, models []*graph.Graph, specs []BatchSpec, opt perfsim.Options, h Hardening) (rows [][]RuntimeRow, failed []error, err error) {
+	return runStudy(ctx, cands, modelNames(models), prepareGraphs(models), specs, opt, h)
+}
+
+// runStudy is runtimeStudy over models named names, which sim prepares.
+func runStudy(ctx context.Context, cands []Candidate, names []string, sim func() *studySim, specs []BatchSpec, opt perfsim.Options, h Hardening) (rows [][]RuntimeRow, failed []error, err error) {
 	ctx, span := obs.Start(ctx, "dse.runtime-study")
 	defer span.End()
 	specNames := make([]string, len(specs))
@@ -430,7 +444,6 @@ func runtimeStudy(ctx context.Context, cands []Candidate, models []*graph.Graph,
 	// Store phase: satisfy rows from the persistent result store before
 	// any evaluation is scheduled; only candidates with a missing row
 	// enter the pool.
-	names := modelNames(models)
 	outs := make([][]outcome, len(specs))
 	fps := make([][]string, len(specs))
 	for s := range specs {
@@ -464,20 +477,23 @@ func runtimeStudy(ctx context.Context, cands []Candidate, models []*graph.Graph,
 		span.SetInt("store_hits", int64(hits))
 	}
 
-	// One simulation context for the whole study: every workload graph is
-	// validated and prepared exactly once here, then shared read-only by
-	// all workers — the per-candidate hot path never re-parses a graph. A
-	// study the store fully satisfied prepares nothing.
-	var sim *studySim
+	// One simulation context for the whole study: every workload is
+	// prepared once, before any worker starts, then shared read-only by
+	// all workers — the per-candidate hot path never re-parses a graph.
+	var ss *studySim
 	if len(pending) > 0 {
-		sim = newStudySim(models)
+		ss = sim()
 	}
 	var completed atomic.Int64
 	poolErr := runPool(ctx, len(pending), h.Workers, func(pi int) {
 		i := pending[pi]
 		cand := cands[i]
-		memo := acquireMemo(len(models))
-		defer memoPool.Put(memo)
+		ladders := ladderPool.Get().(*[]perfsim.Ladder)
+		defer ladderPool.Put(ladders)
+		*ladders = slices.Grow((*ladders)[:0], len(names))[:len(names)]
+		for mi, p := range ss.prepared {
+			(*ladders)[mi].Reset(p, cand.Chip, opt)
+		}
 		for s, spec := range specs {
 			if outs[s][i].done || guard.CtxErr(ctx) != nil {
 				continue
@@ -488,7 +504,7 @@ func runtimeStudy(ctx context.Context, cands []Candidate, models []*graph.Graph,
 				cspan.SetStr("spec", specNames[s])
 			}
 			evalStart := time.Now()
-			row, err := evalCandidate(cctx, cand, sim, memo, spec, opt)
+			row, err := evalCandidate(cctx, cand, ss, *ladders, spec)
 			if err == nil && h.Results != nil {
 				storeRow(h.Results, fps[s][i], row)
 			}
@@ -545,118 +561,66 @@ func runtimeStudy(ctx context.Context, cands []Candidate, models []*graph.Graph,
 }
 
 // studySim is the simulation context one study shares across all of its
-// candidate evaluations: every workload graph validated and prepared
-// exactly once, so the per-candidate hot path runs straight into the
-// closed forms. Immutable after newStudySim and safe for any number of
-// concurrent workers.
+// candidate evaluations: every workload prepared exactly once, so the
+// per-candidate hot path runs straight into the closed forms. Immutable
+// once made and safe for any number of concurrent workers.
 //
 // A model that fails Prepare keeps its error instead, and every candidate
 // fails on that model with it.
 type studySim struct {
-	models     []*graph.Graph
+	names      []string
 	prepared   []*perfsim.Prepared
 	prepareErr []error
 }
 
-func newStudySim(models []*graph.Graph) *studySim {
-	s := &studySim{
-		models:     models,
-		prepared:   make([]*perfsim.Prepared, len(models)),
-		prepareErr: make([]error, len(models)),
+// prepareGraphs returns the studySim maker of a study over caller-owned
+// graphs: each call prepares every graph.
+func prepareGraphs(models []*graph.Graph) func() *studySim {
+	return func() *studySim {
+		s := &studySim{
+			names:      modelNames(models),
+			prepared:   make([]*perfsim.Prepared, len(models)),
+			prepareErr: make([]error, len(models)),
+		}
+		for i, g := range models {
+			s.prepared[i], s.prepareErr[i] = perfsim.Prepare(g)
+		}
+		return s
 	}
-	for i, g := range models {
-		s.prepared[i], s.prepareErr[i] = perfsim.Prepare(g)
-	}
-	return s
 }
 
-// simMemo holds one candidate's successful simulations within a study,
-// keyed by (model, power-of-two batch up to perfsim.LatencyLimitedMaxBatch),
-// so the rows of a multi-regime study that need the same simulation run it
-// once. Keying by model and batch alone is sound because a simulation is a
-// pure function of (chip, prepared graph, batch, options) and the chip and
-// options are fixed for the memo's life. Failed simulations are never
-// memoized. Each model's simulations share one perfsim.Binding, which
-// computes the model's tiling terms on the candidate's chip once for the
-// candidate's rows (a Binding rebinds itself on the next candidate's
-// chip). Memos are pooled, so the steady state allocates nothing.
-type simMemo struct {
-	res  []perfsim.Result
-	ok   []bool
-	bind []perfsim.Binding
-	// spare holds a batch outside the memo's keys; a row consumes each
-	// model's result before it simulates the next model.
-	spare perfsim.Result
-}
-
-// memoBatches is the number of power-of-two batches a simMemo keys: 1 up
-// to perfsim.LatencyLimitedMaxBatch.
-var memoBatches = bits.Len(uint(perfsim.LatencyLimitedMaxBatch))
-
-var memoPool = sync.Pool{New: func() any { return new(simMemo) }}
-
-// acquireMemo returns an empty pooled memo sized for nModels models.
-func acquireMemo(nModels int) *simMemo {
-	m := memoPool.Get().(*simMemo)
-	if n := nModels * memoBatches; len(m.res) < n {
-		m.res = make([]perfsim.Result, n)
-		m.ok = make([]bool, n)
-	}
-	if len(m.bind) < nModels {
-		m.bind = make([]perfsim.Binding, nModels)
-	}
-	clear(m.ok)
-	return m
-}
-
-// simulate returns model mi's simulation of batch on c, running it only if
-// the memo does not hold it yet.
-func (m *simMemo) simulate(ctx context.Context, sim *studySim, mi int, c *chip.Chip, batch int, opt perfsim.Options) (*perfsim.Result, error) {
-	p, b := sim.prepared[mi], &m.bind[mi]
-	if batch <= 0 || batch > perfsim.LatencyLimitedMaxBatch || batch&(batch-1) != 0 {
-		return &m.spare, b.SimulateInto(ctx, p, c, batch, opt, &m.spare)
-	}
-	k := mi*memoBatches + bits.TrailingZeros(uint(batch))
-	if m.ok[k] {
-		return &m.res[k], nil
-	}
-	if err := b.SimulateInto(ctx, p, c, batch, opt, &m.res[k]); err != nil {
-		return nil, err
-	}
-	m.ok[k] = true
-	return &m.res[k], nil
-}
+// ladderPool recycles the per-candidate Ladders, one per model, each reset
+// for the candidate it evaluates, so the steady state of a study allocates
+// nothing for its simulations.
+var ladderPool = sync.Pool{New: func() any { return new([]perfsim.Ladder) }}
 
 // evalCandidate simulates one candidate over the workload set and
-// aggregates its Fig. 10 row. Panics anywhere below are converted to
+// aggregates its Fig. 10 row. ladders[mi] is model mi's Ladder, reset for
+// the candidate's chip. Panics anywhere below are converted to
 // guard.ErrCandidatePanic; the aggregated row is finite-checked before it
-// can reach a frontier or CSV. Simulations go through the candidate's
-// memo, so the steady state of a sweep allocates only the row's Batches
-// slice.
-func evalCandidate(ctx context.Context, cand Candidate, sim *studySim, memo *simMemo, spec BatchSpec, opt perfsim.Options) (row RuntimeRow, err error) {
+// can reach a frontier or CSV. The steady state of a sweep allocates only
+// the row's Batches slice.
+func evalCandidate(ctx context.Context, cand Candidate, sim *studySim, ladders []perfsim.Ladder, spec BatchSpec) (row RuntimeRow, err error) {
 	defer guard.RecoverTo(&err)
 	if ierr := guard.Inject(ctx, "dse.candidate"); ierr != nil {
 		return RuntimeRow{}, fmt.Errorf("dse: candidate %s: %w", cand.Point, ierr)
 	}
 	row = RuntimeRow{Point: cand.Point, PeakTOPS: cand.PeakTOPS}
-	nModels := float64(len(sim.models))
+	nModels := float64(len(sim.names))
 	utilProd, wEffProd, cEffProd := 1.0, 1.0, 1.0
-	for mi, g := range sim.models {
-		probe := func(batch int) (*perfsim.Result, error) {
-			return memo.simulate(ctx, sim, mi, cand.Chip, batch, opt)
-		}
+	for mi, name := range sim.names {
 		var res *perfsim.Result
 		batch, serr := spec.Fixed, sim.prepareErr[mi]
 		if serr == nil {
 			if batch > 0 {
-				res, serr = probe(batch)
+				res, serr = ladders[mi].Simulate(ctx, batch)
 			} else {
-				batch, res, serr = perfsim.LatencyLimitedSearch(spec.LatencyBound, probe)
+				batch, res, serr = ladders[mi].LatencyLimited(ctx, spec.LatencyBound)
 			}
 		}
 		if serr != nil {
 			return RuntimeRow{}, fmt.Errorf("dse: candidate %s on model %q (%s): %w",
-				cand.Point, g.Name, spec, serr)
+				cand.Point, name, spec, serr)
 		}
 		e := cand.Chip.Efficiency(res.AchievedTOPS*1e12, res.Activity)
 		row.AchievedTOPS += res.AchievedTOPS / nModels

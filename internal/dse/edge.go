@@ -1,13 +1,13 @@
 package dse
 
 import (
+	"context"
 	"fmt"
 
 	"neurometer/internal/chip"
 	"neurometer/internal/maclib"
 	"neurometer/internal/perfsim"
 	"neurometer/internal/periph"
-	"neurometer/internal/workloads"
 )
 
 // The paper's introduction motivates accelerators "ranging from cloud to
@@ -78,14 +78,21 @@ type EdgeRow struct {
 }
 
 // EdgeStudy sweeps the edge space and simulates single-image ResNet-50
-// inference on every feasible point.
+// inference on every feasible point. Both workloads come prepared from the
+// bundled memo, and every simulation runs through one Binding.
 func EdgeStudy() ([]EdgeRow, error) {
 	cs := EdgeConstraints()
-	resnet := DefaultModels()[0]
-	mobilenet, err := workloads.ByName("mobilenet")
+	resnet, err := bundled.Get("resnet")
 	if err != nil {
 		return nil, err
 	}
+	mobilenet, err := bundled.Get("mobilenet")
+	if err != nil {
+		return nil, err
+	}
+	ctx, opt := context.Background(), perfsim.DefaultOptions()
+	var b perfsim.Binding
+	var res, mob perfsim.Result
 	var rows []EdgeRow
 	for _, x := range cs.XChoices {
 		for _, n := range cs.NChoices {
@@ -99,12 +106,10 @@ func EdgeStudy() ([]EdgeRow, error) {
 				if err != nil {
 					continue // over budget
 				}
-				res, err := perfsim.Simulate(c, resnet, 1, perfsim.DefaultOptions())
-				if err != nil {
+				if err := b.SimulateInto(ctx, resnet, c, 1, opt, &res); err != nil {
 					return nil, fmt.Errorf("dse: edge %s: %w", p, err)
 				}
-				mob, err := perfsim.Simulate(c, mobilenet, 1, perfsim.DefaultOptions())
-				if err != nil {
+				if err := b.SimulateInto(ctx, mobilenet, c, 1, opt, &mob); err != nil {
 					return nil, fmt.Errorf("dse: edge %s (mobilenet): %w", p, err)
 				}
 				e := c.Efficiency(res.AchievedTOPS*1e12, res.Activity)

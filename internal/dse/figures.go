@@ -25,26 +25,35 @@ type Fig7Row struct {
 func (r Fig7Row) Gain() float64 { return r.FPSAfter / r.FPSBefore }
 
 // Fig7 reproduces the software-optimization ablation on the throughput
-// reference point (64,2,2,4).
+// reference point (64,2,2,4). Each model is prepared once and simulated
+// through one Ladder per option set.
 func Fig7(cs Constraints, models []*graph.Graph, batches []int) ([]Fig7Row, error) {
 	cand, err := buildPoint(cs, Point{64, 2, 2, 4})
 	if err != nil {
 		return nil, err
 	}
+	ctx := context.Background()
+	var after, before perfsim.Ladder
 	var rows []Fig7Row
 	for _, g := range models {
+		p, err := perfsim.Prepare(g)
+		if err != nil {
+			return nil, err
+		}
+		after.Reset(p, cand.Chip, perfsim.DefaultOptions())
+		before.Reset(p, cand.Chip, perfsim.NoOptimizations())
 		for _, bs := range batches {
-			after, err := perfsim.Simulate(cand.Chip, g, bs, perfsim.DefaultOptions())
+			a, err := after.Simulate(ctx, bs)
 			if err != nil {
 				return nil, err
 			}
-			before, err := perfsim.Simulate(cand.Chip, g, bs, perfsim.NoOptimizations())
+			b, err := before.Simulate(ctx, bs)
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, Fig7Row{
 				Model: g.Name, Batch: bs,
-				FPSBefore: before.FPS, FPSAfter: after.FPS,
+				FPSBefore: b.FPS, FPSAfter: a.FPS,
 			})
 		}
 	}
@@ -104,15 +113,16 @@ type Fig9Row struct {
 
 // Fig9 sweeps batch sizes on the (64,2,2,4) reference point and reports
 // throughput and latency per workload, plus the 10ms latency-limited batch.
-// Each model is prepared once and all of its simulations share one
-// Binding; the latency ladder reuses the listed batches' results and
+// Each model is prepared once and simulated through one Ladder, so the
+// latency ladder reuses the listed power-of-two batches' simulations and
 // simulates only the batch sizes the list lacks.
 func Fig9(cs Constraints, models []*graph.Graph, batches []int) ([]Fig9Row, map[string]int, error) {
 	cand, err := buildPoint(cs, Point{64, 2, 2, 4})
 	if err != nil {
 		return nil, nil, err
 	}
-	opt := perfsim.DefaultOptions()
+	ctx := context.Background()
+	var l perfsim.Ladder
 	var rows []Fig9Row
 	limits := map[string]int{}
 	for _, g := range models {
@@ -120,21 +130,9 @@ func Fig9(cs Constraints, models []*graph.Graph, batches []int) ([]Fig9Row, map[
 		if err != nil {
 			return nil, nil, err
 		}
-		var b perfsim.Binding
-		ran := make(map[int]*perfsim.Result, len(batches))
-		simulate := func(batch int) (*perfsim.Result, error) {
-			if r := ran[batch]; r != nil {
-				return r, nil
-			}
-			r := new(perfsim.Result)
-			if err := b.SimulateInto(context.Background(), p, cand.Chip, batch, opt, r); err != nil {
-				return nil, err
-			}
-			ran[batch] = r
-			return r, nil
-		}
+		l.Reset(p, cand.Chip, perfsim.DefaultOptions())
 		for _, bs := range batches {
-			r, err := simulate(bs)
+			r, err := l.Simulate(ctx, bs)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -144,7 +142,7 @@ func Fig9(cs Constraints, models []*graph.Graph, batches []int) ([]Fig9Row, map[
 				MeetsSLO10: r.LatencySec <= 10e-3,
 			})
 		}
-		lim, _, err := perfsim.LatencyLimitedSearch(10e-3, simulate)
+		lim, _, err := l.LatencyLimited(ctx, 10e-3)
 		if err != nil {
 			return nil, nil, err
 		}

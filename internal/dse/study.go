@@ -2,8 +2,8 @@ package dse
 
 import (
 	"context"
+	"sync"
 
-	"neurometer/internal/graph"
 	"neurometer/internal/guard"
 	"neurometer/internal/perfsim"
 	"neurometer/internal/workloads"
@@ -31,9 +31,9 @@ type StudySpec struct {
 
 // Study is a materialized, runnable StudySpec.
 type Study struct {
-	spec   StudySpec
-	cands  []Candidate
-	models []*graph.Graph
+	spec  StudySpec
+	cands []Candidate
+	sim   *studySim
 }
 
 // maxStudyPoints bounds the (X, N, grid) points one study may enumerate:
@@ -49,9 +49,18 @@ const maxStudyPoints = 4096
 // A spec that fails Check and an empty candidate set fail with guard
 // taxonomy errors so callers can map them to 400/422 directly.
 func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
-	models, err := spec.resolve()
+	names, err := spec.resolve()
 	if err != nil {
 		return nil, err
+	}
+	sim := &studySim{prepareErr: make([]error, len(names))}
+	for _, name := range names {
+		p, err := bundled.Get(name)
+		if err != nil {
+			return nil, err
+		}
+		sim.names = append(sim.names, p.Name())
+		sim.prepared = append(sim.prepared, p)
 	}
 	cands := EnumerateCtx(ctx, spec.Constraints)
 	if err := guard.CtxErr(ctx); err != nil {
@@ -61,7 +70,7 @@ func NewStudy(ctx context.Context, spec StudySpec) (*Study, error) {
 	if len(cands) == 0 {
 		return nil, guard.Infeasible("dse: study: no feasible candidates under the constraints")
 	}
-	return &Study{spec: spec, cands: cands, models: models}, nil
+	return &Study{spec: spec, cands: cands, sim: sim}, nil
 }
 
 // Check runs the checks NewStudy makes before it enumerates anything: a
@@ -73,8 +82,9 @@ func (spec StudySpec) Check() error {
 	return err
 }
 
-// resolve checks the spec as Check documents and looks up its workloads.
-func (spec StudySpec) resolve() ([]*graph.Graph, error) {
+// resolve checks the spec as Check documents and returns its workloads'
+// names, each one the bundled memo holds; it prepares none of them.
+func (spec StudySpec) resolve() ([]string, error) {
 	if err := checkPoints(spec.Constraints); err != nil {
 		return nil, err
 	}
@@ -84,18 +94,17 @@ func (spec StudySpec) resolve() ([]*graph.Graph, error) {
 	if err := checkChoices("N choices", spec.Constraints.NChoices); err != nil {
 		return nil, err
 	}
-	if len(spec.Models) == 0 {
-		return workloads.All(), nil
+	names := spec.Models
+	if len(names) == 0 {
+		names = tableII
 	}
-	models := make([]*graph.Graph, 0, len(spec.Models))
-	for _, name := range spec.Models {
-		g, err := workloads.ByName(name)
-		if err != nil {
+	for _, name := range names {
+		if _, ok := bundled[name]; !ok {
+			_, err := workloads.ByName(name)
 			return nil, guard.Invalid("dse: study: %v", err)
 		}
-		models = append(models, g)
 	}
-	return models, nil
+	return names, nil
 }
 
 // checkPoints rejects a design space of more than maxStudyPoints points
@@ -138,6 +147,57 @@ func (s *Study) NumCandidates() int { return len(s.cands) }
 // h.Results store: completed candidates come back as verified store hits,
 // only the rest are simulated, and the output is byte-identical to an
 // uninterrupted run.
+//
+// The study's workloads come from the bundled memo (BundledWorkloads), so
+// a run prepares nothing.
 func (s *Study) Run(ctx context.Context, h Hardening) ([]RuntimeRow, error) {
-	return RuntimeStudyHardened(ctx, s.cands, s.models, s.spec.Spec, s.spec.Opt, h)
+	sim := func() *studySim { return s.sim }
+	return oneRegime(runStudy(ctx, s.cands, s.sim.names, sim, []BatchSpec{s.spec.Spec}, s.spec.Opt, h))
+}
+
+// tableII names the Table II workloads, the models of workloads.All() and
+// of a StudySpec with no Models.
+var tableII = []string{"resnet", "inception", "nasnet"}
+
+// PreparedWorkloads maps every bundled workload name, aliases included, to
+// that model's prepared workload, built on first use and kept for the
+// process's life. Aliases of one model share one entry, and the map is
+// complete when it is made, so an unknown name is never stored and the map
+// needs no lock. It is read-only.
+type PreparedWorkloads map[string]func() (*perfsim.Prepared, error)
+
+// bundled is the process's one memo of prepared bundled workloads.
+var bundled = newPreparedWorkloads()
+
+// BundledWorkloads returns the process's one memo of prepared bundled
+// workloads, which NewStudy, EdgeStudy and neurometerd's simulate routes
+// share: each bundled model is prepared at most once per process.
+func BundledWorkloads() PreparedWorkloads { return bundled }
+
+func newPreparedWorkloads() PreparedWorkloads {
+	m := PreparedWorkloads{}
+	for _, names := range workloads.Names() {
+		prepare := sync.OnceValues(func() (*perfsim.Prepared, error) {
+			g, err := workloads.ByName(names[0])
+			if err != nil {
+				return nil, err
+			}
+			return perfsim.Prepare(g)
+		})
+		for _, name := range names {
+			m[name] = prepare
+		}
+	}
+	return m
+}
+
+// Get returns the prepared workload for name. An unknown name fails with
+// guard.ErrInvalidConfig, carrying workloads.ByName's message.
+func (m PreparedWorkloads) Get(name string) (*perfsim.Prepared, error) {
+	prepare, ok := m[name]
+	if !ok {
+		_, err := workloads.ByName(name)
+		return nil, guard.Invalid("%v", err)
+	}
+	return prepare()
 }

@@ -7,9 +7,11 @@ import (
 	"reflect"
 	"testing"
 
+	"neurometer/internal/graph"
 	"neurometer/internal/guard"
 	"neurometer/internal/obs"
 	"neurometer/internal/perfsim"
+	"neurometer/internal/workloads"
 )
 
 // tinySpec is a fast two-brawniness study on one workload, small enough to
@@ -193,5 +195,53 @@ func TestNewStudyKeepsPipelineOrder(t *testing.T) {
 		if s.cands[i].Point != want[i].Point {
 			t.Fatalf("candidate %d: NewStudy has %v, the pipeline %v", i, s.cands[i].Point, want[i].Point)
 		}
+	}
+}
+
+// A Study reads its workloads from the bundled memo: the Table II models
+// when the spec names none, and one shared Prepared per model under its
+// graph's name whatever alias the spec uses, with rows byte-identical to
+// RuntimeStudyHardened over fresh graphs.
+func TestStudyUsesBundledWorkloads(t *testing.T) {
+	ctx := context.Background()
+	spec := tinySpec()
+	spec.Models = nil
+	s, err := NewStudy(ctx, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := modelNames(DefaultModels()); !reflect.DeepEqual(s.sim.names, want) {
+		t.Errorf("a spec with no models studies %v, want %v", s.sim.names, want)
+	}
+
+	spec.Models = []string{"mobilenet-v1", "alexnet"}
+	if s, err = NewStudy(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	var graphs []*graph.Graph
+	for i, name := range []string{"mobilenet", "alexnet"} {
+		p, err := BundledWorkloads().Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if s.sim.names[i] != name || s.sim.prepared[i] != p {
+			t.Errorf("model %d: %q at %p, want %q at the memo's %p", i, s.sim.names[i], s.sim.prepared[i], name, p)
+		}
+		g, err := workloads.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		graphs = append(graphs, g)
+	}
+	got, err := s.Run(ctx, Hardening{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := RuntimeStudyHardened(ctx, s.cands, graphs, spec.Spec, spec.Opt, Hardening{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if RuntimeRowsCSV(got) != RuntimeRowsCSV(want) {
+		t.Errorf("Study.Run differs from RuntimeStudyHardened over fresh graphs:\n%s\nwant\n%s", RuntimeRowsCSV(got), RuntimeRowsCSV(want))
 	}
 }

@@ -93,8 +93,9 @@ func (t *Tracer) releaseTrack(id uint64) {
 	t.mu.Unlock()
 }
 
-// Attr is a span attribute. Use the typed constructors/setters; they avoid
-// interface boxing on disabled spans.
+// Attr is a span attribute. Build one with String, or use the span's typed
+// setters (SetStr, SetInt, SetFloat); they avoid interface boxing on
+// disabled spans.
 type Attr struct {
 	Key   string
 	Value any
@@ -102,12 +103,6 @@ type Attr struct {
 
 // String builds a string attribute.
 func String(k, v string) Attr { return Attr{Key: k, Value: v} }
-
-// Int builds an integer attribute.
-func Int(k string, v int64) Attr { return Attr{Key: k, Value: v} }
-
-// Float builds a float attribute.
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
 
 // Span is one timed region. A nil *Span is valid and every method on it is
 // a no-op, so callers never need to branch on whether tracing is enabled.

@@ -47,29 +47,28 @@
 // Every simulation reads its matrix classes' tiling terms from a Binding,
 // which caches them for one Prepared on one chip — the part of a
 // simulation neither the batch nor the options change — so a caller that
-// simulates one (workload, chip) pair at several batches, as the dse study
-// does for each candidate's batch regimes and latency ladder, computes them
+// simulates one (workload, chip) pair at several batches computes them
 // once. A Binding rebinds itself when used with another Prepared or chip,
 // and a fresh one gives the same bits as a reused one
 // (TestSimulationPathsAgree).
 //
-// # Batch evaluation
+// # Prepared evaluation
 //
-// The design-space engine asks one question many times: "this workload,
-// this batch size, these N candidate chips". Prepare validates a graph once
-// and precomputes every chip-independent quantity once per shape class,
-// keeping of the graph only its name; (*Prepared).SimulateBatch then runs
-// the same closed forms over each candidate into pooled result scratch,
-// through one Binding kept with that scratch, so the steady state
-// allocates nothing per candidate. (*Binding).SimulateInto is the
-// one-candidate form of the same headline path, into a caller-owned
-// Result. Headline metrics are bit-identical to per-candidate SimulateCtx
-// calls; per-layer LayerStat detail is a single-candidate feature — use
-// SimulateCtx when Layers matter. BatchResults come from a sync.Pool:
-// Release them when done and copy out anything that must outlive the
-// batch. LatencyLimitedSearch runs the latency-limited batch search over
-// any simulation probe, such as SimulateInto into caller-owned Results.
-// See PERFORMANCE.md for the measured profile and the benchmark
+// The design-space engine asks one question many times: "this workload on
+// this chip at batch b". Prepare validates a graph once and precomputes
+// every chip-independent quantity once per shape class, keeping of the
+// graph only its name. (*Binding).SimulateInto then runs the closed forms
+// for one (chip, batch) into a caller-owned Result and allocates nothing
+// in the steady state; neurometerd's simulate routes run each candidate
+// that way on a pooled Binding. A Ladder is the one memo over that path:
+// it holds one (Prepared, chip, Options) triple's successful simulations
+// by power-of-two batch, from 1 to LatencyLimitedMaxBatch, on its own
+// Binding, and runs the latency-limited search (Ladder.LatencyLimited) up
+// the doubling ladder, so the dse study's batch regimes and latency ladder
+// and Figs. 7 and 9 simulate each (chip, batch) once. Headline metrics are
+// bit-identical to per-candidate SimulateCtx calls; per-layer LayerStat
+// detail is a single-candidate feature — use SimulateCtx when Layers
+// matter. See PERFORMANCE.md for the measured profile and the benchmark
 // trajectory.
 //
 // # Error contract

@@ -12,11 +12,12 @@ import (
 )
 
 // Prepare validates a workload and computes its per-layer closed-form
-// inputs once; SimulateBatch then evaluates many candidate chips against
-// it, and every candidate's headline metrics are bit-identical to a
-// per-candidate Simulate call. The returned BatchResult is pooled scratch —
-// Release it when done, and copy out anything that must outlive the batch.
-func ExamplePrepared_SimulateBatch() {
+// inputs once; a Ladder then answers "this workload on this chip at batch
+// b" for one candidate chip at a time, memoizing each power-of-two batch
+// it simulates. The latency-limited search walks the doubling ladder, and
+// its headline metrics are bit-identical to a per-candidate Simulate call
+// at the batch it finds; asking for a batch again answers from the memo.
+func ExampleLadder() {
 	build := func(x int) *chip.Chip {
 		c, err := chip.BuildCached(chip.Config{
 			Name: fmt.Sprintf("x%d", x), TechNM: 28, ClockHz: 700e6,
@@ -34,7 +35,6 @@ func ExamplePrepared_SimulateBatch() {
 		}
 		return c
 	}
-	candidates := []*chip.Chip{build(32), build(64), build(128)}
 	g, err := workloads.ByName("alexnet")
 	if err != nil {
 		fmt.Println("workload:", err)
@@ -45,25 +45,24 @@ func ExamplePrepared_SimulateBatch() {
 		fmt.Println("prepare:", err)
 		return
 	}
-	br, err := p.SimulateBatch(context.Background(), 8, perfsim.DefaultOptions(), candidates)
-	if err != nil {
-		fmt.Println("simulate:", err)
-		return
-	}
-	defer br.Release()
-	fmt.Println("candidates evaluated:", len(br.Results))
-	fmt.Println("failures:", br.Failed())
-	for i, c := range candidates {
-		single, _ := perfsim.Simulate(c, g, 8, perfsim.DefaultOptions())
-		fmt.Printf("%s matches single-candidate run: %v\n",
-			c.Cfg.Name, br.Results[i].FPS == single.FPS)
+	ctx := context.Background()
+	var l perfsim.Ladder
+	for _, c := range []*chip.Chip{build(32), build(64), build(128)} {
+		l.Reset(p, c, perfsim.DefaultOptions())
+		batch, res, err := l.LatencyLimited(ctx, 10e-3)
+		if err != nil {
+			fmt.Println("simulate:", err)
+			return
+		}
+		single, _ := perfsim.Simulate(c, g, batch, perfsim.DefaultOptions())
+		again, _ := l.Simulate(ctx, batch)
+		fmt.Printf("%s matches single-candidate run: %v, memoized: %v\n",
+			c.Cfg.Name, res.FPS == single.FPS, again == res)
 	}
 	// Output:
-	// candidates evaluated: 3
-	// failures: 0
-	// x32 matches single-candidate run: true
-	// x64 matches single-candidate run: true
-	// x128 matches single-candidate run: true
+	// x32 matches single-candidate run: true, memoized: true
+	// x64 matches single-candidate run: true, memoized: true
+	// x128 matches single-candidate run: true, memoized: true
 }
 
 // Simulate maps a workload graph onto a built chip and returns per-batch

@@ -14,11 +14,13 @@ import (
 // others, bit for bit in every Result field: the tight walk (SimulateInto
 // on a fresh Binding, no fault armed), the per-layer pass (a fault armed at
 // an unrelated site, and a cancelable ctx), SimulateCtx's detail path (one
-// LayerStat per layer; TestClassedMatchesOracle checks their values), and
-// one Binding reused across batches 1 to 512 on a chip, then moved to
-// another workload on the same chip and on to the next chip. Every path
-// must also count the same layers walked and classes evaluated. Run it
-// under -race.
+// LayerStat per layer; TestClassedMatchesOracle checks their values), one
+// Binding reused across batches 1 to 512 on a chip, then moved to another
+// workload on the same chip and on to the next chip, and one Ladder per
+// chip: each batch a miss and then a memo hit, a non-power-of-two batch in
+// its spare, and a miss after a Reset to another workload. Every path must
+// also count the same layers walked and classes evaluated (a memo hit
+// none). Run it under -race.
 func TestSimulationPathsAgree(t *testing.T) {
 	chips := batchChips(t, 5)
 	bert, err := workloads.BERTBase()
@@ -48,11 +50,22 @@ func TestSimulationPathsAgree(t *testing.T) {
 		return r, mLayers.Value() - layers, mLayerEvals.Value() - evals
 	}
 	var b Binding
+	var lad Ladder
+	ladderSim := func(batch int) func(*Result) error {
+		return func(r *Result) error {
+			got, err := lad.Simulate(cctx, batch)
+			if err == nil {
+				*r = *got
+			}
+			return err
+		}
+	}
 	for _, opt := range []Options{DefaultOptions(), NoOptimizations(), {SpaceToDepth: true}} {
 		for gi, g := range graphs {
 			p, other := prepared[gi], prepared[(gi+1)%len(prepared)]
 			wantLayers, wantEvals := int64(len(g.Layers)), int64(len(p.vals))
 			for _, c := range chips {
+				lad.Reset(p, c, opt)
 				for batch := 1; batch <= LatencyLimitedMaxBatch; batch *= 2 {
 					where := fmt.Sprintf("%s on %s batch %d %+v", g.Name, c.Cfg.Name, batch, opt)
 					fast, layers, evals := sim(func(r *Result) error { return new(Binding).SimulateInto(bg, p, c, batch, opt, r) })
@@ -76,10 +89,14 @@ func TestSimulationPathsAgree(t *testing.T) {
 							return err
 						}},
 						{"bound", func(r *Result) error { return b.SimulateInto(cctx, p, c, batch, opt, r) }},
+						{"ladder miss", ladderSim(batch)},
+						{"ladder hit", ladderSim(batch)}, // answered from the memo
 					}
 					for _, path := range paths {
 						got, layers, evals := sim(path.run)
-						if layers != wantLayers || evals != wantEvals {
+						if hit := path.name == "ladder hit"; hit && (layers != 0 || evals != 0) {
+							t.Fatalf("%s: %s counted %d layers and %d evals, want none", where, path.name, layers, evals)
+						} else if !hit && (layers != wantLayers || evals != wantEvals) {
 							t.Fatalf("%s: %s counted %d layers and %d evals, want %d and %d",
 								where, path.name, layers, evals, wantLayers, wantEvals)
 						}
@@ -100,6 +117,19 @@ func TestSimulationPathsAgree(t *testing.T) {
 				want, _, _ := sim(func(r *Result) error { return new(Binding).SimulateInto(bg, other, c, 8, opt, r) })
 				if at, ok := bitsEqual(reflect.ValueOf(moved), reflect.ValueOf(want), "Result"); !ok {
 					t.Fatalf("%s on %s: Binding moved from %s diverges at %s", other.name, c.Cfg.Name, g.Name, at)
+				}
+				// The Ladder's spare, then the Ladder reset to the other
+				// workload: batch 8 must be simulated again, not served
+				// from p's rung.
+				spare, layers, _ := sim(ladderSim(3))
+				fresh, _, _ := sim(func(r *Result) error { return new(Binding).SimulateInto(bg, p, c, 3, opt, r) })
+				if at, ok := bitsEqual(reflect.ValueOf(spare), reflect.ValueOf(fresh), "Result"); !ok || layers != wantLayers {
+					t.Fatalf("%s on %s: Ladder spare at batch 3 walked %d layers, diverges at %s", g.Name, c.Cfg.Name, layers, at)
+				}
+				lad.Reset(other, c, opt)
+				reset, layers, _ := sim(ladderSim(8))
+				if at, ok := bitsEqual(reflect.ValueOf(reset), reflect.ValueOf(want), "Result"); !ok || layers != int64(len(other.class)) {
+					t.Fatalf("%s on %s: Ladder reset from %s walked %d layers, diverges at %s", other.name, c.Cfg.Name, g.Name, layers, at)
 				}
 			}
 		}

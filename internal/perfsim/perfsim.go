@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"sync"
 
@@ -115,10 +114,11 @@ func Simulate(c *chip.Chip, g *graph.Graph, batch int, opt Options) (*Result, er
 // never escapes into sweeps.
 //
 // SimulateCtx validates and prepares g on every call. When the layers are
-// not needed, or when evaluating many chips against one workload, Prepare
-// the graph once and use (*Binding).SimulateInto or
-// (*Prepared).SimulateBatch, which amortize that cost and reuse result
-// scratch; both produce bit-identical headline metrics.
+// not needed, or when evaluating many chips or batches against one
+// workload, Prepare the graph once and simulate it through a Binding
+// ((*Binding).SimulateInto, into caller-owned scratch) or a Ladder (a memo
+// by power-of-two batch), which amortize that cost and produce
+// bit-identical headline metrics.
 func SimulateCtx(ctx context.Context, c *chip.Chip, g *graph.Graph, batch int, opt Options) (res *Result, err error) {
 	defer guard.RecoverTo(&err)
 	p, err := Prepare(g)
@@ -190,7 +190,7 @@ type classVals struct {
 // its stack; every bundled workload has at most 54 classes. A pool would
 // not do for these: under the race detector sync.Pool drops a quarter of
 // its Puts, and a Get and Put per simulation then shows up as allocations
-// in SimulateBatch's zero-allocation check.
+// in TestSimulateBatchZeroAllocs, the steady-state zero-allocation check.
 const stackClasses = 64
 
 // classScratch is the per-class scratch of a simulation whose graph has
@@ -735,60 +735,22 @@ func (e *simEnv) evalClass(lv *layerVals, cv *classVals, t *tileTerms) {
 // §III-B.2, with a 10 ms production SLO). It returns the batch and its
 // simulation result; batch 1 is returned even if it misses the bound.
 //
-// The graph is prepared once and the probes share one Binding, each into
-// a Result of its own batch size; only the chosen batch runs again through
-// SimulateCtx, so the returned Result carries its per-layer Layers.
+// The graph is prepared once and the search runs on a Ladder; only the
+// chosen batch runs again through SimulateCtx, so the returned Result
+// carries its per-layer Layers.
 func LatencyLimitedBatch(c *chip.Chip, g *graph.Graph, latencyBound float64, opt Options) (batch int, res *Result, err error) {
 	defer guard.RecoverTo(&err)
 	p, err := Prepare(g)
 	if err != nil {
 		return 0, nil, err
 	}
-	var b Binding
-	probes := make([]Result, bits.Len(LatencyLimitedMaxBatch))
-	batch, _, err = LatencyLimitedSearch(latencyBound, func(batch int) (*Result, error) {
-		r := &probes[bits.TrailingZeros(uint(batch))]
-		return r, b.SimulateInto(context.Background(), p, c, batch, opt, r)
-	})
-	if err != nil {
+	var l Ladder
+	l.Reset(p, c, opt)
+	if batch, _, err = l.LatencyLimited(context.Background(), latencyBound); err != nil {
 		return 0, nil, err
 	}
 	if res, err = SimulateCtx(context.Background(), c, g, batch, opt); err != nil {
 		return 0, nil, err
 	}
 	return batch, res, nil
-}
-
-// LatencyLimitedMaxBatch is the largest batch the latency-limited search
-// probes.
-const LatencyLimitedMaxBatch = 512
-
-// LatencyLimitedSearch is the search behind LatencyLimitedBatch with the
-// simulation left to the caller: probe(batch) returns the simulation of
-// one batch size. It probes batch 1, then doubles up to
-// LatencyLimitedMaxBatch, stopping at the first batch whose latency
-// exceeds the bound, and returns the last batch within it together with
-// that batch's Result (batch 1 even if it misses the bound). A probe error
-// ends the search with that error.
-//
-// The search holds on to the best Result while it probes the next batch,
-// so probe must not reuse one Result for two batch sizes. A caller may
-// answer probes from a memo of simulations it already holds.
-func LatencyLimitedSearch(latencyBound float64, probe func(batch int) (*Result, error)) (int, *Result, error) {
-	best, err := probe(1)
-	if err != nil {
-		return 0, nil, err
-	}
-	batch := 1
-	for b := 2; b <= LatencyLimitedMaxBatch; b *= 2 {
-		r, err := probe(b)
-		if err != nil {
-			return 0, nil, err
-		}
-		if r.LatencySec > latencyBound {
-			break
-		}
-		batch, best = b, r
-	}
-	return batch, best, nil
 }

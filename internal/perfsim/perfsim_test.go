@@ -44,6 +44,9 @@ func TestSimulateValidation(t *testing.T) {
 	if _, err := Simulate(c, &bad, 1, DefaultOptions()); err == nil {
 		t.Errorf("empty graph must fail")
 	}
+	if _, err := Simulate(c, nil, 1, DefaultOptions()); err == nil {
+		t.Errorf("nil graph must fail")
+	}
 }
 
 func TestBasicInvariants(t *testing.T) {

@@ -13,8 +13,8 @@ import (
 // function of the graph, yet the historical SimulateCtx recomputed it from
 // the layer table on every call (§"where time goes" in PERFORMANCE.md: ~15%
 // of a simulation). Prepare hoists that work into a read-only table computed
-// once per workload, which the batch engine amortizes across every candidate
-// sharing the graph.
+// once per workload, which every Binding and Ladder simulation amortizes
+// across the candidates sharing the graph.
 //
 // Shape classes: real networks repeat layer shapes (ResNet-50's bottleneck
 // blocks, NASNet-A's stacked cells), and every per-layer closed form is a
@@ -68,9 +68,9 @@ type Prepared struct {
 }
 
 // Prepare validates g once and precomputes the quantities every simulation
-// of g needs. Callers that evaluate many chips against one workload should
-// Prepare once and reuse it, through SimulateBatch or a Binding;
-// SimulateCtx re-prepares on every call.
+// of g needs. Callers that evaluate many chips or batches against one
+// workload should Prepare once and reuse it, through a Binding or a
+// Ladder; SimulateCtx re-prepares on every call.
 //
 // Layers are classified as they are prepared, in an open-addressed hash
 // table of class numbers over the layers' shape hashes, sized at least

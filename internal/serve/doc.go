@@ -37,6 +37,16 @@
 //     X or N choice or an unknown model is refused with 400 however busy
 //     the route is, and is never enumerated.
 //
+//   - Prepared workloads. The simulate routes read dse.BundledWorkloads,
+//     the process's one memo of prepared bundled workloads, which studies
+//     share, so no request rebuilds or re-prepares a graph. The
+//     simulate-batch route simulates its candidates in turn on one pooled
+//     perfsim.Binding into one Result, under one perfsim.simulate_batch
+//     span; a candidate's failure (a config that does not build, a chip
+//     without tensor units, an injected fault, a panic) costs its entry
+//     only, while a negative batch or a canceled or expired request
+//     fails the whole call.
+//
 //   - Inline config memo. Each Server maps the exact bytes of an inline
 //     ChipRequest.Config to the chip apicfg.Resolve and chip.BuildCached
 //     built from them, so all three model routes skip the config's JSON

@@ -19,7 +19,6 @@ import (
 	"neurometer/internal/obs"
 	"neurometer/internal/perfsim"
 	"neurometer/internal/rstore"
-	"neurometer/internal/workloads"
 )
 
 // Config sizes the server's robustness envelope. The zero value of any
@@ -116,7 +115,7 @@ type Server struct {
 	limSim    *limiter
 	limStudy  *limiter
 	accessLog *slog.Logger
-	workloads preparedWorkloads
+	workloads workloadMemo
 	chips     chipMemo
 
 	draining chan struct{} // closed when Shutdown begins
@@ -135,7 +134,7 @@ func New(cfg Config) *Server {
 		limSim:    newLimiter("perfsim.simulate", cfg.SimulateLimit, cfg.QueueDepth, cfg.AdmissionTimeout),
 		limStudy:  newLimiter("dse.study", cfg.StudyLimit, cfg.QueueDepth, cfg.AdmissionTimeout),
 		accessLog: cfg.AccessLog,
-		workloads: newPreparedWorkloads(),
+		workloads: workloadMemo(dse.BundledWorkloads()),
 		chips:     chipMemo{chips: map[string]*chip.Chip{}},
 		draining:  make(chan struct{}),
 	}
@@ -341,39 +340,15 @@ func (s *Server) buildHandler(r *http.Request) (int, any, error) {
 
 // ---- /v1/perfsim/simulate -------------------------------------------------
 
-// preparedWorkloads maps every bundled workload name, aliases included, to
-// that model's prepared workload, built on first use and kept for the
-// server's life: the simulate routes never rebuild or re-prepare a graph.
-// Aliases of one model share one entry, and the map is complete when New
-// returns, so an unknown name is never stored and the map needs no lock.
-type preparedWorkloads map[string]func() (*perfsim.Prepared, error)
-
-func newPreparedWorkloads() preparedWorkloads {
-	m := preparedWorkloads{}
-	for _, names := range workloads.Names() {
-		prep := sync.OnceValues(func() (*perfsim.Prepared, error) {
-			g, err := workloads.ByName(names[0])
-			if err != nil {
-				return nil, err
-			}
-			return perfsim.Prepare(g)
-		})
-		for _, name := range names {
-			m[name] = prep
-		}
-	}
-	return m
-}
+// workloadMemo is dse's one memo of prepared bundled workloads, which the
+// simulate routes share with every study the process runs: a simulate
+// request never rebuilds or re-prepares a graph.
+type workloadMemo dse.PreparedWorkloads
 
 // get returns the prepared workload for name. An unknown name is a 400
 // carrying workloads.ByName's message.
-func (m preparedWorkloads) get(name string) (*perfsim.Prepared, error) {
-	prep, ok := m[name]
-	if !ok {
-		_, err := workloads.ByName(name)
-		return nil, guard.Invalid("%v", err)
-	}
-	return prep()
+func (m workloadMemo) get(name string) (*perfsim.Prepared, error) {
+	return dse.PreparedWorkloads(m).Get(name)
 }
 
 // SimulateRequest runs one workload at one batch size on a chip.
@@ -472,7 +447,7 @@ const maxBatchConfigs = 256
 
 // SimulateBatchRequest evaluates one workload at one batch size across many
 // candidate chips in a single call. Every candidate runs on the server's
-// one prepared copy of the workload ((*perfsim.Prepared).SimulateBatch).
+// one prepared copy of the workload.
 type SimulateBatchRequest struct {
 	Workload string           `json:"workload"`
 	Batch    int              `json:"batch"`
@@ -499,11 +474,17 @@ type SimulateBatchResponse struct {
 }
 
 // simulateBatchHandler runs one workload across many candidate chips.
-// Request-level problems (unknown workload, no/too many configs, invalid
-// batch) fail the call; per-candidate problems (unresolvable config,
-// infeasible chip, non-finite metrics) land in that candidate's entry with
-// status 200. Admission, deadline, and body-size limits are the simulate
-// endpoint's — one batch call occupies one simulate slot.
+// Request-level problems (unknown workload, no/too many configs,
+// negative batch, canceled or expired request) fail the call;
+// per-candidate problems (unresolvable config, chip without tensor units,
+// injected fault, non-finite metrics, panic) land in that candidate's entry
+// with status 200. Admission, deadline, and body-size limits are the
+// simulate endpoint's — one batch call occupies one simulate slot.
+//
+// The candidates simulate in turn on one pooled Binding into one Result,
+// each summarized into its entry at once, under one perfsim.simulate_batch
+// span opened once every config is resolved. The ctx is checked before
+// each candidate, and by each simulation before its closed forms run.
 func (s *Server) simulateBatchHandler(r *http.Request) (int, any, error) {
 	var req SimulateBatchRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -528,43 +509,49 @@ func (s *Server) simulateBatchHandler(r *http.Request) (int, any, error) {
 	if batch == 0 {
 		batch = 1
 	}
+	if batch < 0 {
+		return 0, nil, guard.Invalid("perfsim: batch must be positive, got %d", batch)
+	}
 	resp := SimulateBatchResponse{
 		Workload: p.Name(),
 		Batch:    batch,
 		Results:  make([]SimulateBatchEntry, len(req.Configs)),
 	}
-	// Resolve every candidate chip first; a config that does not build is a
-	// per-entry failure and its slot stays nil through the batch (perfsim
-	// skips nothing — a nil chip fails candidate validation — but the build
-	// error recorded here wins).
+	fail := func(i int, err error) {
+		resp.Results[i] = SimulateBatchEntry{Kind: guard.Kind(err), Err: err.Error()}
+		resp.Failed++
+	}
+	// Resolve every candidate chip first; a config that does not build is
+	// a per-entry failure and is not simulated.
 	chips := make([]*chip.Chip, len(req.Configs))
 	for i, cr := range req.Configs {
-		c, rerr := s.chips.resolve(cr)
-		if rerr != nil {
-			resp.Results[i] = SimulateBatchEntry{Kind: guard.Kind(rerr), Err: rerr.Error()}
+		c, err := s.chips.resolve(cr)
+		if err != nil {
+			fail(i, err)
 			continue
 		}
 		chips[i] = c
 	}
-	br, err := p.SimulateBatch(r.Context(), batch, opt, chips)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer br.Release()
-	for i := range resp.Results {
-		if resp.Results[i].Err != "" {
-			continue // config never built; keep the build error
+	ctx, span := obs.Start(r.Context(), "perfsim.simulate_batch")
+	defer span.End()
+	span.SetStr("graph", p.Name())
+	span.SetInt("batch", int64(batch))
+	span.SetInt("candidates", int64(len(chips)))
+	b := bindingPool.Get().(*perfsim.Binding)
+	defer bindingPool.Put(b)
+	var res perfsim.Result
+	for i, c := range chips {
+		if err := guard.CtxErr(ctx); err != nil {
+			return 0, nil, err
 		}
-		if serr := br.Errs[i]; serr != nil {
-			resp.Results[i] = SimulateBatchEntry{Kind: guard.Kind(serr), Err: serr.Error()}
+		if c == nil {
+			continue // its config never built; the entry holds the build error
+		}
+		if err := b.SimulateInto(ctx, p, c, batch, opt, &res); err != nil {
+			fail(i, err)
 			continue
 		}
-		resp.Results[i].Result = simulateResponse(chips[i], p.Name(), batch, &br.Results[i])
-	}
-	for _, en := range resp.Results {
-		if en.Err != "" {
-			resp.Failed++
-		}
+		resp.Results[i].Result = simulateResponse(c, p.Name(), batch, &res)
 	}
 	return http.StatusOK, resp, nil
 }
